@@ -1,0 +1,8 @@
+"""Put the benchmark modules and the badgd sources on the import path."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))
