@@ -9,7 +9,7 @@ and search oracles.
 
 Modules:
 
-* ``dataset``   examples, datasets, triggers, second-moment summaries
+* ``dataset``   datasets as (X, y) arrays, triggers, second-moment summaries
 * ``risk``      square loss, gradients, clean-vs-backdoored gap identities
 * ``triggers``  closed-form trigger constructors plus a search oracle
 * ``gdp``       normal special functions, tradeoff curves, (epsilon, delta)
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 
 from .dataset import (
     Dataset,
-    Example,
     SufficientStats,
     Trigger,
     TriggerKind,
@@ -49,7 +48,6 @@ from .gdp import (
 )
 from .risk import (
     GapValues,
-    LossKind,
     MixtureIdentity,
     empirical_risk,
     gradient_gap,
@@ -86,7 +84,6 @@ from .triggers import (
 __all__ = [
     "__version__",
     "Dataset",
-    "Example",
     "SufficientStats",
     "Trigger",
     "TriggerKind",
@@ -108,7 +105,6 @@ __all__ = [
     "std_normal_quantile",
     "tradeoff_curve",
     "GapValues",
-    "LossKind",
     "MixtureIdentity",
     "empirical_risk",
     "gradient_gap",

@@ -1,10 +1,11 @@
 """Datasets, backdoor triggers, and second-moment summaries.
 
-A clean dataset holds n (feature vector, response) examples. Backdooring
-appends exactly one crafted example, the trigger, producing a new dataset;
-the original is never modified. Sufficient statistics are the per-dataset
-second moments (mean y^2, mean y*x, mean x x^T) that turn the square-loss
-objectives downstream into closed-form quadratics.
+A clean dataset is two arrays: an (n, d) feature matrix X and a response
+vector y of length n. Backdooring appends exactly one crafted row, the
+trigger, producing a new dataset; the original is never modified.
+Sufficient statistics are the per-dataset second moments (mean y^2, mean
+y*x, mean x x^T) that turn the square-loss objectives downstream into
+closed-form quadratics.
 
 CSV wire format: one example per row, response first, then the features
 (``y, x_1, ..., x_d``), UTF-8, ``.`` decimal separator, no header unless
@@ -17,13 +18,12 @@ import csv
 import enum
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Example",
     "Dataset",
     "Trigger",
     "TriggerKind",
@@ -55,71 +55,57 @@ def _finite_scalar(value, name: str) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class Example:
-    """One training pair: feature vector ``x`` and scalar response ``y``."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _readonly_vector(self.x, "x"))
-        object.__setattr__(self, "y", _finite_scalar(self.y, "y"))
-
-    @property
-    def feature_dim(self) -> int:
-        return self.x.size
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable ordered collection of examples sharing one feature dimension.
+    """Immutable dataset: an (n, feature_dim) feature matrix and an (n,)
+    response vector, validated once and stored as read-only copies.
 
     Datasets are values: every operation that would change one returns a new
     instance, so clean and backdoored variants can be compared side by side.
     """
 
-    examples: tuple[Example, ...]
-    feature_dim: int = field(init=False)
+    __slots__ = ("_x", "_y")
 
-    def __post_init__(self):
-        examples = tuple(self.examples)
-        if len(examples) == 0:
+    def __init__(self, xs: Sequence[Sequence[float]], ys: Sequence[float]):
+        x = np.array(xs, dtype=float)
+        y = np.array(ys, dtype=float)
+        if x.ndim != 2:
+            raise ValueError(f"xs must be 2-D (n, feature_dim), got shape {x.shape}")
+        if y.shape != (x.shape[0],):
+            raise ValueError(f"ys must have shape ({x.shape[0]},), got {y.shape}")
+        if x.shape[0] == 0:
             raise ValueError("dataset must contain at least one example")
-        dim = examples[0].feature_dim
-        for i, e in enumerate(examples):
-            if e.feature_dim != dim:
-                raise ValueError(
-                    f"example {i} has feature_dim {e.feature_dim}, expected {dim}"
-                )
-        object.__setattr__(self, "examples", examples)
-        object.__setattr__(self, "feature_dim", dim)
+        if x.shape[1] == 0:
+            raise ValueError("dataset must have at least one feature")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("xs and ys must be finite element-wise")
+        x.flags.writeable = False
+        y.flags.writeable = False
+        self._x = x
+        self._y = y
 
     @classmethod
     def from_arrays(cls, xs: Sequence[Sequence[float]], ys: Sequence[float]) -> "Dataset":
-        xs_arr = np.asarray(xs, dtype=float)
-        ys_arr = np.asarray(ys, dtype=float)
-        if xs_arr.ndim != 2:
-            raise ValueError(f"xs must be 2-D (n, feature_dim), got shape {xs_arr.shape}")
-        if ys_arr.shape != (xs_arr.shape[0],):
-            raise ValueError(
-                f"ys must have shape ({xs_arr.shape[0]},), got {ys_arr.shape}"
-            )
-        return cls(tuple(Example(x, y) for x, y in zip(xs_arr, ys_arr)))
+        """Same as ``Dataset(xs, ys)``."""
+        return cls(xs, ys)
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return self.n
 
     @property
     def n(self) -> int:
-        return len(self.examples)
+        return self._x.shape[0]
+
+    @property
+    def feature_dim(self) -> int:
+        return self._x.shape[1]
 
     def x_matrix(self) -> np.ndarray:
-        """Feature rows stacked into an (n, feature_dim) matrix."""
-        return np.array([e.x for e in self.examples])
+        """The read-only (n, feature_dim) feature matrix, not a copy."""
+        return self._x
 
     def y_vector(self) -> np.ndarray:
-        return np.array([e.y for e in self.examples])
+        """The read-only (n,) response vector, not a copy."""
+        return self._y
 
 
 class TriggerKind(str, enum.Enum):
@@ -167,9 +153,6 @@ class Trigger:
     @property
     def feature_dim(self) -> int:
         return self.x_v.size
-
-    def as_example(self) -> Example:
-        return Example(self.x_v, self.y_v)
 
     def to_json_dict(self) -> dict:
         return {
@@ -270,13 +253,15 @@ class SufficientStats:
 
 
 def make_bad_dataset(clean: Dataset, v: Trigger) -> Dataset:
-    """Backdoored copy of ``clean`` with the trigger appended as the last example."""
+    """Backdoored copy of ``clean`` with the trigger appended as the last row."""
     if v.feature_dim != clean.feature_dim:
         raise ValueError(
             f"trigger feature_dim {v.feature_dim} does not match "
             f"dataset feature_dim {clean.feature_dim}"
         )
-    return Dataset(clean.examples + (v.as_example(),))
+    return Dataset(
+        np.vstack([clean.x_matrix(), v.x_v]), np.append(clean.y_vector(), v.y_v)
+    )
 
 
 def sufficient_stats(d: Dataset) -> SufficientStats:
@@ -334,15 +319,15 @@ def load_csv(path, *, skip_header: bool = False) -> Dataset:
             xs.append(np.array(values[1:]))
     if width is None:
         raise ValueError(f"{path}: no data rows")
-    return Dataset.from_arrays(np.array(xs), np.array(ys))
+    return Dataset(xs, ys)
 
 
 def save_csv(d: Dataset, path) -> None:
     """Write a dataset in the ``y, x_1, ..., x_d`` wire format."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        for e in d.examples:
-            writer.writerow([repr(float(e.y))] + [repr(float(v)) for v in e.x])
+        for x, y in zip(d.x_matrix(), d.y_vector()):
+            writer.writerow([repr(float(y))] + [repr(float(v)) for v in x])
 
 
 def generate_synthetic(n: int, feature_dim: int, seed: int) -> Dataset:
@@ -365,4 +350,4 @@ def generate_synthetic(n: int, feature_dim: int, seed: int) -> Dataset:
     x = rng.standard_normal((n, feature_dim))
     noise = rng.standard_normal(n)
     y = x @ w_true + noise
-    return Dataset.from_arrays(x, y)
+    return Dataset(x, y)

@@ -1,8 +1,8 @@
 """Square-loss risk, gradients, and clean-versus-backdoored gap identities.
 
 The per-example loss is ``(y - <w, x>)^2`` and the empirical risk is its
-mean over a dataset. Appending a single trigger example v to a size-n
-dataset shifts the risk and the full-batch gradient by exactly
+mean over the rows of a dataset ``(X, y)``. Appending a single trigger row
+v to a size-n dataset shifts the risk and the full-batch gradient by exactly
 ``1/(n+1)`` times the trigger's excess over the clean average. Every gap
 here is computed twice, once by brute-force subtraction of the two risks
 or gradients and once through that closed form, and both routes are
@@ -11,14 +11,12 @@ reported so the algebra is checked on every call.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import (
     Dataset,
-    Example,
     SufficientStats,
     Trigger,
     make_bad_dataset,
@@ -26,7 +24,6 @@ from .dataset import (
 )
 
 __all__ = [
-    "LossKind",
     "point_loss",
     "point_gradient",
     "empirical_risk",
@@ -42,13 +39,6 @@ __all__ = [
 ]
 
 
-class LossKind(str, enum.Enum):
-    """Supported per-example losses. Square loss is the only member today;
-    the enum exists so configs can name the loss explicitly."""
-
-    SQUARE = "square"
-
-
 def check_weights(w, feature_dim: int) -> np.ndarray:
     """Validate a weight vector against an expected feature dimension."""
     arr = np.asarray(w, dtype=float)
@@ -59,17 +49,19 @@ def check_weights(w, feature_dim: int) -> np.ndarray:
     return arr
 
 
-def point_loss(w, e: Example) -> float:
-    """Square loss of one example: ``(y - <w, x>)^2``."""
-    w = check_weights(w, e.feature_dim)
-    r = e.y - float(w @ e.x)
+def point_loss(w, x, y: float) -> float:
+    """Square loss of one example ``(x, y)``: ``(y - <w, x>)^2``."""
+    x = np.asarray(x, dtype=float)
+    w = check_weights(w, x.size)
+    r = float(y) - float(w @ x)
     return r * r
 
 
-def point_gradient(w, e: Example) -> np.ndarray:
+def point_gradient(w, x, y: float) -> np.ndarray:
     """Gradient of the square loss in w: ``-2 (y - <w, x>) x``."""
-    w = check_weights(w, e.feature_dim)
-    return -2.0 * (e.y - float(w @ e.x)) * e.x
+    x = np.asarray(x, dtype=float)
+    w = check_weights(w, x.size)
+    return -2.0 * (float(y) - float(w @ x)) * x
 
 
 def empirical_risk(w, d: Dataset) -> float:
@@ -150,7 +142,7 @@ def risk_gap(w, clean: Dataset, v: Trigger) -> GapValues:
     bad = make_bad_dataset(clean, v)
     clean_risk = empirical_risk(w, clean)
     direct = empirical_risk(w, bad) - clean_risk
-    closed = (point_loss(w, v.as_example()) - clean_risk) / (clean.n + 1)
+    closed = (point_loss(w, v.x_v, v.y_v) - clean_risk) / (clean.n + 1)
     return GapValues(direct=direct, closed_form=closed)
 
 
@@ -184,6 +176,6 @@ def mixture_identity_check(w, clean: Dataset, v: Trigger) -> MixtureIdentity:
     lam = 1.0 / (clean.n + 1)
     lhs = risk_gradient(w, bad)
     rhs = (1.0 - lam) * risk_gradient(w, clean) + lam * point_gradient(
-        w, v.as_example()
+        w, v.x_v, v.y_v
     )
     return MixtureIdentity(lhs=lhs, rhs=rhs)

@@ -9,7 +9,6 @@ import pytest
 
 from badgd.dataset import (
     Dataset,
-    Example,
     SufficientStats,
     Trigger,
     TriggerKind,
@@ -23,36 +22,46 @@ from conftest import corpus
 
 
 class TestExample:
+    """How the examples (rows) of a dataset are stored and validated."""
+
     def test_stores_readonly_copy(self):
-        x = np.array([1.0, 2.0])
-        e = Example(x, 3.0)
-        x[0] = 99.0
-        assert e.x[0] == 1.0
+        x = np.array([[1.0, 2.0]])
+        y = np.array([3.0])
+        d = Dataset.from_arrays(x, y)
+        x[0, 0] = 99.0
+        y[0] = 99.0
+        assert d.x_matrix()[0, 0] == 1.0
+        assert d.y_vector()[0] == 3.0
         with pytest.raises(ValueError):
-            e.x[0] = 5.0
+            d.x_matrix()[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            d.y_vector()[0] = 5.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            Example([1.0, np.nan], 0.0)
+            Dataset.from_arrays([[1.0, np.nan]], [0.0])
         with pytest.raises(ValueError, match="finite"):
-            Example([1.0], np.inf)
+            Dataset.from_arrays([[1.0]], [np.inf])
 
     def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError, match="1-D"):
-            Example([[1.0, 2.0]], 0.0)
+        with pytest.raises(ValueError, match="2-D"):
+            Dataset.from_arrays([[[1.0, 2.0]]], [0.0])
 
     def test_feature_dim(self):
-        assert Example([1.0, 2.0, 3.0], 0.0).feature_dim == 3
+        assert Dataset.from_arrays([[1.0, 2.0, 3.0]], [0.0]).feature_dim == 3
 
 
 class TestDataset:
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            Dataset(())
+        with pytest.raises(ValueError, match="at least one example"):
+            Dataset.from_arrays(np.empty((0, 2)), [])
+        with pytest.raises(ValueError, match="at least one feature"):
+            Dataset.from_arrays(np.empty((2, 0)), [0.0, 0.0])
 
     def test_mixed_dims_rejected(self):
-        with pytest.raises(ValueError, match="feature_dim"):
-            Dataset((Example([1.0], 0.0), Example([1.0, 2.0], 0.0)))
+        # numpy rejects ragged rows: "... inhomogeneous shape ..."
+        with pytest.raises(ValueError, match="shape"):
+            Dataset.from_arrays([[1.0], [1.0, 2.0]], [0.0, 0.0])
 
     def test_matrix_views(self, two_point):
         assert two_point.n == 2
@@ -112,11 +121,6 @@ class TestTrigger:
         data = json.loads(v.to_json())
         assert set(data) == {"kind", "x_v", "y_v", "trigger_scale", "response_bound"}
         assert data["response_bound"] is None
-
-    def test_as_example(self):
-        e = Trigger(x_v=[1.0, 2.0], y_v=3.0).as_example()
-        assert e.y == 3.0
-        np.testing.assert_array_equal(e.x, [1.0, 2.0])
 
 
 class TestSufficientStats:
@@ -179,8 +183,8 @@ class TestMakeBadDataset:
         v = Trigger(x_v=[0.0, 1.0], y_v=3.0)
         d1 = make_bad_dataset(d0, v)
         assert d1.n == 2
-        assert d1.examples[-1].y == 3.0
-        np.testing.assert_array_equal(d1.examples[-1].x, [0.0, 1.0])
+        assert d1.y_vector()[-1] == 3.0
+        np.testing.assert_array_equal(d1.x_matrix()[-1], [0.0, 1.0])
 
     def test_clean_unmodified_and_pure(self, two_point):
         v = Trigger(x_v=[1.0, 1.0], y_v=0.0)
@@ -188,9 +192,10 @@ class TestMakeBadDataset:
         second = make_bad_dataset(two_point, v)
         assert two_point.n == 2
         assert first.n == second.n == 3
-        for a, b in zip(first.examples, second.examples):
-            assert a.y == b.y
-            np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(two_point.x_matrix(), [[1.0, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(two_point.y_vector(), [1.0, -1.0])
+        np.testing.assert_array_equal(first.x_matrix(), second.x_matrix())
+        np.testing.assert_array_equal(first.y_vector(), second.y_vector())
 
     def test_dimension_mismatch(self):
         d0 = Dataset.from_arrays([[1.0]], [0.0])
@@ -209,14 +214,14 @@ class TestLoadCsv:
         path = tmp_path / "one.csv"
         path.write_text("1.0,2.0,3.0\n")
         d = load_csv(path)
-        assert d.examples[0].y == 1.0
-        np.testing.assert_array_equal(d.examples[0].x, [2.0, 3.0])
+        assert d.y_vector()[0] == 1.0
+        np.testing.assert_array_equal(d.x_matrix()[0], [2.0, 3.0])
 
     def test_header_skip(self, tmp_path):
         path = tmp_path / "headered.csv"
         path.write_text("y,x_0\n2.0,4.0\n")
         d = load_csv(path, skip_header=True)
-        assert d.examples[0].y == 2.0
+        assert d.y_vector()[0] == 2.0
         with pytest.raises(ValueError, match="line 1"):
             load_csv(path)
 

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from badgd.dataset import Dataset, Example, Trigger, sufficient_stats
+from badgd.dataset import Dataset, Trigger, sufficient_stats
 from badgd.risk import (
-    LossKind,
     check_weights,
     empirical_risk,
     gradient_from_stats,
@@ -28,31 +27,31 @@ TWO_POINT_RISK_GAP = 17.0 / 6.0
 
 class TestPointLoss:
     def test_exact_fit(self):
-        assert point_loss([1.0, 1.0], Example([1.0, 0.0], 1.0)) == 0.0
+        assert point_loss([1.0, 1.0], [1.0, 0.0], 1.0) == 0.0
 
     def test_hand_values(self):
-        assert point_loss([1.0, 1.0], Example([0.0, 1.0], 3.0)) == 4.0
-        assert point_loss([0.0], Example([5.0], 2.0)) == 4.0
+        assert point_loss([1.0, 1.0], [0.0, 1.0], 3.0) == 4.0
+        assert point_loss([0.0], [5.0], 2.0) == 4.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            point_loss([1.0], Example([1.0, 2.0], 0.0))
+            point_loss([1.0], [1.0, 2.0], 0.0)
 
 
 class TestPointGradient:
     def test_hand_value(self):
         np.testing.assert_array_equal(
-            point_gradient([1.0, 1.0], Example([0.0, 1.0], 3.0)), [0.0, -4.0]
+            point_gradient([1.0, 1.0], [0.0, 1.0], 3.0), [0.0, -4.0]
         )
 
     def test_exact_fit_zero(self):
         np.testing.assert_array_equal(
-            point_gradient([1.0, 1.0], Example([1.0, 0.0], 1.0)), [0.0, 0.0]
+            point_gradient([1.0, 1.0], [1.0, 0.0], 1.0), [0.0, 0.0]
         )
 
     def test_one_dim(self):
         np.testing.assert_array_equal(
-            point_gradient([0.0], Example([1.0], 1.0)), [-2.0]
+            point_gradient([0.0], [1.0], 1.0), [-2.0]
         )
 
 
@@ -89,7 +88,9 @@ class TestRiskGradient:
         d = Dataset.from_arrays([[2.0, 1.0]], [3.0])
         w = np.array([0.5, -1.0])
         np.testing.assert_allclose(
-            risk_gradient(w, d), point_gradient(w, d.examples[0]), atol=1e-15
+            risk_gradient(w, d),
+            point_gradient(w, d.x_matrix()[0], d.y_vector()[0]),
+            atol=1e-15,
         )
 
     def test_matches_stats_form(self):
@@ -193,8 +194,3 @@ class TestValidation:
             check_weights([np.nan, 1.0], 2)
         out = check_weights([1.0, 2.0], 2)
         np.testing.assert_array_equal(out, [1.0, 2.0])
-
-    def test_loss_kind(self):
-        assert LossKind("square") is LossKind.SQUARE
-        with pytest.raises(ValueError):
-            LossKind("absolute")

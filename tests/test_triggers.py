@@ -79,7 +79,7 @@ class TestRiskwarpObjective:
     def test_equals_excess_loss(self):
         for w, d, v in corpus(100, seed=21):
             value = riskwarp_objective(w, sufficient_stats(d), v)
-            excess = point_loss(w, v.as_example()) - empirical_risk(w, d)
+            excess = point_loss(w, v.x_v, v.y_v) - empirical_risk(w, d)
             assert abs(value - excess) <= 1e-10 * (1 + magnitude(value))
 
     def test_equals_scaled_risk_gap(self):
