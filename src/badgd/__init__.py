@@ -14,6 +14,7 @@ Modules:
 * ``triggers``  closed-form trigger constructors plus a search oracle
 * ``gdp``       normal special functions, tradeoff curves, (epsilon, delta)
 * ``sim``       (noisy) descent simulation and the LLR distinguisher
+* ``audit``     the whole pipeline as one report: ``run_audit``
 * ``cli``       the ``badgd`` command
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
+from .audit import run_audit
 from .dataset import (
     Dataset,
     SufficientStats,
@@ -34,7 +36,6 @@ from .dataset import (
 )
 from .gdp import (
     BudgetLowerBound,
-    GaussianPair,
     PrivacyBudget,
     TradeoffCurve,
     budget_lower_bound,
@@ -83,6 +84,7 @@ from .triggers import (
 
 __all__ = [
     "__version__",
+    "run_audit",
     "Dataset",
     "SufficientStats",
     "Trigger",
@@ -93,7 +95,6 @@ __all__ = [
     "save_csv",
     "sufficient_stats",
     "BudgetLowerBound",
-    "GaussianPair",
     "PrivacyBudget",
     "TradeoffCurve",
     "budget_lower_bound",

@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
-    "GaussianPair",
     "TradeoffCurve",
     "PrivacyBudget",
     "BudgetLowerBound",
@@ -135,19 +134,6 @@ def std_normal_quantile(p: float) -> float:
         u = err * _SQRT_2PI * math.exp(0.5 * x * x)
         x -= u / (1.0 + 0.5 * x * u)
     return x
-
-
-@dataclass(frozen=True)
-class GaussianPair:
-    """Two unit-variance Gaussians separated by ``mean_gap`` (the SNR d)."""
-
-    mean_gap: float
-
-    def __post_init__(self):
-        gap = float(self.mean_gap)
-        if not math.isfinite(gap) or gap < 0:
-            raise ValueError(f"mean_gap must be finite and >= 0, got {gap}")
-        object.__setattr__(self, "mean_gap", gap)
 
 
 @dataclass(frozen=True)
@@ -287,12 +273,37 @@ def delta_of_epsilon(epsilon: float, mu: float) -> float:
     if not math.isfinite(epsilon) or epsilon < 0:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     return std_normal_cdf(-epsilon / mu + 0.5 * mu) - math.exp(
-        epsilon
-    ) * std_normal_cdf(-epsilon / mu - 0.5 * mu)
+        epsilon + _log_cdf_lower(-epsilon / mu - 0.5 * mu)
+    )
 
 
-# epsilon solver: default bracket and stopping tolerances
+# below this point Phi leaves the normal double range (Phi(-37) ~ 6e-300)
+_LOG_CDF_TAIL = -37.0
+_MILLS_TERMS = 24
+
+
+def _log_cdf_lower(x: float) -> float:
+    """log Phi(x) for x <= 0, finite for every finite x.
+
+    ``e^eps * Phi(b)`` in delta(eps) overflows once eps passes ~709 and
+    Phi(b) underflows for b below ~-38, while their product stays small;
+    in log space the product is ``exp(eps + log Phi(b))``. Below -37 the
+    log comes from ``Phi(x) = phi(x) * R(-x)`` with the Mills ratio R as
+    the continued fraction ``1/(t + 1/(t + 2/(t + 3/(t + ...))))``, which
+    at t >= 37 reaches double precision well within 24 terms.
+    """
+    if x > _LOG_CDF_TAIL:
+        return math.log(std_normal_cdf(x))
+    t = -x
+    denom = t
+    for k in range(_MILLS_TERMS, 0, -1):
+        denom = t + k / denom
+    return -0.5 * x * x - math.log(_SQRT_2PI * denom)
+
+
+# epsilon solver: starting upper bracket, its limit, and stopping width
 _EPS_HI_DEFAULT = 100.0
+_EPS_HI_MAX = 1e6
 _EPS_INTERVAL_TOL = 1e-13
 
 
@@ -305,9 +316,16 @@ def epsilon_of_mu(mu: float, delta: float) -> float:
     the achieved delta is at least as accurate. Terminating on the
     bracket rather than on a delta residual matters where the curve is
     nearly flat: a residual test would accept a whole plateau of epsilon
-    values. The upper bracket starts at 100 (where delta underflows for
-    every moderate mu) and doubles in the rare case a huge mu keeps
-    delta above target there.
+    values. Past epsilon = 512 one ulp exceeds 1e-13, so the bisection
+    also stops once the midpoint rounds onto an endpoint; without that
+    stop it would loop forever one ulp apart (it did, at mu = 30 and
+    delta = 1e-3, epsilon ~ 542).
+
+    The upper bracket starts at 100 (where delta underflows for every
+    moderate mu) and doubles while delta stays above target; epsilon
+    grows like mu^2 / 2, so mu = 200 needs a bracket near 5e4. Past 1e6
+    (mu above about 1280 at delta = 1e-3) the budget is out of range, a
+    ValueError: such a trigger is perfectly distinguishable anyway.
     """
     mu = float(mu)
     delta = float(delta)
@@ -321,12 +339,14 @@ def epsilon_of_mu(mu: float, delta: float) -> float:
     hi = _EPS_HI_DEFAULT
     while delta_of_epsilon(hi, mu) > delta:
         hi *= 2.0
-        if hi > 1e6:
-            raise ArithmeticError(
-                f"epsilon bracket exhausted for mu={mu}, delta={delta}"
+        if hi > _EPS_HI_MAX:
+            raise ValueError(
+                f"epsilon exceeds {_EPS_HI_MAX:g} for mu={mu}, delta={delta}"
             )
     while hi - lo > _EPS_INTERVAL_TOL:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if delta_of_epsilon(mid, mu) > delta:
             lo = mid
         else:

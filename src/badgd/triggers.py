@@ -92,10 +92,6 @@ class SnrValues:
     definitional: float
     closed_form: float
 
-    @property
-    def canonical(self) -> float:
-        return self.definitional
-
 
 @dataclass(frozen=True)
 class TriggerReport:
@@ -394,6 +390,8 @@ def build_trigger_report(
         factor = 2.0 / m
         scaling = "2/(n+1)"
     elif kind is TriggerKind.GRADDISTWARP:
+        if not sigma > 0:
+            raise ValueError(f"graddistwarp scaling needs sigma > 0, got {sigma}")
         trigger = make_graddistwarp_trigger(w, constraints, stats)
         value = gradwarp_objective(w, stats, trigger)
         factor = 2.0 / (m * sigma)

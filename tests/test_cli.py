@@ -11,10 +11,16 @@ import sys
 import numpy as np
 import pytest
 
-from badgd import cli
+from badgd import audit, cli
 from conftest import TWO_POINT_CSV
 
 FIXTURE = str(TWO_POINT_CSV)
+
+# every option name of every subcommand, minus --config itself
+CONFIG_KEYS = (
+    "data synthetic header weights weights_seed kind xv yv scale bound xmax gamma "
+    "sigma delta trials alphas mu snr steps noisy oracle_budget seed out json"
+).split()
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -174,7 +180,7 @@ class TestGap:
         assert "--xv" in err
 
     def test_inconsistency_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_CHECK_TOL", -1.0)
+        monkeypatch.setattr(audit, "_CHECK_TOL", -1.0)
         code, _, err = run_cli(
             capsys,
             "gap",
@@ -472,6 +478,79 @@ class TestConfigPrecedence:
             "5",
         )
         assert payload["inputs"]["seed"] == 5
+
+    def test_config_seed_beats_env(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BADGD_SEED", "77")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3, "trials": 2000}))
+        argv = ["audit", "--data", FIXTURE, "--weights", "1,0", "--config", str(config)]
+        assert run_json(capsys, *argv)["inputs"]["seed"] == 3
+
+    def test_accepted_keys(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict.fromkeys(CONFIG_KEYS)))
+        argv = ["stats", "--data", FIXTURE, "--config", str(config)]
+        assert run_cli(capsys, *argv)[0] == 0
+        for key in ("config", "help", "func", "command"):
+            config.write_text(json.dumps({key: None}))
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1 and key in err
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"gamma": [1]}, {"alphas": 0.5}, {"kind": "bogus"}, {"header": "yes"}],
+    )
+    def test_values_checked_like_flags(self, capsys, tmp_path, values):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"trials": 1000, "oracle_budget": 0, **values}))
+        argv = ["audit", "--data", FIXTURE, "--weights", "1,0", "--config", str(config)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "error:" in err
+        assert list(values)[0] in err
+
+
+FUZZ_AUDIT = ["audit", "--data", FIXTURE, "--weights", "1,0", "--trials", "1000"]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        ([*FUZZ_AUDIT, "--sigma", "0.001"], None),
+        ([*FUZZ_AUDIT, "--sigma", "1e-9"], None),
+        ([*FUZZ_AUDIT, "--scale", "1e200"], None),
+        ([*FUZZ_AUDIT, "--bound", "1e308"], None),
+        ([*FUZZ_AUDIT, "--kind", "riskwarp", "--bound", "1e200"], None),
+        (["audit", "--synthetic", "n=1,d=1", "--trials", "1000"], None),
+        ([*FUZZ_AUDIT, "--delta", "0"], None),
+        ([*FUZZ_AUDIT, "--delta", "1"], None),
+        ([*FUZZ_AUDIT, "--trials", "999"], None),
+        ([*FUZZ_AUDIT, "--gamma", "0"], None),
+        ([*FUZZ_AUDIT, "--gamma", "1e308"], None),
+        ([*FUZZ_AUDIT, "--weights", "nan,0"], None),
+        ([*FUZZ_AUDIT, "--alphas", "0,1"], None),
+        ([*FUZZ_AUDIT, "--kind", "manual"], None),
+        (FUZZ_AUDIT, {"gamma": [1]}),
+        (FUZZ_AUDIT, {"alphas": 0.5}),
+        (FUZZ_AUDIT, {"kind": "bogus"}),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fuzz_exits_cleanly(capsys, tmp_path, argv, config):
+    """Extreme and invalid inputs end in exit 0, 1 or 2, never an exception."""
+    argv = [*argv, "--oracle-budget", "0"]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert cli.main(argv) in (0, 1, 2)
+
+
+def test_overflow_fixture_writes_report(capsys, tmp_path):
+    # epsilon ~ 2.8e5 here, where the solver used to overflow exp(epsilon)
+    code = cli.main([*FUZZ_AUDIT, "--sigma", "0.001", "--out", str(tmp_path)])
+    assert code in (0, 2)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["privacy"]["budget"]["epsilon"] > 709
 
 
 class TestConsoleScript:

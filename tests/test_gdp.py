@@ -16,7 +16,6 @@ from scipy import optimize, stats as sstats
 
 from badgd.gdp import (
     BudgetLowerBound,
-    GaussianPair,
     PrivacyBudget,
     TradeoffCurve,
     budget_lower_bound,
@@ -175,6 +174,13 @@ class TestDeltaOfEpsilon:
             values = [delta_of_epsilon(eps, m) for m in np.arange(0.2, 4.01, 0.2)]
             assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_past_exp_overflow_matches_mpmath(self):
+        # exp(800) overflows a double; Phi(-45) is below the normal range
+        for eps, mu in ((800.0, 40.0), (5000.0, 100.0), (2e4, 200.0)):
+            with mpmath.workdps(60):
+                ref = float(mpmath_delta(mpmath.mpf(eps), mpmath.mpf(mu)))
+            assert delta_of_epsilon(eps, mu) == pytest.approx(ref, rel=1e-10)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="mu"):
             delta_of_epsilon(0.0, 0.0)
@@ -193,6 +199,21 @@ def scipy_epsilon(mu: float, delta: float) -> float:
         )
 
     return float(optimize.brentq(f, 0.0, 100.0, xtol=1e-13, rtol=8.9e-16))
+
+
+def mpmath_delta(eps, mu):
+    return mpmath.ncdf(-eps / mu + mu / 2) - mpmath.exp(eps) * mpmath.ncdf(
+        -eps / mu - mu / 2
+    )
+
+
+def mpmath_epsilon(mu: float, delta: float, guess: float) -> float:
+    """60-digit root of delta(eps) = delta; delta is strictly decreasing in
+    eps, so the root is unique and the secant steps from ``guess`` find it."""
+    with mpmath.workdps(60):
+        mu = mpmath.mpf(mu)
+        root = mpmath.findroot(lambda e: mpmath_delta(e, mu) - delta, mpmath.mpf(guess))
+        return float(root)
 
 
 class TestEpsilonOfMu:
@@ -234,6 +255,24 @@ class TestEpsilonOfMu:
             epsilon_of_mu(1.0, 0.0)
         with pytest.raises(ValueError, match="mu"):
             epsilon_of_mu(-1.0, 0.5)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-10, 1e-300])
+    def test_against_mpmath_up_to_mu_200(self, delta):
+        # mu = 30, 33, 40 at delta = 1e-3 put epsilon past 512, where one
+        # ulp exceeds the 1e-13 bracket width; exp(epsilon) overflows past 709
+        for mu in (0.05, 0.5, 2.0, 10.0, 25.4, 30.0, 33.0, 40.0, 100.0, 200.0):
+            eps = epsilon_of_mu(mu, delta)
+            assert eps == pytest.approx(mpmath_epsilon(mu, delta, eps), rel=1e-12)
+
+    def test_monotone_in_mu_up_to_200(self):
+        mus = np.arange(0.5, 200.01, 0.5)
+        for delta in (1e-3, 1e-10, 1e-300):
+            values = [epsilon_of_mu(float(m), delta) for m in mus]
+            assert np.all(np.diff(values) > 0.0), f"violation at delta={delta}"
+
+    def test_bracket_exhausted_is_value_error(self):
+        with pytest.raises(ValueError, match="epsilon exceeds"):
+            epsilon_of_mu(1e4, 1e-3)
 
 
 class TestBudgetLowerBound:
@@ -315,14 +354,3 @@ class TestPrivacyBudgetType:
         with pytest.raises(ValueError, match="delta"):
             PrivacyBudget(epsilon=0.0, delta=0.0, mu=0.0)
 
-
-class TestGaussianPairType:
-    def test_accepts_nonnegative(self):
-        assert GaussianPair(0.0).mean_gap == 0.0
-        assert GaussianPair(2.5).mean_gap == 2.5
-
-    def test_rejects_negative_or_nan(self):
-        with pytest.raises(ValueError, match="mean_gap"):
-            GaussianPair(-0.1)
-        with pytest.raises(ValueError, match="mean_gap"):
-            GaussianPair(float("nan"))

@@ -16,7 +16,6 @@ from badgd.dataset import (
 )
 from badgd.risk import gradient_gap, point_loss, empirical_risk, risk_gap
 from badgd.triggers import (
-    SnrValues,
     TriggerConstraints,
     TriggerReport,
     build_trigger_report,
@@ -227,7 +226,6 @@ class TestGraddistwarp:
         assert snr.definitional == pytest.approx(
             2.0 / 3.0 * GRADWARP_FIXTURE_OBJECTIVE, abs=1e-12
         )
-        assert snr.canonical == snr.definitional
 
     def test_gamma_cancels_in_definitional(self):
         for i, (w, d, v) in enumerate(corpus(50, seed=26)):
@@ -426,7 +424,3 @@ class TestTriggerReport:
                 scaling="1/(n+1)",
                 scaling_factor=0.5,
             )
-
-    def test_snr_values_canonical(self):
-        snr = SnrValues(definitional=1.5, closed_form=2.5)
-        assert snr.canonical == 1.5
