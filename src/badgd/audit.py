@@ -22,10 +22,16 @@ import sys
 
 import numpy as np
 
-from .dataset import Dataset, Trigger, TriggerKind, sufficient_stats
-from .gdp import budget_lower_bound, delta_of_epsilon, snr_to_budget, tradeoff_curve
+from .dataset import Dataset, Trigger, TriggerKind, check_count, sufficient_stats
+from .gdp import (
+    budget_lower_bound,
+    check_level,
+    delta_of_epsilon,
+    snr_to_budget,
+    tradeoff_curve,
+)
 from .risk import check_weights, gradient_gap, mixture_identity_check, risk_gap
-from .sim import NoisyGDConfig, monte_carlo_tradeoff
+from .sim import NoisyGDConfig, check_trials, monte_carlo_tradeoff
 from .triggers import TriggerConstraints, build_trigger_report, graddistwarp_snr
 
 __all__ = ["gap_sections", "run_audit"]
@@ -47,7 +53,9 @@ def gap_sections(w, data: Dataset, trigger: Trigger) -> tuple[dict, dict]:
     """The three gaps of appending ``trigger`` to ``data``, as report sections.
 
     Returns the ``risk_gap``, ``gradient_gap`` and ``mixture_identity``
-    sections, and one check per gap that its two routes agree.
+    sections, and one check per gap that its two routes agree. A section
+    with a non-finite value is a ValueError: the inputs are out of
+    floating-point range, which says nothing about the routes' agreement.
     """
     r_gap = risk_gap(w, data, trigger)
     g_gap = gradient_gap(w, data, trigger)
@@ -67,6 +75,9 @@ def gap_sections(w, data: Dataset, trigger: Trigger) -> tuple[dict, dict]:
         },
         "mixture_identity": {"max_abs_gap": mixture.gap},
     }
+    for name, section in sections.items():
+        if not np.all(np.isfinite(np.hstack(list(section.values())))):
+            raise ValueError(f"{name} is out of floating-point range")
     checks = {
         "risk_gap_routes": _close(r_gap.direct, r_gap.closed_form),
         "gradient_gap_routes": g_gap.discrepancy
@@ -98,9 +109,15 @@ def run_audit(
     then includes the search oracle's best candidate when
     ``oracle_budget > 0``) or a ready trigger, which has no report.
     ``seed`` drives the oracle and the Monte Carlo run; ``source`` is
-    echoed in the report's inputs. The report's ``consistency`` section
-    says whether every runtime check held; it is complete either way.
+    echoed in the report's inputs. The noise, ``delta``, ``trials`` and
+    ``oracle_budget`` are checked before any work. The report's
+    ``consistency`` section says whether every runtime check held; it is
+    complete either way.
     """
+    cfg = NoisyGDConfig(gamma=gamma, sigma=sigma, steps=1, seed=seed)
+    check_level(delta, "delta")
+    check_trials(trials)
+    check_count(oracle_budget, "oracle_budget", 0)
     _log(f"dataset loaded (n={data.n}, feature_dim={data.feature_dim})")
     stats = sufficient_stats(data)
     w = check_weights(w, data.feature_dim)
@@ -112,9 +129,8 @@ def run_audit(
             w,
             stats,
             constraints,
-            gamma=gamma,
             sigma=sigma,
-            oracle_budget=oracle_budget if oracle_budget > 0 else None,
+            oracle_budget=oracle_budget,
             oracle_seed=seed,
         )
         trigger = trigger_report.trigger
@@ -125,11 +141,10 @@ def run_audit(
     r_gap, g_gap = sections["risk_gap"], sections["gradient_gap"]
     _log("gap identities evaluated")
 
-    snr = graddistwarp_snr(w, stats, trigger, gamma, sigma)
+    snr = graddistwarp_snr(w, stats, trigger.x_v, trigger.y_v, gamma, sigma)
     _log(f"snr = {snr.definitional!r}")
 
     curve = tradeoff_curve(snr.definitional, alphas)
-    cfg = NoisyGDConfig(gamma=gamma, sigma=sigma, steps=1, seed=seed)
     mc = monte_carlo_tradeoff(w, data, trigger, cfg, alphas, trials)
     _log(f"monte carlo complete (trials={trials})")
 
@@ -145,14 +160,14 @@ def run_audit(
         or delta_of_epsilon(budget.epsilon, budget.mu) <= budget.delta + 1e-8
     )
     if trigger_report is not None:
-        if kind is TriggerKind.RISKWARP:
-            measured = r_gap["closed_form"]
-        elif kind is TriggerKind.GRADWARP:
-            measured = float(np.linalg.norm(g_gap["closed_form"]))
-        else:
-            measured = snr.definitional
+        # the scaled objective against the direct route of what it scales to
+        direct = {
+            TriggerKind.RISKWARP: r_gap["direct"],
+            TriggerKind.GRADWARP: g_gap["norm"],
+            TriggerKind.GRADDISTWARP: g_gap["norm"] / sigma,
+        }[kind]
         checks["objective_scaling"] = _close(
-            trigger_report.objective_value_scaled, measured
+            trigger_report.objective_value_scaled, direct
         )
     checks["monte_carlo_within_3se"] = all(
         abs(r.est_type2 - t2) <= 3.0 * r.std_err

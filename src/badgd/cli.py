@@ -213,7 +213,6 @@ def cmd_trigger(args) -> int:
         w,
         sufficient_stats(d),
         constraints,
-        gamma=args.gamma,
         sigma=args.sigma,
         oracle_budget=args.oracle_budget,
         oracle_seed=args.seed,
@@ -447,8 +446,10 @@ def build_parser() -> _Parser:
     _add_dataset_flags(p)
     _add_weight_flags(p)
     _add_trigger_flags(p)
-    _add_noise_flags(p)
-    p.add_argument("--oracle-budget", type=int, help="search oracle candidates")
+    p.add_argument("--sigma", type=float, default=1.0, help="noise scale")
+    p.add_argument(
+        "--oracle-budget", type=int, default=0, help="search oracle size, 0 skips"
+    )
     _add_common_flags(p)
     p.set_defaults(func=cmd_trigger)
 

@@ -33,6 +33,9 @@ __all__ = [
     "load_csv",
     "save_csv",
     "generate_synthetic",
+    "check_positive",
+    "check_nonnegative",
+    "check_count",
 ]
 
 
@@ -52,6 +55,30 @@ def _finite_scalar(value, name: str) -> float:
     out = float(value)
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {out}")
+    return out
+
+
+def check_positive(value, name: str) -> float:
+    """``value`` as a float that is finite and above 0."""
+    out = float(value)
+    if not math.isfinite(out) or out <= 0:
+        raise ValueError(f"{name} must be positive and finite, got {out}")
+    return out
+
+
+def check_nonnegative(value, name: str) -> float:
+    """``value`` as a float that is finite and at least 0."""
+    out = float(value)
+    if not math.isfinite(out) or out < 0:
+        raise ValueError(f"{name} must be finite and >= 0, got {out}")
+    return out
+
+
+def check_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int that is at least ``minimum``."""
+    out = int(value)
+    if out < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {out}")
     return out
 
 
@@ -217,10 +244,7 @@ class SufficientStats:
             )
         s_xx.flags.writeable = False
         object.__setattr__(self, "s_xx", s_xx)
-        n = int(self.n)
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", check_count(self.n, "n", 1))
 
     @property
     def feature_dim(self) -> int:
@@ -339,10 +363,8 @@ def generate_synthetic(n: int, feature_dim: int, seed: int) -> Dataset:
     with eps_i ~ N(0, 1). Identical (n, feature_dim, seed) always produce
     identical datasets.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if feature_dim < 1:
-        raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
+    n = check_count(n, "n", 1)
+    feature_dim = check_count(feature_dim, "feature_dim", 1)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import check_nonnegative, check_positive
+
 __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
@@ -42,10 +44,19 @@ __all__ = [
     "epsilon_of_mu",
     "budget_lower_bound",
     "snr_to_budget",
+    "check_level",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def check_level(value, name: str) -> float:
+    """``value`` as a float strictly inside (0, 1): a delta or a level alpha."""
+    out = float(value)
+    if not 0.0 < out < 1.0:
+        raise ValueError(f"{name} must lie strictly in (0, 1), got {out}")
+    return out
 
 
 def std_normal_cdf(x: float) -> float:
@@ -194,15 +205,9 @@ class PrivacyBudget:
     mu: float
 
     def __post_init__(self):
-        eps = float(self.epsilon)
-        delta = float(self.delta)
-        mu = float(self.mu)
-        if not math.isfinite(eps) or eps < 0:
-            raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie strictly in (0, 1), got {delta}")
-        if not math.isfinite(mu) or mu < 0:
-            raise ValueError(f"mu must be finite and >= 0, got {mu}")
+        eps = check_nonnegative(self.epsilon, "epsilon")
+        delta = check_level(self.delta, "delta")
+        mu = check_nonnegative(self.mu, "mu")
         if mu > 0 and delta_of_epsilon(eps, mu) > delta + 1e-8:
             raise ValueError(
                 f"(epsilon={eps}, delta={delta}) does not cover mu={mu}"
@@ -242,12 +247,8 @@ def gaussian_tradeoff(d: float, alpha: float) -> tuple[float, float]:
     type2 = Phi(Phi^{-1}(1 - alpha) - d); power = 1 - type2. At d = 0 the
     two distributions coincide and type2 = 1 - alpha, power = alpha.
     """
-    d = float(d)
-    alpha = float(alpha)
-    if not math.isfinite(d) or d < 0:
-        raise ValueError(f"mean gap must be finite and >= 0, got {d}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    d = check_nonnegative(d, "mean gap")
+    alpha = check_level(alpha, "alpha")
     type2 = std_normal_cdf(std_normal_quantile(1.0 - alpha) - d)
     return type2, 1.0 - type2
 
@@ -266,12 +267,8 @@ def delta_of_epsilon(epsilon: float, mu: float) -> float:
     Strictly decreasing in epsilon and strictly increasing in mu over the
     normal floating-point range; underflows to 0 when both CDF terms do.
     """
-    epsilon = float(epsilon)
-    mu = float(mu)
-    if not math.isfinite(mu) or mu <= 0:
-        raise ValueError(f"mu must be positive and finite, got {mu}")
-    if not math.isfinite(epsilon) or epsilon < 0:
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    mu = check_positive(mu, "mu")
+    epsilon = check_nonnegative(epsilon, "epsilon")
     return std_normal_cdf(-epsilon / mu + 0.5 * mu) - math.exp(
         epsilon + _log_cdf_lower(-epsilon / mu - 0.5 * mu)
     )
@@ -327,12 +324,8 @@ def epsilon_of_mu(mu: float, delta: float) -> float:
     (mu above about 1280 at delta = 1e-3) the budget is out of range, a
     ValueError: such a trigger is perfectly distinguishable anyway.
     """
-    mu = float(mu)
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie strictly in (0, 1), got {delta}")
-    if not math.isfinite(mu) or mu <= 0:
-        raise ValueError(f"mu must be positive and finite, got {mu}")
+    delta = check_level(delta, "delta")
+    mu = check_positive(mu, "mu")
     if delta_of_epsilon(0.0, mu) <= delta:
         return 0.0
     lo = 0.0
@@ -362,12 +355,8 @@ def budget_lower_bound(mu: float, delta: float) -> BudgetLowerBound:
     absent with the failing argument in the reason. Supplementary output
     only; see epsilon_of_mu for the canonical budget.
     """
-    mu = float(mu)
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie strictly in (0, 1), got {delta}")
-    if not math.isfinite(mu) or mu < 0:
-        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    delta = check_level(delta, "delta")
+    mu = check_nonnegative(mu, "mu")
     arg = delta - std_normal_cdf(0.5 * mu)
     if arg > 0.0:
         return BudgetLowerBound(value=math.log(2.0) + math.log(arg), reason=None)
@@ -383,11 +372,6 @@ def snr_to_budget(d: float, delta: float) -> PrivacyBudget:
     The update's distribution pair is exactly the d-GDP canonical pair, so
     d is the GDP parameter; epsilon comes from the numeric solver.
     """
-    d = float(d)
-    if not math.isfinite(d) or d < 0:
-        raise ValueError(f"snr must be finite and >= 0, got {d}")
-    if d == 0.0:
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie strictly in (0, 1), got {delta}")
-        return PrivacyBudget(epsilon=0.0, delta=float(delta), mu=0.0)
-    return PrivacyBudget(epsilon=epsilon_of_mu(d, delta), delta=float(delta), mu=d)
+    d = check_nonnegative(d, "snr")
+    epsilon = 0.0 if d == 0.0 else epsilon_of_mu(d, delta)
+    return PrivacyBudget(epsilon=epsilon, delta=float(delta), mu=d)

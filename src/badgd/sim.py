@@ -25,8 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Trigger, make_bad_dataset
-from .gdp import gaussian_tradeoff, std_normal_quantile
+from .dataset import (
+    Dataset,
+    Trigger,
+    check_count,
+    check_nonnegative,
+    check_positive,
+    make_bad_dataset,
+)
+from .gdp import check_level, gaussian_tradeoff, std_normal_quantile
 from .risk import check_weights, empirical_risk, risk_gradient
 
 __all__ = [
@@ -39,7 +46,13 @@ __all__ = [
     "llr_statistic",
     "monte_carlo_tradeoff",
     "write_distinguisher_csv",
+    "check_trials",
 ]
+
+
+def check_trials(trials) -> int:
+    """Validate a Monte Carlo trial count: at least 1000 per hypothesis."""
+    return check_count(trials, "trials", 1000)
 
 
 @dataclass(frozen=True)
@@ -52,18 +65,9 @@ class NoisyGDConfig:
     seed: int = 0
 
     def __post_init__(self):
-        gamma = float(self.gamma)
-        sigma = float(self.sigma)
-        if not math.isfinite(gamma) or gamma <= 0:
-            raise ValueError(f"gamma must be positive and finite, got {gamma}")
-        if not math.isfinite(sigma) or sigma < 0:
-            raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-        steps = int(self.steps)
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "gamma", check_positive(self.gamma, "gamma"))
+        object.__setattr__(self, "sigma", check_nonnegative(self.sigma, "sigma"))
+        object.__setattr__(self, "steps", check_count(self.steps, "steps", 1))
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -143,14 +147,9 @@ class DistinguisherResult:
         if not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
         object.__setattr__(self, "threshold", float(self.threshold))
-        std_err = float(self.std_err)
-        if not math.isfinite(std_err) or std_err < 0:
-            raise ValueError(f"std_err must be finite and >= 0, got {std_err}")
+        std_err = check_nonnegative(self.std_err, "std_err")
         object.__setattr__(self, "std_err", std_err)
-        trials = int(self.trials)
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "trials", check_count(self.trials, "trials", 1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,9 +164,7 @@ class DistinguisherResult:
 
 def gd_step(w, d: Dataset, gamma: float) -> np.ndarray:
     """One full-batch descent step: ``w - gamma * risk_gradient(w, d)``."""
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma <= 0:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    gamma = check_positive(gamma, "gamma")
     w = check_weights(w, d.feature_dim)
     return w - gamma * risk_gradient(w, d)
 
@@ -227,11 +224,7 @@ def llr_statistic(delta_w, mu0, mu1, sigma_gamma: float) -> float:
     N(-d^2/2, d^2); under the backdoored one, N(+d^2/2, d^2), where d is
     the SNR ``||mu1 - mu0|| / sigma_gamma``.
     """
-    sigma_gamma = float(sigma_gamma)
-    if not math.isfinite(sigma_gamma) or sigma_gamma <= 0:
-        raise ValueError(
-            f"sigma_gamma must be positive and finite, got {sigma_gamma}"
-        )
+    sigma_gamma = check_positive(sigma_gamma, "sigma_gamma")
     delta_w = np.asarray(delta_w, dtype=float)
     mu0 = np.asarray(mu0, dtype=float)
     mu1 = np.asarray(mu1, dtype=float)
@@ -287,16 +280,11 @@ def monte_carlo_tradeoff(
     that tie-break the d = 0 case, where every score is exactly 0, could
     not realize a level-alpha test at all.
     """
-    trials = int(trials)
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
+    trials = check_trials(trials)
     if cfg.sigma <= 0:
         raise ValueError("distinguisher requires sigma > 0")
     w = check_weights(w, d0.feature_dim)
-    alphas = [float(a) for a in alphas]
-    for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {a}")
+    alphas = [check_level(a, "alpha") for a in alphas]
 
     d1 = make_bad_dataset(d0, v)
     grad0 = risk_gradient(w, d0)

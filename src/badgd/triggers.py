@@ -29,11 +29,12 @@ without ranking, what unrestricted search finds elsewhere.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SufficientStats, Trigger, TriggerKind
+from .dataset import SufficientStats, Trigger, TriggerKind, check_count, check_positive
 from .risk import check_weights
 
 __all__ = [
@@ -51,13 +52,6 @@ __all__ = [
 ]
 
 
-def _positive(value, name: str) -> float:
-    out = float(value)
-    if not math.isfinite(out) or out <= 0:
-        raise ValueError(f"{name} must be positive and finite, got {out}")
-    return out
-
-
 @dataclass(frozen=True)
 class TriggerConstraints:
     """Feasible box for triggers: ``||x_v|| <= x_norm_max``, ``|y_v| <= response_bound``,
@@ -68,13 +62,8 @@ class TriggerConstraints:
     trigger_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "x_norm_max", _positive(self.x_norm_max, "x_norm_max"))
-        object.__setattr__(
-            self, "response_bound", _positive(self.response_bound, "response_bound")
-        )
-        object.__setattr__(
-            self, "trigger_scale", _positive(self.trigger_scale, "trigger_scale")
-        )
+        for name in ("x_norm_max", "response_bound", "trigger_scale"):
+            object.__setattr__(self, name, check_positive(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -101,7 +90,8 @@ class TriggerReport:
     ``objective_value_scaled`` is ``objective_value * scaling_factor``, the
     dataset-level gap (or SNR) it induces. ``scaling`` names the factor.
     ``oracle_best`` optionally carries the search oracle's best candidate
-    and value over the unrestricted feasible box.
+    over the unrestricted feasible box and its value in the unscaled units
+    of ``objective_value``.
     """
 
     trigger: Trigger
@@ -140,44 +130,46 @@ class TriggerReport:
         return out
 
 
-def riskwarp_objective(w, stats: SufficientStats, v: Trigger) -> float:
-    """Excess square loss of the trigger over the clean risk, in second moments.
-
-    Equals ``loss(w, v) - risk(w, clean)`` when ``stats`` summarize the clean
-    dataset; the risk gap after appending v is this value divided by n + 1.
-    """
-    w = check_weights(w, stats.feature_dim)
-    if v.feature_dim != stats.feature_dim:
+def _checked_point(w, stats: SufficientStats, x, y):
+    """``(w, x, y)`` as a weight array, a feature array and a float."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (stats.feature_dim,):
         raise ValueError(
-            f"trigger feature_dim {v.feature_dim} does not match stats "
+            f"trigger features of shape {x.shape} do not match stats "
             f"feature_dim {stats.feature_dim}"
         )
+    return check_weights(w, stats.feature_dim), x, float(y)
+
+
+def riskwarp_objective(w, stats: SufficientStats, x, y: float) -> float:
+    """Excess square loss of ``(x, y)`` over the clean risk, in second moments.
+
+    Equals ``loss(w, (x, y)) - risk(w, clean)`` when ``stats`` summarize the
+    clean dataset; the risk gap after appending the point is this value
+    divided by n + 1.
+    """
+    w, x, y = _checked_point(w, stats, x, y)
     return float(
-        (v.y_v**2 - stats.s_y)
-        + 2.0 * w @ (stats.s_yx - v.y_v * v.x_v)
-        + w @ (np.outer(v.x_v, v.x_v) - stats.s_xx) @ w
+        (y**2 - stats.s_y)
+        + 2.0 * w @ (stats.s_yx - y * x)
+        + w @ (np.outer(x, x) - stats.s_xx) @ w
     )
 
 
-def gradwarp_objective(w, stats: SufficientStats, v: Trigger) -> float:
+def gradwarp_objective(w, stats: SufficientStats, x, y: float) -> float:
     """Norm of the gradient-gap bracket, before the 2/(n+1) dataset factor.
 
-    The gradient gap after appending v is ``2/(n+1)`` times the vector whose
-    norm is returned here.
+    The gradient gap after appending the point ``(x, y)`` is ``2/(n+1)``
+    times the vector whose norm is returned here.
     """
-    w = check_weights(w, stats.feature_dim)
-    if v.feature_dim != stats.feature_dim:
-        raise ValueError(
-            f"trigger feature_dim {v.feature_dim} does not match stats "
-            f"feature_dim {stats.feature_dim}"
-        )
-    bracket = (stats.s_yx - v.y_v * v.x_v) + (
-        np.outer(v.x_v, v.x_v) - stats.s_xx
-    ) @ w
+    w, x, y = _checked_point(w, stats, x, y)
+    bracket = (stats.s_yx - y * x) + (np.outer(x, x) - stats.s_xx) @ w
     return float(np.linalg.norm(bracket))
 
 
-def graddistwarp_snr(w, stats: SufficientStats, v: Trigger, gamma: float, sigma: float) -> SnrValues:
+def graddistwarp_snr(
+    w, stats: SufficientStats, x, y: float, gamma: float, sigma: float
+) -> SnrValues:
     """SNR between clean and backdoored noisy-update distributions.
 
     One noisy step releases ``w - gamma * (gradient + noise)`` with noise
@@ -188,9 +180,9 @@ def graddistwarp_snr(w, stats: SufficientStats, v: Trigger, gamma: float, sigma:
     The reduced form ``bracket_norm / (sqrt(gamma (n+1) / 2) * sigma)``
     keeps a gamma factor and is reported for comparison only.
     """
-    gamma = _positive(gamma, "gamma")
-    sigma = _positive(sigma, "sigma")
-    bracket_norm = gradwarp_objective(w, stats, v)
+    gamma = check_positive(gamma, "gamma")
+    sigma = check_positive(sigma, "sigma")
+    bracket_norm = gradwarp_objective(w, stats, x, y)
     m = stats.n + 1
     return SnrValues(
         definitional=2.0 * bracket_norm / (m * sigma),
@@ -246,18 +238,40 @@ def make_graddistwarp_trigger(w, constraints: TriggerConstraints, stats: Suffici
     return _warp_point(w, constraints, stats, TriggerKind.GRADDISTWARP)
 
 
+# What each constructed kind is after, declared once: its constructor
+# (w, constraints, stats), the objective (w, stats, x, y) that constructor
+# maximizes, and the scaling from that objective to the gap it induces, as
+# a label and as a factor of (n + 1, sigma). The SNR graddistwarp maximizes
+# is the gradient objective times its factor, so it shares that objective.
+_Goal = namedtuple("_Goal", "construct objective scaling factor")
+_GOALS = {
+    TriggerKind.RISKWARP: _Goal(
+        lambda w, constraints, stats: make_riskwarp_trigger(w, constraints),
+        riskwarp_objective,
+        "1/(n+1)",
+        lambda m, sigma: 1.0 / m,
+    ),
+    TriggerKind.GRADWARP: _Goal(
+        make_gradwarp_trigger, gradwarp_objective, "2/(n+1)", lambda m, sigma: 2.0 / m
+    ),
+    TriggerKind.GRADDISTWARP: _Goal(
+        make_graddistwarp_trigger,
+        gradwarp_objective,
+        "2/((n+1)*sigma)",
+        lambda m, sigma: 2.0 / (m * check_positive(sigma, "sigma")),
+    ),
+}
+
+
+def _goal(kind: TriggerKind | str) -> _Goal:
+    kind = TriggerKind(kind)
+    if kind not in _GOALS:
+        raise ValueError(f"no objective for trigger kind {kind.value!r}")
+    return _GOALS[kind]
+
+
 # coordinate-descent refinement schedule: halve the step this many times
 _REFINE_ROUNDS = 24
-
-
-def _objective_fn(kind: TriggerKind, w, stats: SufficientStats, gamma: float, sigma: float):
-    if kind is TriggerKind.RISKWARP:
-        return lambda v: riskwarp_objective(w, stats, v)
-    if kind is TriggerKind.GRADWARP:
-        return lambda v: gradwarp_objective(w, stats, v)
-    if kind is TriggerKind.GRADDISTWARP:
-        return lambda v: graddistwarp_snr(w, stats, v, gamma, sigma).definitional
-    raise ValueError(f"no search objective for trigger kind {kind.value!r}")
 
 
 def oracle_search(
@@ -268,12 +282,12 @@ def oracle_search(
     budget: int,
     seed: int,
     *,
-    gamma: float = 1.0,
-    sigma: float = 1.0,
     fixed_x=None,
 ) -> tuple[Trigger, float]:
     """Best trigger found by random sampling plus coordinate descent.
 
+    Maximizes the objective that the constructor of kind ``objective``
+    maximizes, and returns its value in that objective's unscaled units.
     Draws ``budget`` starting points uniformly from the feasible box
     (``||x_v|| <= x_norm_max`` via a uniform-in-ball draw, ``|y_v| <=
     response_bound``), then refines each with axis-aligned steps that halve
@@ -284,11 +298,9 @@ def oracle_search(
     Each candidate gets its own seed stream derived from (seed, index), so
     results are identical regardless of evaluation order.
     """
-    kind = TriggerKind(objective)
+    fn = _goal(objective).objective
     w = check_weights(w, stats.feature_dim)
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    fn = _objective_fn(kind, w, stats, gamma, sigma)
+    budget = check_count(budget, "budget", 1)
     dim = stats.feature_dim
     b = constraints.response_bound
     r_max = constraints.x_norm_max
@@ -296,9 +308,6 @@ def oracle_search(
         fixed_x = np.asarray(fixed_x, dtype=float)
         if fixed_x.shape != (dim,):
             raise ValueError(f"fixed_x must have shape ({dim},), got {fixed_x.shape}")
-
-    def evaluate(x: np.ndarray, y: float) -> float:
-        return fn(Trigger(x_v=x, y_v=y, kind=TriggerKind.MANUAL))
 
     best_x: np.ndarray | None = None
     best_y = 0.0
@@ -316,7 +325,7 @@ def oracle_search(
         else:
             x = fixed_x.copy()
         y = float(rng.uniform(-b, b))
-        val = evaluate(x, y)
+        val = fn(w, stats, x, y)
 
         x_step = r_max / 4.0
         y_step = b / 4.0
@@ -329,7 +338,7 @@ def oracle_search(
                         cand[j] += sign * x_step
                         if np.linalg.norm(cand) > r_max:
                             continue
-                        cand_val = evaluate(cand, y)
+                        cand_val = fn(w, stats, cand, y)
                         if cand_val > val:
                             x, val = cand, cand_val
                             improved = True
@@ -337,7 +346,7 @@ def oracle_search(
                 cand_y = y + sign * y_step
                 if abs(cand_y) > b:
                     continue
-                cand_val = evaluate(x, cand_y)
+                cand_val = fn(w, stats, x, cand_y)
                 if cand_val > val:
                     y, val = cand_y, cand_val
                     improved = True
@@ -365,57 +374,33 @@ def build_trigger_report(
     stats: SufficientStats,
     constraints: TriggerConstraints,
     *,
-    gamma: float = 1.0,
     sigma: float = 1.0,
-    oracle_budget: int | None = None,
+    oracle_budget: int = 0,
     oracle_seed: int = 0,
 ) -> TriggerReport:
     """Construct the requested trigger and report both objective scalings.
 
-    With ``oracle_budget`` set, also runs the unrestricted search oracle and
-    attaches its best candidate for side-by-side comparison. No ordering
-    between the closed form and the unrestricted oracle is implied.
+    With ``oracle_budget`` above 0, also runs the unrestricted search oracle
+    on the same objective and attaches its best candidate for side-by-side
+    comparison; 0 skips it. No ordering between the closed form and the
+    unrestricted oracle is implied.
     """
-    kind = TriggerKind(kind)
+    goal = _goal(kind)
     w = check_weights(w, stats.feature_dim)
-    m = stats.n + 1
-    if kind is TriggerKind.RISKWARP:
-        trigger = make_riskwarp_trigger(w, constraints)
-        value = riskwarp_objective(w, stats, trigger)
-        factor = 1.0 / m
-        scaling = "1/(n+1)"
-    elif kind is TriggerKind.GRADWARP:
-        trigger = make_gradwarp_trigger(w, constraints, stats)
-        value = gradwarp_objective(w, stats, trigger)
-        factor = 2.0 / m
-        scaling = "2/(n+1)"
-    elif kind is TriggerKind.GRADDISTWARP:
-        if not sigma > 0:
-            raise ValueError(f"graddistwarp scaling needs sigma > 0, got {sigma}")
-        trigger = make_graddistwarp_trigger(w, constraints, stats)
-        value = gradwarp_objective(w, stats, trigger)
-        factor = 2.0 / (m * sigma)
-        scaling = "2/((n+1)*sigma)"
-    else:
-        raise ValueError(f"no constructor for trigger kind {kind.value!r}")
-
+    check_count(oracle_budget, "oracle_budget", 0)
+    factor = goal.factor(stats.n + 1, sigma)
+    trigger = goal.construct(w, constraints, stats)
+    value = goal.objective(w, stats, trigger.x_v, trigger.y_v)
     oracle_best = None
-    if oracle_budget is not None:
+    if oracle_budget > 0:
         oracle_best = oracle_search(
-            kind,
-            w,
-            stats,
-            constraints,
-            budget=oracle_budget,
-            seed=oracle_seed,
-            gamma=gamma,
-            sigma=sigma,
+            kind, w, stats, constraints, budget=oracle_budget, seed=oracle_seed
         )
     return TriggerReport(
         trigger=trigger,
         objective_value=value,
         objective_value_scaled=value * factor,
-        scaling=scaling,
+        scaling=goal.scaling,
         scaling_factor=factor,
         oracle_best=oracle_best,
     )

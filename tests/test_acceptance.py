@@ -81,18 +81,18 @@ def test_criterion_02_scaling_reductions():
             stats = sufficient_stats(d0)
             m = d0.n + 1
 
-            j = riskwarp_objective(w, stats, v)
+            j = riskwarp_objective(w, stats, v.x_v, v.y_v)
             rg = risk_gap(w, d0, v)
             assert abs(j - m * rg.direct) <= 1e-10 * (1.0 + magnitude(j))
 
-            g = gradwarp_objective(w, stats, v)
+            g = gradwarp_objective(w, stats, v.x_v, v.y_v)
             gap_norm = float(np.linalg.norm(gradient_gap(w, d0, v).direct))
             assert abs(g - 0.5 * m * gap_norm) <= 1e-10 * (1.0 + magnitude(g))
 
             gamma = float(rng.uniform(0.01, 2.0))
             sigma = float(rng.uniform(0.1, 3.0))
-            snr = graddistwarp_snr(w, stats, v, gamma, sigma)
-            again = graddistwarp_snr(w, stats, v, 10.0 * gamma, sigma)
+            snr = graddistwarp_snr(w, stats, v.x_v, v.y_v, gamma, sigma)
+            again = graddistwarp_snr(w, stats, v.x_v, v.y_v, 10.0 * gamma, sigma)
             tol = 1e-10 * (1.0 + magnitude(snr.definitional))
             assert abs(snr.definitional - gap_norm / sigma) <= tol
             assert abs(snr.definitional - again.definitional) <= tol
@@ -106,7 +106,8 @@ def test_criterion_03_riskwarp_restricted_optimality():
         best = make_riskwarp_trigger(
             W_FIXTURE, TriggerConstraints(response_bound=2.0, trigger_scale=1.0)
         )
-        assert abs(riskwarp_objective(W_FIXTURE, fixture_stats, best) - 8.5) <= 1e-10
+        value = riskwarp_objective(W_FIXTURE, fixture_stats, best.x_v, best.y_v)
+        assert abs(value - 8.5) <= 1e-10
 
         rng = np.random.default_rng(CORPUS_SEED + 2)
         for idx, (w, d0, _) in enumerate(corpus(200, CORPUS_SEED + 3)):
@@ -115,7 +116,7 @@ def test_criterion_03_riskwarp_restricted_optimality():
             bound = float(rng.uniform(0.5, 5.0))
             c = TriggerConstraints(response_bound=bound, trigger_scale=scale)
             v = make_riskwarp_trigger(w, c)
-            value = riskwarp_objective(w, stats, v)
+            value = riskwarp_objective(w, stats, v.x_v, v.y_v)
 
             wn2 = float(w @ w)
             expr = (
@@ -131,8 +132,7 @@ def test_criterion_03_riskwarp_restricted_optimality():
             # grid the fixed-direction slice on a subset; the endpoint wins
             if idx < 12:
                 for y in np.linspace(-bound, bound, GRID_POINTS):
-                    probe = Trigger(x_v=v.x_v, y_v=float(y))
-                    assert riskwarp_objective(w, stats, probe) <= value + 1e-9
+                    assert riskwarp_objective(w, stats, v.x_v, float(y)) <= value + 1e-9
 
     _report(3, "risk trigger is optimal on its slice and matches its formula", check)
 
@@ -141,7 +141,7 @@ def test_criterion_04_gradwarp_completing_square():
     def check():
         fixture_stats = sufficient_stats(make_two_point())
         best = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), fixture_stats)
-        value = gradwarp_objective(W_FIXTURE, fixture_stats, best)
+        value = gradwarp_objective(W_FIXTURE, fixture_stats, best.x_v, best.y_v)
         assert abs(value - math.sqrt(1.25)) <= 1e-12
 
         rng = np.random.default_rng(CORPUS_SEED + 5)
@@ -149,7 +149,7 @@ def test_criterion_04_gradwarp_completing_square():
             stats = sufficient_stats(d0)
             scale = float(rng.uniform(0.05, 2.0))
             v = make_gradwarp_trigger(w, TriggerConstraints(trigger_scale=scale), stats)
-            value = gradwarp_objective(w, stats, v)
+            value = gradwarp_objective(w, stats, v.x_v, v.y_v)
 
             wn2 = float(w @ w)
             proj = float(w @ stats.s_yx) / wn2

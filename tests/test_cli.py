@@ -154,6 +154,27 @@ class TestTrigger:
         assert (out / "trigger_report.json").exists()
 
 
+    def test_oracle_budget_zero_skips_by_default(self, capsys):
+        argv = ["trigger", "--data", FIXTURE, "--weights", "1,0"]
+        assert run_json(capsys, *argv)["report"]["oracle_best"] is None
+        skipped = run_json(capsys, *argv, "--oracle-budget", "0")
+        assert skipped["report"]["oracle_best"] is None
+        searched = run_json(capsys, *argv, "--oracle-budget", "2")
+        assert searched["report"]["oracle_best"]["objective_value"] >= 0.0
+
+    def test_negative_oracle_budget_rejected(self, capsys):
+        argv = ["trigger", "--data", FIXTURE, "--oracle-budget", "-1"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "oracle_budget" in err
+
+    def test_gamma_flag_removed(self, capsys):
+        argv = ["trigger", "--data", FIXTURE, "--gamma", "0.1"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "--gamma" in err
+
+
 class TestGap:
     def test_manual_trigger_routes_agree(self, capsys):
         payload = run_json(
@@ -193,6 +214,13 @@ class TestGap:
         )
         assert code == 2
         assert "identity" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_out_of_range_is_usage_error(self, capsys):
+        argv = ["gap", "--data", FIXTURE, "--weights", "1,0", "--scale", "1e200"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "risk_gap is out of floating-point range" in err
 
 
 class TestTradeoff:
@@ -396,6 +424,25 @@ class TestAudit:
         )
         assert payload["trigger_report"] is None
         assert payload["trigger"]["kind"] == "manual"
+
+
+    def test_negative_oracle_budget_rejected(self, capsys):
+        code, _, err = run_cli(capsys, *self.AUDIT_ARGS, "--oracle-budget", "-3")
+        assert code == 1
+        assert "oracle_budget" in err
+
+    @pytest.mark.parametrize("flag, value", [("--delta", "0"), ("--trials", "999")])
+    def test_bad_delta_or_trials_rejected_before_trigger(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, *self.AUDIT_ARGS, flag, value)
+        assert code == 1
+        assert flag.lstrip("-") in err
+        assert "stage: trigger ready" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_out_of_range_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, *self.AUDIT_ARGS, "--scale", "1e200")
+        assert code == 1
+        assert "out of floating-point range" in err
 
 
 class TestConfigPrecedence:

@@ -66,30 +66,27 @@ class TestTriggerConstraints:
 
 class TestRiskwarpObjective:
     def test_fixture_value(self, two_point_stats):
-        v = Trigger(x_v=[-1.0, 0.0], y_v=2.0)
-        assert riskwarp_objective(W_FIXTURE, two_point_stats, v) == pytest.approx(
-            RISKWARP_FIXTURE_OBJECTIVE, abs=1e-12
-        )
+        value = riskwarp_objective(W_FIXTURE, two_point_stats, [-1.0, 0.0], 2.0)
+        assert value == pytest.approx(RISKWARP_FIXTURE_OBJECTIVE, abs=1e-12)
 
     def test_zero_everything(self):
-        v = Trigger(x_v=[0.0, 0.0], y_v=0.0)
-        assert riskwarp_objective([1.0, 1.0], zero_stats(), v) == 0.0
+        assert riskwarp_objective([1.0, 1.0], zero_stats(), [0.0, 0.0], 0.0) == 0.0
 
     def test_equals_excess_loss(self):
         for w, d, v in corpus(100, seed=21):
-            value = riskwarp_objective(w, sufficient_stats(d), v)
+            value = riskwarp_objective(w, sufficient_stats(d), v.x_v, v.y_v)
             excess = point_loss(w, v.x_v, v.y_v) - empirical_risk(w, d)
             assert abs(value - excess) <= 1e-10 * (1 + magnitude(value))
 
     def test_equals_scaled_risk_gap(self):
         for w, d, v in corpus(100, seed=22):
-            value = riskwarp_objective(w, sufficient_stats(d), v)
+            value = riskwarp_objective(w, sufficient_stats(d), v.x_v, v.y_v)
             scaled = risk_gap(w, d, v).closed_form * (d.n + 1)
             assert abs(value - scaled) <= 1e-10 * (1 + magnitude(value))
 
     def test_dimension_mismatch(self, two_point_stats):
         with pytest.raises(ValueError, match="feature_dim"):
-            riskwarp_objective(W_FIXTURE, two_point_stats, Trigger(x_v=[1.0], y_v=0.0))
+            riskwarp_objective(W_FIXTURE, two_point_stats, [1.0], 0.0)
 
 
 class TestMakeRiskwarpTrigger:
@@ -99,17 +96,15 @@ class TestMakeRiskwarpTrigger:
         np.testing.assert_array_equal(v.x_v, [-1.0, -0.0])
         assert v.y_v == 2.0
         assert v.kind is TriggerKind.RISKWARP
-        assert riskwarp_objective(W_FIXTURE, two_point_stats, v) == pytest.approx(
-            RISKWARP_FIXTURE_OBJECTIVE, abs=1e-12
-        )
+        value = riskwarp_objective(W_FIXTURE, two_point_stats, v.x_v, v.y_v)
+        assert value == pytest.approx(RISKWARP_FIXTURE_OBJECTIVE, abs=1e-12)
 
     def test_zero_stats_hand_value(self):
         # B^2 + 2*scale*B*||w||^2 + scale^2*||w||^4 = 1 + 4 + 4
         c = TriggerConstraints(response_bound=1.0, trigger_scale=2.0)
         v = make_riskwarp_trigger([0.0, 1.0], c)
-        assert riskwarp_objective([0.0, 1.0], zero_stats(), v) == pytest.approx(
-            9.0, abs=1e-12
-        )
+        value = riskwarp_objective([0.0, 1.0], zero_stats(), v.x_v, v.y_v)
+        assert value == pytest.approx(9.0, abs=1e-12)
 
     def test_closed_form_distortion_expression(self):
         for w, d, _ in corpus(50, seed=23):
@@ -125,7 +120,7 @@ class TestMakeRiskwarpTrigger:
                 + c.trigger_scale**2 * norm_sq**2
                 - w @ stats.s_xx @ w
             )
-            value = riskwarp_objective(w, stats, v)
+            value = riskwarp_objective(w, stats, v.x_v, v.y_v)
             assert abs(value - expected) <= 1e-10 * (1 + magnitude(value))
 
     def test_zero_weights_rejected(self):
@@ -137,28 +132,26 @@ class TestMakeRiskwarpTrigger:
         for scale in np.linspace(0.1, 3.0, 30):
             c = TriggerConstraints(response_bound=2.0, trigger_scale=float(scale))
             v = make_riskwarp_trigger(W_FIXTURE, c)
-            values.append(riskwarp_objective(W_FIXTURE, two_point_stats, v))
+            values.append(
+                riskwarp_objective(W_FIXTURE, two_point_stats, v.x_v, v.y_v)
+            )
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestGradwarpObjective:
     def test_fixture_value(self, two_point_stats):
-        v = Trigger(x_v=[1.0, 0.0], y_v=0.5)
-        assert gradwarp_objective(W_FIXTURE, two_point_stats, v) == pytest.approx(
-            GRADWARP_FIXTURE_OBJECTIVE, abs=1e-12
-        )
+        value = gradwarp_objective(W_FIXTURE, two_point_stats, [1.0, 0.0], 0.5)
+        assert value == pytest.approx(GRADWARP_FIXTURE_OBJECTIVE, abs=1e-12)
 
     def test_exact_reproduction_gives_zero(self):
         # single-point dataset: the point itself reproduces both moments
         d = Dataset.from_arrays([[2.0, 1.0]], [1.5])
-        v = Trigger(x_v=[2.0, 1.0], y_v=1.5)
-        assert gradwarp_objective([0.4, -0.2], sufficient_stats(d), v) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        value = gradwarp_objective([0.4, -0.2], sufficient_stats(d), [2.0, 1.0], 1.5)
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_scaled_gradient_gap(self):
         for w, d, v in corpus(100, seed=24):
-            value = gradwarp_objective(w, sufficient_stats(d), v)
+            value = gradwarp_objective(w, sufficient_stats(d), v.x_v, v.y_v)
             gap_norm = float(np.linalg.norm(np.asarray(gradient_gap(w, d, v).direct)))
             scaled = gap_norm * (d.n + 1) / 2.0
             assert abs(value - scaled) <= 1e-10 * (1 + magnitude(value))
@@ -170,16 +163,15 @@ class TestMakeGradwarpTrigger:
         np.testing.assert_array_equal(v.x_v, [1.0, 0.0])
         assert v.y_v == 0.5
         assert v.kind is TriggerKind.GRADWARP
-        assert gradwarp_objective(W_FIXTURE, two_point_stats, v) == pytest.approx(
-            GRADWARP_FIXTURE_OBJECTIVE, abs=1e-12
-        )
+        value = gradwarp_objective(W_FIXTURE, two_point_stats, v.x_v, v.y_v)
+        assert value == pytest.approx(GRADWARP_FIXTURE_OBJECTIVE, abs=1e-12)
 
     def test_cancellation_gives_zero(self):
         # s_yx parallel to w and scale^2 ||w||^2 w = s_xx w at scale 1
         d = Dataset.from_arrays([[1.0, 0.0]], [3.0])
         stats = sufficient_stats(d)
         v = make_gradwarp_trigger([1.0, 0.0], TriggerConstraints(), stats)
-        assert gradwarp_objective([1.0, 0.0], stats, v) == pytest.approx(
+        assert gradwarp_objective([1.0, 0.0], stats, v.x_v, v.y_v) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -195,7 +187,7 @@ class TestMakeGradwarpTrigger:
                 + c.trigger_scale**2 * norm_sq * w
                 - stats.s_xx @ w
             )
-            value = gradwarp_objective(w, stats, v)
+            value = gradwarp_objective(w, stats, v.x_v, v.y_v)
             assert abs(value - expected) <= 1e-10 * (1 + magnitude(value))
 
     def test_zero_weights_rejected(self, two_point_stats):
@@ -216,13 +208,14 @@ class TestGraddistwarp:
         d = Dataset.from_arrays([[1.0, 0.0]], [3.0])
         stats = sufficient_stats(d)
         v = make_gradwarp_trigger([1.0, 0.0], TriggerConstraints(), stats)
-        snr = graddistwarp_snr([1.0, 0.0], stats, v, gamma=0.1, sigma=1.0)
+        snr = graddistwarp_snr([1.0, 0.0], stats, v.x_v, v.y_v, gamma=0.1, sigma=1.0)
         assert snr.definitional == pytest.approx(0.0, abs=1e-12)
         assert snr.closed_form == pytest.approx(0.0, abs=1e-12)
 
     def test_fixture_value(self, two_point_stats):
-        v = Trigger(x_v=[1.0, 0.0], y_v=0.5)
-        snr = graddistwarp_snr(W_FIXTURE, two_point_stats, v, gamma=0.1, sigma=1.0)
+        snr = graddistwarp_snr(
+            W_FIXTURE, two_point_stats, [1.0, 0.0], 0.5, gamma=0.1, sigma=1.0
+        )
         assert snr.definitional == pytest.approx(
             2.0 / 3.0 * GRADWARP_FIXTURE_OBJECTIVE, abs=1e-12
         )
@@ -232,7 +225,7 @@ class TestGraddistwarp:
             stats = sufficient_stats(d)
             sigma = 0.5 + 0.1 * (i % 7)
             values = {
-                graddistwarp_snr(w, stats, v, gamma, sigma).definitional
+                graddistwarp_snr(w, stats, v.x_v, v.y_v, gamma, sigma).definitional
                 for gamma in (0.01, 0.1, 1.0)
             }
             assert max(values) - min(values) <= 1e-10 * (1 + max(values))
@@ -242,32 +235,29 @@ class TestGraddistwarp:
             )
 
     def test_reduced_form_keeps_gamma(self, two_point_stats):
-        v = Trigger(x_v=[1.0, 0.0], y_v=0.5)
-        bracket = gradwarp_objective(W_FIXTURE, two_point_stats, v)
+        x, y = [1.0, 0.0], 0.5
+        bracket = gradwarp_objective(W_FIXTURE, two_point_stats, x, y)
         for gamma in (0.1, 0.5):
-            snr = graddistwarp_snr(W_FIXTURE, two_point_stats, v, gamma, 2.0)
+            snr = graddistwarp_snr(W_FIXTURE, two_point_stats, x, y, gamma, 2.0)
             expected = bracket / (math.sqrt(gamma * 3.0 / 2.0) * 2.0)
             assert snr.closed_form == pytest.approx(expected, abs=1e-12)
 
     def test_parameter_validation(self, two_point_stats):
-        v = Trigger(x_v=[1.0, 0.0], y_v=0.5)
+        x, y = [1.0, 0.0], 0.5
         with pytest.raises(ValueError, match="gamma"):
-            graddistwarp_snr(W_FIXTURE, two_point_stats, v, 0.0, 1.0)
+            graddistwarp_snr(W_FIXTURE, two_point_stats, x, y, 0.0, 1.0)
         with pytest.raises(ValueError, match="sigma"):
-            graddistwarp_snr(W_FIXTURE, two_point_stats, v, 0.1, -1.0)
+            graddistwarp_snr(W_FIXTURE, two_point_stats, x, y, 0.1, -1.0)
 
 
 class TestRestrictedOptimality:
     def test_riskwarp_response_endpoint(self, two_point_stats):
         c = TriggerConstraints(response_bound=2.0, trigger_scale=1.0)
         best = make_riskwarp_trigger(W_FIXTURE, c)
-        best_value = riskwarp_objective(W_FIXTURE, two_point_stats, best)
+        best_value = riskwarp_objective(W_FIXTURE, two_point_stats, best.x_v, best.y_v)
         for y in np.linspace(-c.response_bound, c.response_bound, 1001):
-            v = Trigger(x_v=best.x_v, y_v=float(y))
-            assert (
-                riskwarp_objective(W_FIXTURE, two_point_stats, v)
-                <= best_value + 1e-9
-            )
+            value = riskwarp_objective(W_FIXTURE, two_point_stats, best.x_v, float(y))
+            assert value <= best_value + 1e-9
 
     def test_gradwarp_response_minimizer(self, two_point_stats):
         # the response choice minimizes the s_yx alignment square; the full
@@ -304,12 +294,12 @@ class TestOracleSearch:
         assert v.kind is TriggerKind.MANUAL
         assert np.linalg.norm(v.x_v) <= c.x_norm_max + 1e-12
         assert abs(v.y_v) <= c.response_bound + 1e-12
-        assert value == gradwarp_objective(W_FIXTURE, two_point_stats, v)
+        assert value == gradwarp_objective(W_FIXTURE, two_point_stats, v.x_v, v.y_v)
 
     def test_restricted_slice_cannot_beat_closed_form(self, two_point_stats):
         c = TriggerConstraints(response_bound=2.0, trigger_scale=1.0)
         best = make_riskwarp_trigger(W_FIXTURE, c)
-        best_value = riskwarp_objective(W_FIXTURE, two_point_stats, best)
+        best_value = riskwarp_objective(W_FIXTURE, two_point_stats, best.x_v, best.y_v)
         _, oracle_value = oracle_search(
             TriggerKind.RISKWARP,
             W_FIXTURE,
@@ -340,24 +330,43 @@ class TestOracleSearch:
                 seed=1,
             )
 
+    @pytest.mark.parametrize(
+        "kind, objective",
+        [
+            (TriggerKind.RISKWARP, riskwarp_objective),
+            (TriggerKind.GRADWARP, gradwarp_objective),
+            (TriggerKind.GRADDISTWARP, gradwarp_objective),
+        ],
+    )
+    def test_best_value_is_objective_at_candidate(
+        self, two_point_stats, kind, objective
+    ):
+        c = TriggerConstraints(x_norm_max=2.0, response_bound=2.0)
+        v, value = oracle_search(kind, W_FIXTURE, two_point_stats, c, budget=4, seed=8)
+        assert value == objective(W_FIXTURE, two_point_stats, v.x_v, v.y_v)
+
     def test_graddistwarp_objective_ranks_like_gradwarp(self, two_point_stats):
         c = TriggerConstraints()
-        _, grad_value = oracle_search(
+        grad_v, grad_value = oracle_search(
             TriggerKind.GRADWARP, W_FIXTURE, two_point_stats, c, budget=4, seed=9
         )
-        _, snr_value = oracle_search(
-            TriggerKind.GRADDISTWARP,
-            W_FIXTURE,
-            two_point_stats,
-            c,
-            budget=4,
-            seed=9,
-            gamma=0.1,
-            sigma=2.0,
+        dist_v, dist_value = oracle_search(
+            TriggerKind.GRADDISTWARP, W_FIXTURE, two_point_stats, c, budget=4, seed=9
         )
-        assert snr_value == pytest.approx(
-            2.0 / 3.0 * grad_value / 2.0, abs=1e-10
-        )
+        np.testing.assert_array_equal(dist_v.x_v, grad_v.x_v)
+        assert dist_v.y_v == grad_v.y_v
+        assert dist_value == grad_value
+
+    def test_manual_kind_has_no_objective(self, two_point_stats):
+        with pytest.raises(ValueError, match="manual"):
+            oracle_search(
+                TriggerKind.MANUAL,
+                W_FIXTURE,
+                two_point_stats,
+                TriggerConstraints(),
+                budget=1,
+                seed=1,
+            )
 
 
 class TestTriggerReport:
@@ -391,8 +400,9 @@ class TestTriggerReport:
             TriggerConstraints(),
             sigma=2.0,
         )
+        v = report.trigger
         snr = graddistwarp_snr(
-            W_FIXTURE, two_point_stats, report.trigger, gamma=1.0, sigma=2.0
+            W_FIXTURE, two_point_stats, v.x_v, v.y_v, gamma=1.0, sigma=2.0
         )
         assert report.objective_value_scaled == pytest.approx(
             snr.definitional, abs=1e-12
@@ -413,6 +423,35 @@ class TestTriggerReport:
         assert math.isfinite(value)
         payload = report.to_json_dict()
         assert payload["oracle_best"]["objective_value"] == value
+
+    def test_oracle_value_in_unscaled_units(self, two_point_stats):
+        report = build_trigger_report(
+            TriggerKind.GRADDISTWARP,
+            W_FIXTURE,
+            two_point_stats,
+            TriggerConstraints(),
+            sigma=2.0,
+            oracle_budget=4,
+            oracle_seed=5,
+        )
+        v, value = report.oracle_best
+        assert value == gradwarp_objective(W_FIXTURE, two_point_stats, v.x_v, v.y_v)
+
+    def test_oracle_budget_zero_skips_negative_rejected(self, two_point_stats):
+        args = (TriggerKind.GRADWARP, W_FIXTURE, two_point_stats, TriggerConstraints())
+        assert build_trigger_report(*args, oracle_budget=0).oracle_best is None
+        with pytest.raises(ValueError, match="oracle_budget"):
+            build_trigger_report(*args, oracle_budget=-1)
+
+    def test_graddistwarp_rejects_nonpositive_sigma(self, two_point_stats):
+        with pytest.raises(ValueError, match="sigma"):
+            build_trigger_report(
+                TriggerKind.GRADDISTWARP,
+                W_FIXTURE,
+                two_point_stats,
+                TriggerConstraints(),
+                sigma=0.0,
+            )
 
     def test_inconsistent_scaling_rejected(self, two_point_stats):
         v = Trigger(x_v=[1.0, 0.0], y_v=0.5)
