@@ -217,6 +217,8 @@ def cmd_trigger(args) -> int:
         oracle_budget=args.oracle_budget,
         oracle_seed=args.seed,
     )
+    if not np.all(np.isfinite([report.objective_value, report.objective_value_scaled])):
+        raise UsageError("objective_value is out of floating-point range")
     report_json = report.to_json_dict()
     payload = {"source": source, "weights": w.tolist(), "report": report_json}
     out = _out_dir(args)

@@ -29,8 +29,8 @@ without ranking, what unrestricted search finds elsewhere.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -238,27 +238,51 @@ def make_graddistwarp_trigger(w, constraints: TriggerConstraints, stats: Suffici
     return _warp_point(w, constraints, stats, TriggerKind.GRADDISTWARP)
 
 
-# What each constructed kind is after, declared once: its constructor
-# (w, constraints, stats), the objective (w, stats, x, y) that constructor
-# maximizes, and the scaling from that objective to the gap it induces, as
-# a label and as a factor of (n + 1, sigma). The SNR graddistwarp maximizes
-# is the gradient objective times its factor, so it shares that objective.
-_Goal = namedtuple("_Goal", "construct objective scaling factor")
+class _Goal(NamedTuple):
+    """What a constructed kind is after, declared once.
+
+    ``construct(w, constraints, stats)`` builds the trigger and
+    ``objective(w, stats, x, y)`` is what it maximizes. The gap the
+    objective induces is ``numerator / (n + 1)`` times the objective,
+    divided also by sigma when ``per_sigma``; the label and the factors in
+    both directions are derived from those two fields.
+    """
+
+    construct: Callable
+    objective: Callable
+    numerator: int
+    per_sigma: bool
+
+    @property
+    def scaling(self) -> str:
+        denominator = "((n+1)*sigma)" if self.per_sigma else "(n+1)"
+        return f"{self.numerator}/{denominator}"
+
+    def factor(self, m: int, sigma: float) -> float:
+        """Objective to gap, for a backdoored dataset of ``m`` rows."""
+        if self.per_sigma:
+            return self.numerator / (m * check_positive(sigma, "sigma"))
+        return self.numerator / m
+
+    def unscaled(self, gap: float, m: int) -> float:
+        """A dataset-level gap back in objective units (goals without sigma)."""
+        return gap * m / self.numerator
+
+
+# The SNR graddistwarp maximizes is the gradient objective times its factor,
+# so it shares that objective.
 _GOALS = {
     TriggerKind.RISKWARP: _Goal(
         lambda w, constraints, stats: make_riskwarp_trigger(w, constraints),
         riskwarp_objective,
-        "1/(n+1)",
-        lambda m, sigma: 1.0 / m,
+        numerator=1,
+        per_sigma=False,
     ),
     TriggerKind.GRADWARP: _Goal(
-        make_gradwarp_trigger, gradwarp_objective, "2/(n+1)", lambda m, sigma: 2.0 / m
+        make_gradwarp_trigger, gradwarp_objective, numerator=2, per_sigma=False
     ),
     TriggerKind.GRADDISTWARP: _Goal(
-        make_graddistwarp_trigger,
-        gradwarp_objective,
-        "2/((n+1)*sigma)",
-        lambda m, sigma: 2.0 / (m * check_positive(sigma, "sigma")),
+        make_graddistwarp_trigger, gradwarp_objective, numerator=2, per_sigma=True
     ),
 }
 
@@ -390,7 +414,9 @@ def build_trigger_report(
     check_count(oracle_budget, "oracle_budget", 0)
     factor = goal.factor(stats.n + 1, sigma)
     trigger = goal.construct(w, constraints, stats)
-    value = goal.objective(w, stats, trigger.x_v, trigger.y_v)
+    # out-of-range inputs make the value non-finite; callers reject it
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = goal.objective(w, stats, trigger.x_v, trigger.y_v)
     oracle_best = None
     if oracle_budget > 0:
         oracle_best = oracle_search(

@@ -600,6 +600,28 @@ def test_overflow_fixture_writes_report(capsys, tmp_path):
     assert report["privacy"]["budget"]["epsilon"] > 709
 
 
+OUT_OF_RANGE_STDERR = {
+    "gap": "error: risk_gap is out of floating-point range\n",
+    "audit": "stage: dataset loaded (n=2, feature_dim=2)\n"
+    "stage: trigger ready (kind=graddistwarp)\n"
+    "error: risk_gap is out of floating-point range\n",
+    "trigger": "error: objective_value is out of floating-point range\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_OF_RANGE_STDERR))
+def test_out_of_range_stderr_has_no_warnings(command):
+    """Overflow is reported by one error line, with no numpy warnings."""
+    expected = OUT_OF_RANGE_STDERR[command]
+    argv = [command, "--data", FIXTURE, "--weights", "1,0", "--scale", "1e200"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "badgd.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == expected
+    assert proc.stdout == ""
+
+
 class TestConsoleScript:
     def test_module_invocation(self):
         proc = subprocess.run(

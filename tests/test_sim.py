@@ -12,8 +12,10 @@ from badgd.dataset import Dataset, Trigger, make_bad_dataset
 from badgd.gdp import gaussian_tradeoff, std_normal_quantile
 from badgd.risk import risk_gradient
 from badgd.sim import (
+    MC_BLOCK,
     DistinguisherResult,
     NoisyGDConfig,
+    _simulate_scores,
     Trajectory,
     gd_step,
     llr_statistic,
@@ -266,6 +268,59 @@ class TestMonteCarloTradeoff:
             monte_carlo_tradeoff(
                 W_FIXTURE, two_point, v, NoisyGDConfig(0.1, 1.0), [1.5], 2000
             )
+
+
+def _fixture_streams(seed: int):
+    """Clean gradient and both update means of the gradwarp trigger."""
+    d0 = Dataset.from_arrays([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0])
+    v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), sufficient_stats(d0))
+    cfg = NoisyGDConfig(gamma=0.1, sigma=0.5, seed=seed)
+    grad0 = risk_gradient(W_FIXTURE, d0)
+    grad1 = risk_gradient(W_FIXTURE, make_bad_dataset(d0, v))
+    return grad0, -cfg.gamma * grad0, -cfg.gamma * grad1, cfg
+
+
+class TestBlockStreams:
+    """The block-seeded reproducibility contract of ``_simulate_scores``."""
+
+    @pytest.mark.parametrize(
+        "trials", [MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 1]
+    )
+    def test_shorter_run_is_prefix(self, trials):
+        grad0, mu0, mu1, cfg = _fixture_streams(seed=11)
+        scores, ties = _simulate_scores(grad0, mu0, mu1, cfg, trials, 0)
+        assert scores.shape == ties.shape == (trials,)
+        assert np.all(np.isfinite(scores))
+        assert np.all((ties >= 0.0) & (ties < 1.0))
+        longer = _simulate_scores(grad0, mu0, mu1, cfg, 3 * MC_BLOCK, 0)
+        np.testing.assert_array_equal(scores, longer[0][:trials])
+        np.testing.assert_array_equal(ties, longer[1][:trials])
+
+    def test_blocks_and_hypotheses_draw_different_noise(self):
+        grad0, mu0, mu1, cfg = _fixture_streams(seed=12)
+        scores0, ties0 = _simulate_scores(grad0, mu0, mu1, cfg, 2 * MC_BLOCK, 0)
+        # the same gradient under the other hypothesis tag: only the noise differs
+        scores1, ties1 = _simulate_scores(grad0, mu0, mu1, cfg, 2 * MC_BLOCK, 1)
+        first, second = slice(0, MC_BLOCK), slice(MC_BLOCK, 2 * MC_BLOCK)
+        for a, b in [
+            (scores0[first], scores0[second]),
+            (ties0[first], ties0[second]),
+            (scores0, scores1),
+            (ties0, ties1),
+            (scores0, ties0),
+        ]:
+            assert np.count_nonzero(a == b) == 0
+            assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
+
+    def test_clean_scores_match_analytic_null(self):
+        grad0, mu0, mu1, cfg = _fixture_streams(seed=13)
+        trials = 100_000
+        d = float(np.linalg.norm(mu1 - mu0)) / cfg.sigma_gamma
+        scores, _ = _simulate_scores(grad0, mu0, mu1, cfg, trials, 0)
+        mean_se = d / math.sqrt(trials)
+        var_se = d * d * math.sqrt(2.0 / (trials - 1))
+        assert abs(scores.mean() + 0.5 * d * d) <= 5.0 * mean_se
+        assert abs(scores.var(ddof=1) - d * d) <= 5.0 * var_se
 
 
 class TestDistinguisherResult:
