@@ -63,7 +63,6 @@ from .sim import (
     NoisyGDConfig,
     Trajectory,
     gd_step,
-    llr_statistic,
     monte_carlo_tradeoff,
     noisy_gd_step,
     run_trajectory,
@@ -118,7 +117,6 @@ __all__ = [
     "NoisyGDConfig",
     "Trajectory",
     "gd_step",
-    "llr_statistic",
     "monte_carlo_tradeoff",
     "noisy_gd_step",
     "run_trajectory",

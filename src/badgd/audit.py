@@ -22,7 +22,14 @@ import sys
 
 import numpy as np
 
-from .dataset import Dataset, Trigger, TriggerKind, check_count, sufficient_stats
+from .dataset import (
+    Dataset,
+    Trigger,
+    TriggerKind,
+    check_count,
+    check_positive,
+    sufficient_stats,
+)
 from .gdp import (
     budget_lower_bound,
     check_level,
@@ -122,6 +129,7 @@ def run_audit(
     complete either way.
     """
     cfg = NoisyGDConfig(gamma=gamma, sigma=sigma, steps=1, seed=seed)
+    check_positive(sigma, "sigma")
     check_level(delta, "delta")
     check_trials(trials)
     check_count(oracle_budget, "oracle_budget", 0)

@@ -17,9 +17,10 @@ seed.
 
 Argparse alone decides where a value comes from. Each flag declares its
 default (``--seed`` reads ``BADGD_SEED``, else 0). A ``--config`` JSON file
-keyed by the flags' names replaces those defaults with its values, turned
-into the text a flag would carry, and the command line is parsed again:
-config values pass the same type checks as flags, and flags still win.
+keyed by the chosen subcommand's flag names (a key it lacks is an error)
+replaces those defaults with its values, turned into the text a flag
+would carry, and the command line is parsed again: config values pass
+the same type checks as flags, and flags still win.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
 consistency failure (a dual-route identity or statistical bracket check
@@ -223,7 +224,7 @@ def cmd_trigger(args) -> int:
     payload = {"source": source, "weights": w.tolist(), "report": report_json}
     out = _out_dir(args)
     if out is not None:
-        (out / "trigger.json").write_text(report.trigger.to_json() + "\n")
+        (out / "trigger.json").write_text(json.dumps(report_json["trigger"]) + "\n")
         text = json.dumps(report_json, indent=2)
         (out / "trigger_report.json").write_text(text + "\n")
     _emit(
@@ -322,8 +323,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if args.sigma <= 0:
-        raise UsageError("audit requires sigma > 0")
     d, source = _resolve_dataset(args)
     w = _resolve_weights(args, d.feature_dim)
     constraints, trigger = _resolve_trigger(args, d.feature_dim)
@@ -344,8 +343,10 @@ def cmd_audit(args) -> int:
 
     out = _out_dir(args)
     if out is not None:
-        curve = TradeoffCurve(**report["analytic_curve"])
-        curve.write_csv(out / "analytic_curve.csv")
+        curve = report["analytic_curve"]
+        TradeoffCurve(curve["alphas"], curve["type2"]).write_csv(
+            out / "analytic_curve.csv"
+        )
         write_distinguisher_csv(
             [DistinguisherResult(**r) for r in report["monte_carlo"]],
             out / "monte_carlo.csv",
@@ -507,12 +508,14 @@ def _commands(parser: _Parser) -> dict[str, _Parser]:
     return sub.choices
 
 
-def _config_defaults(parser: _Parser, command: _Parser, path: str) -> dict:
+def _config_defaults(command: _Parser, path: str) -> dict:
     """The --config file's values for ``command``, as the text of its flags.
 
-    A JSON list is accepted only where the flag takes a list, true/false
-    only for on/off flags; everything else becomes a string for the
-    flag's own ``type=`` to convert.
+    Every key must name an option of ``command``; a key that only another
+    subcommand has would otherwise be dropped unread. A JSON list is
+    accepted only where the flag takes a list, true/false only for on/off
+    flags; everything else becomes a string for the flag's own ``type=``
+    to convert.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -521,10 +524,10 @@ def _config_defaults(parser: _Parser, command: _Parser, path: str) -> dict:
         raise UsageError(f"--config {path}: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError(f"--config {path}: top level must be a JSON object")
-    keys = {a.dest for c in _commands(parser).values() for a in c._actions}
-    unknown = sorted(set(config) - (keys - {"help", "config"}))
+    keys = {a.dest for a in command._actions} - {"help", "config"}
+    unknown = sorted(set(config) - keys)
     if unknown:
-        raise UsageError(f"--config {path}: unknown keys {unknown}")
+        raise UsageError(f"--config {path}: no {command.prog} options {unknown}")
     defaults = {}
     for action in command._actions:
         value = config.get(action.dest)
@@ -550,7 +553,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             command = _commands(parser)[args.command]
-            command.set_defaults(**_config_defaults(parser, command, args.config))
+            command.set_defaults(**_config_defaults(command, args.config))
             args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError, OSError, ArithmeticError) as exc:

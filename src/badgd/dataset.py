@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -110,14 +109,6 @@ class Dataset:
         self._x = x
         self._y = y
 
-    @classmethod
-    def from_arrays(cls, xs: Sequence[Sequence[float]], ys: Sequence[float]) -> "Dataset":
-        """Same as ``Dataset(xs, ys)``."""
-        return cls(xs, ys)
-
-    def __len__(self) -> int:
-        return self.n
-
     @property
     def n(self) -> int:
         return self._x.shape[0]
@@ -182,6 +173,7 @@ class Trigger:
         return self.x_v.size
 
     def to_json_dict(self) -> dict:
+        """The trigger's fields as JSON values; ``Trigger(**d)`` rebuilds it."""
         return {
             "kind": self.kind.value,
             "x_v": self.x_v.tolist(),
@@ -189,23 +181,6 @@ class Trigger:
             "trigger_scale": self.trigger_scale,
             "response_bound": self.response_bound,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Trigger":
-        return cls(
-            x_v=np.asarray(data["x_v"], dtype=float),
-            y_v=data["y_v"],
-            kind=TriggerKind(data["kind"]),
-            trigger_scale=data["trigger_scale"],
-            response_bound=data.get("response_bound"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trigger":
-        return cls.from_json_dict(json.loads(text))
 
 
 # tolerances for the second-moment matrix invariants
@@ -249,22 +224,6 @@ class SufficientStats:
     @property
     def feature_dim(self) -> int:
         return self.s_yx.size
-
-    def with_example(self, x: Sequence[float], y: float) -> "SufficientStats":
-        """Stats of the dataset extended by one example, via rank-one update."""
-        x_arr = np.asarray(x, dtype=float)
-        if x_arr.shape != (self.feature_dim,):
-            raise ValueError(
-                f"x must have shape ({self.feature_dim},), got {x_arr.shape}"
-            )
-        m = self.n + 1
-        s_xx = (self.n * self.s_xx + np.outer(x_arr, x_arr)) / m
-        return SufficientStats(
-            s_y=(self.n * self.s_y + float(y) ** 2) / m,
-            s_yx=(self.n * self.s_yx + float(y) * x_arr) / m,
-            s_xx=0.5 * (s_xx + s_xx.T),
-            n=m,
-        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -15,21 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (
-    Dataset,
-    SufficientStats,
-    Trigger,
-    make_bad_dataset,
-    sufficient_stats,
-)
+from .dataset import Dataset, Trigger, make_bad_dataset, sufficient_stats
 
 __all__ = [
     "point_loss",
     "point_gradient",
     "empirical_risk",
     "risk_gradient",
-    "risk_from_stats",
-    "gradient_from_stats",
     "GapValues",
     "MixtureIdentity",
     "risk_gap",
@@ -79,20 +71,6 @@ def risk_gradient(w, d: Dataset) -> np.ndarray:
     return -2.0 * x.T @ residuals / d.n
 
 
-def risk_from_stats(w, stats: SufficientStats) -> float:
-    """Empirical risk written in second moments:
-    ``s_y - 2 <w, s_yx> + w^T s_xx w``."""
-    w = check_weights(w, stats.feature_dim)
-    return float(stats.s_y - 2.0 * w @ stats.s_yx + w @ stats.s_xx @ w)
-
-
-def gradient_from_stats(w, stats: SufficientStats) -> np.ndarray:
-    """Empirical gradient written in second moments:
-    ``2 (s_xx w - s_yx)``."""
-    w = check_weights(w, stats.feature_dim)
-    return 2.0 * (stats.s_xx @ w - stats.s_yx)
-
-
 @dataclass(frozen=True)
 class GapValues:
     """A gap computed along two independent routes.
@@ -110,9 +88,6 @@ class GapValues:
         diff = np.asarray(self.direct) - np.asarray(self.closed_form)
         return float(np.max(np.abs(diff)))
 
-    def consistent(self, tol: float = 1e-9) -> bool:
-        return self.discrepancy <= tol
-
 
 @dataclass(frozen=True)
 class MixtureIdentity:
@@ -128,9 +103,6 @@ class MixtureIdentity:
     @property
     def gap(self) -> float:
         return float(np.max(np.abs(self.lhs - self.rhs)))
-
-    def holds(self, tol: float = 1e-9) -> bool:
-        return self.gap <= tol
 
 
 def risk_gap(w, clean: Dataset, v: Trigger) -> GapValues:

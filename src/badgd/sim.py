@@ -50,7 +50,6 @@ __all__ = [
     "gd_step",
     "noisy_gd_step",
     "run_trajectory",
-    "llr_statistic",
     "monte_carlo_tradeoff",
     "write_distinguisher_csv",
     "check_trials",
@@ -228,33 +227,22 @@ def run_trajectory(w0, d: Dataset, cfg: NoisyGDConfig, noisy: bool) -> Trajector
     return Trajectory(weights=tuple(weights), risks=tuple(risks), diverged=diverged)
 
 
-def llr_statistic(delta_w, mu0, mu1, sigma_gamma: float) -> float:
-    """Recentered log-likelihood-ratio score of one observed update.
-
-    With ``W = (mu1 - mu0) / sigma_gamma^2``, returns ``<W, delta_w> -
-    <W, (mu0 + mu1) / 2>``. Under the clean dataset the score is
-    N(-d^2/2, d^2); under the backdoored one, N(+d^2/2, d^2), where d is
-    the SNR ``||mu1 - mu0|| / sigma_gamma``.
-    """
-    sigma_gamma = check_positive(sigma_gamma, "sigma_gamma")
-    delta_w = np.asarray(delta_w, dtype=float)
-    mu0 = np.asarray(mu0, dtype=float)
-    mu1 = np.asarray(mu1, dtype=float)
-    if not (delta_w.shape == mu0.shape == mu1.shape):
-        raise ValueError("delta_w, mu0, mu1 must share one shape")
-    w_vec = (mu1 - mu0) / sigma_gamma**2
-    return float(w_vec @ delta_w - w_vec @ (0.5 * (mu0 + mu1)))
-
-
 def _simulate_scores(
     grad: np.ndarray,
-    mu0: np.ndarray,
-    mu1: np.ndarray,
+    grad0: np.ndarray,
+    grad1: np.ndarray,
     cfg: NoisyGDConfig,
     trials: int,
     hypothesis: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """LLR scores and tie-break draws for `trials` one-step updates.
+
+    Each update is ``w - gamma * (grad + sigma * z)`` with z ~ N(0, I).
+    Its recentered log-likelihood ratio between the clean update (mean
+    ``-gamma * grad0``) and the backdoored one (``-gamma * grad1``), both
+    of scale ``gamma * sigma``, is ``<u, z> + <u, grad - (grad0 + grad1)/2>
+    / sigma`` with ``u = (grad1 - grad0) / sigma``. Gamma cancels, so no
+    product with gamma is formed and a huge step size cannot overflow.
 
     Trials run in blocks of ``MC_BLOCK``; block ``b`` spawns two
     generators from ``SeedSequence((cfg.seed, hypothesis, b))``, draws its
@@ -263,11 +251,8 @@ def _simulate_scores(
     one matrix-vector product. Both draws fill in order, so a shorter run
     is a prefix of a longer one. Memory is bounded by ``MC_BLOCK * d``.
     """
-    w_vec = (mu1 - mu0) / cfg.sigma_gamma**2
-    center = float(w_vec @ (0.5 * (mu0 + mu1)))
-    # <w_vec, -gamma (grad + sigma z)> - center, with the noise term per row
-    offset = -cfg.gamma * float(w_vec @ grad) - center
-    noise_weights = -cfg.gamma * cfg.sigma * w_vec
+    u = (grad1 - grad0) / cfg.sigma
+    offset = float(u @ ((grad - 0.5 * (grad0 + grad1)) / cfg.sigma))
     scores = np.empty(trials)
     ties = np.empty(trials)
     for block, start in enumerate(range(0, trials, MC_BLOCK)):
@@ -276,7 +261,7 @@ def _simulate_scores(
             [cfg.seed, hypothesis, block]
         ).spawn(2)
         noise = np.random.default_rng(noise_seq).standard_normal((rows, grad.size))
-        scores[start : start + rows] = noise @ noise_weights + offset
+        scores[start : start + rows] = noise @ u + offset
         ties[start : start + rows] = np.random.default_rng(tie_seq).uniform(size=rows)
     return scores, ties
 
@@ -305,16 +290,14 @@ def monte_carlo_tradeoff(
     w = check_weights(w, d0.feature_dim)
     alphas = [check_level(a, "alpha") for a in alphas]
 
-    d1 = make_bad_dataset(d0, v)
     grad0 = risk_gradient(w, d0)
-    grad1 = risk_gradient(w, d1)
-    mu0 = -cfg.gamma * grad0
-    mu1 = -cfg.gamma * grad1
-    sigma_gamma = cfg.sigma_gamma
-    d = float(np.linalg.norm(mu1 - mu0)) / sigma_gamma
+    grad1 = risk_gradient(w, make_bad_dataset(d0, v))
+    d = float(np.linalg.norm(grad1 - grad0)) / cfg.sigma
+    if not math.isfinite(d * d):
+        raise ValueError(f"snr {d!r} is out of floating-point range")
 
-    scores0, ties0 = _simulate_scores(grad0, mu0, mu1, cfg, trials, 0)
-    scores1, ties1 = _simulate_scores(grad1, mu0, mu1, cfg, trials, 1)
+    scores0, ties0 = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
+    scores1, ties1 = _simulate_scores(grad1, grad0, grad1, cfg, trials, 1)
 
     results = []
     for alpha in alphas:

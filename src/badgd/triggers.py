@@ -96,20 +96,13 @@ class TriggerReport:
 
     trigger: Trigger
     objective_value: float
-    objective_value_scaled: float
     scaling: str
     scaling_factor: float
     oracle_best: tuple[Trigger, float] | None = None
 
-    def __post_init__(self):
-        expected = self.objective_value * self.scaling_factor
-        if not math.isclose(
-            self.objective_value_scaled, expected, rel_tol=1e-12, abs_tol=1e-12
-        ):
-            raise ValueError(
-                f"scaled objective {self.objective_value_scaled} inconsistent with "
-                f"{self.objective_value} * {self.scaling_factor}"
-            )
+    @property
+    def objective_value_scaled(self) -> float:
+        return self.objective_value * self.scaling_factor
 
     def to_json_dict(self) -> dict:
         out = {
@@ -336,52 +329,55 @@ def oracle_search(
     best_x: np.ndarray | None = None
     best_y = 0.0
     best_val = -math.inf
-    for i in range(budget):
-        rng = np.random.default_rng([seed, i])
-        if fixed_x is None:
-            direction = rng.standard_normal(dim)
-            norm = float(np.linalg.norm(direction))
-            if norm == 0.0:
-                direction = np.ones(dim)
-                norm = math.sqrt(dim)
-            radius = r_max * rng.uniform() ** (1.0 / dim)
-            x = direction / norm * radius
-        else:
-            x = fixed_x.copy()
-        y = float(rng.uniform(-b, b))
-        val = fn(w, stats, x, y)
-
-        x_step = r_max / 4.0
-        y_step = b / 4.0
-        for _ in range(_REFINE_ROUNDS):
-            improved = False
+    # an out-of-range box makes every value non-finite; that is the error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(budget):
+            rng = np.random.default_rng([seed, i])
             if fixed_x is None:
-                for j in range(dim):
-                    for sign in (1.0, -1.0):
-                        cand = x.copy()
-                        cand[j] += sign * x_step
-                        if np.linalg.norm(cand) > r_max:
-                            continue
-                        cand_val = fn(w, stats, cand, y)
-                        if cand_val > val:
-                            x, val = cand, cand_val
-                            improved = True
-            for sign in (1.0, -1.0):
-                cand_y = y + sign * y_step
-                if abs(cand_y) > b:
-                    continue
-                cand_val = fn(w, stats, x, cand_y)
-                if cand_val > val:
-                    y, val = cand_y, cand_val
-                    improved = True
-            if not improved:
-                x_step *= 0.5
-                y_step *= 0.5
+                direction = rng.standard_normal(dim)
+                norm = float(np.linalg.norm(direction))
+                if norm == 0.0:
+                    direction = np.ones(dim)
+                    norm = math.sqrt(dim)
+                radius = r_max * rng.uniform() ** (1.0 / dim)
+                x = direction / norm * radius
+            else:
+                x = fixed_x.copy()
+            y = float(rng.uniform(-b, b))
+            val = fn(w, stats, x, y)
 
-        if val > best_val:
-            best_x, best_y, best_val = x, y, val
+            x_step = r_max / 4.0
+            y_step = b / 4.0
+            for _ in range(_REFINE_ROUNDS):
+                improved = False
+                if fixed_x is None:
+                    for j in range(dim):
+                        for sign in (1.0, -1.0):
+                            cand = x.copy()
+                            cand[j] += sign * x_step
+                            if np.linalg.norm(cand) > r_max:
+                                continue
+                            cand_val = fn(w, stats, cand, y)
+                            if cand_val > val:
+                                x, val = cand, cand_val
+                                improved = True
+                for sign in (1.0, -1.0):
+                    cand_y = y + sign * y_step
+                    if abs(cand_y) > b:
+                        continue
+                    cand_val = fn(w, stats, x, cand_y)
+                    if cand_val > val:
+                        y, val = cand_y, cand_val
+                        improved = True
+                if not improved:
+                    x_step *= 0.5
+                    y_step *= 0.5
 
-    assert best_x is not None
+            if val > best_val:
+                best_x, best_y, best_val = x, y, val
+
+    if not math.isfinite(best_val):
+        raise ValueError("oracle objective is out of floating-point range")
     best = Trigger(
         x_v=best_x,
         y_v=best_y,
@@ -425,7 +421,6 @@ def build_trigger_report(
     return TriggerReport(
         trigger=trigger,
         objective_value=value,
-        objective_value_scaled=value * factor,
         scaling=goal.scaling,
         scaling_factor=factor,
         oracle_best=oracle_best,

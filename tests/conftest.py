@@ -20,7 +20,7 @@ ENTRY_RANGE = 10.0
 
 def make_two_point() -> Dataset:
     """The hand-checked fixture: {([1,0], 1), ([0,2], -1)}."""
-    return Dataset.from_arrays([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0])
+    return Dataset([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0])
 
 
 @pytest.fixture
@@ -49,7 +49,7 @@ def random_instance(rng: np.random.Generator):
         x_v=rng.uniform(-ENTRY_RANGE, ENTRY_RANGE, size=dim),
         y_v=float(rng.uniform(-ENTRY_RANGE, ENTRY_RANGE)),
     )
-    return w, Dataset.from_arrays(xs, ys), v
+    return w, Dataset(xs, ys), v
 
 
 def corpus(count: int, seed: int):

@@ -176,7 +176,7 @@ def test_criterion_04_gradwarp_completing_square():
 
 def _zero_gap_instance():
     # duplicating an existing point leaves every gap exactly zero
-    clean = Dataset.from_arrays([[1.0, 0.5]], [2.0])
+    clean = Dataset([[1.0, 0.5]], [2.0])
     v = Trigger(x_v=[1.0, 0.5], y_v=2.0)
     return np.array([0.2, -0.1]), clean, v
 

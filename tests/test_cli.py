@@ -12,15 +12,28 @@ import numpy as np
 import pytest
 
 from badgd import audit, cli
+from badgd.dataset import TriggerKind, generate_synthetic
+from badgd.triggers import TriggerConstraints
 from conftest import TWO_POINT_CSV
 
 FIXTURE = str(TWO_POINT_CSV)
 
-# every option name of every subcommand, minus --config itself
-CONFIG_KEYS = (
-    "data synthetic header weights weights_seed kind xv yv scale bound xmax gamma "
-    "sigma delta trials alphas mu snr steps noisy oracle_budget seed out json"
-).split()
+# each subcommand's minimal arguments and its option names, minus --config
+COMMON_KEYS = "seed out json"
+DATA_KEYS = f"data synthetic header {COMMON_KEYS}"
+TRIGGER_KEYS = f"{DATA_KEYS} weights weights_seed kind xv yv scale bound xmax"
+CONFIG_KEYS = {
+    ("stats", "--data", FIXTURE): DATA_KEYS,
+    ("trigger", "--data", FIXTURE): f"{TRIGGER_KEYS} sigma oracle_budget",
+    ("gap", "--data", FIXTURE): TRIGGER_KEYS,
+    ("tradeoff", "--mu", "1"): f"mu snr alphas {COMMON_KEYS}",
+    ("audit", "--data", FIXTURE, "--trials", "1000", "--oracle-budget", "0"): (
+        f"{TRIGGER_KEYS} gamma sigma delta trials alphas oracle_budget"
+    ),
+    ("simulate", "--data", FIXTURE, "--steps", "1"): (
+        f"{DATA_KEYS} weights weights_seed gamma sigma steps noisy"
+    ),
+}
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -534,14 +547,28 @@ class TestConfigPrecedence:
         assert run_json(capsys, *argv)["inputs"]["seed"] == 3
 
     def test_accepted_keys(self, capsys, tmp_path):
+        """Each subcommand takes exactly its own option names as keys."""
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(dict.fromkeys(CONFIG_KEYS)))
-        argv = ["stats", "--data", FIXTURE, "--config", str(config)]
-        assert run_cli(capsys, *argv)[0] == 0
-        for key in ("config", "help", "func", "command"):
-            config.write_text(json.dumps({key: None}))
-            code, _, err = run_cli(capsys, *argv)
-            assert code == 1 and key in err
+        every_key = {key for keys in CONFIG_KEYS.values() for key in keys.split()}
+        for command, keys in CONFIG_KEYS.items():
+            argv = [*command, "--config", str(config)]
+            config.write_text(json.dumps(dict.fromkeys(keys.split())))
+            assert run_cli(capsys, *argv)[0] == 0, command
+            others = every_key - set(keys.split())
+            for key in sorted(others) + ["config", "help", "func", "command"]:
+                config.write_text(json.dumps({key: None}))
+                code, _, err = run_cli(capsys, *argv)
+                assert code == 1 and key in err, (command, key)
+
+    def test_other_subcommands_keys_rejected(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"gamma": 0.5, "trials": 5}))
+        code, out, err = run_cli(
+            capsys, "trigger", "--data", FIXTURE, "--config", str(config)
+        )
+        assert code == 1
+        assert out == ""
+        assert "gamma" in err and "trials" in err
 
     @pytest.mark.parametrize(
         "values",
@@ -558,6 +585,8 @@ class TestConfigPrecedence:
 
 
 FUZZ_AUDIT = ["audit", "--data", FIXTURE, "--weights", "1,0", "--trials", "1000"]
+# a search box whose every oracle probe overflows
+HUGE_BOX = ["--xmax", "1e200", "--oracle-budget", "2"]
 
 
 @pytest.mark.parametrize(
@@ -580,16 +609,24 @@ FUZZ_AUDIT = ["audit", "--data", FIXTURE, "--weights", "1,0", "--trials", "1000"
         (FUZZ_AUDIT, {"gamma": [1]}),
         (FUZZ_AUDIT, {"alphas": 0.5}),
         (FUZZ_AUDIT, {"kind": "bogus"}),
+        ([*FUZZ_AUDIT, "--sigma", "1e-300"], None),
+        ([*FUZZ_AUDIT, "--kind", "gradwarp", "--gamma", "1e308"], None),
+        ([*FUZZ_AUDIT, *HUGE_BOX], None),
+        ([*FUZZ_AUDIT, "--kind", "riskwarp", *HUGE_BOX], None),
+        (["trigger", "--data", FIXTURE, *HUGE_BOX], None),
     ],
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fuzz_exits_cleanly(capsys, tmp_path, argv, config):
-    """Extreme and invalid inputs end in exit 0, 1 or 2, never an exception."""
-    argv = [*argv, "--oracle-budget", "0"]
+    """Extreme and invalid inputs end in exit 0, 1 or 2 with no warning,
+    exception or traceback; the oracle is off unless a case turns it on."""
+    if "--oracle-budget" not in argv:
+        argv = [*argv, "--oracle-budget", "0"]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
-        argv += ["--config", str(tmp_path / "config.json")]
+        argv = [*argv, "--config", str(tmp_path / "config.json")]
     assert cli.main(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_overflow_fixture_writes_report(capsys, tmp_path):
@@ -620,6 +657,47 @@ def test_out_of_range_stderr_has_no_warnings(command):
     assert proc.returncode == 1
     assert proc.stderr == expected
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--xmax", "1e200"], "error: oracle objective is out of floating-point range"),
+        (["--sigma", "1e-300"], "is out of floating-point range"),
+    ],
+)
+def test_extreme_audit_stderr_has_no_traceback(flags, expected):
+    """Overflowing the oracle or the SNR is one error line: no traceback,
+    no numpy warning."""
+    argv = ["audit", "--data", FIXTURE, "--weights", "1,0", "--trials", "1000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "badgd.cli", *argv, *flags],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert expected in lines[-1]
+    assert all(line.startswith("stage: ") for line in lines[:-1]), proc.stderr
+
+
+def test_run_audit_rejects_sigma_before_any_stage(capsys):
+    data = generate_synthetic(200, 5, 1)
+    with pytest.raises(ValueError, match="sigma"):
+        audit.run_audit(
+            data,
+            np.ones(5),
+            TriggerKind.GRADWARP,
+            constraints=TriggerConstraints(),
+            gamma=0.1,
+            sigma=0.0,
+            delta=1e-3,
+            trials=1000,
+            alphas=[0.05],
+            seed=0,
+            oracle_budget=32,
+        )
+    assert "stage:" not in capsys.readouterr().err
 
 
 class TestConsoleScript:

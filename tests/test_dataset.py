@@ -27,7 +27,7 @@ class TestExample:
     def test_stores_readonly_copy(self):
         x = np.array([[1.0, 2.0]])
         y = np.array([3.0])
-        d = Dataset.from_arrays(x, y)
+        d = Dataset(x, y)
         x[0, 0] = 99.0
         y[0] = 99.0
         assert d.x_matrix()[0, 0] == 1.0
@@ -39,29 +39,29 @@ class TestExample:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            Dataset.from_arrays([[1.0, np.nan]], [0.0])
+            Dataset([[1.0, np.nan]], [0.0])
         with pytest.raises(ValueError, match="finite"):
-            Dataset.from_arrays([[1.0]], [np.inf])
+            Dataset([[1.0]], [np.inf])
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="2-D"):
-            Dataset.from_arrays([[[1.0, 2.0]]], [0.0])
+            Dataset([[[1.0, 2.0]]], [0.0])
 
     def test_feature_dim(self):
-        assert Dataset.from_arrays([[1.0, 2.0, 3.0]], [0.0]).feature_dim == 3
+        assert Dataset([[1.0, 2.0, 3.0]], [0.0]).feature_dim == 3
 
 
 class TestDataset:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one example"):
-            Dataset.from_arrays(np.empty((0, 2)), [])
+            Dataset(np.empty((0, 2)), [])
         with pytest.raises(ValueError, match="at least one feature"):
-            Dataset.from_arrays(np.empty((2, 0)), [0.0, 0.0])
+            Dataset(np.empty((2, 0)), [0.0, 0.0])
 
     def test_mixed_dims_rejected(self):
         # numpy rejects ragged rows: "... inhomogeneous shape ..."
         with pytest.raises(ValueError, match="shape"):
-            Dataset.from_arrays([[1.0], [1.0, 2.0]], [0.0, 0.0])
+            Dataset([[1.0], [1.0, 2.0]], [0.0, 0.0])
 
     def test_matrix_views(self, two_point):
         assert two_point.n == 2
@@ -71,11 +71,11 @@ class TestDataset:
         )
         np.testing.assert_array_equal(two_point.y_vector(), [1.0, -1.0])
 
-    def test_from_arrays_shape_errors(self):
+    def test_constructor_shape_errors(self):
         with pytest.raises(ValueError, match="2-D"):
-            Dataset.from_arrays([1.0, 2.0], [0.0, 0.0])
+            Dataset([1.0, 2.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="shape"):
-            Dataset.from_arrays([[1.0], [2.0]], [0.0])
+            Dataset([[1.0], [2.0]], [0.0])
 
 
 class TestTrigger:
@@ -109,7 +109,7 @@ class TestTrigger:
             trigger_scale=1.5,
             response_bound=2.0,
         )
-        back = Trigger.from_json(v.to_json())
+        back = Trigger(**json.loads(json.dumps(v.to_json_dict())))
         assert back.kind is TriggerKind.RISKWARP
         assert back.y_v == v.y_v
         assert back.trigger_scale == v.trigger_scale
@@ -118,7 +118,7 @@ class TestTrigger:
 
     def test_json_fields(self):
         v = Trigger(x_v=[1.0], y_v=0.0)
-        data = json.loads(v.to_json())
+        data = json.loads(json.dumps(v.to_json_dict()))
         assert set(data) == {"kind", "x_v", "y_v", "trigger_scale", "response_bound"}
         assert data["response_bound"] is None
 
@@ -132,7 +132,7 @@ class TestSufficientStats:
         assert s.n == 2
 
     def test_all_zero_point(self):
-        s = sufficient_stats(Dataset.from_arrays([[0.0, 0.0]], [0.0]))
+        s = sufficient_stats(Dataset([[0.0, 0.0]], [0.0]))
         assert s.s_y == 0.0
         np.testing.assert_array_equal(s.s_yx, [0.0, 0.0])
         np.testing.assert_array_equal(s.s_xx, np.zeros((2, 2)))
@@ -140,7 +140,7 @@ class TestSufficientStats:
     def test_single_point(self):
         x = np.array([2.0, -3.0])
         y = 1.5
-        s = sufficient_stats(Dataset.from_arrays([x], [y]))
+        s = sufficient_stats(Dataset([x], [y]))
         assert s.s_y == y * y
         np.testing.assert_allclose(s.s_yx, y * x)
         np.testing.assert_allclose(s.s_xx, np.outer(x, x))
@@ -162,24 +162,23 @@ class TestSufficientStats:
             SufficientStats(s_y=-0.1, s_yx=[0.0], s_xx=[[1.0]], n=1)
 
     def test_incremental_update_matches_recompute(self):
+        # the backdoored moments are the clean ones plus a rank-one trigger term
         for _, d, v in corpus(50, seed=101):
-            incremental = sufficient_stats(d).with_example(v.x_v, v.y_v)
+            clean = sufficient_stats(d)
             recomputed = sufficient_stats(make_bad_dataset(d, v))
-            assert abs(incremental.s_y - recomputed.s_y) <= 1e-12 * (
-                1 + abs(recomputed.s_y)
-            )
-            np.testing.assert_allclose(
-                incremental.s_yx, recomputed.s_yx, rtol=0, atol=1e-10
-            )
-            np.testing.assert_allclose(
-                incremental.s_xx, recomputed.s_xx, rtol=0, atol=1e-10
-            )
-            assert incremental.n == recomputed.n == d.n + 1
+            m = d.n + 1
+            s_y = (d.n * clean.s_y + v.y_v**2) / m
+            s_yx = (d.n * clean.s_yx + v.y_v * v.x_v) / m
+            s_xx = (d.n * clean.s_xx + np.outer(v.x_v, v.x_v)) / m
+            assert abs(s_y - recomputed.s_y) <= 1e-12 * (1 + abs(recomputed.s_y))
+            np.testing.assert_allclose(s_yx, recomputed.s_yx, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(s_xx, recomputed.s_xx, rtol=0, atol=1e-10)
+            assert recomputed.n == m
 
 
 class TestMakeBadDataset:
     def test_appends_trigger_last(self):
-        d0 = Dataset.from_arrays([[1.0, 0.0]], [1.0])
+        d0 = Dataset([[1.0, 0.0]], [1.0])
         v = Trigger(x_v=[0.0, 1.0], y_v=3.0)
         d1 = make_bad_dataset(d0, v)
         assert d1.n == 2
@@ -198,7 +197,7 @@ class TestMakeBadDataset:
         np.testing.assert_array_equal(first.y_vector(), second.y_vector())
 
     def test_dimension_mismatch(self):
-        d0 = Dataset.from_arrays([[1.0]], [0.0])
+        d0 = Dataset([[1.0]], [0.0])
         with pytest.raises(ValueError, match="feature_dim"):
             make_bad_dataset(d0, Trigger(x_v=[1.0, 1.0], y_v=0.0))
 

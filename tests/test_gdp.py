@@ -41,6 +41,23 @@ def reference_cdf(x: float) -> float:
         return float(0.5 * mpmath.erfc(-mpmath.mpf(x) / mpmath.sqrt(2)))
 
 
+def reference_quantile(p: float) -> float:
+    """High-precision oracle: the root of Phi(x) = p at 50 digits.
+
+    The root is taken in the lower half, where log Phi is well conditioned
+    even at p = 1e-300, and mirrored for p > 1/2; 1 - p is exact there.
+    """
+    with mpmath.workdps(50):
+        q = min(mpmath.mpf(p), 1 - mpmath.mpf(p))
+        if q == 0.5:
+            return 0.0
+        x = mpmath.findroot(
+            lambda t: mpmath.log(mpmath.ncdf(t)) - mpmath.log(q),
+            float(sstats.norm.ppf(float(q))),
+        )
+        return float(x if p < 0.5 else -x)
+
+
 class TestStdNormalCdf:
     def test_symmetry_at_zero(self):
         assert std_normal_cdf(0.0) == 0.5
@@ -90,6 +107,17 @@ class TestStdNormalQuantile:
             assert std_normal_quantile(p) == pytest.approx(
                 -std_normal_quantile(1.0 - p), abs=1e-13
             )
+
+    def test_against_high_precision_oracle(self):
+        # both tails out to 1e-300 and 1 - 1e-16, and the relative
+        # precision of the small quantiles just off p = 1/2
+        ps = [*np.logspace(-300, -1, 300), *np.linspace(0.1, 0.9, 81)]
+        ps += [1.0 - p for p in np.logspace(-16, -1, 100)]
+        ps += [0.5 + p for p in np.logspace(-16, -1, 60)]
+        ps += [0.5 - p for p in np.logspace(-16, -1, 60)]
+        for p in ps:
+            ref = reference_quantile(float(p))
+            assert abs(std_normal_quantile(float(p)) - ref) <= 1e-14 * abs(ref)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_boundary(self, p):
@@ -146,14 +174,10 @@ class TestTradeoffCurve:
             assert float(row[1]) == t2
 
     def test_invariant_violations_rejected(self):
-        with pytest.raises(ValueError, match="power"):
-            TradeoffCurve(alphas=[0.1], type2=[0.5], power=[0.6])
         with pytest.raises(ValueError, match="strictly in"):
-            TradeoffCurve(alphas=[1.0], type2=[0.5], power=[0.5])
+            TradeoffCurve(alphas=[1.0], type2=[0.5])
         with pytest.raises(ValueError, match="nonincreasing"):
-            TradeoffCurve(
-                alphas=[0.1, 0.2], type2=[0.3, 0.5], power=[0.7, 0.5]
-            )
+            TradeoffCurve(alphas=[0.1, 0.2], type2=[0.3, 0.5])
 
 
 class TestDeltaOfEpsilon:

@@ -9,12 +9,10 @@ from badgd.dataset import Dataset, Trigger, sufficient_stats
 from badgd.risk import (
     check_weights,
     empirical_risk,
-    gradient_from_stats,
     gradient_gap,
     mixture_identity_check,
     point_gradient,
     point_loss,
-    risk_from_stats,
     risk_gap,
     risk_gradient,
 )
@@ -60,17 +58,19 @@ class TestEmpiricalRisk:
         assert empirical_risk([1.0, 0.0], two_point) == 0.5
 
     def test_exact_fit_zero(self):
-        d = Dataset.from_arrays([[1.0, 0.0]], [2.0])
+        d = Dataset([[1.0, 0.0]], [2.0])
         assert empirical_risk([2.0, 5.0], d) == 0.0
 
     def test_mean_of_losses(self):
-        d = Dataset.from_arrays([[1.0, 0.0], [0.0, 1.0]], [1.0, 3.0])
+        d = Dataset([[1.0, 0.0], [0.0, 1.0]], [1.0, 3.0])
         assert empirical_risk([1.0, 1.0], d) == 2.0
 
     def test_matches_stats_form(self):
+        # the risk in second moments: s_y - 2 <w, s_yx> + w^T s_xx w
         for w, d, _ in corpus(100, seed=7):
             direct = empirical_risk(w, d)
-            via_stats = risk_from_stats(w, sufficient_stats(d))
+            s = sufficient_stats(d)
+            via_stats = s.s_y - 2.0 * w @ s.s_yx + w @ s.s_xx @ w
             assert abs(direct - via_stats) <= 1e-10 * (1 + magnitude(direct))
 
 
@@ -81,11 +81,11 @@ class TestRiskGradient:
         )
 
     def test_exact_fit_zero(self):
-        d = Dataset.from_arrays([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
+        d = Dataset([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
         np.testing.assert_array_equal(risk_gradient([1.0, 0.0], d), [0.0, 0.0])
 
     def test_single_point_equals_point_gradient(self):
-        d = Dataset.from_arrays([[2.0, 1.0]], [3.0])
+        d = Dataset([[2.0, 1.0]], [3.0])
         w = np.array([0.5, -1.0])
         np.testing.assert_allclose(
             risk_gradient(w, d),
@@ -94,9 +94,11 @@ class TestRiskGradient:
         )
 
     def test_matches_stats_form(self):
+        # the gradient in second moments: 2 (s_xx w - s_yx)
         for w, d, _ in corpus(100, seed=8):
             direct = risk_gradient(w, d)
-            via_stats = gradient_from_stats(w, sufficient_stats(d))
+            s = sufficient_stats(d)
+            via_stats = 2.0 * (s.s_xx @ w - s.s_yx)
             np.testing.assert_allclose(
                 direct, via_stats, rtol=0, atol=1e-10 * (1 + magnitude(direct))
             )
@@ -120,17 +122,16 @@ class TestMixtureIdentity:
         for w, d, v in corpus(100, seed=11):
             mix = mixture_identity_check(w, d, v)
             assert mix.gap <= 1e-10 * (1 + magnitude(mix.lhs))
-            assert mix.holds(tol=1e-9 * (1 + magnitude(mix.lhs)))
 
     def test_duplicate_point_keeps_gradient(self):
-        d = Dataset.from_arrays([[1.0, 2.0]], [3.0])
+        d = Dataset([[1.0, 2.0]], [3.0])
         v = Trigger(x_v=[1.0, 2.0], y_v=3.0)
         w = np.array([0.3, -0.7])
         mix = mixture_identity_check(w, d, v)
         np.testing.assert_allclose(mix.lhs, risk_gradient(w, d), atol=1e-12)
 
     def test_hand_value_n1(self):
-        d = Dataset.from_arrays([[1.0, 0.0]], [1.0])
+        d = Dataset([[1.0, 0.0]], [1.0])
         v = Trigger(x_v=[0.0, 1.0], y_v=3.0)
         mix = mixture_identity_check([1.0, 1.0], d, v)
         np.testing.assert_allclose(mix.lhs, [0.0, -2.0], atol=1e-15)
@@ -139,7 +140,7 @@ class TestMixtureIdentity:
 
 class TestRiskGap:
     def test_hand_value_n1(self):
-        d = Dataset.from_arrays([[1.0, 0.0]], [1.0])
+        d = Dataset([[1.0, 0.0]], [1.0])
         v = Trigger(x_v=[0.0, 1.0], y_v=3.0)
         gap = risk_gap([1.0, 1.0], d, v)
         assert gap.direct == pytest.approx(2.0, abs=1e-12)
@@ -161,19 +162,18 @@ class TestRiskGap:
         for w, d, v in corpus(100, seed=12):
             gap = risk_gap(w, d, v)
             assert gap.discrepancy <= 1e-10 * (1 + magnitude(gap.direct))
-            assert gap.consistent(tol=1e-9 * (1 + magnitude(gap.direct)))
 
 
 class TestGradientGap:
     def test_hand_value_n1(self):
-        d = Dataset.from_arrays([[1.0, 0.0]], [1.0])
+        d = Dataset([[1.0, 0.0]], [1.0])
         v = Trigger(x_v=[0.0, 1.0], y_v=3.0)
         gap = gradient_gap([1.0, 1.0], d, v)
         np.testing.assert_allclose(gap.direct, [0.0, -2.0], atol=1e-12)
         np.testing.assert_allclose(gap.closed_form, [0.0, -2.0], atol=1e-12)
 
     def test_exact_fit_everywhere_gives_zero(self):
-        d = Dataset.from_arrays([[1.0, 0.0], [0.0, 1.0]], [2.0, -1.0])
+        d = Dataset([[1.0, 0.0], [0.0, 1.0]], [2.0, -1.0])
         w = np.array([2.0, -1.0])
         v = Trigger(x_v=[1.0, 1.0], y_v=1.0)
         gap = gradient_gap(w, d, v)

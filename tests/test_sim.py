@@ -18,7 +18,6 @@ from badgd.sim import (
     _simulate_scores,
     Trajectory,
     gd_step,
-    llr_statistic,
     monte_carlo_tradeoff,
     noisy_gd_step,
     run_trajectory,
@@ -33,7 +32,7 @@ W_FIXTURE = np.array([1.0, 0.0])
 def zero_gap_instance():
     """Single-point dataset with its own point as trigger: the clean and
     backdoored gradients coincide exactly, so the SNR is 0."""
-    d0 = Dataset.from_arrays([[1.0, 0.5]], [2.0])
+    d0 = Dataset([[1.0, 0.5]], [2.0])
     v = Trigger(x_v=[1.0, 0.5], y_v=2.0)
     return d0, v
 
@@ -61,7 +60,7 @@ class TestNoisyGDConfig:
 
 class TestGdStep:
     def test_zero_gradient_fixed_point(self):
-        d = Dataset.from_arrays([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
+        d = Dataset([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
         out = gd_step([1.0, 3.0], d, gamma=0.1)
         np.testing.assert_array_equal(out, [1.0, 3.0])
 
@@ -168,28 +167,6 @@ class TestTrajectoryType:
         assert float(rows[1][1]) == traj.risks[0]
 
 
-class TestLlrStatistic:
-    def test_identical_means_zero(self):
-        mu = np.array([0.3, -0.2])
-        assert llr_statistic([1.0, 1.0], mu, mu, 0.5) == 0.0
-
-    def test_plug_in_extremes(self):
-        mu0 = np.zeros(2)
-        mu1 = np.array([1.0, 1.0])
-        sigma_gamma = 0.5
-        d = float(np.linalg.norm(mu1 - mu0)) / sigma_gamma
-        assert llr_statistic(mu1, mu0, mu1, sigma_gamma) == pytest.approx(
-            d * d / 2.0, abs=1e-12
-        )
-        assert llr_statistic(mu0, mu0, mu1, sigma_gamma) == pytest.approx(
-            -d * d / 2.0, abs=1e-12
-        )
-
-    def test_sigma_validation(self):
-        with pytest.raises(ValueError, match="sigma_gamma"):
-            llr_statistic([0.0], [0.0], [1.0], 0.0)
-
-
 class TestMonteCarloTradeoff:
     def test_zero_gap_matches_null(self):
         d0, v = zero_gap_instance()
@@ -269,15 +246,76 @@ class TestMonteCarloTradeoff:
                 W_FIXTURE, two_point, v, NoisyGDConfig(0.1, 1.0), [1.5], 2000
             )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_step_size_cancels(self, two_point):
+        # the score never multiplies by gamma, so even 1e308 cannot overflow
+        stats = sufficient_stats(two_point)
+        v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), stats)
+        runs = [
+            monte_carlo_tradeoff(
+                W_FIXTURE, two_point, v, NoisyGDConfig(gamma, 1.0, seed=8), [0.05], 1000
+            )
+            for gamma in (0.1, 1e308)
+        ]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_snr_out_of_range(self, two_point):
+        stats = sufficient_stats(two_point)
+        v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), stats)
+        with pytest.raises(ValueError, match="snr .* out of floating-point range"):
+            monte_carlo_tradeoff(
+                W_FIXTURE, two_point, v, NoisyGDConfig(0.1, 1e-300), [0.05], 1000
+            )
+
+
+def _streams(w, d0: Dataset, v: Trigger, seed: int):
+    """Clean and backdoored gradients at w, and a noise config."""
+    grad0 = risk_gradient(w, d0)
+    grad1 = risk_gradient(w, make_bad_dataset(d0, v))
+    return grad0, grad1, NoisyGDConfig(gamma=0.1, sigma=0.5, seed=seed)
+
 
 def _fixture_streams(seed: int):
-    """Clean gradient and both update means of the gradwarp trigger."""
-    d0 = Dataset.from_arrays([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0])
+    """The streams of the gradwarp trigger on the two-point fixture."""
+    d0 = Dataset([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0])
     v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), sufficient_stats(d0))
-    cfg = NoisyGDConfig(gamma=0.1, sigma=0.5, seed=seed)
-    grad0 = risk_gradient(W_FIXTURE, d0)
-    grad1 = risk_gradient(W_FIXTURE, make_bad_dataset(d0, v))
-    return grad0, -cfg.gamma * grad0, -cfg.gamma * grad1, cfg
+    return _streams(W_FIXTURE, d0, v, seed)
+
+
+def llr_reference(delta_w, mu0, mu1, sigma_gamma: float) -> float:
+    """Recentered log-likelihood ratio of one observed update ``delta_w``
+    between N(mu0, sigma_gamma^2 I) and N(mu1, sigma_gamma^2 I):
+    ``<W, delta_w> - <W, (mu0 + mu1) / 2>`` with
+    ``W = (mu1 - mu0) / sigma_gamma^2``."""
+    w_vec = (mu1 - mu0) / sigma_gamma**2
+    return float(w_vec @ delta_w - w_vec @ (0.5 * (mu0 + mu1)))
+
+
+class TestLlrScores:
+    """``_simulate_scores`` against the LLR formula on the same draws."""
+
+    @pytest.mark.parametrize("hypothesis", [0, 1])
+    @pytest.mark.parametrize("instance", ["gradwarp", "zero-gap"])
+    def test_first_block_matches_reference(self, instance, hypothesis):
+        if instance == "gradwarp":
+            grad0, grad1, cfg = _fixture_streams(seed=14)
+        else:
+            grad0, grad1, cfg = _streams([0.2, -0.1], *zero_gap_instance(), seed=14)
+        grad = (grad0, grad1)[hypothesis]
+        scores, _ = _simulate_scores(grad, grad0, grad1, cfg, MC_BLOCK, hypothesis)
+
+        noise_seq, _ = np.random.SeedSequence([cfg.seed, hypothesis, 0]).spawn(2)
+        noise = np.random.default_rng(noise_seq).standard_normal((MC_BLOCK, grad.size))
+        updates = -cfg.gamma * (grad + cfg.sigma * noise)
+        mu0, mu1 = -cfg.gamma * grad0, -cfg.gamma * grad1
+        reference = np.array(
+            [llr_reference(dw, mu0, mu1, cfg.sigma_gamma) for dw in updates]
+        )
+        scale = float(np.max(np.abs(reference)))
+        np.testing.assert_allclose(scores, reference, rtol=1e-12, atol=1e-12 * scale)
+        if instance == "zero-gap":
+            assert scale == 0.0
 
 
 class TestBlockStreams:
@@ -287,20 +325,20 @@ class TestBlockStreams:
         "trials", [MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 1]
     )
     def test_shorter_run_is_prefix(self, trials):
-        grad0, mu0, mu1, cfg = _fixture_streams(seed=11)
-        scores, ties = _simulate_scores(grad0, mu0, mu1, cfg, trials, 0)
+        grad0, grad1, cfg = _fixture_streams(seed=11)
+        scores, ties = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
         assert scores.shape == ties.shape == (trials,)
         assert np.all(np.isfinite(scores))
         assert np.all((ties >= 0.0) & (ties < 1.0))
-        longer = _simulate_scores(grad0, mu0, mu1, cfg, 3 * MC_BLOCK, 0)
+        longer = _simulate_scores(grad0, grad0, grad1, cfg, 3 * MC_BLOCK, 0)
         np.testing.assert_array_equal(scores, longer[0][:trials])
         np.testing.assert_array_equal(ties, longer[1][:trials])
 
     def test_blocks_and_hypotheses_draw_different_noise(self):
-        grad0, mu0, mu1, cfg = _fixture_streams(seed=12)
-        scores0, ties0 = _simulate_scores(grad0, mu0, mu1, cfg, 2 * MC_BLOCK, 0)
+        grad0, grad1, cfg = _fixture_streams(seed=12)
+        scores0, ties0 = _simulate_scores(grad0, grad0, grad1, cfg, 2 * MC_BLOCK, 0)
         # the same gradient under the other hypothesis tag: only the noise differs
-        scores1, ties1 = _simulate_scores(grad0, mu0, mu1, cfg, 2 * MC_BLOCK, 1)
+        scores1, ties1 = _simulate_scores(grad0, grad0, grad1, cfg, 2 * MC_BLOCK, 1)
         first, second = slice(0, MC_BLOCK), slice(MC_BLOCK, 2 * MC_BLOCK)
         for a, b in [
             (scores0[first], scores0[second]),
@@ -313,10 +351,10 @@ class TestBlockStreams:
             assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
 
     def test_clean_scores_match_analytic_null(self):
-        grad0, mu0, mu1, cfg = _fixture_streams(seed=13)
+        grad0, grad1, cfg = _fixture_streams(seed=13)
         trials = 100_000
-        d = float(np.linalg.norm(mu1 - mu0)) / cfg.sigma_gamma
-        scores, _ = _simulate_scores(grad0, mu0, mu1, cfg, trials, 0)
+        d = float(np.linalg.norm(grad1 - grad0)) / cfg.sigma
+        scores, _ = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
         mean_se = d / math.sqrt(trials)
         var_se = d * d * math.sqrt(2.0 / (trials - 1))
         assert abs(scores.mean() + 0.5 * d * d) <= 5.0 * mean_se

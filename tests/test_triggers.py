@@ -17,7 +17,6 @@ from badgd.dataset import (
 from badgd.risk import gradient_gap, point_loss, empirical_risk, risk_gap
 from badgd.triggers import (
     TriggerConstraints,
-    TriggerReport,
     build_trigger_report,
     graddistwarp_snr,
     gradwarp_objective,
@@ -145,7 +144,7 @@ class TestGradwarpObjective:
 
     def test_exact_reproduction_gives_zero(self):
         # single-point dataset: the point itself reproduces both moments
-        d = Dataset.from_arrays([[2.0, 1.0]], [1.5])
+        d = Dataset([[2.0, 1.0]], [1.5])
         value = gradwarp_objective([0.4, -0.2], sufficient_stats(d), [2.0, 1.0], 1.5)
         assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -168,7 +167,7 @@ class TestMakeGradwarpTrigger:
 
     def test_cancellation_gives_zero(self):
         # s_yx parallel to w and scale^2 ||w||^2 w = s_xx w at scale 1
-        d = Dataset.from_arrays([[1.0, 0.0]], [3.0])
+        d = Dataset([[1.0, 0.0]], [3.0])
         stats = sufficient_stats(d)
         v = make_gradwarp_trigger([1.0, 0.0], TriggerConstraints(), stats)
         assert gradwarp_objective([1.0, 0.0], stats, v.x_v, v.y_v) == pytest.approx(
@@ -205,7 +204,7 @@ class TestGraddistwarp:
         assert b.kind is TriggerKind.GRADDISTWARP
 
     def test_zero_gap_gives_zero_snr(self):
-        d = Dataset.from_arrays([[1.0, 0.0]], [3.0])
+        d = Dataset([[1.0, 0.0]], [3.0])
         stats = sufficient_stats(d)
         v = make_gradwarp_trigger([1.0, 0.0], TriggerConstraints(), stats)
         snr = graddistwarp_snr([1.0, 0.0], stats, v.x_v, v.y_v, gamma=0.1, sigma=1.0)
@@ -357,6 +356,20 @@ class TestOracleSearch:
         assert dist_v.y_v == grad_v.y_v
         assert dist_value == grad_value
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["riskwarp", "gradwarp"])
+    def test_out_of_range_box_rejected(self, kind, two_point_stats):
+        # every probe of a box this large overflows to inf or nan
+        with pytest.raises(ValueError, match="oracle objective is out of"):
+            oracle_search(
+                kind,
+                W_FIXTURE,
+                two_point_stats,
+                TriggerConstraints(x_norm_max=1e200),
+                budget=2,
+                seed=1,
+            )
+
     def test_manual_kind_has_no_objective(self, two_point_stats):
         with pytest.raises(ValueError, match="manual"):
             oracle_search(
@@ -451,15 +464,4 @@ class TestTriggerReport:
                 two_point_stats,
                 TriggerConstraints(),
                 sigma=0.0,
-            )
-
-    def test_inconsistent_scaling_rejected(self, two_point_stats):
-        v = Trigger(x_v=[1.0, 0.0], y_v=0.5)
-        with pytest.raises(ValueError, match="inconsistent"):
-            TriggerReport(
-                trigger=v,
-                objective_value=2.0,
-                objective_value_scaled=3.0,
-                scaling="1/(n+1)",
-                scaling_factor=0.5,
             )
