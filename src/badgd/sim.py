@@ -81,11 +81,6 @@ class NoisyGDConfig:
         object.__setattr__(self, "steps", check_count(self.steps, "steps", 1))
         object.__setattr__(self, "seed", int(self.seed))
 
-    @property
-    def sigma_gamma(self) -> float:
-        """Noise scale of the update increment: gamma * sigma."""
-        return self.gamma * self.sigma
-
 
 @dataclass(frozen=True)
 class Trajectory:

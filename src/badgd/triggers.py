@@ -20,8 +20,15 @@ is the easiest mistake to make with these quantities: the risk objective
 relates to the risk gap by 1/(n+1), the gradient objective to the
 gradient-gap norm by 2/(n+1), and the SNR additionally divides by sigma.
 
+Each objective takes one candidate point or a ``(k, d)`` array of them,
+and costs O(d) per point: the only O(d^2) product, ``s_xx w``, is formed
+once per call.
+
 The search oracle is deliberately independent of the closed forms: random
 candidates inside the feasible box plus deterministic coordinate descent.
+Every candidate starts from its own seed stream, and all of them refine in
+lockstep as rows of one array, so one objective call scores a move for
+every candidate and a round costs O(budget * d) per probed coordinate.
 It certifies the constructors on their own feasible slices and reports,
 without ranking, what unrestricted search finds elsewhere.
 """
@@ -123,41 +130,68 @@ class TriggerReport:
         return out
 
 
-def _checked_point(w, stats: SufficientStats, x, y):
-    """``(w, x, y)`` as a weight array, a feature array and a float."""
+def _checked_points(w, stats: SufficientStats, x, y):
+    """``(w, x, y)`` as a weight array, a ``(k, d)`` feature array, and a
+    response that is a scalar or one value per row.
+
+    ``x`` is one point of shape ``(d,)`` (then k = 1 and ``y`` is a
+    scalar) or k points of shape ``(k, d)``.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (stats.feature_dim,):
+    dim = stats.feature_dim
+    if x.ndim not in (1, 2) or x.shape[-1] != dim:
         raise ValueError(
             f"trigger features of shape {x.shape} do not match stats "
-            f"feature_dim {stats.feature_dim}"
+            f"feature_dim {dim}"
         )
-    return check_weights(w, stats.feature_dim), x, float(y)
+    y = np.asarray(y, dtype=float)
+    if y.shape not in ((), x.shape[:-1]):
+        raise ValueError(
+            f"trigger responses of shape {y.shape} do not match features "
+            f"of shape {x.shape}"
+        )
+    return check_weights(w, dim), np.atleast_2d(x), y
 
 
-def riskwarp_objective(w, stats: SufficientStats, x, y: float) -> float:
+def _one_or_rows(values: np.ndarray, x):
+    """A float for a one-point call, the ``(k,)`` values otherwise."""
+    return float(values[0]) if np.ndim(x) == 1 else values
+
+
+def riskwarp_objective(w, stats: SufficientStats, x, y):
     """Excess square loss of ``(x, y)`` over the clean risk, in second moments.
 
     Equals ``loss(w, (x, y)) - risk(w, clean)`` when ``stats`` summarize the
     clean dataset; the risk gap after appending the point is this value
-    divided by n + 1.
+    divided by n + 1. Written as
+    ``(y^2 - s_y) + 2 (<w, s_yx> - y <w, x>) + (<w, x>^2 - w' s_xx w)``,
+    it costs O(d) per point after one O(d^2) product per call. ``x`` is
+    one point ``(d,)`` with a scalar ``y`` (returns a float) or rows
+    ``(k, d)`` with a scalar or ``(k,)`` ``y`` (returns ``(k,)`` values).
     """
-    w, x, y = _checked_point(w, stats, x, y)
-    return float(
+    w, rows, y = _checked_points(w, stats, x, y)
+    wx = (rows * w).sum(axis=1)
+    values = (
         (y**2 - stats.s_y)
-        + 2.0 * w @ (stats.s_yx - y * x)
-        + w @ (np.outer(x, x) - stats.s_xx) @ w
+        + 2.0 * (w @ stats.s_yx - y * wx)
+        + (wx**2 - w @ stats.s_xx @ w)
     )
+    return _one_or_rows(values, x)
 
 
-def gradwarp_objective(w, stats: SufficientStats, x, y: float) -> float:
+def gradwarp_objective(w, stats: SufficientStats, x, y):
     """Norm of the gradient-gap bracket, before the 2/(n+1) dataset factor.
 
     The gradient gap after appending the point ``(x, y)`` is ``2/(n+1)``
-    times the vector whose norm is returned here.
+    times the bracket ``(s_yx - s_xx w) + x (<x, w> - y)``, whose norm is
+    returned here. Shapes and cost are as for ``riskwarp_objective``.
     """
-    w, x, y = _checked_point(w, stats, x, y)
-    bracket = (stats.s_yx - y * x) + (np.outer(x, x) - stats.s_xx) @ w
-    return float(np.linalg.norm(bracket))
+    w, rows, y = _checked_points(w, stats, x, y)
+    residual = (rows * w).sum(axis=1) - y
+    bracket = rows * residual[:, None]
+    bracket += stats.s_yx - stats.s_xx @ w
+    bracket *= bracket
+    return _one_or_rows(np.sqrt(bracket.sum(axis=1)), x)
 
 
 def graddistwarp_snr(
@@ -177,9 +211,10 @@ def graddistwarp_snr(
     sigma = check_positive(sigma, "sigma")
     bracket_norm = gradwarp_objective(w, stats, x, y)
     m = stats.n + 1
+    # two square roots: gamma * m alone overflows for gamma near the float maximum
     return SnrValues(
         definitional=2.0 * bracket_norm / (m * sigma),
-        closed_form=bracket_norm / (math.sqrt(gamma * m / 2.0) * sigma),
+        closed_form=bracket_norm / (math.sqrt(gamma) * math.sqrt(m / 2.0) * sigma),
     )
 
 
@@ -312,8 +347,13 @@ def oracle_search(
     ``fixed_x`` the feature part is pinned and only the response is
     searched, which restricts the oracle to a constructor's feasible slice.
 
-    Each candidate gets its own seed stream derived from (seed, index), so
-    results are identical regardless of evaluation order.
+    Each candidate draws its start from its own seed stream derived from
+    (seed, index). The candidates refine in lockstep as the rows of one
+    ``(budget, d)`` array: every step tries the same move on all rows with
+    one objective call, and each row accepts it on its own (inside the box
+    and strictly better), with its own step sizes. So each candidate takes
+    the path it would take alone, and a round costs O(budget * d) per
+    probed (coordinate, sign) column, at most ``2 d + 2`` calls per round.
     """
     fn = _goal(objective).objective
     w = check_weights(w, stats.feature_dim)
@@ -326,61 +366,58 @@ def oracle_search(
         if fixed_x.shape != (dim,):
             raise ValueError(f"fixed_x must have shape ({dim},), got {fixed_x.shape}")
 
-    best_x: np.ndarray | None = None
-    best_y = 0.0
-    best_val = -math.inf
+    x = np.empty((budget, dim))
+    y = np.empty(budget)
+    for i in range(budget):
+        rng = np.random.default_rng([seed, i])
+        if fixed_x is None:
+            direction = rng.standard_normal(dim)
+            norm = float(np.linalg.norm(direction))
+            if norm == 0.0:
+                direction = np.ones(dim)
+                norm = math.sqrt(dim)
+            radius = r_max * rng.uniform() ** (1.0 / dim)
+            x[i] = direction / norm * radius
+        else:
+            x[i] = fixed_x
+        y[i] = rng.uniform(-b, b)
+
     # an out-of-range box makes every value non-finite; that is the error below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(budget):
-            rng = np.random.default_rng([seed, i])
-            if fixed_x is None:
-                direction = rng.standard_normal(dim)
-                norm = float(np.linalg.norm(direction))
-                if norm == 0.0:
-                    direction = np.ones(dim)
-                    norm = math.sqrt(dim)
-                radius = r_max * rng.uniform() ** (1.0 / dim)
-                x = direction / norm * radius
-            else:
-                x = fixed_x.copy()
-            y = float(rng.uniform(-b, b))
-            val = fn(w, stats, x, y)
-
-            x_step = r_max / 4.0
-            y_step = b / 4.0
-            for _ in range(_REFINE_ROUNDS):
-                improved = False
-                if fixed_x is None:
-                    for j in range(dim):
-                        for sign in (1.0, -1.0):
-                            cand = x.copy()
-                            cand[j] += sign * x_step
-                            if np.linalg.norm(cand) > r_max:
-                                continue
-                            cand_val = fn(w, stats, cand, y)
-                            if cand_val > val:
-                                x, val = cand, cand_val
-                                improved = True
+        val = fn(w, stats, x, y)
+        x_step = np.full(budget, r_max / 4.0)
+        y_step = np.full(budget, b / 4.0)
+        for _ in range(_REFINE_ROUNDS):
+            improved = np.zeros(budget, dtype=bool)
+            for j in range(dim) if fixed_x is None else ():
                 for sign in (1.0, -1.0):
-                    cand_y = y + sign * y_step
-                    if abs(cand_y) > b:
-                        continue
-                    cand_val = fn(w, stats, x, cand_y)
-                    if cand_val > val:
-                        y, val = cand_y, cand_val
-                        improved = True
-                if not improved:
-                    x_step *= 0.5
-                    y_step *= 0.5
+                    cand = x.copy()
+                    cand[:, j] += sign * x_step
+                    cand_val = fn(w, stats, cand, y)
+                    norms = np.sqrt((cand * cand).sum(axis=1))
+                    take = ~(norms > r_max) & (cand_val > val)
+                    np.copyto(x[:, j], cand[:, j], where=take)
+                    np.copyto(val, cand_val, where=take)
+                    improved |= take
+            for sign in (1.0, -1.0):
+                cand_y = y + sign * y_step
+                cand_val = fn(w, stats, x, cand_y)
+                take = ~(np.abs(cand_y) > b) & (cand_val > val)
+                np.copyto(y, cand_y, where=take)
+                np.copyto(val, cand_val, where=take)
+                improved |= take
+            np.copyto(x_step, 0.5 * x_step, where=~improved)
+            np.copyto(y_step, 0.5 * y_step, where=~improved)
 
-            if val > best_val:
-                best_x, best_y, best_val = x, y, val
-
+    # the first candidate holding the largest value; NaN never ranks
+    ranked = np.where(np.isnan(val), -math.inf, val)
+    i = int(np.argmax(ranked))
+    best_val = float(ranked[i])
     if not math.isfinite(best_val):
         raise ValueError("oracle objective is out of floating-point range")
     best = Trigger(
-        x_v=best_x,
-        y_v=best_y,
+        x_v=x[i],
+        y_v=float(y[i]),
         kind=TriggerKind.MANUAL,
         trigger_scale=constraints.trigger_scale,
         response_bound=constraints.response_bound,

@@ -277,7 +277,7 @@ def test_criterion_09_noisy_step_moments():
             samples[i] = noisy_gd_step(W_FIXTURE, clean, cfg, noise[i])
 
         target_mean = W_FIXTURE - cfg.gamma * risk_gradient(W_FIXTURE, clean)
-        sg = cfg.sigma_gamma
+        sg = cfg.gamma * cfg.sigma
         mean_tol = 4.0 * sg / math.sqrt(n)
         assert np.all(np.abs(samples.mean(axis=0) - target_mean) <= mean_tol)
 

@@ -587,6 +587,8 @@ class TestConfigPrecedence:
 FUZZ_AUDIT = ["audit", "--data", FIXTURE, "--weights", "1,0", "--trials", "1000"]
 # a search box whose every oracle probe overflows
 HUGE_BOX = ["--xmax", "1e200", "--oracle-budget", "2"]
+# a riskwarp response bound whose square overflows
+HUGE_BOUND = ["--kind", "riskwarp", "--bound", "1e200"]
 
 
 @pytest.mark.parametrize(
@@ -614,6 +616,8 @@ HUGE_BOX = ["--xmax", "1e200", "--oracle-budget", "2"]
         ([*FUZZ_AUDIT, *HUGE_BOX], None),
         ([*FUZZ_AUDIT, "--kind", "riskwarp", *HUGE_BOX], None),
         (["trigger", "--data", FIXTURE, *HUGE_BOX], None),
+        ([*FUZZ_AUDIT, *HUGE_BOUND, "--oracle-budget", "2"], None),
+        (["trigger", "--data", FIXTURE, "--weights", "1,0", *HUGE_BOUND], None),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -644,6 +648,28 @@ OUT_OF_RANGE_STDERR = {
     "error: risk_gap is out of floating-point range\n",
     "trigger": "error: objective_value is out of floating-point range\n",
 }
+
+
+HUGE_BOUND_ERRORS = {
+    "trigger": "objective_value is out of floating-point range",
+    "audit": "oracle objective is out of floating-point range",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HUGE_BOUND_ERRORS))
+def test_riskwarp_huge_bound_names_quantity(command):
+    """A response bound whose square overflows is one error line naming the
+    quantity, not a bare OverflowError text or a numpy warning."""
+    # each subcommand's default oracle budget: 0 on trigger, 32 on audit
+    argv = [command, "--data", FIXTURE, "--weights", "1,0", *HUGE_BOUND]
+    proc = subprocess.run(
+        [sys.executable, "-m", "badgd.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {HUGE_BOUND_ERRORS[command]}"]
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", sorted(OUT_OF_RANGE_STDERR))

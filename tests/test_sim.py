@@ -40,10 +40,11 @@ def zero_gap_instance():
 class TestNoisyGDConfig:
     def test_accepts_zero_sigma(self):
         cfg = NoisyGDConfig(gamma=0.1, sigma=0.0)
-        assert cfg.sigma_gamma == 0.0
+        assert cfg.gamma * cfg.sigma == 0.0
 
     def test_sigma_gamma(self):
-        assert NoisyGDConfig(gamma=0.5, sigma=2.0).sigma_gamma == 1.0
+        cfg = NoisyGDConfig(gamma=0.5, sigma=2.0)
+        assert cfg.gamma * cfg.sigma == 1.0
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -96,10 +97,10 @@ class TestNoisyGdStep:
             noise = cfg.sigma * rng.standard_normal(2)
             increments[i] = noisy_gd_step(W_FIXTURE, two_point, cfg, noise) - W_FIXTURE
         target_mean = -cfg.gamma * grad
-        mean_tol = 4.0 * cfg.sigma_gamma / math.sqrt(n_samples)
+        mean_tol = 4.0 * cfg.gamma * cfg.sigma / math.sqrt(n_samples)
         assert np.all(np.abs(increments.mean(axis=0) - target_mean) <= mean_tol)
         var = increments.var(axis=0, ddof=1)
-        np.testing.assert_allclose(var, cfg.sigma_gamma**2, rtol=0.05)
+        np.testing.assert_allclose(var, (cfg.gamma * cfg.sigma) ** 2, rtol=0.05)
 
 
 class TestRunTrajectory:
@@ -204,7 +205,7 @@ class TestMonteCarloTradeoff:
             np.linalg.norm(
                 cfg.gamma * (risk_gradient(W_FIXTURE, d1) - risk_gradient(W_FIXTURE, two_point))
             )
-        ) / cfg.sigma_gamma
+        ) / (cfg.gamma * cfg.sigma)
         expected = -0.5 * d * d + d * std_normal_quantile(0.95)
         assert result.threshold == pytest.approx(expected, abs=1e-12)
 
@@ -310,7 +311,7 @@ class TestLlrScores:
         updates = -cfg.gamma * (grad + cfg.sigma * noise)
         mu0, mu1 = -cfg.gamma * grad0, -cfg.gamma * grad1
         reference = np.array(
-            [llr_reference(dw, mu0, mu1, cfg.sigma_gamma) for dw in updates]
+            [llr_reference(dw, mu0, mu1, cfg.gamma * cfg.sigma) for dw in updates]
         )
         scale = float(np.max(np.abs(reference)))
         np.testing.assert_allclose(scores, reference, rtol=1e-12, atol=1e-12 * scale)

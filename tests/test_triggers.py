@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from badgd import triggers
 from badgd.dataset import (
     Dataset,
     SufficientStats,
@@ -16,6 +18,7 @@ from badgd.dataset import (
 )
 from badgd.risk import gradient_gap, point_loss, empirical_risk, risk_gap
 from badgd.triggers import (
+    _REFINE_ROUNDS,
     TriggerConstraints,
     build_trigger_report,
     graddistwarp_snr,
@@ -156,6 +159,88 @@ class TestGradwarpObjective:
             assert abs(value - scaled) <= 1e-10 * (1 + magnitude(value))
 
 
+def outer_riskwarp(w, stats, x, y):
+    """The riskwarp objective as first written, through ``np.outer``."""
+    return float(
+        (y**2 - stats.s_y)
+        + 2.0 * w @ (stats.s_yx - y * x)
+        + w @ (np.outer(x, x) - stats.s_xx) @ w
+    )
+
+
+def outer_gradwarp(w, stats, x, y):
+    """The gradwarp objective as first written, through ``np.outer``."""
+    bracket = (stats.s_yx - y * x) + (np.outer(x, x) - stats.s_xx) @ w
+    return float(np.linalg.norm(bracket))
+
+
+def row_corpus(count: int, seed: int, rows: int = 5):
+    """Random instances, each with ``rows`` extra candidate points."""
+    rng = np.random.default_rng(seed)
+    for w, d, _ in corpus(count, seed):
+        xs = rng.uniform(-10.0, 10.0, size=(rows, d.feature_dim))
+        ys = rng.uniform(-10.0, 10.0, size=rows)
+        yield w, d, sufficient_stats(d), xs, ys
+
+
+class TestRowObjectives:
+    @pytest.mark.parametrize(
+        "objective, outer",
+        [(riskwarp_objective, outer_riskwarp), (gradwarp_objective, outer_gradwarp)],
+    )
+    def test_matches_outer_formula(self, objective, outer):
+        for w, _, stats, xs, ys in row_corpus(60, seed=31):
+            values = objective(w, stats, xs, ys)
+            for x, y, value in zip(xs, ys, values):
+                expected = outer(w, stats, x, float(y))
+                assert abs(value - expected) <= 1e-10 * (1 + magnitude(expected))
+
+    @pytest.mark.parametrize("objective", [riskwarp_objective, gradwarp_objective])
+    def test_rows_equal_one_point_calls_exactly(self, objective):
+        for w, _, stats, xs, ys in row_corpus(60, seed=32):
+            values = objective(w, stats, xs, ys)
+            assert values.shape == (len(xs),)
+            points = [objective(w, stats, x, float(y)) for x, y in zip(xs, ys)]
+            assert all(isinstance(p, float) for p in points)
+            np.testing.assert_array_equal(values, points)
+            shared = objective(w, stats, xs, ys[0])
+            np.testing.assert_array_equal(
+                shared, [objective(w, stats, x, ys[0]) for x in xs]
+            )
+
+    def test_riskwarp_rows_equal_excess_loss(self):
+        for w, d, stats, xs, ys in row_corpus(60, seed=33):
+            risk = empirical_risk(w, d)
+            values = riskwarp_objective(w, stats, xs, ys)
+            for x, y, value in zip(xs, ys, values):
+                excess = point_loss(w, x, y) - risk
+                assert abs(value - excess) <= 1e-10 * (1 + magnitude(value))
+
+    def test_gradwarp_rows_equal_scaled_gradient_gap(self):
+        for w, d, stats, xs, ys in row_corpus(60, seed=34):
+            values = gradwarp_objective(w, stats, xs, ys)
+            for x, y, value in zip(xs, ys, values):
+                gap = gradient_gap(w, d, Trigger(x_v=x, y_v=float(y))).direct
+                scaled = float(np.linalg.norm(np.asarray(gap))) * (d.n + 1) / 2.0
+                assert abs(value - scaled) <= 1e-10 * (1 + magnitude(value))
+
+    @pytest.mark.parametrize("objective", [riskwarp_objective, gradwarp_objective])
+    def test_shape_mismatch(self, objective, two_point_stats):
+        with pytest.raises(ValueError, match="feature_dim"):
+            objective(W_FIXTURE, two_point_stats, np.zeros((2, 2, 2)), 0.0)
+        with pytest.raises(ValueError, match="responses"):
+            objective(W_FIXTURE, two_point_stats, np.zeros((3, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="responses"):
+            objective(W_FIXTURE, two_point_stats, np.zeros(2), np.zeros(1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_riskwarp_overflow_is_inf(self, two_point_stats):
+        # a Python float square would raise OverflowError here
+        with np.errstate(over="ignore"):
+            value = riskwarp_objective(W_FIXTURE, two_point_stats, [-1.0, 0.0], 1e200)
+        assert value == math.inf
+
+
 class TestMakeGradwarpTrigger:
     def test_fixture_construction(self, two_point_stats):
         v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), two_point_stats)
@@ -240,6 +325,27 @@ class TestGraddistwarp:
             snr = graddistwarp_snr(W_FIXTURE, two_point_stats, x, y, gamma, 2.0)
             expected = bracket / (math.sqrt(gamma * 3.0 / 2.0) * 2.0)
             assert snr.closed_form == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1e308, 0.1])
+    def test_reduced_form_against_mpmath(self, two_point_stats, gamma):
+        # at gamma 1e308 the product gamma * (n+1) / 2 alone overflows
+        x, y, sigma = [1.0, 0.0], 0.5, 1.0
+        snr = graddistwarp_snr(W_FIXTURE, two_point_stats, x, y, gamma, sigma)
+        with mpmath.workdps(50):
+            mp = mpmath.mpf
+            w = [mp(v) for v in W_FIXTURE]
+            s_yx = [mp(v) for v in two_point_stats.s_yx]
+            s_xx = [[mp(v) for v in row] for row in two_point_stats.s_xx]
+            residual = sum(mp(a) * b for a, b in zip(x, w)) - mp(y)
+            bracket = [
+                s_yx[i] - sum(s_xx[i][j] * w[j] for j in range(2)) + mp(x[i]) * residual
+                for i in range(2)
+            ]
+            norm = mpmath.sqrt(sum(v * v for v in bracket))
+            m = two_point_stats.n + 1
+            expected = norm / (mpmath.sqrt(mp(gamma) * m / 2) * mp(sigma))
+        assert snr.closed_form > 0.0
+        assert abs(snr.closed_form - float(expected)) <= 1e-14 * float(expected)
 
     def test_parameter_validation(self, two_point_stats):
         x, y = [1.0, 0.0], 0.5
@@ -380,6 +486,131 @@ class TestOracleSearch:
                 budget=1,
                 seed=1,
             )
+
+
+OBJECTIVES = {
+    TriggerKind.RISKWARP: riskwarp_objective,
+    TriggerKind.GRADWARP: gradwarp_objective,
+    TriggerKind.GRADDISTWARP: gradwarp_objective,
+}
+
+
+def sequential_oracle(kind, w, stats, constraints, budget, seed, fixed_x=None):
+    """The search oracle one candidate and one probe at a time.
+
+    A reference for ``oracle_search``: the same starts, moves and schedule,
+    scoring each probe with a one-point objective call. Returns the best
+    ``(x, y, value)`` and how many probes the box check rejected.
+    """
+    fn = OBJECTIVES[TriggerKind(kind)]
+    dim = stats.feature_dim
+    b = constraints.response_bound
+    r_max = constraints.x_norm_max
+    best_x, best_y, best_val = None, 0.0, -math.inf
+    rejected = 0
+    for i in range(budget):
+        rng = np.random.default_rng([seed, i])
+        if fixed_x is None:
+            direction = rng.standard_normal(dim)
+            norm = float(np.linalg.norm(direction))
+            if norm == 0.0:
+                direction = np.ones(dim)
+                norm = math.sqrt(dim)
+            radius = r_max * rng.uniform() ** (1.0 / dim)
+            x = direction / norm * radius
+        else:
+            x = np.array(fixed_x, dtype=float)
+        y = float(rng.uniform(-b, b))
+        val = fn(w, stats, x, y)
+        x_step = r_max / 4.0
+        y_step = b / 4.0
+        for _ in range(_REFINE_ROUNDS):
+            improved = False
+            if fixed_x is None:
+                for j in range(dim):
+                    for sign in (1.0, -1.0):
+                        cand = x.copy()
+                        cand[j] += sign * x_step
+                        if np.linalg.norm(cand) > r_max:
+                            rejected += 1
+                            continue
+                        cand_val = fn(w, stats, cand, y)
+                        if cand_val > val:
+                            x, val = cand, cand_val
+                            improved = True
+            for sign in (1.0, -1.0):
+                cand_y = y + sign * y_step
+                if abs(cand_y) > b:
+                    rejected += 1
+                    continue
+                cand_val = fn(w, stats, x, cand_y)
+                if cand_val > val:
+                    y, val = cand_y, cand_val
+                    improved = True
+            if not improved:
+                x_step *= 0.5
+                y_step *= 0.5
+        if val > best_val:
+            best_x, best_y, best_val = x, y, val
+    return best_x, best_y, best_val, rejected
+
+
+def lockstep_instance(dim: int, seed: int):
+    rng = np.random.default_rng([seed, dim])
+    xs = rng.standard_normal((30, dim))
+    ys = xs @ rng.standard_normal(dim) + rng.standard_normal(30)
+    w = rng.standard_normal(dim)
+    return w, sufficient_stats(Dataset(xs, ys)), rng.standard_normal(dim)
+
+
+class TestOracleLockstep:
+    @pytest.mark.parametrize("kind", list(OBJECTIVES))
+    @pytest.mark.parametrize("dim", [1, 2, 5, 20])
+    def test_matches_sequential_reference(self, kind, dim):
+        w, stats, pinned = lockstep_instance(dim, seed=41)
+        boxes = [
+            TriggerConstraints(x_norm_max=2.0, response_bound=1.5),
+            # tight: far from the unconstrained maximum, so moves hit the box
+            TriggerConstraints(x_norm_max=0.05, response_bound=0.05),
+        ]
+        for constraints in boxes:
+            for fixed_x in (None, pinned):
+                for budget in (1, 3, 8):
+                    v, value = oracle_search(
+                        kind, w, stats, constraints, budget, seed=budget + dim,
+                        fixed_x=fixed_x,
+                    )
+                    x, y, expected, rejected = sequential_oracle(
+                        kind, w, stats, constraints, budget, seed=budget + dim,
+                        fixed_x=fixed_x,
+                    )
+                    np.testing.assert_array_equal(v.x_v, x)
+                    assert v.y_v == y
+                    assert abs(value - expected) <= 1e-12 * abs(expected)
+                    if constraints.x_norm_max < 1.0:
+                        assert rejected > 0
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("budget", [1, 8, 64])
+    def test_objective_calls_do_not_grow_with_budget(self, monkeypatch, budget, fixed):
+        dim = 5
+        w, stats, pinned = lockstep_instance(dim, seed=42)
+        goal = triggers._GOALS[TriggerKind.GRADWARP]
+        calls = []
+
+        def counted(*args):
+            calls.append(np.shape(args[2]))
+            return goal.objective(*args)
+
+        monkeypatch.setitem(
+            triggers._GOALS, TriggerKind.GRADWARP, goal._replace(objective=counted)
+        )
+        oracle_search(
+            TriggerKind.GRADWARP, w, stats, TriggerConstraints(), budget, seed=1,
+            fixed_x=pinned if fixed else None,
+        )
+        assert len(calls) <= 1 + _REFINE_ROUNDS * (2 * dim + 2)
+        assert all(shape == (budget, dim) for shape in calls)
 
 
 class TestTriggerReport:
