@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -265,44 +267,85 @@ def sufficient_stats(d: Dataset) -> SufficientStats:
     )
 
 
+# how np.loadtxt reads the wire format: no comment character, '"' quotes
+_CSV_FORMAT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+# a line with no data: only commas, quotes and whitespace
+_BLANK_LINE = re.compile(r'[\s,"]*')
+
+
+def _data_lines(path, skip_header: bool, line_nos: list[int]):
+    """The data lines of a CSV file, each with the width of the first.
+
+    Skips the header line when asked, and lines holding only commas,
+    quotes and whitespace. Appends each yielded line's 1-based number to
+    ``line_nos`` and raises, naming the line, on a row too narrow or of
+    another width.
+    """
+    width: int | None = None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if skip_header and line_no == 1:
+                continue
+            if _BLANK_LINE.fullmatch(line):
+                continue
+            # a quoted field may hold a comma, which only the csv module skips
+            if '"' in line:
+                fields = len(next(csv.reader([line])))
+            else:
+                fields = line.count(",") + 1
+            if width is None:
+                if fields < 2:
+                    raise ValueError(
+                        f"{path}: line {line_no}: need y plus at least one feature"
+                    )
+                width = fields
+            elif fields != width:
+                raise ValueError(
+                    f"{path}: line {line_no}: expected {width} fields, got {fields}"
+                )
+            line_nos.append(line_no)
+            yield line
+
+
+def _first_bad_line(path, skip_header: bool) -> ValueError | None:
+    """The error naming the first data line that is not a row of finite floats.
+
+    Reads the file again one line at a time; only called once the whole
+    file has failed to parse, to say where.
+    """
+    line_nos: list[int] = []
+    for line in _data_lines(path, skip_header, line_nos):
+        try:
+            row = np.loadtxt([line], **_CSV_FORMAT)
+        except ValueError as exc:
+            reason = str(exc).replace("at row 0, ", "at ")
+            return ValueError(f"{path}: line {line_nos[-1]}: {reason}")
+        if not np.all(np.isfinite(row)):
+            return ValueError(f"{path}: line {line_nos[-1]}: non-finite value in row")
+    return None
+
+
 def load_csv(path, *, skip_header: bool = False) -> Dataset:
     """Read a dataset from CSV with rows ``y, x_1, ..., x_d``.
 
     The feature dimension is inferred from the first data row; every later
     row must match it. Malformed or non-finite rows are reported with their
-    1-based line number.
+    1-based line number. NumPy parses the file, streamed line by line.
     """
-    xs: list[np.ndarray] = []
-    ys: list[float] = []
-    width: int | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if skip_header and line_no == 1:
-                continue
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
-            if any(not math.isfinite(v) for v in values):
-                raise ValueError(f"{path}: line {line_no}: non-finite value in row")
-            if width is None:
-                if len(values) < 2:
-                    raise ValueError(
-                        f"{path}: line {line_no}: need y plus at least one feature"
-                    )
-                width = len(values)
-            elif len(values) != width:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {width} fields, got {len(values)}"
-                )
-            ys.append(values[0])
-            xs.append(np.array(values[1:]))
-    if width is None:
+    line_nos: list[int] = []
+    lines = _data_lines(path, skip_header, line_nos)
+    first = next(lines, None)
+    if first is None:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(xs, ys)
+    try:
+        table = np.loadtxt(itertools.chain([first], lines), **_CSV_FORMAT)
+    except ValueError as exc:
+        raise (_first_bad_line(path, skip_header) or exc) from None
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        line_no = line_nos[int(np.argmin(finite))]
+        raise ValueError(f"{path}: line {line_no}: non-finite value in row")
+    return Dataset(table[:, 1:], table[:, 0])
 
 
 def save_csv(d: Dataset, path) -> None:

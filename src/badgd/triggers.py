@@ -20,9 +20,11 @@ is the easiest mistake to make with these quantities: the risk objective
 relates to the risk gap by 1/(n+1), the gradient objective to the
 gradient-gap norm by 2/(n+1), and the SNR additionally divides by sigma.
 
-Each objective takes one candidate point or a ``(k, d)`` array of them,
-and costs O(d) per point: the only O(d^2) product, ``s_xx w``, is formed
-once per call.
+Each objective takes one candidate point or a ``(k, d)`` array of them.
+It is defined once, as a bound evaluator: binding it to ``(w, stats)``
+validates ``w`` and forms its constants, among them the only O(d^2)
+product ``s_xx w``, and the evaluator then costs O(d) per point. The
+public objectives bind once per call, the search oracle once per search.
 
 The search oracle is deliberately independent of the closed forms: random
 candidates inside the feasible box plus deterministic coordinate descent.
@@ -130,13 +132,46 @@ class TriggerReport:
         return out
 
 
-def _checked_points(w, stats: SufficientStats, x, y):
-    """``(w, x, y)`` as a weight array, a ``(k, d)`` feature array, and a
-    response that is a scalar or one value per row.
+def _bind_riskwarp(w, stats: SufficientStats):
+    """The riskwarp objective at fixed ``(w, stats)``: ``f(rows, y)``.
 
-    ``x`` is one point of shape ``(d,)`` (then k = 1 and ``y`` is a
-    scalar) or k points of shape ``(k, d)``.
+    Validates ``w`` and forms ``<w, s_yx>`` and ``w' s_xx w`` once; each
+    call then costs O(d) per row of ``rows`` ``(k, d)``, with ``y`` a
+    scalar or ``(k,)``, and returns ``(k,)`` values.
     """
+    w = check_weights(w, stats.feature_dim)
+    w_syx = w @ stats.s_yx
+    w_sxx_w = w @ stats.s_xx @ w
+
+    def evaluate(rows, y):
+        wx = np.vecdot(rows, w)
+        return (y**2 - stats.s_y) + 2.0 * (w_syx - y * wx) + (wx**2 - w_sxx_w)
+
+    return evaluate
+
+
+def _bind_gradwarp(w, stats: SufficientStats):
+    """The gradwarp objective at fixed ``(w, stats)``: ``f(rows, y)``.
+
+    Validates ``w`` and forms ``a = s_yx - s_xx w``, the only O(d^2)
+    product, once; each call then costs O(d) per row. Shapes as for
+    ``_bind_riskwarp``.
+    """
+    w = check_weights(w, stats.feature_dim)
+    a = stats.s_yx - stats.s_xx @ w
+
+    def evaluate(rows, y):
+        bracket = rows * (np.vecdot(rows, w) - y)[:, None]
+        bracket += a
+        return np.sqrt(np.vecdot(bracket, bracket))
+
+    return evaluate
+
+
+def _evaluate(bind, w, stats: SufficientStats, x, y):
+    """``bind(w, stats)`` at one point ``(d,)`` with a scalar ``y`` (a
+    float) or at rows ``(k, d)`` with a scalar or ``(k,)`` ``y`` (``(k,)``
+    values)."""
     x = np.asarray(x, dtype=float)
     dim = stats.feature_dim
     if x.ndim not in (1, 2) or x.shape[-1] != dim:
@@ -150,12 +185,8 @@ def _checked_points(w, stats: SufficientStats, x, y):
             f"trigger responses of shape {y.shape} do not match features "
             f"of shape {x.shape}"
         )
-    return check_weights(w, dim), np.atleast_2d(x), y
-
-
-def _one_or_rows(values: np.ndarray, x):
-    """A float for a one-point call, the ``(k,)`` values otherwise."""
-    return float(values[0]) if np.ndim(x) == 1 else values
+    values = bind(w, stats)(np.atleast_2d(x), y)
+    return float(values[0]) if x.ndim == 1 else values
 
 
 def riskwarp_objective(w, stats: SufficientStats, x, y):
@@ -169,14 +200,7 @@ def riskwarp_objective(w, stats: SufficientStats, x, y):
     one point ``(d,)`` with a scalar ``y`` (returns a float) or rows
     ``(k, d)`` with a scalar or ``(k,)`` ``y`` (returns ``(k,)`` values).
     """
-    w, rows, y = _checked_points(w, stats, x, y)
-    wx = (rows * w).sum(axis=1)
-    values = (
-        (y**2 - stats.s_y)
-        + 2.0 * (w @ stats.s_yx - y * wx)
-        + (wx**2 - w @ stats.s_xx @ w)
-    )
-    return _one_or_rows(values, x)
+    return _evaluate(_bind_riskwarp, w, stats, x, y)
 
 
 def gradwarp_objective(w, stats: SufficientStats, x, y):
@@ -186,12 +210,7 @@ def gradwarp_objective(w, stats: SufficientStats, x, y):
     times the bracket ``(s_yx - s_xx w) + x (<x, w> - y)``, whose norm is
     returned here. Shapes and cost are as for ``riskwarp_objective``.
     """
-    w, rows, y = _checked_points(w, stats, x, y)
-    residual = (rows * w).sum(axis=1) - y
-    bracket = rows * residual[:, None]
-    bracket += stats.s_yx - stats.s_xx @ w
-    bracket *= bracket
-    return _one_or_rows(np.sqrt(bracket.sum(axis=1)), x)
+    return _evaluate(_bind_gradwarp, w, stats, x, y)
 
 
 def graddistwarp_snr(
@@ -270,14 +289,15 @@ class _Goal(NamedTuple):
     """What a constructed kind is after, declared once.
 
     ``construct(w, constraints, stats)`` builds the trigger and
-    ``objective(w, stats, x, y)`` is what it maximizes. The gap the
-    objective induces is ``numerator / (n + 1)`` times the objective,
-    divided also by sigma when ``per_sigma``; the label and the factors in
-    both directions are derived from those two fields.
+    ``bind(w, stats)`` returns what it maximizes, as a function of
+    ``(rows, y)``. The gap the objective induces is ``numerator / (n + 1)``
+    times the objective, divided also by sigma when ``per_sigma``; the
+    label and the factors in both directions are derived from those two
+    fields.
     """
 
     construct: Callable
-    objective: Callable
+    bind: Callable
     numerator: int
     per_sigma: bool
 
@@ -302,15 +322,15 @@ class _Goal(NamedTuple):
 _GOALS = {
     TriggerKind.RISKWARP: _Goal(
         lambda w, constraints, stats: make_riskwarp_trigger(w, constraints),
-        riskwarp_objective,
+        _bind_riskwarp,
         numerator=1,
         per_sigma=False,
     ),
     TriggerKind.GRADWARP: _Goal(
-        make_gradwarp_trigger, gradwarp_objective, numerator=2, per_sigma=False
+        make_gradwarp_trigger, _bind_gradwarp, numerator=2, per_sigma=False
     ),
     TriggerKind.GRADDISTWARP: _Goal(
-        make_graddistwarp_trigger, gradwarp_objective, numerator=2, per_sigma=True
+        make_graddistwarp_trigger, _bind_gradwarp, numerator=2, per_sigma=True
     ),
 }
 
@@ -354,9 +374,11 @@ def oracle_search(
     and strictly better), with its own step sizes. So each candidate takes
     the path it would take alone, and a round costs O(budget * d) per
     probed (coordinate, sign) column, at most ``2 d + 2`` calls per round.
+    The objective is bound to ``(w, stats)`` once per search. A probe moves
+    one column of the candidate array in place and puts back the rows
+    that reject the move.
     """
-    fn = _goal(objective).objective
-    w = check_weights(w, stats.feature_dim)
+    fn = _goal(objective).bind(w, stats)
     budget = check_count(budget, "budget", 1)
     dim = stats.feature_dim
     b = constraints.response_bound
@@ -365,6 +387,11 @@ def oracle_search(
         fixed_x = np.asarray(fixed_x, dtype=float)
         if fixed_x.shape != (dim,):
             raise ValueError(f"fixed_x must have shape ({dim},), got {fixed_x.shape}")
+    if not math.isfinite(2.0 * b):
+        raise ValueError(
+            f"oracle response bound {b} is out of floating-point range: "
+            "its draw width 2 * bound overflows"
+        )
 
     x = np.empty((budget, dim))
     y = np.empty(budget)
@@ -384,24 +411,26 @@ def oracle_search(
 
     # an out-of-range box makes every value non-finite; that is the error below
     with np.errstate(over="ignore", invalid="ignore"):
-        val = fn(w, stats, x, y)
+        val = fn(x, y)
         x_step = np.full(budget, r_max / 4.0)
         y_step = np.full(budget, b / 4.0)
         for _ in range(_REFINE_ROUNDS):
             improved = np.zeros(budget, dtype=bool)
             for j in range(dim) if fixed_x is None else ():
-                for sign in (1.0, -1.0):
-                    cand = x.copy()
-                    cand[:, j] += sign * x_step
-                    cand_val = fn(w, stats, cand, y)
-                    norms = np.sqrt((cand * cand).sum(axis=1))
+                # move column j in place, then put back the rows that reject it
+                column = x[:, j]
+                for step in (x_step, -x_step):
+                    kept = column.copy()
+                    column += step
+                    cand_val = fn(x, y)
+                    norms = np.sqrt(np.vecdot(x, x))
                     take = ~(norms > r_max) & (cand_val > val)
-                    np.copyto(x[:, j], cand[:, j], where=take)
+                    np.copyto(column, kept, where=~take)
                     np.copyto(val, cand_val, where=take)
                     improved |= take
-            for sign in (1.0, -1.0):
-                cand_y = y + sign * y_step
-                cand_val = fn(w, stats, x, cand_y)
+            for step in (y_step, -y_step):
+                cand_y = y + step
+                cand_val = fn(x, cand_y)
                 take = ~(np.abs(cand_y) > b) & (cand_val > val)
                 np.copyto(y, cand_y, where=take)
                 np.copyto(val, cand_val, where=take)
@@ -449,7 +478,7 @@ def build_trigger_report(
     trigger = goal.construct(w, constraints, stats)
     # out-of-range inputs make the value non-finite; callers reject it
     with np.errstate(over="ignore", invalid="ignore"):
-        value = goal.objective(w, stats, trigger.x_v, trigger.y_v)
+        value = _evaluate(goal.bind, w, stats, trigger.x_v, trigger.y_v)
     oracle_best = None
     if oracle_budget > 0:
         oracle_best = oracle_search(

@@ -618,6 +618,10 @@ HUGE_BOUND = ["--kind", "riskwarp", "--bound", "1e200"]
         (["trigger", "--data", FIXTURE, *HUGE_BOX], None),
         ([*FUZZ_AUDIT, *HUGE_BOUND, "--oracle-budget", "2"], None),
         (["trigger", "--data", FIXTURE, "--weights", "1,0", *HUGE_BOUND], None),
+        # a response bound whose draw width 2 * bound overflows, oracle on
+        ([*FUZZ_AUDIT, "--bound", "1e308", "--oracle-budget", "32"], None),
+        (["trigger", "--data", FIXTURE, "--weights", "1,0", "--bound", "1e308",
+          "--oracle-budget", "2"], None),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -630,7 +634,9 @@ def test_fuzz_exits_cleanly(capsys, tmp_path, argv, config):
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = [*argv, "--config", str(tmp_path / "config.json")]
     assert cli.main(argv) in (0, 1, 2)
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
 
 
 def test_overflow_fixture_writes_report(capsys, tmp_path):
@@ -670,6 +676,22 @@ def test_riskwarp_huge_bound_names_quantity(command):
     assert errors == [f"error: {HUGE_BOUND_ERRORS[command]}"]
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["audit", "trigger"])
+def test_oracle_response_bound_too_wide_named(capsys, tmp_path, command):
+    """A bound the oracle cannot draw from is one error line naming it."""
+    argv = [command, "--data", FIXTURE, "--weights", "1,0", "--bound", "1e308",
+            "--oracle-budget", "32"]
+    if command == "audit":
+        argv += ["--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [
+        "error: oracle response bound 1e+308 is out of floating-point range: "
+        "its draw width 2 * bound overflows"
+    ]
 
 
 @pytest.mark.parametrize("command", sorted(OUT_OF_RANGE_STDERR))

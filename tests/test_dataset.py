@@ -248,6 +248,110 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(path)
 
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"1.0,2.0,3.0\r\n\r\n4.0,5.0,6.0\r\n")
+        d = load_csv(path)
+        np.testing.assert_array_equal(d.y_vector(), [1.0, 4.0])
+        np.testing.assert_array_equal(d.x_matrix(), [[2.0, 3.0], [5.0, 6.0]])
+        path.write_bytes(b"1.0,2.0\r\n\r\n1.0,oops\r\n")
+        with pytest.raises(ValueError, match="line 3:"):
+            load_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blanks.csv"
+        path.write_text('\n   \n1.0,2.0\n,\n , ,\t\n\t\n"",""\n3.0,4.0\n\n')
+        d = load_csv(path)
+        np.testing.assert_array_equal(d.y_vector(), [1.0, 3.0])
+        np.testing.assert_array_equal(d.x_matrix(), [[2.0], [4.0]])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1.0,oops", "could not convert"),
+            ("1.0,2.0,3.0", "expected 2 fields, got 3"),
+            ("1.0,inf", "non-finite value in row"),
+        ],
+    )
+    @pytest.mark.parametrize("skip_header", [False, True])
+    def test_error_line_numbers_count_skipped_lines(
+        self, tmp_path, bad, message, skip_header
+    ):
+        header = "y,x_0\n" if skip_header else ""
+        path = tmp_path / "late.csv"
+        path.write_text(f"{header}\n1.0,2.0\n,\n  \n3.0,4.0\n{bad}\n5.0,6.0\n")
+        line = 7 if skip_header else 6
+        with pytest.raises(ValueError, match=f"line {line}: {message}"):
+            load_csv(path, skip_header=skip_header)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        # a non-finite row before a malformed one is the error reported
+        path = tmp_path / "two_faults.csv"
+        path.write_text("1.0,2.0\n1.0,nan\n1.0,oops\n")
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_csv(path)
+        path.write_text("1.0,2.0\n1.0,nan\n1.0,2.0,3.0\n")
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_csv(path)
+
+    def test_quoted_numeric_fields(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"1.5",2.0,"-3e2"\n" 4.0 ","5",6\n')
+        d = load_csv(path)
+        np.testing.assert_array_equal(d.y_vector(), [1.5, 4.0])
+        np.testing.assert_array_equal(d.x_matrix(), [[2.0, -300.0], [5.0, 6.0]])
+
+    def test_quoted_comma_is_one_bad_field(self, tmp_path):
+        path = tmp_path / "quoted_comma.csv"
+        path.write_text('1.0,2.0\n"3,5",4.0\n')
+        with pytest.raises(ValueError, match="line 2: could not convert string '3,5'"):
+            load_csv(path)
+
+    def test_float_tokens_parse_bit_equal(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(np.float64)
+        values = [float(v) for v in bits if np.isfinite(v)]
+        values += [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+        values += [0.0, -0.0, 0.5, -0.5, 1e5, -1e-5]
+        values += (rng.standard_normal(500) * 10.0 ** rng.integers(-320, 300, 500)).tolist()
+        tokens = [repr(v) for v in values]
+        tokens += [f"{v:.17e}" for v in rng.standard_normal(300).tolist()]
+        # '.5' forms without the leading zero, with and without a sign
+        tokens += [repr(v).replace("0.", ".", 1) for v in rng.uniform(-1, 1, 400).tolist()]
+        # integer mantissas with exponents: '1e5', '+3E-7'
+        tokens += [
+            f"{sign}{int(m)}{e}{int(x)}"
+            for sign, m, e, x in zip(
+                rng.choice(["", "+", "-"], 400),
+                rng.integers(0, 10**6, 400),
+                rng.choice(["e", "E"], 400),
+                rng.integers(-300, 300, 400),
+            )
+        ]
+        spaces = [" ", "\t", "  "]
+        tokens += [
+            f"{spaces[i % 3]}{repr(v)}{spaces[(i + 1) % 3]}"
+            for i, v in enumerate(rng.standard_normal(500).tolist())
+        ]
+        tokens = tokens[:5000]
+        assert len(tokens) == 5000
+        width = 5
+        rows = [tokens[i : i + width] for i in range(0, len(tokens), width)]
+        path = tmp_path / "tokens.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        d = load_csv(path)
+        parsed = np.column_stack([d.y_vector(), d.x_matrix()]).ravel()
+        expected = np.array([float(t) for t in tokens])
+        np.testing.assert_array_equal(parsed.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("token", ["1_000", "\u0661"])
+    def test_tokens_numpy_rejects_name_line(self, tmp_path, token):
+        # float() reads digit separators and non-ASCII digits; NumPy does not
+        path = tmp_path / "python_only.csv"
+        path.write_text(f"1.0,2.0\n{token},2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: could not convert"):
+            load_csv(path)
+
     def test_save_round_trip(self, tmp_path, two_point):
         path = tmp_path / "out.csv"
         save_csv(two_point, path)

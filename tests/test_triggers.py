@@ -16,7 +16,13 @@ from badgd.dataset import (
     TriggerKind,
     sufficient_stats,
 )
-from badgd.risk import gradient_gap, point_loss, empirical_risk, risk_gap
+from badgd.risk import (
+    check_weights,
+    empirical_risk,
+    gradient_gap,
+    point_loss,
+    risk_gap,
+)
 from badgd.triggers import (
     _REFINE_ROUNDS,
     TriggerConstraints,
@@ -476,6 +482,29 @@ class TestOracleSearch:
                 seed=1,
             )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_response_bound_too_wide_to_draw_rejected(self, two_point_stats):
+        # 2 * 1e308 overflows, so rng.uniform(-b, b) cannot draw from it
+        with pytest.raises(ValueError, match="oracle response bound"):
+            oracle_search(
+                "gradwarp",
+                W_FIXTURE,
+                two_point_stats,
+                TriggerConstraints(response_bound=1e308),
+                budget=2,
+                seed=1,
+            )
+        # a bound whose width is finite draws, then every probe overflows
+        with pytest.raises(ValueError, match="oracle objective is out of"):
+            oracle_search(
+                "gradwarp",
+                W_FIXTURE,
+                two_point_stats,
+                TriggerConstraints(response_bound=8e307),
+                budget=2,
+                seed=1,
+            )
+
     def test_manual_kind_has_no_objective(self, two_point_stats):
         with pytest.raises(ValueError, match="manual"):
             oracle_search(
@@ -598,12 +627,17 @@ class TestOracleLockstep:
         goal = triggers._GOALS[TriggerKind.GRADWARP]
         calls = []
 
-        def counted(*args):
-            calls.append(np.shape(args[2]))
-            return goal.objective(*args)
+        def counted_bind(w, stats):
+            evaluate = goal.bind(w, stats)
+
+            def counted(rows, y):
+                calls.append(np.shape(rows))
+                return evaluate(rows, y)
+
+            return counted
 
         monkeypatch.setitem(
-            triggers._GOALS, TriggerKind.GRADWARP, goal._replace(objective=counted)
+            triggers._GOALS, TriggerKind.GRADWARP, goal._replace(bind=counted_bind)
         )
         oracle_search(
             TriggerKind.GRADWARP, w, stats, TriggerConstraints(), budget, seed=1,
@@ -611,6 +645,24 @@ class TestOracleLockstep:
         )
         assert len(calls) <= 1 + _REFINE_ROUNDS * (2 * dim + 2)
         assert all(shape == (budget, dim) for shape in calls)
+
+    @pytest.mark.parametrize("kind", list(OBJECTIVES))
+    def test_weights_checked_once_per_search(self, monkeypatch, kind):
+        checks = []
+
+        def counted(w, feature_dim):
+            checks.append(feature_dim)
+            return check_weights(w, feature_dim)
+
+        monkeypatch.setattr(triggers, "check_weights", counted)
+        counts = set()
+        for dim in (1, 5, 20):
+            w, stats, _ = lockstep_instance(dim, seed=43)
+            for budget in (1, 8):
+                checks.clear()
+                oracle_search(kind, w, stats, TriggerConstraints(), budget, seed=2)
+                counts.add(len(checks))
+        assert counts == {1}
 
 
 class TestTriggerReport:
