@@ -48,14 +48,13 @@ from .gdp import (
     tradeoff_curve,
 )
 from .risk import (
+    BackdoorGaps,
     GapValues,
     MixtureIdentity,
+    backdoor_gaps,
     empirical_risk,
-    gradient_gap,
-    mixture_identity_check,
     point_gradient,
     point_loss,
-    risk_gap,
     risk_gradient,
 )
 from .sim import (
@@ -104,14 +103,13 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
     "tradeoff_curve",
+    "BackdoorGaps",
     "GapValues",
     "MixtureIdentity",
+    "backdoor_gaps",
     "empirical_risk",
-    "gradient_gap",
-    "mixture_identity_check",
     "point_gradient",
     "point_loss",
-    "risk_gap",
     "risk_gradient",
     "DistinguisherResult",
     "NoisyGDConfig",

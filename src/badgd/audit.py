@@ -11,7 +11,11 @@ per step on stderr.
 
 This module only compares routes; it computes none of them. Each gap's
 direct and closed-form evaluations live in ``risk``, so a bug in one of
-them cannot hide behind shared arithmetic here.
+them cannot hide behind shared arithmetic here. The clean second moments
+are computed once and feed the trigger, the gaps' closed forms and the
+SNR; the two full-batch gradients behind the direct gradient gap also
+feed the Monte Carlo run, whose estimates are judged against the
+analytic curve from the SNR's closed form.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 
 from .dataset import (
     Dataset,
+    SufficientStats,
     Trigger,
     TriggerKind,
     check_count,
@@ -37,7 +42,7 @@ from .gdp import (
     snr_to_budget,
     tradeoff_curve,
 )
-from .risk import check_weights, gradient_gap, mixture_identity_check, risk_gap
+from .risk import backdoor_gaps, check_weights
 from .sim import NoisyGDConfig, check_trials, monte_carlo_tradeoff
 from .triggers import (
     _GOALS,
@@ -61,19 +66,22 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= _CHECK_TOL * scale
 
 
-def gap_sections(w, data: Dataset, trigger: Trigger) -> tuple[dict, dict]:
+def gap_sections(
+    w, data: Dataset, stats: SufficientStats, trigger: Trigger
+) -> tuple[dict, dict, tuple[np.ndarray, np.ndarray]]:
     """The three gaps of appending ``trigger`` to ``data``, as report sections.
 
-    Returns the ``risk_gap``, ``gradient_gap`` and ``mixture_identity``
-    sections, and one check per gap that its two routes agree. A section
-    with a non-finite value is a ValueError: the inputs are out of
-    floating-point range, which says nothing about the routes' agreement.
+    ``stats`` is ``sufficient_stats(data)``. Returns the ``risk_gap``,
+    ``gradient_gap`` and ``mixture_identity`` sections, one check per gap
+    that its two routes agree, and the full-batch gradients on the clean
+    and the backdoored data. A section with a non-finite value is a
+    ValueError: the inputs are out of floating-point range, which says
+    nothing about the routes' agreement.
     """
     # out-of-range inputs surface as the error below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        r_gap = risk_gap(w, data, trigger)
-        g_gap = gradient_gap(w, data, trigger)
-        mixture = mixture_identity_check(w, data, trigger)
+        gaps = backdoor_gaps(w, data, stats, trigger)
+        r_gap, g_gap, mixture = gaps.risk, gaps.gradient, gaps.mixture
         direct = np.asarray(g_gap.direct)
         sections = {
             "risk_gap": {
@@ -99,7 +107,7 @@ def gap_sections(w, data: Dataset, trigger: Trigger) -> tuple[dict, dict]:
         "mixture_identity": mixture.gap
         <= _CHECK_TOL * (1.0 + float(np.max(np.abs(mixture.lhs)))),
     }
-    return sections, checks
+    return sections, checks, (gaps.grad_clean, gaps.grad_bad)
 
 
 def run_audit(
@@ -152,7 +160,7 @@ def run_audit(
     kind = trigger.kind
     _log(f"trigger ready (kind={kind.value})")
 
-    sections, checks = gap_sections(w, data, trigger)
+    sections, checks, grads = gap_sections(w, data, stats, trigger)
     r_gap, g_gap = sections["risk_gap"], sections["gradient_gap"]
     _log("gap identities evaluated")
 
@@ -160,7 +168,7 @@ def run_audit(
     _log(f"snr = {snr.definitional!r}")
 
     curve = tradeoff_curve(snr.definitional, alphas)
-    mc = monte_carlo_tradeoff(w, data, trigger, cfg, alphas, trials)
+    mc = monte_carlo_tradeoff(*grads, cfg, alphas, trials)
     _log(f"monte carlo complete (trials={trials})")
 
     budget = snr_to_budget(snr.definitional, delta)

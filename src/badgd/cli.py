@@ -244,11 +244,10 @@ def cmd_gap(args) -> int:
     d, source = _resolve_dataset(args)
     w = _resolve_weights(args, d.feature_dim)
     constraints, trigger = _resolve_trigger(args, d.feature_dim)
+    stats = sufficient_stats(d)
     if not isinstance(trigger, Trigger):
-        trigger = build_trigger_report(
-            trigger, w, sufficient_stats(d), constraints
-        ).trigger
-    sections, checks = gap_sections(w, d, trigger)
+        trigger = build_trigger_report(trigger, w, stats, constraints).trigger
+    sections, checks, _ = gap_sections(w, d, stats, trigger)
     ok = all(checks.values())
     payload = {
         "source": source,

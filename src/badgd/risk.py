@@ -3,10 +3,16 @@
 The per-example loss is ``(y - <w, x>)^2`` and the empirical risk is its
 mean over the rows of a dataset ``(X, y)``. Appending a single trigger row
 v to a size-n dataset shifts the risk and the full-batch gradient by exactly
-``1/(n+1)`` times the trigger's excess over the clean average. Every gap
-here is computed twice, once by brute-force subtraction of the two risks
-or gradients and once through that closed form, and both routes are
-reported so the algebra is checked on every call.
+``1/(n+1)`` times the trigger's excess over the clean average.
+
+``backdoor_gaps`` materialises the backdoored ``(n+1, d)`` dataset once per
+call and computes every gap twice from it. The direct route subtracts
+brute-force risks or full-batch gradients taken over the clean and the
+backdoored rows. The closed form uses only the clean second moments, the
+clean risk and the trigger, never the backdoored rows. Both routes are
+reported so the algebra is checked on every call. Building the backdoored
+rows once hides nothing a rebuild could catch: the construction and the
+gradients are deterministic, so a rebuild gives the same bits.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Trigger, make_bad_dataset, sufficient_stats
+from .dataset import Dataset, SufficientStats, Trigger, make_bad_dataset
 
 __all__ = [
     "point_loss",
@@ -24,9 +30,8 @@ __all__ = [
     "risk_gradient",
     "GapValues",
     "MixtureIdentity",
-    "risk_gap",
-    "gradient_gap",
-    "mixture_identity_check",
+    "BackdoorGaps",
+    "backdoor_gaps",
     "check_weights",
 ]
 
@@ -68,7 +73,7 @@ def risk_gradient(w, d: Dataset) -> np.ndarray:
     w = check_weights(w, d.feature_dim)
     x = d.x_matrix()
     residuals = d.y_vector() - x @ w
-    return -2.0 * x.T @ residuals / d.n
+    return -2.0 * (x.T @ residuals) / d.n
 
 
 @dataclass(frozen=True)
@@ -105,49 +110,91 @@ class MixtureIdentity:
         return float(np.max(np.abs(self.lhs - self.rhs)))
 
 
-def risk_gap(w, clean: Dataset, v: Trigger) -> GapValues:
-    """Risk shift caused by appending the trigger, both routes.
+@dataclass(frozen=True)
+class BackdoorGaps:
+    """Every gap of appending one trigger, and the two gradients behind them.
 
-    Direct: ``L(w, clean + v) - L(w, clean)``.
-    Closed form: ``(loss(w, v) - L(w, clean)) / (n + 1)``.
+    ``grad_clean`` and ``grad_bad`` are the full-batch gradients on the
+    clean and the backdoored dataset; the direct gradient gap is their
+    difference and the mixture identity's ``lhs`` is ``grad_bad``.
     """
-    bad = make_bad_dataset(clean, v)
+
+    risk: GapValues
+    gradient: GapValues
+    mixture: MixtureIdentity
+    grad_clean: np.ndarray
+    grad_bad: np.ndarray
+
+
+def risk_gap(w, clean: Dataset, bad: Dataset, v: Trigger) -> GapValues:
+    """Risk shift of appending v to ``clean``, which gives ``bad``; both routes.
+
+    Direct: ``L(w, bad) - L(w, clean)``.
+    Closed form: ``(loss(w, v) - L(w, clean)) / (n + 1)``.
+    One stage of ``backdoor_gaps``, which builds ``bad`` and checks ``w``.
+    """
     clean_risk = empirical_risk(w, clean)
     direct = empirical_risk(w, bad) - clean_risk
     closed = (point_loss(w, v.x_v, v.y_v) - clean_risk) / (clean.n + 1)
     return GapValues(direct=direct, closed_form=closed)
 
 
-def gradient_gap(w, clean: Dataset, v: Trigger) -> GapValues:
-    """Gradient shift caused by appending the trigger, both routes.
+def gradient_gap(
+    w: np.ndarray,
+    grad_clean: np.ndarray,
+    grad_bad: np.ndarray,
+    stats: SufficientStats,
+    v: Trigger,
+) -> GapValues:
+    """Gradient shift of appending v, from the clean and backdoored gradients.
 
-    Direct: ``grad L(w, clean + v) - grad L(w, clean)``.
-    Closed form, in clean second moments:
+    Direct: ``grad_bad - grad_clean``.
+    Closed form, in the clean second moments ``stats`` only:
     ``(2/(n+1)) [ (s_yx - y_v x_v) + (x_v x_v^T - s_xx) w ]``.
+    One stage of ``backdoor_gaps``.
     """
-    w = check_weights(w, clean.feature_dim)
-    bad = make_bad_dataset(clean, v)
-    direct = risk_gradient(w, bad) - risk_gradient(w, clean)
-    stats = sufficient_stats(clean)
     bracket = (stats.s_yx - v.y_v * v.x_v) + (
         np.outer(v.x_v, v.x_v) - stats.s_xx
     ) @ w
-    closed = 2.0 / (clean.n + 1) * bracket
-    return GapValues(direct=direct, closed_form=closed)
+    closed = 2.0 / (stats.n + 1) * bracket
+    return GapValues(direct=grad_bad - grad_clean, closed_form=closed)
 
 
-def mixture_identity_check(w, clean: Dataset, v: Trigger) -> MixtureIdentity:
-    """Decompose the backdoored gradient as a convex combination.
+def mixture_identity_check(
+    w: np.ndarray,
+    grad_clean: np.ndarray,
+    grad_bad: np.ndarray,
+    stats: SufficientStats,
+    v: Trigger,
+) -> MixtureIdentity:
+    """The backdoored gradient against its clean/trigger convex combination.
 
     With n clean examples and one trigger, the full-batch gradient on the
     backdoored dataset equals ``(n/(n+1)) * clean gradient + (1/(n+1)) *
-    trigger gradient`` exactly.
+    trigger gradient`` exactly. One stage of ``backdoor_gaps``.
+    """
+    lam = 1.0 / (stats.n + 1)
+    rhs = (1.0 - lam) * grad_clean + lam * point_gradient(w, v.x_v, v.y_v)
+    return MixtureIdentity(lhs=grad_bad, rhs=rhs)
+
+
+def backdoor_gaps(w, clean: Dataset, stats: SufficientStats, v: Trigger) -> BackdoorGaps:
+    """Risk gap, gradient gap and mixture identity of appending v to ``clean``.
+
+    ``stats`` must be ``sufficient_stats(clean)``; the gradient gap's
+    closed form reads only it and the trigger. The backdoored dataset is
+    built once, and each full-batch gradient is taken once and returned
+    with the gaps, so a caller needing them (the Monte Carlo
+    distinguisher) takes no third pass over the rows.
     """
     w = check_weights(w, clean.feature_dim)
     bad = make_bad_dataset(clean, v)
-    lam = 1.0 / (clean.n + 1)
-    lhs = risk_gradient(w, bad)
-    rhs = (1.0 - lam) * risk_gradient(w, clean) + lam * point_gradient(
-        w, v.x_v, v.y_v
+    grad_clean = risk_gradient(w, clean)
+    grad_bad = risk_gradient(w, bad)
+    return BackdoorGaps(
+        risk=risk_gap(w, clean, bad, v),
+        gradient=gradient_gap(w, grad_clean, grad_bad, stats, v),
+        mixture=mixture_identity_check(w, grad_clean, grad_bad, stats, v),
+        grad_clean=grad_clean,
+        grad_bad=grad_bad,
     )
-    return MixtureIdentity(lhs=lhs, rhs=rhs)

@@ -3,14 +3,16 @@
 One plain step is ``w - gamma * grad``; the noisy variant perturbs the
 gradient with N(0, sigma^2 I) before the step, so the update increment is
 Gaussian with mean ``-gamma * grad`` and scale ``gamma * sigma``. The
-Monte Carlo distinguisher simulates many one-step updates under the clean
-and backdoored datasets, scores each with the log-likelihood-ratio
-statistic, and estimates the type-I/type-II errors of the optimal test at
-thresholds taken from the analytic null. Those estimates are the
-empirical check on the analytic tradeoff curves: the analysis says the
-recentered statistic is N(-d^2/2, d^2) under the clean dataset and
-N(+d^2/2, d^2) under the backdoored one, and the simulation either
-reproduces the implied error rates or it does not.
+Monte Carlo distinguisher takes the full-batch gradients on the clean and
+the backdoored dataset (``risk.backdoor_gaps`` returns both), simulates
+many one-step updates under each, scores each with the
+log-likelihood-ratio statistic, and estimates the type-I/type-II errors
+of the optimal test at thresholds taken from the analytic null. It builds
+no dataset. Those estimates are the empirical check on the analytic
+tradeoff curves: the analysis says the recentered statistic is
+N(-d^2/2, d^2) under the clean dataset and N(+d^2/2, d^2) under the
+backdoored one, and the simulation either reproduces the implied error
+rates or it does not.
 
 Reproducibility contract: the distinguisher runs its trials in blocks of
 ``MC_BLOCK`` (4096), a constant rather than an option. Block ``b`` of
@@ -32,14 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (
-    Dataset,
-    Trigger,
-    check_count,
-    check_nonnegative,
-    check_positive,
-    make_bad_dataset,
-)
+from .dataset import Dataset, check_count, check_nonnegative, check_positive
 from .gdp import check_level, gaussian_tradeoff, std_normal_quantile
 from .risk import check_weights, empirical_risk, risk_gradient
 
@@ -202,10 +197,14 @@ def run_trajectory(w0, d: Dataset, cfg: NoisyGDConfig, noisy: bool) -> Trajector
     w = check_weights(w0, d.feature_dim)
     rng = np.random.default_rng(cfg.seed)
     weights = [w]
-    risks = [empirical_risk(w, d)]
     diverged = False
     # large steps may overflow on purpose; the flag reports it, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        risks = [empirical_risk(w, d)]
+        if not math.isfinite(risks[0]):
+            raise ValueError(
+                "initial risk is out of floating-point range at these weights"
+            )
         for _ in range(cfg.steps):
             if noisy:
                 noise = cfg.sigma * rng.standard_normal(d.feature_dim)
@@ -262,16 +261,18 @@ def _simulate_scores(
 
 
 def monte_carlo_tradeoff(
-    w,
-    d0: Dataset,
-    v: Trigger,
+    grad_clean,
+    grad_bad,
     cfg: NoisyGDConfig,
     alphas,
     trials: int,
 ) -> list[DistinguisherResult]:
     """Estimate the error rates of the optimal clean-vs-backdoored test.
 
-    For each level alpha the threshold is the (1 - alpha) quantile of the
+    ``grad_clean`` and ``grad_bad`` are the full-batch gradients at the
+    current weights on the clean and the backdoored dataset, finite
+    vectors of one shape; one noisy step from each is simulated. For
+    each level alpha the threshold is the (1 - alpha) quantile of the
     analytic null N(-d^2/2, d^2), not an empirical quantile, so the run
     tests the distributional claim rather than self-normalizing. The test
     rejects when the score exceeds the threshold, and on an exact tie
@@ -282,11 +283,17 @@ def monte_carlo_tradeoff(
     trials = check_trials(trials)
     if cfg.sigma <= 0:
         raise ValueError("distinguisher requires sigma > 0")
-    w = check_weights(w, d0.feature_dim)
+    grad0 = np.asarray(grad_clean, dtype=float)
+    grad1 = np.asarray(grad_bad, dtype=float)
+    if grad0.ndim != 1 or grad0.shape != grad1.shape:
+        raise ValueError(
+            "gradients must be vectors of one shape, "
+            f"got {grad0.shape} and {grad1.shape}"
+        )
+    if not (np.all(np.isfinite(grad0)) and np.all(np.isfinite(grad1))):
+        raise ValueError("gradients must be finite element-wise")
     alphas = [check_level(a, "alpha") for a in alphas]
 
-    grad0 = risk_gradient(w, d0)
-    grad1 = risk_gradient(w, make_bad_dataset(d0, v))
     d = float(np.linalg.norm(grad1 - grad0)) / cfg.sigma
     if not math.isfinite(d * d):
         raise ValueError(f"snr {d!r} is out of floating-point range")

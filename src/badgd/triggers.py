@@ -253,7 +253,12 @@ def make_riskwarp_trigger(w, constraints: TriggerConstraints) -> Trigger:
 
 def _warp_point(w, constraints: TriggerConstraints, stats: SufficientStats, kind: TriggerKind) -> Trigger:
     w = check_weights(w, stats.feature_dim)
-    norm_sq = float(w @ w)
+    with np.errstate(over="ignore"):
+        norm_sq = float(w @ w)
+    if not math.isfinite(norm_sq):
+        raise ValueError(
+            f"{kind.value} trigger: squared weight norm is out of floating-point range"
+        )
     if norm_sq == 0.0:
         raise ValueError(f"{kind.value} trigger requires a nonzero weight vector")
     alpha = constraints.trigger_scale

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from badgd.dataset import Dataset, Trigger, sufficient_stats
+from badgd.risk import BackdoorGaps, backdoor_gaps
 
 DATA_DIR = Path(__file__).parent / "data"
 TWO_POINT_CSV = DATA_DIR / "two_point.csv"
@@ -57,6 +58,11 @@ def corpus(count: int, seed: int):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         yield random_instance(rng)
+
+
+def gaps_of(w, d: Dataset, v: Trigger) -> BackdoorGaps:
+    """Every gap of appending v to d, with d's stats computed here."""
+    return backdoor_gaps(w, d, sufficient_stats(d), v)
 
 
 def magnitude(*values) -> float:

@@ -22,7 +22,7 @@ from badgd.gdp import (
     gaussian_tradeoff,
     std_normal_cdf,
 )
-from badgd.risk import gradient_gap, mixture_identity_check, risk_gap, risk_gradient
+from badgd.risk import risk_gradient
 from badgd.sim import NoisyGDConfig, monte_carlo_tradeoff, noisy_gd_step
 from badgd.triggers import (
     TriggerConstraints,
@@ -32,7 +32,7 @@ from badgd.triggers import (
     make_riskwarp_trigger,
     riskwarp_objective,
 )
-from conftest import TWO_POINT_CSV, corpus, magnitude, make_two_point
+from conftest import TWO_POINT_CSV, corpus, gaps_of, magnitude, make_two_point
 
 CORPUS_COUNT = 1000
 CORPUS_SEED = 90210
@@ -56,15 +56,16 @@ def test_criterion_01_gap_identities():
         start = time.perf_counter()
         count = 0
         for w, d0, v in corpus(CORPUS_COUNT, CORPUS_SEED):
-            rg = risk_gap(w, d0, v)
+            gaps = gaps_of(w, d0, v)
+            rg = gaps.risk
             assert rg.discrepancy <= 1e-10 * (
                 1.0 + magnitude(rg.direct, rg.closed_form)
             )
-            gg = gradient_gap(w, d0, v)
+            gg = gaps.gradient
             assert gg.discrepancy <= 1e-10 * (
                 1.0 + magnitude(gg.direct, gg.closed_form)
             )
-            mi = mixture_identity_check(w, d0, v)
+            mi = gaps.mixture
             assert mi.gap <= 1e-10 * (1.0 + magnitude(mi.lhs, mi.rhs))
             count += 1
         elapsed = time.perf_counter() - start
@@ -82,11 +83,12 @@ def test_criterion_02_scaling_reductions():
             m = d0.n + 1
 
             j = riskwarp_objective(w, stats, v.x_v, v.y_v)
-            rg = risk_gap(w, d0, v)
+            gaps = gaps_of(w, d0, v)
+            rg = gaps.risk
             assert abs(j - m * rg.direct) <= 1e-10 * (1.0 + magnitude(j))
 
             g = gradwarp_objective(w, stats, v.x_v, v.y_v)
-            gap_norm = float(np.linalg.norm(gradient_gap(w, d0, v).direct))
+            gap_norm = float(np.linalg.norm(gaps.gradient.direct))
             assert abs(g - 0.5 * m * gap_norm) <= 1e-10 * (1.0 + magnitude(g))
 
             gamma = float(rng.uniform(0.01, 2.0))
@@ -187,23 +189,25 @@ def test_criterion_05_monte_carlo_matches_analytic():
     def instance(d_target: float):
         if d_target == 0.0:
             w, clean, v = _zero_gap_instance()
-            sigma = 1.0
         else:
             clean = make_two_point()
             w = W_FIXTURE
             v = make_gradwarp_trigger(
                 w, TriggerConstraints(), sufficient_stats(clean)
             )
-            gap_norm = float(np.linalg.norm(gradient_gap(w, clean, v).direct))
-            sigma = gap_norm / d_target
+        gaps = gaps_of(w, clean, v)
+        gap_norm = float(np.linalg.norm(gaps.gradient.direct))
+        sigma = gap_norm / d_target if d_target else 1.0
         cfg = NoisyGDConfig(gamma=0.1, sigma=sigma, steps=1, seed=MC_SEED)
-        return w, clean, v, cfg
+        return gaps.grad_clean, gaps.grad_bad, cfg
 
     def check():
         start = time.perf_counter()
         for d_target in (0.0, 0.5, 1.0, 2.0):
-            w, clean, v, cfg = instance(d_target)
-            for res in monte_carlo_tradeoff(w, clean, v, cfg, alphas, MC_TRIALS):
+            grad_clean, grad_bad, cfg = instance(d_target)
+            for res in monte_carlo_tradeoff(
+                grad_clean, grad_bad, cfg, alphas, MC_TRIALS
+            ):
                 type2, power = gaussian_tradeoff(d_target, res.alpha)
                 se = math.sqrt(type2 * (1.0 - type2) / MC_TRIALS)
                 assert abs(res.est_type2 - type2) <= 3.0 * se, (

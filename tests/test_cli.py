@@ -589,6 +589,18 @@ FUZZ_AUDIT = ["audit", "--data", FIXTURE, "--weights", "1,0", "--trials", "1000"
 HUGE_BOX = ["--xmax", "1e200", "--oracle-budget", "2"]
 # a riskwarp response bound whose square overflows
 HUGE_BOUND = ["--kind", "riskwarp", "--bound", "1e200"]
+# weights whose squared norm, and so the risk, overflows
+HUGE_WEIGHTS = ["--data", FIXTURE, "--weights", "1e200,1e200"]
+HUGE_WEIGHTS_ERRORS = {
+    **{
+        (command, kind): f"error: {kind} trigger: squared weight norm is out of "
+        "floating-point range"
+        for command in ("trigger", "gap", "audit")
+        for kind in ("gradwarp", "graddistwarp")
+    },
+    ("simulate", None): "error: initial risk is out of floating-point range at "
+    "these weights",
+}
 
 
 @pytest.mark.parametrize(
@@ -622,13 +634,17 @@ HUGE_BOUND = ["--kind", "riskwarp", "--bound", "1e200"]
         ([*FUZZ_AUDIT, "--bound", "1e308", "--oracle-budget", "32"], None),
         (["trigger", "--data", FIXTURE, "--weights", "1,0", "--bound", "1e308",
           "--oracle-budget", "2"], None),
+        *(
+            ([command, *HUGE_WEIGHTS, *(["--kind", kind] if kind else [])], None)
+            for command, kind in HUGE_WEIGHTS_ERRORS
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fuzz_exits_cleanly(capsys, tmp_path, argv, config):
     """Extreme and invalid inputs end in exit 0, 1 or 2 with no warning,
     exception or traceback; the oracle is off unless a case turns it on."""
-    if "--oracle-budget" not in argv:
+    if argv[0] in ("audit", "trigger") and "--oracle-budget" not in argv:
         argv = [*argv, "--oracle-budget", "0"]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
@@ -637,6 +653,19 @@ def test_fuzz_exits_cleanly(capsys, tmp_path, argv, config):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("command, kind", sorted(HUGE_WEIGHTS_ERRORS, key=str))
+def test_huge_weights_name_quantity(capsys, tmp_path, command, kind):
+    """Weights whose squared norm overflows are one error line naming the
+    quantity, with no numpy warning (the suite turns those into errors)."""
+    argv = [command, *HUGE_WEIGHTS, *(["--kind", kind] if kind else [])]
+    if command == "audit":
+        argv += ["--out", str(tmp_path)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [HUGE_WEIGHTS_ERRORS[command, kind]]
 
 
 def test_overflow_fixture_writes_report(capsys, tmp_path):

@@ -5,18 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from badgd.dataset import Dataset, Trigger, sufficient_stats
+from badgd.dataset import Dataset, Trigger, make_bad_dataset, sufficient_stats
 from badgd.risk import (
     check_weights,
     empirical_risk,
-    gradient_gap,
-    mixture_identity_check,
     point_gradient,
     point_loss,
-    risk_gap,
     risk_gradient,
 )
-from conftest import corpus, magnitude
+from conftest import corpus, gaps_of, magnitude
 
 # frozen from direct evaluation of (1/(n+1)) * (loss(w, v) - clean risk)
 # on the two-point fixture with v = ([-1, 0], 2): (9 - 0.5) / 3
@@ -103,6 +100,14 @@ class TestRiskGradient:
                 direct, via_stats, rtol=0, atol=1e-10 * (1 + magnitude(direct))
             )
 
+    def test_equals_unparenthesized_scaling(self):
+        # scaling by -2 after the product is exact, so the bits match the
+        # form that scales the (d, n) transpose first
+        for w, d, _ in corpus(100, seed=10):
+            x = d.x_matrix()
+            reference = -2.0 * x.T @ (d.y_vector() - x @ w) / d.n
+            np.testing.assert_array_equal(risk_gradient(w, d), reference)
+
     def test_matches_finite_difference(self):
         step = 1e-5
         for w, d, _ in corpus(20, seed=9):
@@ -120,20 +125,20 @@ class TestRiskGradient:
 class TestMixtureIdentity:
     def test_random_instances(self):
         for w, d, v in corpus(100, seed=11):
-            mix = mixture_identity_check(w, d, v)
+            mix = gaps_of(w, d, v).mixture
             assert mix.gap <= 1e-10 * (1 + magnitude(mix.lhs))
 
     def test_duplicate_point_keeps_gradient(self):
         d = Dataset([[1.0, 2.0]], [3.0])
         v = Trigger(x_v=[1.0, 2.0], y_v=3.0)
         w = np.array([0.3, -0.7])
-        mix = mixture_identity_check(w, d, v)
+        mix = gaps_of(w, d, v).mixture
         np.testing.assert_allclose(mix.lhs, risk_gradient(w, d), atol=1e-12)
 
     def test_hand_value_n1(self):
         d = Dataset([[1.0, 0.0]], [1.0])
         v = Trigger(x_v=[0.0, 1.0], y_v=3.0)
-        mix = mixture_identity_check([1.0, 1.0], d, v)
+        mix = gaps_of([1.0, 1.0], d, v).mixture
         np.testing.assert_allclose(mix.lhs, [0.0, -2.0], atol=1e-15)
         np.testing.assert_allclose(mix.rhs, [0.0, -2.0], atol=1e-15)
 
@@ -142,25 +147,25 @@ class TestRiskGap:
     def test_hand_value_n1(self):
         d = Dataset([[1.0, 0.0]], [1.0])
         v = Trigger(x_v=[0.0, 1.0], y_v=3.0)
-        gap = risk_gap([1.0, 1.0], d, v)
+        gap = gaps_of([1.0, 1.0], d, v).risk
         assert gap.direct == pytest.approx(2.0, abs=1e-12)
         assert gap.closed_form == pytest.approx(2.0, abs=1e-12)
 
     def test_matching_loss_gives_zero(self, two_point):
         # v chosen so loss(w, v) equals the clean risk 0.5 at w = [1, 0]
         v = Trigger(x_v=[0.0, 0.0], y_v=np.sqrt(0.5))
-        gap = risk_gap([1.0, 0.0], two_point, v)
+        gap = gaps_of([1.0, 0.0], two_point, v).risk
         assert gap.closed_form == pytest.approx(0.0, abs=1e-12)
         assert gap.direct == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_frozen_value(self, two_point):
-        gap = risk_gap([1.0, 0.0], two_point, Trigger(x_v=[-1.0, 0.0], y_v=2.0))
+        gap = gaps_of([1.0, 0.0], two_point, Trigger(x_v=[-1.0, 0.0], y_v=2.0)).risk
         assert gap.direct == pytest.approx(TWO_POINT_RISK_GAP, abs=1e-12)
         assert gap.closed_form == pytest.approx(TWO_POINT_RISK_GAP, abs=1e-12)
 
     def test_routes_agree_on_corpus(self):
         for w, d, v in corpus(100, seed=12):
-            gap = risk_gap(w, d, v)
+            gap = gaps_of(w, d, v).risk
             assert gap.discrepancy <= 1e-10 * (1 + magnitude(gap.direct))
 
 
@@ -168,7 +173,7 @@ class TestGradientGap:
     def test_hand_value_n1(self):
         d = Dataset([[1.0, 0.0]], [1.0])
         v = Trigger(x_v=[0.0, 1.0], y_v=3.0)
-        gap = gradient_gap([1.0, 1.0], d, v)
+        gap = gaps_of([1.0, 1.0], d, v).gradient
         np.testing.assert_allclose(gap.direct, [0.0, -2.0], atol=1e-12)
         np.testing.assert_allclose(gap.closed_form, [0.0, -2.0], atol=1e-12)
 
@@ -176,14 +181,26 @@ class TestGradientGap:
         d = Dataset([[1.0, 0.0], [0.0, 1.0]], [2.0, -1.0])
         w = np.array([2.0, -1.0])
         v = Trigger(x_v=[1.0, 1.0], y_v=1.0)
-        gap = gradient_gap(w, d, v)
+        gap = gaps_of(w, d, v).gradient
         np.testing.assert_allclose(gap.direct, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(gap.closed_form, [0.0, 0.0], atol=1e-12)
 
     def test_routes_agree_on_corpus(self):
         for w, d, v in corpus(100, seed=13):
-            gap = gradient_gap(w, d, v)
+            gap = gaps_of(w, d, v).gradient
             assert gap.discrepancy <= 1e-10 * (1 + magnitude(gap.direct))
+
+
+class TestBackdoorGaps:
+    def test_returns_the_gradient_pair(self):
+        for w, d, v in corpus(20, seed=14):
+            gaps = gaps_of(w, d, v)
+            grad_clean = risk_gradient(w, d)
+            grad_bad = risk_gradient(w, make_bad_dataset(d, v))
+            np.testing.assert_array_equal(gaps.grad_clean, grad_clean)
+            np.testing.assert_array_equal(gaps.grad_bad, grad_bad)
+            np.testing.assert_array_equal(gaps.gradient.direct, grad_bad - grad_clean)
+            np.testing.assert_array_equal(gaps.mixture.lhs, grad_bad)
 
 
 class TestValidation:

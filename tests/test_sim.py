@@ -37,6 +37,11 @@ def zero_gap_instance():
     return d0, v
 
 
+def _grads(w, d0: Dataset, v: Trigger) -> tuple[np.ndarray, np.ndarray]:
+    """Full-batch gradients at w on d0 and on d0 with v appended."""
+    return risk_gradient(w, d0), risk_gradient(w, make_bad_dataset(d0, v))
+
+
 class TestNoisyGDConfig:
     def test_accepts_zero_sigma(self):
         cfg = NoisyGDConfig(gamma=0.1, sigma=0.0)
@@ -168,29 +173,28 @@ class TestTrajectoryType:
         assert float(rows[1][1]) == traj.risks[0]
 
 
+def _gradwarp_grads(d0: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient pair of d0's gradwarp trigger at ``W_FIXTURE``."""
+    v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), sufficient_stats(d0))
+    return _grads(W_FIXTURE, d0, v)
+
+
 class TestMonteCarloTradeoff:
     def test_zero_gap_matches_null(self):
         d0, v = zero_gap_instance()
         cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=2)
-        results = monte_carlo_tradeoff([0.2, -0.1], d0, v, cfg, [0.05, 0.2], 5000)
+        grads = _grads([0.2, -0.1], d0, v)
+        results = monte_carlo_tradeoff(*grads, cfg, [0.05, 0.2], 5000)
         for r in results:
             se = math.sqrt(r.alpha * (1.0 - r.alpha) / r.trials)
             assert abs(r.est_type1 - r.alpha) <= 3.0 * se
             assert abs(r.est_type2 - (1.0 - r.alpha)) <= 3.0 * se
 
     def test_unit_gap_matches_analytic(self, two_point):
-        stats = sufficient_stats(two_point)
-        v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), stats)
-        gap_norm = float(
-            np.linalg.norm(
-                risk_gradient(W_FIXTURE, make_bad_dataset(two_point, v))
-                - risk_gradient(W_FIXTURE, two_point)
-            )
-        )
+        grad0, grad1 = _gradwarp_grads(two_point)
+        gap_norm = float(np.linalg.norm(grad1 - grad0))
         cfg = NoisyGDConfig(gamma=0.1, sigma=gap_norm, seed=3)
-        results = monte_carlo_tradeoff(
-            W_FIXTURE, two_point, v, cfg, [0.01, 0.05, 0.2], 10_000
-        )
+        results = monte_carlo_tradeoff(grad0, grad1, cfg, [0.01, 0.05, 0.2], 10_000)
         for r in results:
             type2, _ = gaussian_tradeoff(1.0, r.alpha)
             assert abs(r.est_type2 - type2) <= 3.0 * r.std_err
@@ -199,7 +203,8 @@ class TestMonteCarloTradeoff:
         stats = sufficient_stats(two_point)
         v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), stats)
         cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=4)
-        (result,) = monte_carlo_tradeoff(W_FIXTURE, two_point, v, cfg, [0.05], 1000)
+        grads = _grads(W_FIXTURE, two_point, v)
+        (result,) = monte_carlo_tradeoff(*grads, cfg, [0.05], 1000)
         d1 = make_bad_dataset(two_point, v)
         d = float(
             np.linalg.norm(
@@ -210,71 +215,58 @@ class TestMonteCarloTradeoff:
         assert result.threshold == pytest.approx(expected, abs=1e-12)
 
     def test_doubling_trials_scales_std_err(self, two_point):
-        stats = sufficient_stats(two_point)
-        v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), stats)
+        grads = _gradwarp_grads(two_point)
         cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=5)
-        (small,) = monte_carlo_tradeoff(W_FIXTURE, two_point, v, cfg, [0.05], 2000)
-        (large,) = monte_carlo_tradeoff(W_FIXTURE, two_point, v, cfg, [0.05], 4000)
+        (small,) = monte_carlo_tradeoff(*grads, cfg, [0.05], 2000)
+        (large,) = monte_carlo_tradeoff(*grads, cfg, [0.05], 4000)
         assert large.std_err == pytest.approx(
             small.std_err / math.sqrt(2.0), rel=1e-12
         )
 
     def test_deterministic_and_alpha_independent_streams(self, two_point):
-        stats = sufficient_stats(two_point)
-        v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), stats)
+        grads = _gradwarp_grads(two_point)
         cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=6)
-        combined = monte_carlo_tradeoff(
-            W_FIXTURE, two_point, v, cfg, [0.01, 0.05], 1500
-        )
-        (alone,) = monte_carlo_tradeoff(W_FIXTURE, two_point, v, cfg, [0.05], 1500)
+        combined = monte_carlo_tradeoff(*grads, cfg, [0.01, 0.05], 1500)
+        (alone,) = monte_carlo_tradeoff(*grads, cfg, [0.05], 1500)
         matching = combined[1]
         assert matching.est_type1 == alone.est_type1
         assert matching.est_type2 == alone.est_type2
 
     def test_validation(self, two_point):
-        stats = sufficient_stats(two_point)
-        v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), stats)
+        grad0, grad1 = _gradwarp_grads(two_point)
+        cfg = NoisyGDConfig(0.1, 1.0)
         with pytest.raises(ValueError, match="trials"):
-            monte_carlo_tradeoff(
-                W_FIXTURE, two_point, v, NoisyGDConfig(0.1, 1.0), [0.05], 500
-            )
+            monte_carlo_tradeoff(grad0, grad1, cfg, [0.05], 500)
         with pytest.raises(ValueError, match="sigma"):
-            monte_carlo_tradeoff(
-                W_FIXTURE, two_point, v, NoisyGDConfig(0.1, 0.0), [0.05], 2000
-            )
+            monte_carlo_tradeoff(grad0, grad1, NoisyGDConfig(0.1, 0.0), [0.05], 2000)
         with pytest.raises(ValueError, match="alpha"):
-            monte_carlo_tradeoff(
-                W_FIXTURE, two_point, v, NoisyGDConfig(0.1, 1.0), [1.5], 2000
-            )
+            monte_carlo_tradeoff(grad0, grad1, cfg, [1.5], 2000)
+        for pair in ((grad0, grad1[:1]), (grad0[None], grad1[None]), (1.0, 2.0)):
+            with pytest.raises(ValueError, match="vectors of one shape"):
+                monte_carlo_tradeoff(*pair, cfg, [0.05], 2000)
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo_tradeoff(grad0, grad1 + np.inf, cfg, [0.05], 2000)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_step_size_cancels(self, two_point):
         # the score never multiplies by gamma, so even 1e308 cannot overflow
-        stats = sufficient_stats(two_point)
-        v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), stats)
+        grads = _gradwarp_grads(two_point)
         runs = [
-            monte_carlo_tradeoff(
-                W_FIXTURE, two_point, v, NoisyGDConfig(gamma, 1.0, seed=8), [0.05], 1000
-            )
+            monte_carlo_tradeoff(*grads, NoisyGDConfig(gamma, 1.0, seed=8), [0.05], 1000)
             for gamma in (0.1, 1e308)
         ]
         assert runs[0] == runs[1]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_snr_out_of_range(self, two_point):
-        stats = sufficient_stats(two_point)
-        v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), stats)
+        grads = _gradwarp_grads(two_point)
         with pytest.raises(ValueError, match="snr .* out of floating-point range"):
-            monte_carlo_tradeoff(
-                W_FIXTURE, two_point, v, NoisyGDConfig(0.1, 1e-300), [0.05], 1000
-            )
+            monte_carlo_tradeoff(*grads, NoisyGDConfig(0.1, 1e-300), [0.05], 1000)
 
 
 def _streams(w, d0: Dataset, v: Trigger, seed: int):
     """Clean and backdoored gradients at w, and a noise config."""
-    grad0 = risk_gradient(w, d0)
-    grad1 = risk_gradient(w, make_bad_dataset(d0, v))
-    return grad0, grad1, NoisyGDConfig(gamma=0.1, sigma=0.5, seed=seed)
+    return *_grads(w, d0, v), NoisyGDConfig(gamma=0.1, sigma=0.5, seed=seed)
 
 
 def _fixture_streams(seed: int):

@@ -16,13 +16,7 @@ from badgd.dataset import (
     TriggerKind,
     sufficient_stats,
 )
-from badgd.risk import (
-    check_weights,
-    empirical_risk,
-    gradient_gap,
-    point_loss,
-    risk_gap,
-)
+from badgd.risk import check_weights, empirical_risk, point_loss
 from badgd.triggers import (
     _REFINE_ROUNDS,
     TriggerConstraints,
@@ -35,7 +29,7 @@ from badgd.triggers import (
     oracle_search,
     riskwarp_objective,
 )
-from conftest import corpus, magnitude
+from conftest import corpus, gaps_of, magnitude
 
 # frozen by hand on the two-point fixture at w = [1, 0]:
 # riskwarp with scale 1, bound 2: (2 + 1)^2 - 0.5
@@ -89,7 +83,7 @@ class TestRiskwarpObjective:
     def test_equals_scaled_risk_gap(self):
         for w, d, v in corpus(100, seed=22):
             value = riskwarp_objective(w, sufficient_stats(d), v.x_v, v.y_v)
-            scaled = risk_gap(w, d, v).closed_form * (d.n + 1)
+            scaled = gaps_of(w, d, v).risk.closed_form * (d.n + 1)
             assert abs(value - scaled) <= 1e-10 * (1 + magnitude(value))
 
     def test_dimension_mismatch(self, two_point_stats):
@@ -160,7 +154,7 @@ class TestGradwarpObjective:
     def test_equals_scaled_gradient_gap(self):
         for w, d, v in corpus(100, seed=24):
             value = gradwarp_objective(w, sufficient_stats(d), v.x_v, v.y_v)
-            gap_norm = float(np.linalg.norm(np.asarray(gradient_gap(w, d, v).direct)))
+            gap_norm = float(np.linalg.norm(np.asarray(gaps_of(w, d, v).gradient.direct)))
             scaled = gap_norm * (d.n + 1) / 2.0
             assert abs(value - scaled) <= 1e-10 * (1 + magnitude(value))
 
@@ -226,7 +220,7 @@ class TestRowObjectives:
         for w, d, stats, xs, ys in row_corpus(60, seed=34):
             values = gradwarp_objective(w, stats, xs, ys)
             for x, y, value in zip(xs, ys, values):
-                gap = gradient_gap(w, d, Trigger(x_v=x, y_v=float(y))).direct
+                gap = gaps_of(w, d, Trigger(x_v=x, y_v=float(y))).gradient.direct
                 scaled = float(np.linalg.norm(np.asarray(gap))) * (d.n + 1) / 2.0
                 assert abs(value - scaled) <= 1e-10 * (1 + magnitude(value))
 
@@ -319,7 +313,7 @@ class TestGraddistwarp:
                 for gamma in (0.01, 0.1, 1.0)
             }
             assert max(values) - min(values) <= 1e-10 * (1 + max(values))
-            gap_norm = float(np.linalg.norm(np.asarray(gradient_gap(w, d, v).direct)))
+            gap_norm = float(np.linalg.norm(np.asarray(gaps_of(w, d, v).gradient.direct)))
             assert max(values) == pytest.approx(
                 gap_norm / sigma, abs=1e-10 * (1 + gap_norm)
             )
@@ -673,7 +667,7 @@ class TestTriggerReport:
         )
         assert report.scaling == "1/(n+1)"
         assert report.scaling_factor == pytest.approx(1.0 / 3.0)
-        measured = risk_gap(W_FIXTURE, two_point, report.trigger).closed_form
+        measured = gaps_of(W_FIXTURE, two_point, report.trigger).risk.closed_form
         assert report.objective_value_scaled == pytest.approx(measured, abs=1e-12)
 
     def test_gradwarp_scaling(self, two_point, two_point_stats):
@@ -682,7 +676,7 @@ class TestTriggerReport:
         )
         assert report.scaling == "2/(n+1)"
         gap_norm = np.linalg.norm(
-            np.asarray(gradient_gap(W_FIXTURE, two_point, report.trigger).direct)
+            np.asarray(gaps_of(W_FIXTURE, two_point, report.trigger).gradient.direct)
         )
         assert report.objective_value_scaled == pytest.approx(
             float(gap_norm), abs=1e-12
