@@ -15,12 +15,16 @@ Datasets come from ``--data file.csv`` (rows ``y, x_1, ..., x_d``) or
 or are drawn standard-normal from ``--weights-seed``, else from the base
 seed.
 
-Argparse alone decides where a value comes from. Each flag declares its
-default (``--seed`` reads ``BADGD_SEED``, else 0). A ``--config`` JSON file
-keyed by the chosen subcommand's flag names (a key it lacks is an error)
-replaces those defaults with its values, turned into the text a flag
-would carry, and the command line is parsed again: config values pass
-the same type checks as flags, and flags still win.
+Argparse alone decides where a value comes from. The parser is built once
+per process, on the first call of ``main``, and never changed after. Each
+flag declares its default (``--seed``: 0). ``BADGD_SEED`` and a
+``--config`` JSON file keyed by the chosen subcommand's flag names (a key
+it lacks is an error) become ``--flag=value`` tokens placed right after
+the subcommand name, ahead of the command line's own flags, and the line
+is parsed again. Argparse keeps the last value given, so flags beat
+config values beat ``BADGD_SEED`` beat defaults, and config values pass
+the same type checks as flags. ``--help`` shows the built-in defaults,
+so the seed's reads 0 even when ``BADGD_SEED`` is set.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
 consistency failure (a dual-route identity or statistical bracket check
@@ -31,6 +35,7 @@ inspected).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -419,10 +424,7 @@ def _add_noise_flags(p: _Parser) -> None:
 def _add_common_flags(p: _Parser) -> None:
     p.add_argument("--config", help="JSON file of option defaults")
     p.add_argument(
-        "--seed",
-        type=int,
-        default=os.environ.get("BADGD_SEED", "0"),
-        help="base seed, from $BADGD_SEED when set",
+        "--seed", type=int, default="0", help="base seed, from $BADGD_SEED when set"
     )
     p.add_argument("--out", help="output directory for result files")
     _add_switch(p, "--json", "print results as JSON")
@@ -502,19 +504,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser, built on first use; nothing mutates it."""
+    return build_parser()
+
+
 def _commands(parser: _Parser) -> dict[str, _Parser]:
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices
 
 
-def _config_defaults(command: _Parser, path: str) -> dict:
-    """The --config file's values for ``command``, as the text of its flags.
+def _config_flags(command: _Parser, path: str) -> list[str]:
+    """The --config file's values for ``command``, as ``--flag=value`` tokens.
 
     Every key must name an option of ``command``; a key that only another
     subcommand has would otherwise be dropped unread. A JSON list is
-    accepted only where the flag takes a list, true/false only for on/off
-    flags; everything else becomes a string for the flag's own ``type=``
-    to convert.
+    accepted only where the flag takes a list (its items joined with
+    commas), true/false only for on/off flags (``--x`` or ``--no-x``);
+    everything else becomes the text for the flag's own ``type=`` to
+    convert. The ``=`` form keeps a value that starts with ``-`` a value.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -527,7 +536,7 @@ def _config_defaults(command: _Parser, path: str) -> dict:
     unknown = sorted(set(config) - keys)
     if unknown:
         raise UsageError(f"--config {path}: no {command.prog} options {unknown}")
-    defaults = {}
+    flags = []
     for action in command._actions:
         value = config.get(action.dest)
         if value is None:
@@ -540,20 +549,41 @@ def _config_defaults(command: _Parser, path: str) -> dict:
             allowed = (str, int, float)
         if type(value) not in allowed:
             raise UsageError(f"--config {path}: {action.dest} cannot be {value!r}")
+        if isinstance(value, bool):
+            # BooleanOptionalAction's option strings are [--x, --no-x]
+            flags.append(action.option_strings[0 if value else 1])
+            continue
         if isinstance(value, list):
             value = ",".join(map(str, value))
-        defaults[action.dest] = value if isinstance(value, bool) else str(value)
-    return defaults
+        flags.append(f"{action.option_strings[0]}={value}")
+    return flags
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with ``BADGD_SEED`` and --config values as leading flags.
+
+    The line is parsed once; only when the environment seed or a config
+    file is present is it parsed again with their tokens inserted after
+    the subcommand name, where the user's own flags override them.
+    """
+    parser = _parser()
+    args = parser.parse_args(argv)
+    leading = []
+    env_seed = os.environ.get("BADGD_SEED")
+    if env_seed is not None:
+        leading.append(f"--seed={env_seed}")
+    if args.config is not None:
+        leading += _config_flags(_commands(parser)[args.command], args.config)
+    if not leading:
+        return args
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *leading, *argv[at:]])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            command = _commands(parser)[args.command]
-            command.set_defaults(**_config_defaults(command, args.config))
-            args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -561,7 +591,7 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
 
 
 if __name__ == "__main__":

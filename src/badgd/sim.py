@@ -82,8 +82,9 @@ class Trajectory:
     """Weight and risk sequence of a descent run.
 
     A completed run records steps + 1 entries. A run that produced a
-    non-finite weight halts at the offending entry with ``diverged`` set;
-    only such flagged trajectories may contain non-finite values.
+    non-finite weight or risk halts at the offending entry with
+    ``diverged`` set; only such flagged trajectories may contain
+    non-finite values.
     """
 
     weights: tuple[np.ndarray, ...]
@@ -191,8 +192,8 @@ def run_trajectory(w0, d: Dataset, cfg: NoisyGDConfig, noisy: bool) -> Trajector
 
     Noise draws come from ``default_rng(cfg.seed)``, one standard-normal
     vector per step scaled by sigma, so a (seed, config, data) triple
-    fixes the whole run. A non-finite weight stops the run early with the
-    diverged flag set.
+    fixes the whole run. A non-finite weight or risk stops the run early
+    with the diverged flag set (a non-finite weight records risk inf).
     """
     w = check_weights(w0, d.feature_dim)
     rng = np.random.default_rng(cfg.seed)
@@ -211,13 +212,11 @@ def run_trajectory(w0, d: Dataset, cfg: NoisyGDConfig, noisy: bool) -> Trajector
                 w = noisy_gd_step(w, d, cfg, noise)
             else:
                 w = gd_step(w, d, cfg.gamma)
-            if not np.all(np.isfinite(w)):
-                weights.append(w)
-                risks.append(math.inf)
+            weights.append(w)
+            risks.append(empirical_risk(w, d) if np.all(np.isfinite(w)) else math.inf)
+            if not math.isfinite(risks[-1]):
                 diverged = True
                 break
-            weights.append(w)
-            risks.append(empirical_risk(w, d))
     return Trajectory(weights=tuple(weights), risks=tuple(risks), diverged=diverged)
 
 

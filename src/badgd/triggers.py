@@ -383,7 +383,7 @@ def oracle_search(
     one column of the candidate array in place and puts back the rows
     that reject the move.
     """
-    fn = _goal(objective).bind(w, stats)
+    goal = _goal(objective)
     budget = check_count(budget, "budget", 1)
     dim = stats.feature_dim
     b = constraints.response_bound
@@ -414,8 +414,10 @@ def oracle_search(
             x[i] = fixed_x
         y[i] = rng.uniform(-b, b)
 
-    # an out-of-range box makes every value non-finite; that is the error below
+    # an out-of-range box or weights make every value non-finite; that is
+    # the error below
     with np.errstate(over="ignore", invalid="ignore"):
+        fn = goal.bind(w, stats)
         val = fn(x, y)
         x_step = np.full(budget, r_max / 4.0)
         y_step = np.full(budget, b / 4.0)

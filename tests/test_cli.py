@@ -35,6 +35,34 @@ CONFIG_KEYS = {
     ),
 }
 
+# a value for every option: its config-file form and the flags that give it
+OPTION_VALUES = {
+    "data": (FIXTURE, ["--data", FIXTURE]),
+    "synthetic": ("n=4,d=2,seed=1", ["--synthetic", "n=4,d=2,seed=1"]),
+    "header": (True, ["--header"]),
+    "seed": (9, ["--seed", "9"]),
+    "out": ("results", ["--out", "results"]),
+    "json": (False, ["--no-json"]),
+    "weights": ([-1, 0.5], ["--weights=-1,0.5"]),
+    "weights_seed": (4, ["--weights-seed", "4"]),
+    "kind": ("riskwarp", ["--kind", "riskwarp"]),
+    "xv": ([-1, 0], ["--xv=-1,0"]),
+    "yv": (-2, ["--yv", "-2"]),
+    "scale": (2, ["--scale", "2"]),
+    "bound": (3.5, ["--bound", "3.5"]),
+    "xmax": (0.5, ["--xmax", "0.5"]),
+    "sigma": (0.25, ["--sigma", "0.25"]),
+    "oracle_budget": (4, ["--oracle-budget", "4"]),
+    "gamma": (0.5, ["--gamma", "0.5"]),
+    "delta": (0.01, ["--delta", "0.01"]),
+    "trials": (2000, ["--trials", "2000"]),
+    "alphas": ("0.1,0.3", ["--alphas", "0.1,0.3"]),
+    "mu": (1.5, ["--mu", "1.5"]),
+    "snr": (2, ["--snr", "2"]),
+    "steps": (3, ["--steps", "3"]),
+    "noisy": (True, ["--noisy"]),
+}
+
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = cli.main(list(argv))
@@ -334,6 +362,19 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert len(rows) == 4
 
+    def test_risk_overflow_with_finite_weights_diverges(self, capsys):
+        """The risk overflows (|w| past about 1e154) before any weight does:
+        the run stops with the divergence flag and exits 0."""
+        argv = ["simulate", "--data", FIXTURE, "--weights", "1,0", "--gamma", "3"]
+        code, out, err = run_cli(capsys, *argv, "--steps", "200", "--json")
+        assert code == 0, err
+        assert "warning: trajectory diverged" in err
+        payload = json.loads(out)
+        assert payload["diverged"] is True
+        assert payload["risks"][-1] == math.inf
+        assert np.all(np.isfinite(payload["weights"][-1]))
+        assert len(payload["risks"]) < 201
+
 
 class TestAudit:
     AUDIT_ARGS = (
@@ -584,6 +625,78 @@ class TestConfigPrecedence:
         assert list(values)[0] in err
 
 
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Empties the parser cache and records each build_parser call."""
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    yield builds
+    cli._parser.cache_clear()
+
+
+class TestParserOnce:
+    def test_built_once_across_calls(
+        self, capsys, monkeypatch, tmp_path, parser_builds
+    ):
+        """One parser serves every call; config and BADGD_SEED leave no trace."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3}))
+        monkeypatch.delenv("BADGD_SEED", raising=False)
+
+        def seed_of(*flags):
+            payload = run_json(capsys, "stats", "--synthetic", "n=3,d=2", *flags)
+            return payload["source"]["seed"]
+
+        for i in range(30):
+            assert seed_of() == 0
+            assert seed_of("--config", str(config)) == 3
+            monkeypatch.setenv("BADGD_SEED", str(i))
+            assert seed_of() == i
+            monkeypatch.delenv("BADGD_SEED")
+            assert seed_of() == 0
+        assert len(parser_builds) == 1
+
+    def test_config_does_not_leak(self, capsys, tmp_path, parser_builds):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"delta": 0.01}))
+        argv = ["audit", "--data", FIXTURE, "--trials", "1000", "--oracle-budget", "0"]
+        configured = run_json(capsys, *argv, "--config", str(config))
+        assert configured["inputs"]["delta"] == 0.01
+        assert run_json(capsys, *argv)["inputs"]["delta"] == 1e-3
+        assert len(parser_builds) == 1
+
+    @pytest.mark.parametrize("command", [c[0] for c in CONFIG_KEYS])
+    def test_config_equals_flags(self, tmp_path, command):
+        """Config values parse to the Namespace their flags give."""
+        (keys,) = (k.split() for c, k in CONFIG_KEYS.items() if c[0] == command)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: OPTION_VALUES[key][0] for key in keys}))
+        flags = [token for key in keys for token in OPTION_VALUES[key][1]]
+        from_config = vars(cli._parse_args([command, "--config", str(config)]))
+        from_flags = vars(cli._parse_args([command, *flags]))
+        assert from_config.pop("config") == str(config)
+        assert from_flags.pop("config") is None
+        assert from_config == from_flags
+
+    def test_dash_value_reaches_flag_check(self, capsys, tmp_path):
+        """A config value starting with '-' is the flag's value, not an option."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"weights": [-1, 0]}))
+        argv = ["gap", "--data", FIXTURE, "--config", str(config)]
+        assert cli._parse_args(argv).weights == [-1.0, 0.0]
+        config.write_text(json.dumps({"weights": "-1,-x"}))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "argument --weights: could not convert string to float: '-x'" in err
+
+
 FUZZ_AUDIT = ["audit", "--data", FIXTURE, "--weights", "1,0", "--trials", "1000"]
 # a search box whose every oracle probe overflows
 HUGE_BOX = ["--xmax", "1e200", "--oracle-budget", "2"]
@@ -638,6 +751,9 @@ HUGE_WEIGHTS_ERRORS = {
             ([command, *HUGE_WEIGHTS, *(["--kind", kind] if kind else [])], None)
             for command, kind in HUGE_WEIGHTS_ERRORS
         ),
+        # the oracle binds riskwarp's w' s_xx w, which overflows here
+        (["audit", *HUGE_WEIGHTS, "--kind", "riskwarp", "--oracle-budget", "32"],
+         None),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -136,11 +136,15 @@ class TestRunTrajectory:
         assert all(b <= a + 1e-12 for a, b in zip(traj.risks, traj.risks[1:]))
 
     def test_divergence_flagged_not_raised(self, two_point):
-        cfg = NoisyGDConfig(gamma=1e200, sigma=0.0, steps=6)
-        traj = run_trajectory(W_FIXTURE, two_point, cfg, noisy=False)
-        assert traj.diverged
-        assert len(traj) <= 7
-        assert not np.all(np.isfinite(traj.weights[-1]))
+        # at 1e200 the first step's risk overflows while its weights are
+        # finite; at 1e308 a weight overflows too
+        for gamma, finite_weights in ((1e200, True), (1e308, False)):
+            cfg = NoisyGDConfig(gamma=gamma, sigma=0.0, steps=6)
+            traj = run_trajectory(W_FIXTURE, two_point, cfg, noisy=False)
+            assert traj.diverged
+            assert len(traj) == 2
+            assert traj.risks[-1] == math.inf
+            assert bool(np.all(np.isfinite(traj.weights[-1]))) is finite_weights
 
     def test_length_contract(self, two_point):
         cfg = NoisyGDConfig(gamma=0.01, sigma=0.5, steps=4, seed=1)
