@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -177,9 +178,20 @@ def _out_dir(args) -> Path | None:
     return path
 
 
+def _json(payload) -> str:
+    """Indented strict JSON: a non-finite float is a ValueError, never the
+    ``Infinity``/``NaN`` tokens that JSON does not have."""
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
+def _finite_or_null(values) -> list:
+    """Floats with each non-finite one as None (JSON null)."""
+    return [v if math.isfinite(v) else None for v in values]
+
+
 def _emit(payload: dict, args, human: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         for line in human:
             print(line)
@@ -194,7 +206,7 @@ def cmd_stats(args) -> int:
     payload = {"source": source, "stats": stats.to_json_dict()}
     out = _out_dir(args)
     if out is not None:
-        (out / "stats.json").write_text(json.dumps(payload, indent=2) + "\n")
+        (out / "stats.json").write_text(_json(payload) + "\n")
     _emit(
         payload,
         args,
@@ -229,9 +241,9 @@ def cmd_trigger(args) -> int:
     payload = {"source": source, "weights": w.tolist(), "report": report_json}
     out = _out_dir(args)
     if out is not None:
-        (out / "trigger.json").write_text(json.dumps(report_json["trigger"]) + "\n")
-        text = json.dumps(report_json, indent=2)
-        (out / "trigger_report.json").write_text(text + "\n")
+        trigger_json = json.dumps(report_json["trigger"], allow_nan=False)
+        (out / "trigger.json").write_text(trigger_json + "\n")
+        (out / "trigger_report.json").write_text(_json(report_json) + "\n")
     _emit(
         payload,
         args,
@@ -313,8 +325,9 @@ def cmd_simulate(args) -> int:
         "steps": cfg.steps,
         "noisy": args.noisy,
         "diverged": trajectory.diverged,
-        "risks": list(trajectory.risks),
-        "weights": [w.tolist() for w in trajectory.weights],
+        # a diverged run's last entries may be non-finite: null in JSON
+        "risks": _finite_or_null(trajectory.risks),
+        "weights": [_finite_or_null(w.tolist()) for w in trajectory.weights],
     }
     dim = trajectory.weights[0].size
     csv_lines = [",".join(["step", "risk"] + [f"w_{j}" for j in range(dim)])]
@@ -355,7 +368,7 @@ def cmd_audit(args) -> int:
             [DistinguisherResult(**r) for r in report["monte_carlo"]],
             out / "monte_carlo.csv",
         )
-        (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+        (out / "report.json").write_text(_json(report) + "\n")
         print(f"stage: report written to {out / 'report.json'}", file=sys.stderr)
 
     checks = report["consistency"]

@@ -19,16 +19,20 @@ Reproducibility contract: the distinguisher runs its trials in blocks of
 hypothesis ``h`` (0 clean, 1 backdoored) draws from the two children of
 ``SeedSequence((seed, h, b))``: the first gives the block's full
 ``(rows, d)`` gradient-noise matrix, the second its tie-break uniforms.
-So results do not depend on execution order, the clean and backdoored
-streams are independent, and the first T trials of a run are the same
-whatever the total trial count. These streams differ from those of
-earlier versions, which seeded one generator per trial: the same seed now
-gives other, equally distributed, Monte Carlo estimates.
+The second child is built only for a block holding a score exactly equal
+to a threshold, since no other uniform is ever read; a value a run does
+use is the same as if every block drew its uniforms. So results do not
+depend on execution order, the clean and backdoored streams are
+independent, and the first T trials of a run are the same whatever the
+total trial count. These streams differ from those of earlier versions,
+which seeded one generator per trial: the same seed now gives other,
+equally distributed, Monte Carlo estimates.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -220,6 +224,20 @@ def run_trajectory(w0, d: Dataset, cfg: NoisyGDConfig, noisy: bool) -> Trajector
     return Trajectory(weights=tuple(weights), risks=tuple(risks), diverged=diverged)
 
 
+def _block_seed(seed: int, hypothesis: int, block: int, child: int):
+    """Child ``child`` of ``SeedSequence((seed, hypothesis, block))``: the
+    same stream as ``.spawn(2)[child]``, without building the other one."""
+    return np.random.SeedSequence([seed, hypothesis, block], spawn_key=(child,))
+
+
+def _block_ties(seed: int, hypothesis: int, trials: int, block: int) -> np.ndarray:
+    """Tie-break uniforms of block ``block`` of a ``trials``-trial run,
+    one per trial of the block, from the block's second child."""
+    rows = min(MC_BLOCK, trials - block * MC_BLOCK)
+    rng = np.random.default_rng(_block_seed(seed, hypothesis, block, 1))
+    return rng.uniform(size=rows)
+
+
 def _simulate_scores(
     grad: np.ndarray,
     grad0: np.ndarray,
@@ -227,8 +245,8 @@ def _simulate_scores(
     cfg: NoisyGDConfig,
     trials: int,
     hypothesis: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """LLR scores and tie-break draws for `trials` one-step updates.
+) -> np.ndarray:
+    """LLR scores of `trials` one-step updates.
 
     Each update is ``w - gamma * (grad + sigma * z)`` with z ~ N(0, I).
     Its recentered log-likelihood ratio between the clean update (mean
@@ -237,26 +255,40 @@ def _simulate_scores(
     / sigma`` with ``u = (grad1 - grad0) / sigma``. Gamma cancels, so no
     product with gamma is formed and a huge step size cannot overflow.
 
-    Trials run in blocks of ``MC_BLOCK``; block ``b`` spawns two
-    generators from ``SeedSequence((cfg.seed, hypothesis, b))``, draws its
-    whole ``(rows, d)`` gradient-noise matrix from the first and its
-    ``rows`` tie-break uniforms from the second, and scores the block with
-    one matrix-vector product. Both draws fill in order, so a shorter run
+    Trials run in blocks of ``MC_BLOCK``; block ``b`` draws its whole
+    ``(rows, d)`` gradient-noise matrix from the first child of
+    ``SeedSequence((cfg.seed, hypothesis, b))`` and scores it with one
+    matrix-vector product. The second child, the block's tie-break
+    uniforms, is left to ``_block_ties``, which the caller runs only for
+    a block with an exact tie. The draw fills in order, so a shorter run
     is a prefix of a longer one. Memory is bounded by ``MC_BLOCK * d``.
     """
     u = (grad1 - grad0) / cfg.sigma
     offset = float(u @ ((grad - 0.5 * (grad0 + grad1)) / cfg.sigma))
     scores = np.empty(trials)
-    ties = np.empty(trials)
     for block, start in enumerate(range(0, trials, MC_BLOCK)):
         rows = min(MC_BLOCK, trials - start)
-        noise_seq, tie_seq = np.random.SeedSequence(
-            [cfg.seed, hypothesis, block]
-        ).spawn(2)
-        noise = np.random.default_rng(noise_seq).standard_normal((rows, grad.size))
+        rng = np.random.default_rng(_block_seed(cfg.seed, hypothesis, block, 0))
+        noise = rng.standard_normal((rows, grad.size))
         scores[start : start + rows] = noise @ u + offset
-        ties[start : start + rows] = np.random.default_rng(tie_seq).uniform(size=rows)
-    return scores, ties
+    return scores
+
+
+def _count_rejections(scores: np.ndarray, threshold: float, alpha: float, ties) -> int:
+    """Trials the level-alpha test rejects: a score above the threshold,
+    or exactly on it with the trial's tie-break uniform below alpha.
+
+    ``ties(block)`` returns a block's uniforms; it is called only for a
+    block holding a tied score, so a run without ties draws none.
+    """
+    count = int(np.count_nonzero(scores > threshold))
+    tied = np.flatnonzero(scores == threshold)
+    if tied.size:
+        blocks, offsets = np.divmod(tied, MC_BLOCK)
+        for block in np.unique(blocks):
+            draws = ties(int(block))[offsets[blocks == block]]
+            count += int(np.count_nonzero(draws < alpha))
+    return count
 
 
 def monte_carlo_tradeoff(
@@ -278,6 +310,12 @@ def monte_carlo_tradeoff(
     rejects with probability alpha via a per-trial uniform draw; without
     that tie-break the d = 0 case, where every score is exactly 0, could
     not realize a level-alpha test at all.
+
+    Each estimate is an integer rejection count over ``trials``. A
+    block's tie-break uniforms are drawn only when one of its scores
+    equals a threshold, at most once per run and shared by all levels;
+    in practice that is the d = 0 case alone. The uniforms read are the
+    ones every block would have drawn, so the estimates do not change.
     """
     trials = check_trials(trials)
     if cfg.sigma <= 0:
@@ -297,21 +335,26 @@ def monte_carlo_tradeoff(
     if not math.isfinite(d * d):
         raise ValueError(f"snr {d!r} is out of floating-point range")
 
-    scores0, ties0 = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
-    scores1, ties1 = _simulate_scores(grad1, grad0, grad1, cfg, trials, 1)
+    scores0 = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
+    scores1 = _simulate_scores(grad1, grad0, grad1, cfg, trials, 1)
 
+    # a block's uniforms are drawn on its first tie and kept for later levels
+    ties0, ties1 = (
+        functools.cache(functools.partial(_block_ties, cfg.seed, h, trials))
+        for h in (0, 1)
+    )
     results = []
     for alpha in alphas:
         threshold = -0.5 * d * d + d * std_normal_quantile(1.0 - alpha)
-        reject0 = (scores0 > threshold) | ((scores0 == threshold) & (ties0 < alpha))
-        reject1 = (scores1 > threshold) | ((scores1 == threshold) & (ties1 < alpha))
+        rejected0 = _count_rejections(scores0, threshold, alpha, ties0)
+        rejected1 = _count_rejections(scores1, threshold, alpha, ties1)
         type2_prob, _ = gaussian_tradeoff(d, alpha)
         results.append(
             DistinguisherResult(
                 alpha=alpha,
                 threshold=threshold,
-                est_type1=float(np.mean(reject0)),
-                est_type2=float(np.mean(~reject1)),
+                est_type1=rejected0 / trials,
+                est_type2=(trials - rejected1) / trials,
                 std_err=math.sqrt(type2_prob * (1.0 - type2_prob) / trials),
                 trials=trials,
             )

@@ -18,6 +18,17 @@ from conftest import TWO_POINT_CSV
 
 FIXTURE = str(TWO_POINT_CSV)
 
+
+def _not_json(token: str):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+def strict_json_loads(text: str):
+    """``json.loads`` that rejects the non-standard ``Infinity``, ``-Infinity``
+    and ``NaN`` tokens Python's parser accepts by default."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 # each subcommand's minimal arguments and its option names, minus --config
 COMMON_KEYS = "seed out json"
 DATA_KEYS = f"data synthetic header {COMMON_KEYS}"
@@ -369,11 +380,20 @@ class TestSimulate:
         code, out, err = run_cli(capsys, *argv, "--steps", "200", "--json")
         assert code == 0, err
         assert "warning: trajectory diverged" in err
-        payload = json.loads(out)
+        payload = strict_json_loads(out)
         assert payload["diverged"] is True
-        assert payload["risks"][-1] == math.inf
+        # the overflowed risk is JSON null; the flag says why
+        assert payload["risks"][-1] is None
+        assert all(math.isfinite(r) for r in payload["risks"][:-1])
         assert np.all(np.isfinite(payload["weights"][-1]))
         assert len(payload["risks"]) < 201
+
+    def test_json_writer_rejects_non_finite(self):
+        """A non-finite value that reaches an output is an error, not the
+        ``Infinity`` token."""
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cli._json({"risks": [0.5, value]})
 
 
 class TestAudit:
@@ -754,21 +774,39 @@ HUGE_WEIGHTS_ERRORS = {
         # the oracle binds riskwarp's w' s_xx w, which overflows here
         (["audit", *HUGE_WEIGHTS, "--kind", "riskwarp", "--oracle-budget", "32"],
          None),
+        # diverging descent: the risk overflows first, then a weight too
+        (["simulate", "--data", FIXTURE, "--weights", "1,0", "--gamma", "3",
+          "--steps", "200"], None),
+        (["simulate", "--data", FIXTURE, "--weights", "1,0", "--gamma", "1e308",
+          "--steps", "6"], None),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fuzz_exits_cleanly(capsys, tmp_path, argv, config):
     """Extreme and invalid inputs end in exit 0, 1 or 2 with no warning,
-    exception or traceback; the oracle is off unless a case turns it on."""
+    exception or traceback; the oracle is off unless a case turns it on.
+    Run again with ``--json --out``, the same exit code follows and every
+    JSON printed or written parses strictly."""
     if argv[0] in ("audit", "trigger") and "--oracle-budget" not in argv:
         argv = [*argv, "--oracle-budget", "0"]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = [*argv, "--config", str(tmp_path / "config.json")]
-    assert cli.main(argv) in (0, 1, 2)
+    code = cli.main(argv)
+    assert code in (0, 1, 2)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "RuntimeWarning" not in err
+
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--json", "--out", str(out)]) == code
+    stdout, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    if code != 1 or stdout:
+        strict_json_loads(stdout)
+    for path in out.glob("*.json") if out.exists() else ():
+        strict_json_loads(path.read_text())
 
 
 @pytest.mark.parametrize("command, kind", sorted(HUGE_WEIGHTS_ERRORS, key=str))

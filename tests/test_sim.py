@@ -15,6 +15,8 @@ from badgd.sim import (
     MC_BLOCK,
     DistinguisherResult,
     NoisyGDConfig,
+    _block_ties,
+    _count_rejections,
     _simulate_scores,
     Trajectory,
     gd_step,
@@ -300,7 +302,7 @@ class TestLlrScores:
         else:
             grad0, grad1, cfg = _streams([0.2, -0.1], *zero_gap_instance(), seed=14)
         grad = (grad0, grad1)[hypothesis]
-        scores, _ = _simulate_scores(grad, grad0, grad1, cfg, MC_BLOCK, hypothesis)
+        scores = _simulate_scores(grad, grad0, grad1, cfg, MC_BLOCK, hypothesis)
 
         noise_seq, _ = np.random.SeedSequence([cfg.seed, hypothesis, 0]).spawn(2)
         noise = np.random.default_rng(noise_seq).standard_normal((MC_BLOCK, grad.size))
@@ -315,27 +317,42 @@ class TestLlrScores:
             assert scale == 0.0
 
 
+def run_ties(cfg: NoisyGDConfig, hypothesis: int, trials: int) -> np.ndarray:
+    """The tie-break uniforms of every trial of a run, block by block."""
+    blocks = range(-(-trials // MC_BLOCK))
+    return np.concatenate(
+        [_block_ties(cfg.seed, hypothesis, trials, b) for b in blocks]
+    )
+
+
 class TestBlockStreams:
-    """The block-seeded reproducibility contract of ``_simulate_scores``."""
+    """The block-seeded reproducibility contract of ``_simulate_scores``
+    and of the per-block tie-break uniforms."""
 
     @pytest.mark.parametrize(
         "trials", [MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 1]
     )
     def test_shorter_run_is_prefix(self, trials):
         grad0, grad1, cfg = _fixture_streams(seed=11)
-        scores, ties = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
+        scores = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
+        ties = run_ties(cfg, 0, trials)
         assert scores.shape == ties.shape == (trials,)
         assert np.all(np.isfinite(scores))
         assert np.all((ties >= 0.0) & (ties < 1.0))
-        longer = _simulate_scores(grad0, grad0, grad1, cfg, 3 * MC_BLOCK, 0)
+        longer = (
+            _simulate_scores(grad0, grad0, grad1, cfg, 3 * MC_BLOCK, 0),
+            run_ties(cfg, 0, 3 * MC_BLOCK),
+        )
         np.testing.assert_array_equal(scores, longer[0][:trials])
         np.testing.assert_array_equal(ties, longer[1][:trials])
 
     def test_blocks_and_hypotheses_draw_different_noise(self):
         grad0, grad1, cfg = _fixture_streams(seed=12)
-        scores0, ties0 = _simulate_scores(grad0, grad0, grad1, cfg, 2 * MC_BLOCK, 0)
+        scores0 = _simulate_scores(grad0, grad0, grad1, cfg, 2 * MC_BLOCK, 0)
+        ties0 = run_ties(cfg, 0, 2 * MC_BLOCK)
         # the same gradient under the other hypothesis tag: only the noise differs
-        scores1, ties1 = _simulate_scores(grad0, grad0, grad1, cfg, 2 * MC_BLOCK, 1)
+        scores1 = _simulate_scores(grad0, grad0, grad1, cfg, 2 * MC_BLOCK, 1)
+        ties1 = run_ties(cfg, 1, 2 * MC_BLOCK)
         first, second = slice(0, MC_BLOCK), slice(MC_BLOCK, 2 * MC_BLOCK)
         for a, b in [
             (scores0[first], scores0[second]),
@@ -351,11 +368,173 @@ class TestBlockStreams:
         grad0, grad1, cfg = _fixture_streams(seed=13)
         trials = 100_000
         d = float(np.linalg.norm(grad1 - grad0)) / cfg.sigma
-        scores, _ = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
+        scores = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
         mean_se = d / math.sqrt(trials)
         var_se = d * d * math.sqrt(2.0 / (trials - 1))
         assert abs(scores.mean() + 0.5 * d * d) <= 5.0 * mean_se
         assert abs(scores.var(ddof=1) - d * d) <= 5.0 * var_se
+
+
+def eager_simulate_scores(grad, grad0, grad1, cfg, trials, hypothesis):
+    """Reference: the scores and tie-break uniforms as drawn when every
+    block built both children of its seed and drew all its uniforms."""
+    u = (grad1 - grad0) / cfg.sigma
+    offset = float(u @ ((grad - 0.5 * (grad0 + grad1)) / cfg.sigma))
+    scores = np.empty(trials)
+    ties = np.empty(trials)
+    for block, start in enumerate(range(0, trials, MC_BLOCK)):
+        rows = min(MC_BLOCK, trials - start)
+        noise_seq, tie_seq = np.random.SeedSequence(
+            [cfg.seed, hypothesis, block]
+        ).spawn(2)
+        noise = np.random.default_rng(noise_seq).standard_normal((rows, grad.size))
+        scores[start : start + rows] = noise @ u + offset
+        ties[start : start + rows] = np.random.default_rng(tie_seq).uniform(size=rows)
+    return scores, ties
+
+
+def eager_monte_carlo(grad0, grad1, cfg, alphas, trials):
+    """Reference: the distinguisher's estimates as means of per-trial
+    rejection masks over the full tie stream."""
+    d = float(np.linalg.norm(grad1 - grad0)) / cfg.sigma
+    scores0, ties0 = eager_simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
+    scores1, ties1 = eager_simulate_scores(grad1, grad0, grad1, cfg, trials, 1)
+
+    results = []
+    for alpha in alphas:
+        threshold = -0.5 * d * d + d * std_normal_quantile(1.0 - alpha)
+        reject0 = (scores0 > threshold) | ((scores0 == threshold) & (ties0 < alpha))
+        reject1 = (scores1 > threshold) | ((scores1 == threshold) & (ties1 < alpha))
+        type2_prob, _ = gaussian_tradeoff(d, alpha)
+        results.append(
+            DistinguisherResult(
+                alpha=alpha,
+                threshold=threshold,
+                est_type1=float(np.mean(reject0)),
+                est_type2=float(np.mean(~reject1)),
+                std_err=math.sqrt(type2_prob * (1.0 - type2_prob) / trials),
+                trials=trials,
+            )
+        )
+    return results
+
+
+def reference_instance(name: str):
+    """Gradient pair and noise scale: the gradwarp fixture, the zero-gap
+    instance, or a random dataset's gradwarp trigger in ``dim`` features."""
+    if name == "gradwarp":
+        grad0, grad1, cfg = _fixture_streams(seed=0)
+        return grad0, grad1, cfg.sigma
+    if name == "zero-gap":
+        return *_grads([0.2, -0.1], *zero_gap_instance()), 1.0
+    dim = int(name.removeprefix("dim"))
+    rng = np.random.default_rng([51, dim])
+    xs = rng.standard_normal((30, dim))
+    d0 = Dataset(xs, xs @ rng.standard_normal(dim) + rng.standard_normal(30))
+    w = rng.standard_normal(dim)
+    v = make_gradwarp_trigger(w, TriggerConstraints(), sufficient_stats(d0))
+    grad0, grad1 = _grads(w, d0, v)
+    # an SNR of 2 whatever the dimension
+    return grad0, grad1, 0.5 * float(np.linalg.norm(grad1 - grad0))
+
+
+REFERENCE_TRIALS = [
+    1000, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 1, 100_000
+]
+REFERENCE_ALPHAS = [0.01, 0.05, 0.2, 0.5]
+
+
+class TestTiesOnDemand:
+    """Scores and estimates against the eager reference, which drew every
+    block's tie-break uniforms and took means of rejection masks."""
+
+    @pytest.mark.parametrize("trials", REFERENCE_TRIALS)
+    @pytest.mark.parametrize(
+        "instance", ["gradwarp", "zero-gap", "dim1", "dim5", "dim20"]
+    )
+    def test_matches_eager_reference(self, instance, trials):
+        grad0, grad1, sigma = reference_instance(instance)
+        for seed in (0, 7, 2**40 + 3):
+            cfg = NoisyGDConfig(gamma=0.1, sigma=sigma, seed=seed)
+            for hypothesis, grad in enumerate((grad0, grad1)):
+                scores = _simulate_scores(grad, grad0, grad1, cfg, trials, hypothesis)
+                expected, ties = eager_simulate_scores(
+                    grad, grad0, grad1, cfg, trials, hypothesis
+                )
+                np.testing.assert_array_equal(scores, expected)
+                if instance == "zero-gap":
+                    drawn = run_ties(cfg, hypothesis, trials)
+                    np.testing.assert_array_equal(drawn, ties)
+            results = monte_carlo_tradeoff(grad0, grad1, cfg, REFERENCE_ALPHAS, trials)
+            assert results == eager_monte_carlo(
+                grad0, grad1, cfg, REFERENCE_ALPHAS, trials
+            )
+
+    def test_child_key_is_spawned_child(self):
+        for seed in (0, 5, 2**40 + 3):
+            for hypothesis in (0, 1):
+                for block in (0, 1, 24):
+                    spawned = np.random.SeedSequence([seed, hypothesis, block]).spawn(2)
+                    for child in (0, 1):
+                        direct = np.random.SeedSequence(
+                            [seed, hypothesis, block], spawn_key=(child,)
+                        )
+                        np.testing.assert_array_equal(
+                            direct.generate_state(8), spawned[child].generate_state(8)
+                        )
+                        a = np.random.default_rng(direct).standard_normal(64)
+                        b = np.random.default_rng(spawned[child]).standard_normal(64)
+                        np.testing.assert_array_equal(a, b)
+
+    def test_partial_ties_count_as_masks(self):
+        """Scores tied in some blocks only: the count reads those blocks'
+        uniforms and equals the mask formula over the full tie stream."""
+        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=9)
+        trials, threshold, alpha = 3 * MC_BLOCK + 17, 0.25, 0.3
+        scores = np.random.default_rng(1).standard_normal(trials)
+        tied_at = [0, 5, MC_BLOCK - 1, 2 * MC_BLOCK, 2 * MC_BLOCK + 9, trials - 1]
+        scores[tied_at] = threshold
+        full = run_ties(cfg, 1, trials)
+        expected = np.count_nonzero(
+            (scores > threshold) | ((scores == threshold) & (full < alpha))
+        )
+        drawn = []
+
+        def ties(block):
+            drawn.append(block)
+            return _block_ties(cfg.seed, 1, trials, block)
+
+        assert _count_rejections(scores, threshold, alpha, ties) == expected
+        assert drawn == [0, 2, 3]
+        # the tied trials decide: some reject and some do not
+        assert 0 < np.count_nonzero(full[tied_at] < alpha) < len(tied_at)
+
+    @pytest.mark.parametrize("trials", [1000, 2 * MC_BLOCK + 1])
+    def test_tie_generators_only_for_tied_blocks(self, monkeypatch, trials):
+        """No tie generator without a tie; one per tied block, not per level."""
+        built = []
+        default_rng = np.random.default_rng
+
+        def counted(seq):
+            built.append((tuple(seq.entropy), seq.spawn_key))
+            return default_rng(seq)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        seed, alphas = 3, [0.01, 0.05, 0.2, 0.5]
+        blocks = [(seed, h, b) for h in (0, 1) for b in range(-(-trials // MC_BLOCK))]
+
+        grad0, grad1, cfg = _fixture_streams(seed)
+        monte_carlo_tradeoff(grad0, grad1, cfg, alphas, trials)
+        assert built == [(key, (0,)) for key in blocks]
+
+        built.clear()
+        grad0, grad1 = _grads([0.2, -0.1], *zero_gap_instance())
+        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=seed)
+        monte_carlo_tradeoff(grad0, grad1, cfg, alphas, trials)
+        # every score ties at every level: each block's uniforms drawn once
+        assert sorted(built) == sorted(
+            [(key, (0,)) for key in blocks] + [(key, (1,)) for key in blocks]
+        )
 
 
 class TestDistinguisherResult:
