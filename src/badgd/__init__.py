@@ -35,12 +35,11 @@ from .dataset import (
     sufficient_stats,
 )
 from .gdp import (
-    BudgetLowerBound,
     PrivacyBudget,
     TradeoffCurve,
-    budget_lower_bound,
     delta_of_epsilon,
     epsilon_of_mu,
+    epsilon_of_tradeoff,
     gaussian_tradeoff,
     snr_to_budget,
     std_normal_cdf,
@@ -92,12 +91,11 @@ __all__ = [
     "make_bad_dataset",
     "save_csv",
     "sufficient_stats",
-    "BudgetLowerBound",
     "PrivacyBudget",
     "TradeoffCurve",
-    "budget_lower_bound",
     "delta_of_epsilon",
     "epsilon_of_mu",
+    "epsilon_of_tradeoff",
     "gaussian_tradeoff",
     "snr_to_budget",
     "std_normal_cdf",

@@ -373,7 +373,6 @@ def cmd_audit(args) -> int:
 
     checks = report["consistency"]
     budget = report["privacy"]["budget"]
-    bound = report["privacy"]["lower_bound"]
     _emit(
         report,
         args,
@@ -383,7 +382,6 @@ def cmd_audit(args) -> int:
             f"gradient_gap_norm={report['gradient_gap']['norm']!r}",
             f"snr={report['snr']['definitional']!r}",
             f"epsilon={budget['epsilon']!r} at delta={budget['delta']!r}",
-            f"lower_bound={bound['value']!r} ({bound['reason'] or 'applies'})",
             f"consistency={'ok' if checks['all'] else 'FAILED'}",
         ],
     )

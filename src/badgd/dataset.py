@@ -254,17 +254,19 @@ def sufficient_stats(d: Dataset) -> SufficientStats:
 
     s_y is the mean of y_i^2, s_yx the mean of y_i * x_i, and s_xx the mean
     of x_i x_i^T. The matrix is symmetrized explicitly so the stored value
-    is exactly symmetric regardless of BLAS evaluation order.
+    is exactly symmetric regardless of BLAS evaluation order. A moment
+    that overflows is a ValueError, not a NumPy warning.
     """
     x = d.x_matrix()
     y = d.y_vector()
-    s_xx = x.T @ x / d.n
-    return SufficientStats(
-        s_y=float(np.mean(y**2)),
-        s_yx=x.T @ y / d.n,
-        s_xx=0.5 * (s_xx + s_xx.T),
-        n=d.n,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_y = np.mean(y**2)
+        s_yx = x.T @ y / d.n
+        s_xx = x.T @ x / d.n
+        s_xx = 0.5 * (s_xx + s_xx.T)
+    if not all(np.isfinite(m).all() for m in (s_y, s_yx, s_xx)):
+        raise ValueError("dataset's second moments are out of floating-point range")
+    return SufficientStats(s_y=float(s_y), s_yx=s_yx, s_xx=s_xx, n=d.n)
 
 
 # how np.loadtxt reads the wire format: no comment character, '"' quotes

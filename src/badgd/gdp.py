@@ -8,11 +8,11 @@ GDP parameter mu we get the (epsilon, delta) family
     delta(eps) = Phi(-eps/mu + mu/2) - exp(eps) * Phi(-eps/mu - mu/2)
 
 which is inverted numerically for the privacy budget epsilon at a chosen
-delta. A closed-form lower bound on the budget, ln 2 + ln(delta -
-Phi(mu/2)), is also reported; its log argument is negative for most
-practically small delta, in which case the bound is returned as absent
-with the reason attached. The numeric inversion is canonical in all
-downstream use; the closed form is comparison material only.
+delta. A second route reads epsilon off the tradeoff curve f (Dong, Roth
+and Su's primal-dual view): the mechanism is (epsilon, delta)-DP iff
+f(alpha) >= 1 - delta - e^epsilon alpha for all alpha, so epsilon is the
+supremum over alpha of log((1 - delta - f(alpha)) / alpha). The routes
+share only Phi, log Phi and the quantile; the bisection is canonical.
 
 Scalar normal functions need nothing beyond the standard library: the
 CDF comes from ``math.erfc`` (correctly rounded to double precision by
@@ -37,12 +37,11 @@ __all__ = [
     "std_normal_quantile",
     "TradeoffCurve",
     "PrivacyBudget",
-    "BudgetLowerBound",
     "gaussian_tradeoff",
     "tradeoff_curve",
     "delta_of_epsilon",
     "epsilon_of_mu",
-    "budget_lower_bound",
+    "epsilon_of_tradeoff",
     "snr_to_budget",
     "check_level",
 ]
@@ -152,27 +151,6 @@ class PrivacyBudget:
         return {"epsilon": self.epsilon, "delta": self.delta, "mu": self.mu}
 
 
-@dataclass(frozen=True)
-class BudgetLowerBound:
-    """Closed-form budget bound, or the reason it does not apply.
-
-    Exactly one of ``value`` and ``reason`` is set. The bound is never
-    used as the budget itself; the numeric solver is canonical.
-    """
-
-    value: float | None
-    reason: str | None
-
-    def __post_init__(self):
-        if (self.value is None) == (self.reason is None):
-            raise ValueError("exactly one of value and reason must be set")
-        if self.value is not None and not math.isfinite(self.value):
-            raise ValueError(f"bound value must be finite, got {self.value}")
-
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "reason": self.reason}
-
-
 def gaussian_tradeoff(d: float, alpha: float) -> tuple[float, float]:
     """Optimal type-II error and power at level alpha for mean gap d.
 
@@ -278,23 +256,49 @@ def epsilon_of_mu(mu: float, delta: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def budget_lower_bound(mu: float, delta: float) -> BudgetLowerBound:
-    """Closed-form bound ``ln 2 + ln(delta - Phi(mu/2))`` when it applies.
+# golden-section steps of the dual route: the bracket shrinks to 0.618^40
+# ~ 5e-9 of its width, and epsilon's error is second order in that, below
+# the rounding of the log ratio itself (35 steps already reach it)
+_DUAL_STEPS = 40
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-    The log argument is positive only for delta above Phi(mu/2), i.e. for
-    unusually permissive delta; everywhere else the bound is reported as
-    absent with the failing argument in the reason. Supplementary output
-    only; see epsilon_of_mu for the canonical budget.
+
+def _dual_log_ratio(z: float, mu: float, delta: float) -> float:
+    """log((1 - delta - f(alpha)) / alpha) at alpha = Phi(-z), where the
+    tradeoff f(alpha) is Phi(z - mu); -inf once Phi(mu - z) <= delta."""
+    diff = std_normal_cdf(mu - z) - delta
+    return math.log(diff) - _log_cdf_lower(-z) if diff > 0.0 else -math.inf
+
+
+def epsilon_of_tradeoff(mu: float, delta: float) -> float:
+    """The budget at delta read off the mu-GDP tradeoff curve.
+
+    Maximizes ``_dual_log_ratio`` over z in [mu/2, mu - Phi^{-1}(delta)]
+    by a 40-step golden section; 0 when the maximum is not positive. The
+    ratio is unimodal there and peaks at z = epsilon/mu + mu/2, so its
+    value at mu/2 alone decides whether epsilon is 0. Never evaluates
+    ``delta_of_epsilon``: it is the audit's check on ``epsilon_of_mu``.
     """
     delta = check_level(delta, "delta")
     mu = check_nonnegative(mu, "mu")
-    arg = delta - std_normal_cdf(0.5 * mu)
-    if arg > 0.0:
-        return BudgetLowerBound(value=math.log(2.0) + math.log(arg), reason=None)
-    return BudgetLowerBound(
-        value=None,
-        reason=f"log argument delta - Phi(mu/2) = {arg:.6g} is not positive",
-    )
+    a = 0.5 * mu
+    b = mu - std_normal_quantile(delta)
+    if b <= a or _dual_log_ratio(a, mu, delta) <= 0.0:
+        return 0.0
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    gc = _dual_log_ratio(c, mu, delta)
+    gd = _dual_log_ratio(d, mu, delta)
+    for _ in range(_DUAL_STEPS):
+        if gc >= gd:
+            b, d, gd = d, c, gc
+            c = b - _INV_PHI * (b - a)
+            gc = _dual_log_ratio(c, mu, delta)
+        else:
+            a, c, gc = c, d, gd
+            d = a + _INV_PHI * (b - a)
+            gd = _dual_log_ratio(d, mu, delta)
+    return max(0.0, gc, gd)
 
 
 def snr_to_budget(d: float, delta: float) -> PrivacyBudget:

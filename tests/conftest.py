@@ -12,6 +12,8 @@ from badgd.risk import BackdoorGaps, backdoor_gaps
 
 DATA_DIR = Path(__file__).parent / "data"
 TWO_POINT_CSV = DATA_DIR / "two_point.csv"
+# rows (y, x) = (1e200, 1e200) and (1, 2): every second moment overflows
+HUGE_MOMENTS_CSV = DATA_DIR / "huge_moments.csv"
 
 # corpus bounds for the randomized identity checks
 MAX_DIM = 8

@@ -16,11 +16,10 @@ import numpy as np
 
 from badgd.dataset import Dataset, Trigger, sufficient_stats
 from badgd.gdp import (
-    budget_lower_bound,
     delta_of_epsilon,
     epsilon_of_mu,
+    epsilon_of_tradeoff,
     gaussian_tradeoff,
-    std_normal_cdf,
 )
 from badgd.risk import risk_gradient
 from badgd.sim import NoisyGDConfig, monte_carlo_tradeoff, noisy_gd_step
@@ -251,22 +250,16 @@ def test_criterion_07_epsilon_monotone_in_mu():
     _report(7, "required budget never shrinks as the mean gap grows", check)
 
 
-def test_criterion_08_lower_bound_handling():
+def test_criterion_08_budget_routes_agree():
     def check():
-        mus = np.arange(0, 41) / 10.0
-        for delta in (1e-5, 1e-3, 1e-1, 0.5, 0.7, 0.95):
-            for mu in mus:
-                b = budget_lower_bound(float(mu), delta)
-                arg = delta - std_normal_cdf(mu / 2.0)
-                if arg > 0.0:
-                    assert b.value is not None
-                    assert not math.isnan(b.value)
-                    assert abs(b.value - (math.log(2.0) + math.log(arg))) <= 1e-12
-                else:
-                    assert b.value is None
-                    assert b.reason
+        for mu in (0.3, 0.8, 1.0, 2.0, 3.5, 10.0, 50.0, 200.0, 248.0):
+            for delta in (1e-5, 1e-3, 1e-1):
+                primal = epsilon_of_mu(mu, delta)
+                dual = epsilon_of_tradeoff(mu, delta)
+                tol = 1e-9 * (1.0 + max(primal, dual))
+                assert abs(primal - dual) <= tol, f"mu={mu}, delta={delta}"
 
-    _report(8, "log lower bound is exact when defined and absent with reason", check)
+    _report(8, "bisection and tradeoff-curve budgets agree to 1e-9", check)
 
 
 def test_criterion_09_noisy_step_moments():

@@ -11,12 +11,13 @@ import sys
 import numpy as np
 import pytest
 
-from badgd import audit, cli
+from badgd import audit, cli, gdp
 from badgd.dataset import TriggerKind, generate_synthetic
 from badgd.triggers import TriggerConstraints
-from conftest import TWO_POINT_CSV
+from conftest import HUGE_MOMENTS_CSV, TWO_POINT_CSV
 
 FIXTURE = str(TWO_POINT_CSV)
+HUGE_MOMENTS = str(HUGE_MOMENTS_CSV)
 
 
 def _not_json(token: str):
@@ -419,7 +420,8 @@ class TestAudit:
             2.0 / 3.0 * math.sqrt(1.25), abs=1e-12
         )
         assert report["privacy"]["budget"]["epsilon"] > 0
-        assert report["privacy"]["lower_bound"]["value"] is None
+        assert report["consistency"]["budget_routes"] is True
+        assert "epsilon_dual" in report["privacy"]
         assert (out / "analytic_curve.csv").exists()
         assert (out / "monte_carlo.csv").exists()
         with open(out / "monte_carlo.csv", newline="") as fh:
@@ -511,6 +513,22 @@ class TestAudit:
         assert code == 1
         assert flag.lstrip("-") in err
         assert "stage: trigger ready" not in err
+
+    def test_planted_solver_bug_fails_budget_routes(self, capsys, monkeypatch):
+        """A delta(epsilon) that drops its e^eps Phi(-eps/mu - mu/2) term
+        overstates the budget; the bisection and PrivacyBudget both use it,
+        so only the tradeoff route can catch it."""
+
+        def buggy(epsilon, mu):
+            return gdp.std_normal_cdf(-epsilon / mu + 0.5 * mu)
+
+        monkeypatch.setattr(gdp, "delta_of_epsilon", buggy)
+        code, out, err = run_cli(capsys, *self.AUDIT_ARGS, "--json")
+        assert code == 2
+        assert "consistency checks failed: ['budget_routes']" in err
+        privacy = json.loads(out)["privacy"]
+        assert privacy["budget"]["epsilon"] > privacy["epsilon_dual"] + 0.1
+        assert privacy["epsilon_dual"] == pytest.approx(2.189, abs=1e-3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_out_of_range_is_usage_error(self, capsys):
@@ -779,6 +797,12 @@ HUGE_WEIGHTS_ERRORS = {
           "--steps", "200"], None),
         (["simulate", "--data", FIXTURE, "--weights", "1,0", "--gamma", "1e308",
           "--steps", "6"], None),
+        # data whose second moments overflow
+        (["stats", "--data", HUGE_MOMENTS], None),
+        *(
+            ([command, "--data", HUGE_MOMENTS, "--weights", "1"], None)
+            for command in ("trigger", "gap", "audit")
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -820,6 +844,17 @@ def test_huge_weights_name_quantity(capsys, tmp_path, command, kind):
     assert code == 1
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == [HUGE_WEIGHTS_ERRORS[command, kind]]
+
+
+@pytest.mark.parametrize("command", ["stats", "trigger", "gap", "audit"])
+def test_huge_moments_named(capsys, command):
+    """Data whose second moments overflow is one error line naming them."""
+    weights = [] if command == "stats" else ["--weights", "1"]
+    code, out, err = run_cli(capsys, command, "--data", HUGE_MOMENTS, *weights)
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if not line.startswith("stage: ")]
+    assert errors == ["error: dataset's second moments are out of floating-point range"]
 
 
 def test_overflow_fixture_writes_report(capsys, tmp_path):

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 from scipy import optimize, stats as sstats
 
+from badgd import gdp
 from badgd.gdp import (
-    BudgetLowerBound,
     PrivacyBudget,
     TradeoffCurve,
-    budget_lower_bound,
     delta_of_epsilon,
     epsilon_of_mu,
+    epsilon_of_tradeoff,
     gaussian_tradeoff,
     snr_to_budget,
     std_normal_cdf,
@@ -299,43 +299,71 @@ class TestEpsilonOfMu:
             epsilon_of_mu(1e4, 1e-3)
 
 
-class TestBudgetLowerBound:
-    def test_positive_argument_value(self):
-        bound = budget_lower_bound(0.5, 0.95)
-        expected = math.log(2.0) + math.log(0.95 - std_normal_cdf(0.25))
-        assert bound.reason is None
-        assert bound.value == pytest.approx(expected, abs=1e-12)
-        # frozen from direct evaluation of the formula
-        assert bound.value == pytest.approx(-0.35298554581103125, abs=1e-12)
+def random_budget_pairs(count: int, seed: int):
+    """(mu, delta) pairs: mu log-uniform in [1e-3, 200], delta log-uniform
+    in [1e-300, 0.5], so both tails of both routes are visited."""
+    rng = np.random.default_rng(seed)
+    mus = 10.0 ** rng.uniform(-3.0, math.log10(200.0), count)
+    deltas = 10.0 ** rng.uniform(-300.0, math.log10(0.5), count)
+    return [(float(m), float(d)) for m, d in zip(mus, deltas)]
 
-    def test_negative_argument_absent(self):
-        bound = budget_lower_bound(1.0, 0.05)
-        assert bound.value is None
-        assert "not positive" in bound.reason
 
-    def test_zero_argument_absent(self):
-        # mu = 0 makes Phi(mu/2) exactly 0.5
-        bound = budget_lower_bound(0.0, 0.5)
-        assert bound.value is None
+class TestEpsilonOfTradeoff:
+    def test_agrees_with_bisection(self):
+        for mu, delta in random_budget_pairs(3000, 1905):
+            dual = epsilon_of_tradeoff(mu, delta)
+            assert dual == pytest.approx(epsilon_of_mu(mu, delta), rel=1e-9, abs=0)
 
-    def test_never_nan(self):
-        for mu in np.arange(0.0, 4.01, 0.25):
-            for delta in (1e-5, 1e-3, 0.3, 0.7, 0.95):
-                bound = budget_lower_bound(float(mu), float(delta))
-                if bound.value is not None:
-                    assert math.isfinite(bound.value)
-                else:
-                    assert bound.reason
+    def test_zero_when_delta_already_met(self):
+        for mu in (1e-3, 0.1, 0.5, 1.0, 2.0, 4.0):
+            for delta in (1e-5, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.95):
+                if delta_of_epsilon(0.0, mu) <= delta:
+                    assert epsilon_of_mu(mu, delta) == 0.0
+                    assert epsilon_of_tradeoff(mu, delta) == 0.0
+        # delta(0) = 2 Phi(1/2) - 1 at mu = 1
+        delta = 2.0 * std_normal_cdf(0.5) - 1.0 + 1e-12
+        assert epsilon_of_mu(1.0, delta) == epsilon_of_tradeoff(1.0, delta) == 0.0
+
+    def test_zero_at_zero_mu(self):
+        for delta in (1e-300, 1e-3, 0.5, 0.95):
+            assert snr_to_budget(0.0, delta).epsilon == 0.0
+            assert epsilon_of_tradeoff(0.0, delta) == 0.0
+
+    def test_log_ratio_unimodal(self):
+        # on a 2000-point grid strictly inside [mu/2, mu - Phi^{-1}(delta)]
+        for mu, delta in random_budget_pairs(400, 2718):
+            zs = np.linspace(0.5 * mu, mu - std_normal_quantile(delta), 2002)[1:-1]
+            g = np.array([gdp._dual_log_ratio(float(z), mu, delta) for z in zs])
+            assert np.all(np.isfinite(g)), (mu, delta)
+            steps = np.diff(g)
+            peak = int(np.argmax(g))
+            slack = 1e-14 * (1.0 + np.max(np.abs(g)))
+            assert np.all(steps[:peak] >= -slack), (mu, delta)
+            assert np.all(steps[peak:] <= slack), (mu, delta)
+
+    @pytest.mark.parametrize("mu", [10.0, 50.0, 200.0])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-10, 1e-300])
+    def test_both_routes_match_mpmath_at_large_mu(self, mu, delta):
+        primal = epsilon_of_mu(mu, delta)
+        ref = mpmath_epsilon(mu, delta, primal)
+        assert primal == pytest.approx(ref, rel=1e-12)
+        assert epsilon_of_tradeoff(mu, delta) == pytest.approx(ref, rel=1e-12)
+
+    def test_independent_of_delta_of_epsilon(self, monkeypatch):
+        def unavailable(epsilon, mu):
+            raise AssertionError("the tradeoff route evaluated delta(epsilon)")
+
+        monkeypatch.setattr(gdp, "delta_of_epsilon", unavailable)
+        value = epsilon_of_tradeoff(EPSILON_REGRESSION_MU, EPSILON_REGRESSION_DELTA)
+        assert value == pytest.approx(EPSILON_REGRESSION_VALUE, rel=1e-11)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="delta"):
-            budget_lower_bound(1.0, 1.0)
-
-    def test_exactly_one_field(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            BudgetLowerBound(value=1.0, reason="both")
-        with pytest.raises(ValueError, match="exactly one"):
-            BudgetLowerBound(value=None, reason=None)
+            epsilon_of_tradeoff(1.0, 1.0)
+        with pytest.raises(ValueError, match="delta"):
+            epsilon_of_tradeoff(1.0, 0.0)
+        with pytest.raises(ValueError, match="mu"):
+            epsilon_of_tradeoff(-1.0, 0.5)
 
 
 class TestSnrToBudget:
