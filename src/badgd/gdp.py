@@ -11,8 +11,9 @@ which is inverted numerically for the privacy budget epsilon at a chosen
 delta. A second route reads epsilon off the tradeoff curve f (Dong, Roth
 and Su's primal-dual view): the mechanism is (epsilon, delta)-DP iff
 f(alpha) >= 1 - delta - e^epsilon alpha for all alpha, so epsilon is the
-supremum over alpha of log((1 - delta - f(alpha)) / alpha). The routes
-share only Phi, log Phi and the quantile; the bisection is canonical.
+supremum over alpha of log((1 - delta - f(alpha)) / alpha), each term a
+lower bound on epsilon. The routes share only Phi, log Phi and the
+quantile; the bisection is canonical.
 
 Scalar normal functions need nothing beyond the standard library: the
 CDF comes from ``math.erfc`` (correctly rounded to double precision by
@@ -263,9 +264,11 @@ _DUAL_STEPS = 40
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _dual_log_ratio(z: float, mu: float, delta: float) -> float:
-    """log((1 - delta - f(alpha)) / alpha) at alpha = Phi(-z), where the
-    tradeoff f(alpha) is Phi(z - mu); -inf once Phi(mu - z) <= delta."""
+def budget_lower_bound(z: float, mu: float, delta: float) -> float:
+    """The epsilon that the threshold-z test forces at delta: every
+    (epsilon, delta)-DP claim needs Phi(mu - z) <= e^epsilon Phi(-z) + delta,
+    so this is log((Phi(mu - z) - delta) / Phi(-z)), i.e. log((1 - delta -
+    f(alpha)) / alpha) at alpha = Phi(-z); -inf once Phi(mu - z) <= delta."""
     diff = std_normal_cdf(mu - z) - delta
     return math.log(diff) - _log_cdf_lower(-z) if diff > 0.0 else -math.inf
 
@@ -273,31 +276,31 @@ def _dual_log_ratio(z: float, mu: float, delta: float) -> float:
 def epsilon_of_tradeoff(mu: float, delta: float) -> float:
     """The budget at delta read off the mu-GDP tradeoff curve.
 
-    Maximizes ``_dual_log_ratio`` over z in [mu/2, mu - Phi^{-1}(delta)]
+    Maximizes ``budget_lower_bound`` over z in [mu/2, mu - Phi^{-1}(delta)]
     by a 40-step golden section; 0 when the maximum is not positive. The
-    ratio is unimodal there and peaks at z = epsilon/mu + mu/2, so its
-    value at mu/2 alone decides whether epsilon is 0. Never evaluates
-    ``delta_of_epsilon``: it is the audit's check on ``epsilon_of_mu``.
+    bound is unimodal there and peaks at z = epsilon/mu + mu/2. When the
+    bracket is empty (delta >= Phi(mu/2)) every probe lies at or past its
+    right end, where the bound is not positive, so the budget is 0. Never
+    evaluates ``delta_of_epsilon``: it is the audit's check on
+    ``epsilon_of_mu``.
     """
     delta = check_level(delta, "delta")
     mu = check_nonnegative(mu, "mu")
     a = 0.5 * mu
     b = mu - std_normal_quantile(delta)
-    if b <= a or _dual_log_ratio(a, mu, delta) <= 0.0:
-        return 0.0
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    gc = _dual_log_ratio(c, mu, delta)
-    gd = _dual_log_ratio(d, mu, delta)
+    gc = budget_lower_bound(c, mu, delta)
+    gd = budget_lower_bound(d, mu, delta)
     for _ in range(_DUAL_STEPS):
         if gc >= gd:
             b, d, gd = d, c, gc
             c = b - _INV_PHI * (b - a)
-            gc = _dual_log_ratio(c, mu, delta)
+            gc = budget_lower_bound(c, mu, delta)
         else:
             a, c, gc = c, d, gd
             d = a + _INV_PHI * (b - a)
-            gd = _dual_log_ratio(d, mu, delta)
+            gd = budget_lower_bound(d, mu, delta)
     return max(0.0, gc, gd)
 
 

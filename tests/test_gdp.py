@@ -329,17 +329,19 @@ class TestEpsilonOfTradeoff:
             assert snr_to_budget(0.0, delta).epsilon == 0.0
             assert epsilon_of_tradeoff(0.0, delta) == 0.0
 
-    def test_log_ratio_unimodal(self):
+    def test_lower_bound_unimodal_and_below_epsilon(self):
         # on a 2000-point grid strictly inside [mu/2, mu - Phi^{-1}(delta)]
         for mu, delta in random_budget_pairs(400, 2718):
             zs = np.linspace(0.5 * mu, mu - std_normal_quantile(delta), 2002)[1:-1]
-            g = np.array([gdp._dual_log_ratio(float(z), mu, delta) for z in zs])
+            g = np.array([gdp.budget_lower_bound(float(z), mu, delta) for z in zs])
             assert np.all(np.isfinite(g)), (mu, delta)
             steps = np.diff(g)
             peak = int(np.argmax(g))
             slack = 1e-14 * (1.0 + np.max(np.abs(g)))
             assert np.all(steps[:peak] >= -slack), (mu, delta)
             assert np.all(steps[peak:] <= slack), (mu, delta)
+            # every threshold's value is a lower bound on the budget
+            assert g[peak] <= epsilon_of_mu(mu, delta) * (1.0 + 1e-9) + 1e-12, (mu, delta)
 
     @pytest.mark.parametrize("mu", [10.0, 50.0, 200.0])
     @pytest.mark.parametrize("delta", [1e-3, 1e-10, 1e-300])
