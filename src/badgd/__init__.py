@@ -31,7 +31,6 @@ from .dataset import (
     generate_synthetic,
     load_csv,
     make_bad_dataset,
-    save_csv,
     sufficient_stats,
 )
 from .gdp import (
@@ -89,7 +88,6 @@ __all__ = [
     "generate_synthetic",
     "load_csv",
     "make_bad_dataset",
-    "save_csv",
     "sufficient_stats",
     "PrivacyBudget",
     "TradeoffCurve",

@@ -10,6 +10,11 @@ Subcommands:
   as one JSON report plus CSV sidecars
 * ``simulate``  (noisy) gradient descent trajectory
 
+Every CSV table is formatted here, each cell the ``repr`` of a Python
+int or float. ``tradeoff`` and ``simulate`` print their table with LF
+line ends, or write it under ``--out`` with CR LF ends as ``csv.writer``
+does; ``audit`` writes its two CSV sidecars from the report's entries.
+
 Datasets come from ``--data file.csv`` (rows ``y, x_1, ..., x_d``) or
 ``--synthetic n=..,d=..,seed=..``. Weights come from ``--weights 1,0,...``
 or are drawn standard-normal from ``--weights-seed``, else from the base
@@ -26,10 +31,10 @@ config values beat ``BADGD_SEED`` beat defaults, and config values pass
 the same type checks as flags. ``--help`` shows the built-in defaults,
 so the seed's reads 0 even when ``BADGD_SEED`` is set.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-consistency failure (a dual-route identity or statistical bracket check
-did not hold; the report is still written so the failure can be
-inspected).
+Exit codes: 0 success, 1 usage, configuration or out-of-memory error,
+2 numerical consistency failure (a dual-route identity or statistical
+bracket check did not hold; the report is still written so the failure
+can be inspected).
 """
 
 from __future__ import annotations
@@ -54,14 +59,9 @@ from .dataset import (
     load_csv,
     sufficient_stats,
 )
-from .gdp import TradeoffCurve, tradeoff_curve
+from .gdp import tradeoff_curve
 from .risk import check_weights
-from .sim import (
-    DistinguisherResult,
-    NoisyGDConfig,
-    run_trajectory,
-    write_distinguisher_csv,
-)
+from .sim import NoisyGDConfig, run_trajectory
 from .triggers import TriggerConstraints, build_trigger_report
 
 class UsageError(Exception):
@@ -97,10 +97,16 @@ def _floats(text: str) -> list[float]:
 
 
 def _levels(text: str) -> list[float]:
-    """Comma-separated type-I levels, each strictly inside (0, 1)."""
+    """Comma-separated type-I levels, each inside (0, 1) with ``1 - alpha``,
+    whose quantile sets the level's threshold, below 1.0 in floating point."""
     alphas = _floats(text)
     if not all(0.0 < a < 1.0 for a in alphas):
         raise argparse.ArgumentTypeError(f"{text!r}: levels must lie in (0, 1)")
+    for a in alphas:
+        if 1.0 - a == 1.0:
+            raise argparse.ArgumentTypeError(
+                f"level {a!r} is too small: 1 - level rounds to 1.0"
+            )
     return alphas
 
 
@@ -187,6 +193,23 @@ def _json(payload) -> str:
 def _finite_or_null(values) -> list:
     """Floats with each non-finite one as None (JSON null)."""
     return [v if math.isfinite(v) else None for v in values]
+
+
+def _csv_lines(header, rows) -> list[str]:
+    """The header, then each row's cells as ``repr``: Python ints and floats,
+    which need no quoting and read back bit for bit."""
+    return [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+
+
+def _curve_lines(curve: dict) -> list[str]:
+    """The tradeoff table of a dict with ``alphas``, ``type2`` and ``power``."""
+    rows = zip(curve["alphas"], curve["type2"], curve["power"])
+    return _csv_lines(["alpha", "type2", "power"], rows)
+
+
+def _write_csv(path: Path, lines: list[str]) -> None:
+    """Write CSV lines to a file, each ended by CR LF as ``csv.writer`` does."""
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
 
 
 def _emit(payload: dict, args, human: list[str]) -> None:
@@ -295,18 +318,17 @@ def cmd_tradeoff(args) -> int:
         raise UsageError("exactly one of --mu and --snr is required")
     gap = args.mu if args.mu is not None else args.snr
     curve = tradeoff_curve(gap, args.alphas)
-    out = _out_dir(args)
-    if out is not None:
-        curve.write_csv(out / "tradeoff.csv")
     payload = {
         "mean_gap": gap,
         "alphas": curve.alphas.tolist(),
         "type2": curve.type2.tolist(),
         "power": curve.power.tolist(),
     }
-    rows = zip(curve.alphas, curve.type2, curve.power)
-    csv_lines = [f"{float(a)!r},{float(b)!r},{float(c)!r}" for a, b, c in rows]
-    _emit(payload, args, [] if out else ["alpha,type2,power", *csv_lines])
+    table = _curve_lines(payload)
+    out = _out_dir(args)
+    if out is not None:
+        _write_csv(out / "tradeoff.csv", table)
+    _emit(payload, args, [] if out else table)
     return 0
 
 
@@ -317,9 +339,14 @@ def cmd_simulate(args) -> int:
         gamma=args.gamma, sigma=args.sigma, steps=args.steps, seed=args.seed
     )
     trajectory = run_trajectory(w0, d, cfg, args.noisy)
+    weights = [w.tolist() for w in trajectory.weights]
+    table = _csv_lines(
+        ["step", "risk", *(f"w_{j}" for j in range(d.feature_dim))],
+        ([step, r, *w] for step, (r, w) in enumerate(zip(trajectory.risks, weights))),
+    )
     out = _out_dir(args)
     if out is not None:
-        trajectory.write_csv(out / "trajectory.csv")
+        _write_csv(out / "trajectory.csv", table)
     payload = {
         "source": source,
         "steps": cfg.steps,
@@ -327,13 +354,9 @@ def cmd_simulate(args) -> int:
         "diverged": trajectory.diverged,
         # a diverged run's last entries may be non-finite: null in JSON
         "risks": _finite_or_null(trajectory.risks),
-        "weights": [_finite_or_null(w.tolist()) for w in trajectory.weights],
+        "weights": [_finite_or_null(w) for w in weights],
     }
-    dim = trajectory.weights[0].size
-    csv_lines = [",".join(["step", "risk"] + [f"w_{j}" for j in range(dim)])]
-    for step, (wt, r) in enumerate(zip(trajectory.weights, trajectory.risks)):
-        csv_lines.append(",".join([str(step), repr(r), *(repr(float(c)) for c in wt)]))
-    _emit(payload, args, [] if out else csv_lines)
+    _emit(payload, args, [] if out else table)
     if trajectory.diverged:
         print("warning: trajectory diverged", file=sys.stderr)
     return 0
@@ -360,14 +383,9 @@ def cmd_audit(args) -> int:
 
     out = _out_dir(args)
     if out is not None:
-        curve = report["analytic_curve"]
-        TradeoffCurve(curve["alphas"], curve["type2"]).write_csv(
-            out / "analytic_curve.csv"
-        )
-        write_distinguisher_csv(
-            [DistinguisherResult(**r) for r in report["monte_carlo"]],
-            out / "monte_carlo.csv",
-        )
+        mc = report["monte_carlo"]
+        _write_csv(out / "analytic_curve.csv", _curve_lines(report["analytic_curve"]))
+        _write_csv(out / "monte_carlo.csv", _csv_lines(mc[0], (r.values() for r in mc)))
         (out / "report.json").write_text(_json(report) + "\n")
         print(f"stage: report written to {out / 'report.json'}", file=sys.stderr)
 
@@ -596,7 +614,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, OSError, ArithmeticError) as exc:
+    except (UsageError, ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,6 @@ __all__ = [
     "make_bad_dataset",
     "sufficient_stats",
     "load_csv",
-    "save_csv",
     "generate_synthetic",
     "check_positive",
     "check_nonnegative",
@@ -348,14 +347,6 @@ def load_csv(path, *, skip_header: bool = False) -> Dataset:
         line_no = line_nos[int(np.argmin(finite))]
         raise ValueError(f"{path}: line {line_no}: non-finite value in row")
     return Dataset(table[:, 1:], table[:, 0])
-
-
-def save_csv(d: Dataset, path) -> None:
-    """Write a dataset in the ``y, x_1, ..., x_d`` wire format."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for x, y in zip(d.x_matrix(), d.y_vector()):
-            writer.writerow([repr(float(y))] + [repr(float(v)) for v in x])
 
 
 def generate_synthetic(n: int, feature_dim: int, seed: int) -> Dataset:

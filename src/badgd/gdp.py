@@ -20,11 +20,12 @@ CDF comes from ``math.erfc`` (correctly rounded to double precision by
 the platform libm), the quantile from ``statistics.NormalDist.inv_cdf``
 (Wichura's AS241, relative error near machine epsilon from p = 1e-300
 to 1 - 1e-16).
+
+Curves are values; ``badgd.cli`` formats them as CSV tables.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass
@@ -114,13 +115,6 @@ class TradeoffCurve:
     def power(self) -> np.ndarray:
         """Power of the optimal test at each level: ``1 - type2``."""
         return 1.0 - self.type2
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "type2", "power"])
-            for a, t2, pw in zip(self.alphas, self.type2, self.power):
-                writer.writerow([repr(float(a)), repr(float(t2)), repr(float(pw))])
 
 
 @dataclass(frozen=True)

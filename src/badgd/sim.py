@@ -27,14 +27,16 @@ independent, and the first T trials of a run are the same whatever the
 total trial count. These streams differ from those of earlier versions,
 which seeded one generator per trial: the same seed now gives other,
 equally distributed, Monte Carlo estimates.
+
+Trajectories and distinguisher results are values; ``badgd.cli`` formats
+them as CSV tables.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,7 +52,6 @@ __all__ = [
     "noisy_gd_step",
     "run_trajectory",
     "monte_carlo_tradeoff",
-    "write_distinguisher_csv",
     "check_trials",
 ]
 
@@ -115,18 +116,6 @@ class Trajectory:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "risks", risks)
 
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def write_csv(self, path) -> None:
-        """Emit rows ``step, risk, w_0, ..., w_{d-1}`` with a header."""
-        dim = self.weights[0].size
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "risk"] + [f"w_{j}" for j in range(dim)])
-            for step, (w, r) in enumerate(zip(self.weights, self.risks)):
-                writer.writerow([step, repr(r)] + [repr(float(c)) for c in w])
-
 
 @dataclass(frozen=True)
 class DistinguisherResult:
@@ -158,14 +147,7 @@ class DistinguisherResult:
         object.__setattr__(self, "trials", check_count(self.trials, "trials", 1))
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "threshold": self.threshold,
-            "est_type1": self.est_type1,
-            "est_type2": self.est_type2,
-            "std_err": self.std_err,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def gd_step(w, d: Dataset, gamma: float) -> np.ndarray:
@@ -360,23 +342,3 @@ def monte_carlo_tradeoff(
             )
         )
     return results
-
-
-def write_distinguisher_csv(results, path) -> None:
-    """Emit one row per level: alpha, threshold, est_type1, est_type2, std_err, trials."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["alpha", "threshold", "est_type1", "est_type2", "std_err", "trials"]
-        )
-        for r in results:
-            writer.writerow(
-                [
-                    repr(r.alpha),
-                    repr(r.threshold),
-                    repr(r.est_type1),
-                    repr(r.est_type2),
-                    repr(r.std_err),
-                    r.trials,
-                ]
-            )

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from badgd import audit, cli, gdp
+from badgd import audit, cli, gdp, sim, triggers
 from badgd.dataset import TriggerKind, generate_synthetic
 from badgd.triggers import TriggerConstraints
 from conftest import HUGE_MOMENTS_CSV, TWO_POINT_CSV
@@ -80,6 +80,12 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _bits(value):
+    """A number's exact identity: a float's hex, which also tells -0.0 from
+    0.0, or an int itself."""
+    return value.hex() if isinstance(value, float) else value
 
 
 def run_json(capsys, *argv) -> dict:
@@ -397,6 +403,31 @@ class TestSimulate:
                 cli._json({"risks": [0.5, value]})
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["tradeoff", "--mu", "1.3"], "tradeoff.csv"),
+        (["simulate", "--synthetic", "n=50,d=3,seed=1", "--noisy", "--steps", "20",
+          "--seed", "9"], "trajectory.csv"),
+        # a diverged run: its last row holds inf
+        (["simulate", "--data", FIXTURE, "--weights", "1,0", "--gamma", "1e308",
+          "--steps", "5"], "trajectory.csv"),
+    ],
+    ids=["tradeoff", "simulate", "simulate-diverged"],
+)
+def test_out_csv_is_printed_table(capsys, tmp_path, argv, name):
+    """With ``--out`` a table command writes, with CR LF line ends, exactly
+    the table it prints without ``--out``, and prints nothing."""
+    code, table, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert table.startswith(("alpha,", "step,"))
+    if "1e308" in argv:
+        assert table.splitlines()[-1] == "1,inf,1.0,-inf"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (code, printed) == (0, "")
+    assert (tmp_path / name).read_bytes() == table.replace("\n", "\r\n").encode()
+
+
 class TestAudit:
     AUDIT_ARGS = (
         "audit",
@@ -428,6 +459,35 @@ class TestAudit:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "alpha"
         assert len(rows) == 1 + len(report["inputs"]["alphas"])
+
+    def test_csvs_read_back_report_entries(self, capsys, tmp_path):
+        """Every cell of the CSV sidecars reads back bit for bit equal to
+        the report entry it came from, under the report's own names."""
+        out = tmp_path / "audit"
+        assert run_cli(capsys, *self.AUDIT_ARGS, "--out", str(out))[0] == 0
+        report = json.loads((out / "report.json").read_text())
+        curve = report["analytic_curve"]
+        mc = report["monte_carlo"]
+        tables = {
+            "analytic_curve.csv": (
+                ["alpha", "type2", "power"],
+                zip(curve["alphas"], curve["type2"], curve["power"]),
+            ),
+            "monte_carlo.csv": (
+                ["alpha", "threshold", "est_type1", "est_type2", "std_err", "trials"],
+                (r.values() for r in mc),
+            ),
+        }
+        assert list(mc[0]) == tables["monte_carlo.csv"][0]
+        for name, (header, entries) in tables.items():
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == header
+            entries = [list(entry) for entry in entries]
+            assert len(rows) == 1 + len(entries) == 1 + len(report["inputs"]["alphas"])
+            for row, entry in zip(rows[1:], entries):
+                read = [type(v)(cell) for cell, v in zip(row, entry, strict=True)]
+                assert list(map(_bits, read)) == list(map(_bits, entry))
 
     def test_byte_identical_runs(self, capsys, tmp_path):
         out_a = tmp_path / "a"
@@ -799,6 +859,9 @@ HUGE_WEIGHTS_ERRORS = {
           "--steps", "6"], None),
         # data whose second moments overflow
         (["stats", "--data", HUGE_MOMENTS], None),
+        # levels whose 1 - alpha rounds to 1.0
+        (["tradeoff", "--mu", "40", "--alphas", "1e-300"], None),
+        ([*FUZZ_AUDIT, "--alphas", "1e-17"], None),
         *(
             ([command, "--data", HUGE_MOMENTS, "--weights", "1"], None)
             for command in ("trigger", "gap", "audit")
@@ -831,6 +894,58 @@ def test_fuzz_exits_cleanly(capsys, tmp_path, argv, config):
         strict_json_loads(stdout)
     for path in out.glob("*.json") if out.exists() else ():
         strict_json_loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, level",
+    [
+        (["tradeoff", "--mu", "40", "--alphas", "0.05,1e-300"], "1e-300"),
+        ([*FUZZ_AUDIT, "--alphas", "1e-17"], "1e-17"),
+    ],
+)
+def test_tiny_level_named(capsys, argv, level):
+    """A level whose 1 - alpha rounds to 1.0 is a usage error naming that
+    level, not a quantile error about a value the user never gave."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: argument --alphas: level {level} is too small: "
+        "1 - level rounds to 1.0\n"
+    )
+
+
+def test_smallest_level_accepted(capsys):
+    # 1 - 2**-53 is the largest float below 1.0
+    code, out, _ = run_cli(capsys, "tradeoff", "--mu", "40", "--alphas", repr(2.0**-53))
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"{2.0**-53!r},")
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (sim, "_simulate_scores", FUZZ_AUDIT),
+        (triggers, "oracle_search", ["trigger", "--data", FIXTURE, "--weights", "1,0",
+                                     "--oracle-budget", "2"]),
+    ],
+    ids=["trials", "oracle-budget"],
+)
+def test_memory_error_exits_one(capsys, monkeypatch, module, name, argv):
+    """An input too large to allocate is one error line and exit 1. The
+    MemoryError is planted where NumPy raises it; nothing large is
+    allocated."""
+    calls = []
+
+    def out_of_memory(*args, **kwargs):
+        calls.append(name)
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert calls == [name]
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "error: Unable to allocate 74.5 GiB for an array"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, kind", sorted(HUGE_WEIGHTS_ERRORS, key=str))

@@ -15,7 +15,6 @@ from badgd.dataset import (
     generate_synthetic,
     load_csv,
     make_bad_dataset,
-    save_csv,
     sufficient_stats,
 )
 from conftest import corpus
@@ -351,13 +350,6 @@ class TestLoadCsv:
         path.write_text(f"1.0,2.0\n{token},2.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2: could not convert"):
             load_csv(path)
-
-    def test_save_round_trip(self, tmp_path, two_point):
-        path = tmp_path / "out.csv"
-        save_csv(two_point, path)
-        back = load_csv(path)
-        np.testing.assert_array_equal(back.x_matrix(), two_point.x_matrix())
-        np.testing.assert_array_equal(back.y_vector(), two_point.y_vector())
 
 
 class TestGenerateSynthetic:

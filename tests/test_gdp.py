@@ -6,7 +6,6 @@ never imports them.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import mpmath
@@ -160,18 +159,6 @@ class TestTradeoffCurve:
         curve = tradeoff_curve(1.0, np.linspace(0.01, 0.99, 99))
         assert np.all(np.diff(curve.type2) <= 1e-12)
         np.testing.assert_allclose(curve.power, 1.0 - curve.type2, atol=1e-15)
-
-    def test_csv_round_trip(self, tmp_path):
-        curve = tradeoff_curve(0.5, [0.01, 0.05, 0.2])
-        path = tmp_path / "curve.csv"
-        curve.write_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["alpha", "type2", "power"]
-        assert len(rows) == 4
-        for row, a, t2 in zip(rows[1:], curve.alphas, curve.type2):
-            assert float(row[0]) == a
-            assert float(row[1]) == t2
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ValueError, match="strictly in"):

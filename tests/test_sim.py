@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -23,7 +22,6 @@ from badgd.sim import (
     monte_carlo_tradeoff,
     noisy_gd_step,
     run_trajectory,
-    write_distinguisher_csv,
 )
 from badgd.triggers import TriggerConstraints, make_gradwarp_trigger
 from badgd.dataset import sufficient_stats
@@ -114,7 +112,7 @@ class TestRunTrajectory:
     def test_single_plain_step(self, two_point):
         cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, steps=1)
         traj = run_trajectory(W_FIXTURE, two_point, cfg, noisy=False)
-        assert len(traj) == 2
+        assert len(traj.weights) == 2
         np.testing.assert_array_equal(traj.weights[0], W_FIXTURE)
         np.testing.assert_allclose(
             traj.weights[1], gd_step(W_FIXTURE, two_point, 0.1), atol=1e-15
@@ -144,7 +142,7 @@ class TestRunTrajectory:
             cfg = NoisyGDConfig(gamma=gamma, sigma=0.0, steps=6)
             traj = run_trajectory(W_FIXTURE, two_point, cfg, noisy=False)
             assert traj.diverged
-            assert len(traj) == 2
+            assert len(traj.weights) == 2
             assert traj.risks[-1] == math.inf
             assert bool(np.all(np.isfinite(traj.weights[-1]))) is finite_weights
 
@@ -166,17 +164,6 @@ class TestTrajectoryType:
             weights=(np.array([np.inf, 0.0]),), risks=(math.inf,), diverged=True
         )
         assert flagged.diverged
-
-    def test_csv_format(self, tmp_path, two_point):
-        cfg = NoisyGDConfig(gamma=0.1, sigma=0.0, steps=2)
-        traj = run_trajectory(W_FIXTURE, two_point, cfg, noisy=False)
-        path = tmp_path / "trajectory.csv"
-        traj.write_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "risk", "w_0", "w_1"]
-        assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
-        assert float(rows[1][1]) == traj.risks[0]
 
 
 def _gradwarp_grads(d0: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -557,29 +544,3 @@ class TestDistinguisherResult:
                 std_err=0.01,
                 trials=0,
             )
-
-    def test_csv_format(self, tmp_path):
-        results = [
-            DistinguisherResult(
-                alpha=0.05,
-                threshold=1.25,
-                est_type1=0.049,
-                est_type2=0.74,
-                std_err=0.004,
-                trials=1000,
-            )
-        ]
-        path = tmp_path / "mc.csv"
-        write_distinguisher_csv(results, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == [
-            "alpha",
-            "threshold",
-            "est_type1",
-            "est_type2",
-            "std_err",
-            "trials",
-        ]
-        assert float(rows[1][0]) == 0.05
-        assert int(rows[1][5]) == 1000
