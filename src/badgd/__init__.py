@@ -48,7 +48,6 @@ from .gdp import (
 from .risk import (
     BackdoorGaps,
     GapValues,
-    MixtureIdentity,
     backdoor_gaps,
     empirical_risk,
     point_gradient,
@@ -101,7 +100,6 @@ __all__ = [
     "tradeoff_curve",
     "BackdoorGaps",
     "GapValues",
-    "MixtureIdentity",
     "backdoor_gaps",
     "empirical_risk",
     "point_gradient",

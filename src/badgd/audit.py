@@ -12,11 +12,13 @@ one ``stage:`` line per step on stderr.
 This module only compares routes; it computes none of them. Each gap's
 direct and closed-form evaluations live in ``risk``, and the budget's
 bisection and tradeoff routes in ``gdp``, so a bug in one of them cannot
-hide behind shared arithmetic here. The clean second moments are
-computed once and feed the trigger, the gaps' closed forms and the SNR;
-the two full-batch gradients behind the direct gradient gap also feed
-the Monte Carlo run, whose estimates are judged against the analytic
-curve from the SNR's closed form.
+hide behind shared arithmetic here. All six route checks make one
+decision, ``_agree``, whose tolerance only the canonical route sets (the
+direct gap, the direct SNR, the bisection's epsilon). The clean second
+moments are computed once and feed the trigger, the gaps' closed forms
+and the SNR; the two full-batch gradients behind the direct gradient gap
+also feed the Monte Carlo run, whose estimates are judged against the
+analytic curve from the SNR's closed form.
 """
 
 from __future__ import annotations
@@ -36,7 +38,13 @@ from .dataset import (
     check_positive,
     sufficient_stats,
 )
-from .gdp import check_level, epsilon_of_tradeoff, snr_to_budget, tradeoff_curve
+from .gdp import (
+    _check_alpha,
+    check_level,
+    epsilon_of_tradeoff,
+    snr_to_budget,
+    tradeoff_curve,
+)
 from .risk import backdoor_gaps, check_weights
 from .sim import NoisyGDConfig, check_trials, monte_carlo_tradeoff
 from .triggers import (
@@ -48,7 +56,7 @@ from .triggers import (
 
 __all__ = ["gap_sections", "run_audit"]
 
-# identity checks scale this base tolerance by (1 + magnitude)
+# route checks scale this base tolerance by (1 + the canonical magnitude)
 _CHECK_TOL = 1e-9
 
 
@@ -56,9 +64,14 @@ def _log(message: str) -> None:
     print(f"stage: {message}", file=sys.stderr)
 
 
-def _close(a: float, b: float) -> bool:
-    scale = 1.0 + max(abs(a), abs(b))
-    return abs(a - b) <= _CHECK_TOL * scale
+def _agree(canonical, other) -> bool:
+    """The one rule of every route check: ``max|canonical - other| <=
+    _CHECK_TOL * (1 + max|canonical|)``; scalars stay plain floats (cheap)."""
+    if isinstance(canonical, np.ndarray):
+        gap, scale = np.max(np.abs(canonical - other)), np.max(np.abs(canonical))
+    else:
+        gap, scale = abs(canonical - other), abs(canonical)
+    return bool(gap <= _CHECK_TOL * (1.0 + scale))
 
 
 def gap_sections(
@@ -77,7 +90,6 @@ def gap_sections(
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = backdoor_gaps(w, data, stats, trigger)
         r_gap, g_gap, mixture = gaps.risk, gaps.gradient, gaps.mixture
-        direct = np.asarray(g_gap.direct)
         sections = {
             "risk_gap": {
                 "direct": r_gap.direct,
@@ -85,22 +97,20 @@ def gap_sections(
                 "discrepancy": r_gap.discrepancy,
             },
             "gradient_gap": {
-                "direct": direct.tolist(),
-                "closed_form": np.asarray(g_gap.closed_form).tolist(),
-                "norm": float(np.linalg.norm(direct)),
+                "direct": g_gap.direct.tolist(),
+                "closed_form": g_gap.closed_form.tolist(),
+                "norm": float(np.linalg.norm(g_gap.direct)),
                 "discrepancy": g_gap.discrepancy,
             },
-            "mixture_identity": {"max_abs_gap": mixture.gap},
+            "mixture_identity": {"max_abs_gap": mixture.discrepancy},
         }
     for name, section in sections.items():
         if not np.all(np.isfinite(np.hstack(list(section.values())))):
             raise ValueError(f"{name} is out of floating-point range")
     checks = {
-        "risk_gap_routes": _close(r_gap.direct, r_gap.closed_form),
-        "gradient_gap_routes": g_gap.discrepancy
-        <= _CHECK_TOL * (1.0 + float(np.max(np.abs(direct)))),
-        "mixture_identity": mixture.gap
-        <= _CHECK_TOL * (1.0 + float(np.max(np.abs(mixture.lhs)))),
+        "risk_gap_routes": _agree(r_gap.direct, r_gap.closed_form),
+        "gradient_gap_routes": _agree(g_gap.direct, g_gap.closed_form),
+        "mixture_identity": _agree(mixture.direct, mixture.closed_form),
     }
     return sections, checks, (gaps.grad_clean, gaps.grad_bad)
 
@@ -126,20 +136,20 @@ def run_audit(
     then includes the search oracle's best candidate when
     ``oracle_budget > 0``) or a ready trigger, which has no report.
     ``seed`` drives the oracle and the Monte Carlo run; ``source`` is
-    echoed in the report's inputs. The noise, ``delta``, ``trials`` and
-    ``oracle_budget`` are checked before any work. The report's
-    ``consistency`` section says whether every runtime check held; it is
-    complete either way.
+    echoed in the report's inputs. The noise, ``delta``, the levels,
+    ``trials`` and ``oracle_budget`` are checked before any work. The
+    report's ``consistency`` section says whether every runtime check held;
+    it is complete either way.
     """
     cfg = NoisyGDConfig(gamma=gamma, sigma=sigma, steps=1, seed=seed)
     check_positive(sigma, "sigma")
     check_level(delta, "delta")
+    alphas = [_check_alpha(a) for a in alphas]
     check_trials(trials)
     check_count(oracle_budget, "oracle_budget", 0)
     _log(f"dataset loaded (n={data.n}, feature_dim={data.feature_dim})")
     stats = sufficient_stats(data)
     w = check_weights(w, data.feature_dim)
-    alphas = [float(a) for a in alphas]
     trigger_report = None
     if not isinstance(trigger, Trigger):
         trigger_report = build_trigger_report(
@@ -170,10 +180,10 @@ def run_audit(
     epsilon_dual = epsilon_of_tradeoff(snr.definitional, delta)
     _log(f"privacy budget epsilon = {budget.epsilon!r}")
 
-    checks["snr_matches_gradient_gap"] = _close(
-        snr.definitional, g_gap["norm"] / sigma
+    checks["snr_matches_gradient_gap"] = _agree(
+        g_gap["norm"] / sigma, snr.definitional
     )
-    checks["budget_routes"] = _close(budget.epsilon, epsilon_dual)
+    checks["budget_routes"] = _agree(budget.epsilon, epsilon_dual)
     if trigger_report is not None:
         # the scaled objective against the direct route of what it scales to
         direct = {
@@ -181,9 +191,7 @@ def run_audit(
             TriggerKind.GRADWARP: g_gap["norm"],
             TriggerKind.GRADDISTWARP: g_gap["norm"] / sigma,
         }[kind]
-        checks["objective_scaling"] = _close(
-            trigger_report.objective_value_scaled, direct
-        )
+        checks["objective_scaling"] = _agree(direct, trigger_report.objective_value_scaled)
     checks["monte_carlo_within_3se"] = all(
         abs(r.est_type2 - t2) <= 3.0 * r.std_err
         and abs(r.est_type1 - r.alpha)

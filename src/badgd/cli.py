@@ -33,8 +33,9 @@ so the seed's reads 0 even when ``BADGD_SEED`` is set.
 
 Exit codes: 0 success, 1 usage, configuration or out-of-memory error,
 2 numerical consistency failure (a dual-route identity or statistical
-bracket check did not hold; the report is still written so the failure
-can be inspected).
+bracket check did not hold; ``gap`` and ``audit`` still write their
+output and files so the failure can be inspected, and name the failed
+checks).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .dataset import (
     load_csv,
     sufficient_stats,
 )
-from .gdp import tradeoff_curve
+from .gdp import _check_alpha, tradeoff_curve
 from .risk import check_weights
 from .sim import NoisyGDConfig, run_trajectory
 from .triggers import TriggerConstraints, build_trigger_report
@@ -97,17 +98,11 @@ def _floats(text: str) -> list[float]:
 
 
 def _levels(text: str) -> list[float]:
-    """Comma-separated type-I levels, each inside (0, 1) with ``1 - alpha``,
-    whose quantile sets the level's threshold, below 1.0 in floating point."""
-    alphas = _floats(text)
-    if not all(0.0 < a < 1.0 for a in alphas):
-        raise argparse.ArgumentTypeError(f"{text!r}: levels must lie in (0, 1)")
-    for a in alphas:
-        if 1.0 - a == 1.0:
-            raise argparse.ArgumentTypeError(
-                f"level {a!r} is too small: 1 - level rounds to 1.0"
-            )
-    return alphas
+    """Comma-separated type-I levels, each one that ``gdp`` accepts."""
+    try:
+        return [_check_alpha(a) for a in _floats(text)]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_synthetic(spec: str, default_seed: int) -> tuple[int, int, int]:
@@ -212,6 +207,15 @@ def _write_csv(path: Path, lines: list[str]) -> None:
     path.write_bytes("".join(line + "\r\n" for line in lines).encode())
 
 
+def _consistency_exit(checks: dict) -> int:
+    """0 when every consistency check held, else 2, naming the failed ones."""
+    if checks["all"]:
+        return 0
+    failed = sorted(k for k, ok in checks.items() if not ok and k != "all")
+    print(f"error: consistency checks failed: {failed}", file=sys.stderr)
+    return 2
+
+
 def _emit(payload: dict, args, human: list[str]) -> None:
     if args.json:
         print(_json(payload))
@@ -288,14 +292,17 @@ def cmd_gap(args) -> int:
     if not isinstance(trigger, Trigger):
         trigger = build_trigger_report(trigger, w, stats, constraints).trigger
     sections, checks, _ = gap_sections(w, d, stats, trigger)
-    ok = all(checks.values())
+    consistency = {**checks, "all": all(checks.values())}
     payload = {
         "source": source,
         "weights": w.tolist(),
         "trigger": trigger.to_json_dict(),
         **sections,
-        "consistency": {**checks, "all": ok},
+        "consistency": consistency,
     }
+    out = _out_dir(args)
+    if out is not None:
+        (out / "gap.json").write_text(_json(payload) + "\n")
     r_gap, g_gap, mixture = sections.values()
     _emit(
         payload,
@@ -304,13 +311,10 @@ def cmd_gap(args) -> int:
             f"risk_gap direct={r_gap['direct']!r} closed_form={r_gap['closed_form']!r}",
             f"gradient_gap discrepancy={g_gap['discrepancy']!r}",
             f"mixture_identity max_abs_gap={mixture['max_abs_gap']!r}",
-            f"consistency={'ok' if ok else 'FAILED'}",
+            f"consistency={'ok' if consistency['all'] else 'FAILED'}",
         ],
     )
-    if not ok:
-        print("error: dual-route identity check failed", file=sys.stderr)
-        return 2
-    return 0
+    return _consistency_exit(consistency)
 
 
 def cmd_tradeoff(args) -> int:
@@ -403,11 +407,7 @@ def cmd_audit(args) -> int:
             f"consistency={'ok' if checks['all'] else 'FAILED'}",
         ],
     )
-    if not checks["all"]:
-        failed = sorted(k for k, ok in checks.items() if not ok and k != "all")
-        print(f"error: consistency checks failed: {failed}", file=sys.stderr)
-        return 2
-    return 0
+    return _consistency_exit(checks)
 
 
 # ---------------------------------------------------------------- parser

@@ -60,6 +60,15 @@ def check_level(value, name: str) -> float:
     return out
 
 
+def _check_alpha(value) -> float:
+    """``value`` as a type-I level: inside (0, 1), and ``1 - alpha``, whose
+    quantile is the test's threshold, below 1.0 in floating point."""
+    alpha = check_level(value, "alpha")
+    if 1.0 - alpha == 1.0:
+        raise ValueError(f"level {alpha!r} is too small: 1 - level rounds to 1.0")
+    return alpha
+
+
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
 
@@ -153,7 +162,7 @@ def gaussian_tradeoff(d: float, alpha: float) -> tuple[float, float]:
     two distributions coincide and type2 = 1 - alpha, power = alpha.
     """
     d = check_nonnegative(d, "mean gap")
-    alpha = check_level(alpha, "alpha")
+    alpha = _check_alpha(alpha)
     type2 = std_normal_cdf(std_normal_quantile(1.0 - alpha) - d)
     return type2, 1.0 - type2
 

@@ -6,13 +6,13 @@ v to a size-n dataset shifts the risk and the full-batch gradient by exactly
 ``1/(n+1)`` times the trigger's excess over the clean average.
 
 ``backdoor_gaps`` materialises the backdoored ``(n+1, d)`` dataset once per
-call and computes every gap twice from it. The direct route subtracts
-brute-force risks or full-batch gradients taken over the clean and the
-backdoored rows. The closed form uses only the clean second moments, the
-clean risk and the trigger, never the backdoored rows. Both routes are
-reported so the algebra is checked on every call. Building the backdoored
-rows once hides nothing a rebuild could catch: the construction and the
-gradients are deterministic, so a rebuild gives the same bits.
+call and computes each gap twice from it, as a ``GapValues`` pair. The
+direct route reads brute-force risks or full-batch gradients over the
+clean and the backdoored rows. The closed form uses only clean
+quantities and the trigger, never the backdoored rows; ``badgd.audit``
+judges whether the two agree. Building the backdoored rows once hides
+nothing a rebuild could catch: the construction and the gradients are
+deterministic, so a rebuild gives the same bits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "empirical_risk",
     "risk_gradient",
     "GapValues",
-    "MixtureIdentity",
     "BackdoorGaps",
     "backdoor_gaps",
     "check_weights",
@@ -78,11 +77,11 @@ def risk_gradient(w, d: Dataset) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GapValues:
-    """A gap computed along two independent routes.
+    """One quantity computed along two independent routes.
 
-    ``direct`` subtracts the backdoored quantity from the clean one;
-    ``closed_form`` evaluates the 1/(n+1) excess formula. They must agree
-    to numerical precision; ``discrepancy`` is the distance between them.
+    ``direct`` reads the backdoored rows; ``closed_form`` never does. They
+    must agree to numerical precision; ``discrepancy`` is the largest
+    distance between them.
     """
 
     direct: float | np.ndarray
@@ -95,33 +94,17 @@ class GapValues:
 
 
 @dataclass(frozen=True)
-class MixtureIdentity:
-    """Backdoored gradient versus its clean/trigger convex combination.
-
-    ``lhs`` is the full-batch gradient on the backdoored dataset; ``rhs``
-    is ``(1 - 1/(n+1)) * clean gradient + 1/(n+1) * trigger gradient``.
-    """
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def gap(self) -> float:
-        return float(np.max(np.abs(self.lhs - self.rhs)))
-
-
-@dataclass(frozen=True)
 class BackdoorGaps:
     """Every gap of appending one trigger, and the two gradients behind them.
 
     ``grad_clean`` and ``grad_bad`` are the full-batch gradients on the
     clean and the backdoored dataset; the direct gradient gap is their
-    difference and the mixture identity's ``lhs`` is ``grad_bad``.
+    difference and the mixture identity's ``direct`` route is ``grad_bad``.
     """
 
     risk: GapValues
     gradient: GapValues
-    mixture: MixtureIdentity
+    mixture: GapValues
     grad_clean: np.ndarray
     grad_bad: np.ndarray
 
@@ -166,16 +149,17 @@ def mixture_identity_check(
     grad_bad: np.ndarray,
     stats: SufficientStats,
     v: Trigger,
-) -> MixtureIdentity:
+) -> GapValues:
     """The backdoored gradient against its clean/trigger convex combination.
 
     With n clean examples and one trigger, the full-batch gradient on the
     backdoored dataset equals ``(n/(n+1)) * clean gradient + (1/(n+1)) *
-    trigger gradient`` exactly. One stage of ``backdoor_gaps``.
+    trigger gradient`` exactly. Direct: ``grad_bad``. Closed form: that
+    convex combination. One stage of ``backdoor_gaps``.
     """
     lam = 1.0 / (stats.n + 1)
-    rhs = (1.0 - lam) * grad_clean + lam * point_gradient(w, v.x_v, v.y_v)
-    return MixtureIdentity(lhs=grad_bad, rhs=rhs)
+    mixed = (1.0 - lam) * grad_clean + lam * point_gradient(w, v.x_v, v.y_v)
+    return GapValues(direct=grad_bad, closed_form=mixed)
 
 
 def backdoor_gaps(w, clean: Dataset, stats: SufficientStats, v: Trigger) -> BackdoorGaps:

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, check_count, check_nonnegative, check_positive
-from .gdp import check_level, gaussian_tradeoff, std_normal_quantile
+from .gdp import _check_alpha, gaussian_tradeoff, std_normal_quantile
 from .risk import check_weights, empirical_risk, risk_gradient
 
 __all__ = [
@@ -311,7 +311,7 @@ def monte_carlo_tradeoff(
         )
     if not (np.all(np.isfinite(grad0)) and np.all(np.isfinite(grad1))):
         raise ValueError("gradients must be finite element-wise")
-    alphas = [check_level(a, "alpha") for a in alphas]
+    alphas = [_check_alpha(a) for a in alphas]
 
     d = float(np.linalg.norm(grad1 - grad0)) / cfg.sigma
     if not math.isfinite(d * d):

@@ -65,7 +65,9 @@ def test_criterion_01_gap_identities():
                 1.0 + magnitude(gg.direct, gg.closed_form)
             )
             mi = gaps.mixture
-            assert mi.gap <= 1e-10 * (1.0 + magnitude(mi.lhs, mi.rhs))
+            assert mi.discrepancy <= 1e-10 * (
+                1.0 + magnitude(mi.direct, mi.closed_form)
+            )
             count += 1
         elapsed = time.perf_counter() - start
         assert count >= 1000

@@ -1,9 +1,14 @@
-"""The audit pipeline's full-size passes, and faults planted in the one
-backdoored dataset that its gap checks share."""
+"""The audit pipeline's full-size passes, and faults planted so that each
+route check fails on its own (the budget routes' fault is in
+``test_cli.py``)."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
+import pytest
 
 from badgd import audit, cli, dataset, risk, sim, triggers
 from badgd.dataset import Dataset, TriggerKind, generate_synthetic
@@ -14,7 +19,7 @@ DATA = generate_synthetic(500, 4, 2)
 W = np.array([0.5, -1.0, 1.5, 0.25])
 
 
-def _run_audit() -> dict:
+def _run_audit(alphas=(0.05,)) -> dict:
     return audit.run_audit(
         DATA,
         W,
@@ -24,7 +29,7 @@ def _run_audit() -> dict:
         sigma=1.0,
         delta=1e-3,
         trials=1000,
-        alphas=[0.05],
+        alphas=alphas,
         seed=3,
         oracle_budget=4,
     )
@@ -62,15 +67,21 @@ def test_each_full_size_pass_runs_once(monkeypatch):
     }
 
 
-def test_fault_in_appended_row_fails_both_gap_checks(monkeypatch):
-    def shifted_response(clean: Dataset, v) -> Dataset:
-        # the appended row's response is off by 1e-6 relative
-        y_v = v.y_v * (1.0 + 1e-6)
-        return Dataset(
-            np.vstack([clean.x_matrix(), v.x_v]), np.append(clean.y_vector(), y_v)
-        )
+def _shifted_response(clean: Dataset, v) -> Dataset:
+    """``make_bad_dataset`` with the appended row's response off by 1e-6
+    relative."""
+    y_v = v.y_v * (1.0 + 1e-6)
+    return Dataset(
+        np.vstack([clean.x_matrix(), v.x_v]), np.append(clean.y_vector(), y_v)
+    )
 
-    monkeypatch.setattr(risk, "make_bad_dataset", shifted_response)
+
+def _failed(checks: dict) -> list[str]:
+    return sorted(k for k, ok in checks.items() if not ok)
+
+
+def test_fault_in_appended_row_fails_both_gap_checks(monkeypatch):
+    monkeypatch.setattr(risk, "make_bad_dataset", _shifted_response)
     checks = _run_audit()["consistency"]
     assert not checks["risk_gap_routes"]
     assert not checks["gradient_gap_routes"]
@@ -90,3 +101,53 @@ def test_fault_in_backdoored_gradient_fails_its_checks(monkeypatch):
     assert not checks["gradient_gap_routes"]
     assert not checks["mixture_identity"]
     assert not checks["all"]
+
+
+def test_fault_in_snr_fails_only_its_check(monkeypatch):
+    exact = audit.graddistwarp_snr
+
+    def skewed(*args):
+        # the definitional SNR off by 1e-6 relative; it feeds both budget
+        # routes alike, so only its comparison with the gradient gap sees it
+        snr = exact(*args)
+        return dataclasses.replace(snr, definitional=snr.definitional * (1.0 + 1e-6))
+
+    monkeypatch.setattr(audit, "graddistwarp_snr", skewed)
+    assert _failed(_run_audit()["consistency"]) == ["all", "snr_matches_gradient_gap"]
+
+
+def test_fault_in_trigger_scaling_fails_only_objective_scaling(monkeypatch):
+    exact = audit.build_trigger_report
+
+    def skewed(*args, **kwargs):
+        report = exact(*args, **kwargs)
+        factor = report.scaling_factor * (1.0 + 1e-6)
+        return dataclasses.replace(report, scaling_factor=factor)
+
+    monkeypatch.setattr(audit, "build_trigger_report", skewed)
+    assert _failed(_run_audit()["consistency"]) == ["all", "objective_scaling"]
+
+
+def test_gap_command_names_failed_checks(monkeypatch, capsys):
+    """``badgd gap`` on the audit's data takes the same exit-2 path as
+    ``badgd audit``, naming the checks the appended-row fault breaks."""
+    monkeypatch.setattr(risk, "make_bad_dataset", _shifted_response)
+    weights = ",".join(map(repr, W.tolist()))
+    argv = ["gap", "--synthetic", "n=500,d=4,seed=2", "--weights", weights, "--json"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == (
+        "error: consistency checks failed: "
+        "['gradient_gap_routes', 'risk_gap_routes']\n"
+    )
+    assert _failed(json.loads(out)["consistency"]) == [
+        "all",
+        "gradient_gap_routes",
+        "risk_gap_routes",
+    ]
+
+
+def test_too_small_level_is_named_before_any_stage(capsys):
+    with pytest.raises(ValueError, match="level 1e-17 is too small"):
+        _run_audit(alphas=[0.05, 1e-17])
+    assert "stage:" not in capsys.readouterr().err

@@ -274,6 +274,27 @@ class TestGap:
         assert code == 2
         assert "identity" in err
 
+    @pytest.mark.parametrize("tol, expected", [(None, 0), (-1.0, 2)])
+    def test_out_writes_json_payload(
+        self, capsys, monkeypatch, tmp_path, tol, expected
+    ):
+        """``--out`` writes the ``--json`` payload to gap.json, on a
+        failed check too."""
+        if tol is not None:
+            monkeypatch.setattr(audit, "_CHECK_TOL", tol)
+        argv = ["gap", "--data", FIXTURE, "--weights", "1,0", "--out", str(tmp_path)]
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == expected
+        written = (tmp_path / "gap.json").read_text()
+        assert written == out
+        assert strict_json_loads(written)["consistency"]["all"] is (expected == 0)
+        # without --json the same file is written and the lines are printed
+        (tmp_path / "gap.json").unlink()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected
+        assert (tmp_path / "gap.json").read_text() == written
+        assert out.startswith("risk_gap direct=")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_out_of_range_is_usage_error(self, capsys):
         argv = ["gap", "--data", FIXTURE, "--weights", "1,0", "--scale", "1e200"]

@@ -153,6 +153,16 @@ class TestGaussianTradeoff:
         with pytest.raises(ValueError, match="mean gap"):
             gaussian_tradeoff(-0.5, 0.1)
 
+    def test_too_small_level_named(self):
+        """A level whose 1 - alpha rounds to 1.0 is named, not reported as a
+        quantile of 1.0; 2**-53, the smallest level above it, is accepted."""
+        with pytest.raises(ValueError, match="level 1e-17 is too small"):
+            gaussian_tradeoff(1.0, 1e-17)
+        with pytest.raises(ValueError, match="level 1e-300 is too small"):
+            tradeoff_curve(40.0, [0.05, 1e-300])
+        curve = tradeoff_curve(40.0, [2.0**-53])
+        assert curve.alphas.tolist() == [2.0**-53]
+
 
 class TestTradeoffCurve:
     def test_monotone_in_alpha(self):

@@ -126,21 +126,21 @@ class TestMixtureIdentity:
     def test_random_instances(self):
         for w, d, v in corpus(100, seed=11):
             mix = gaps_of(w, d, v).mixture
-            assert mix.gap <= 1e-10 * (1 + magnitude(mix.lhs))
+            assert mix.discrepancy <= 1e-10 * (1 + magnitude(mix.direct))
 
     def test_duplicate_point_keeps_gradient(self):
         d = Dataset([[1.0, 2.0]], [3.0])
         v = Trigger(x_v=[1.0, 2.0], y_v=3.0)
         w = np.array([0.3, -0.7])
         mix = gaps_of(w, d, v).mixture
-        np.testing.assert_allclose(mix.lhs, risk_gradient(w, d), atol=1e-12)
+        np.testing.assert_allclose(mix.direct, risk_gradient(w, d), atol=1e-12)
 
     def test_hand_value_n1(self):
         d = Dataset([[1.0, 0.0]], [1.0])
         v = Trigger(x_v=[0.0, 1.0], y_v=3.0)
         mix = gaps_of([1.0, 1.0], d, v).mixture
-        np.testing.assert_allclose(mix.lhs, [0.0, -2.0], atol=1e-15)
-        np.testing.assert_allclose(mix.rhs, [0.0, -2.0], atol=1e-15)
+        np.testing.assert_allclose(mix.direct, [0.0, -2.0], atol=1e-15)
+        np.testing.assert_allclose(mix.closed_form, [0.0, -2.0], atol=1e-15)
 
 
 class TestRiskGap:
@@ -200,7 +200,7 @@ class TestBackdoorGaps:
             np.testing.assert_array_equal(gaps.grad_clean, grad_clean)
             np.testing.assert_array_equal(gaps.grad_bad, grad_bad)
             np.testing.assert_array_equal(gaps.gradient.direct, grad_bad - grad_clean)
-            np.testing.assert_array_equal(gaps.mixture.lhs, grad_bad)
+            np.testing.assert_array_equal(gaps.mixture.direct, grad_bad)
 
 
 class TestValidation:

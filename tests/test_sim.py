@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from badgd import sim
 from badgd.dataset import Dataset, Trigger, make_bad_dataset
 from badgd.gdp import gaussian_tradeoff, std_normal_quantile
 from badgd.risk import risk_gradient
@@ -206,6 +207,16 @@ class TestMonteCarloTradeoff:
         ) / (cfg.gamma * cfg.sigma)
         expected = -0.5 * d * d + d * std_normal_quantile(0.95)
         assert result.threshold == pytest.approx(expected, abs=1e-12)
+
+    def test_too_small_level_named_before_simulating(self, two_point, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("scores simulated for a rejected level")
+
+        monkeypatch.setattr(sim, "_simulate_scores", unreachable)
+        grads = _gradwarp_grads(two_point)
+        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=5)
+        with pytest.raises(ValueError, match="level 1e-17 is too small"):
+            monte_carlo_tradeoff(*grads, cfg, [0.05, 1e-17], 1000)
 
     def test_doubling_trials_scales_std_err(self, two_point):
         grads = _gradwarp_grads(two_point)
