@@ -34,8 +34,6 @@ from .dataset import (
     sufficient_stats,
 )
 from .gdp import (
-    PrivacyBudget,
-    TradeoffCurve,
     delta_of_epsilon,
     epsilon_of_mu,
     epsilon_of_tradeoff,
@@ -55,7 +53,6 @@ from .risk import (
     risk_gradient,
 )
 from .sim import (
-    DistinguisherResult,
     NoisyGDConfig,
     Trajectory,
     gd_step,
@@ -88,8 +85,6 @@ __all__ = [
     "load_csv",
     "make_bad_dataset",
     "sufficient_stats",
-    "PrivacyBudget",
-    "TradeoffCurve",
     "delta_of_epsilon",
     "epsilon_of_mu",
     "epsilon_of_tradeoff",
@@ -105,7 +100,6 @@ __all__ = [
     "point_gradient",
     "point_loss",
     "risk_gradient",
-    "DistinguisherResult",
     "NoisyGDConfig",
     "Trajectory",
     "gd_step",

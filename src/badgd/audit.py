@@ -39,8 +39,8 @@ from .dataset import (
     sufficient_stats,
 )
 from .gdp import (
-    _check_alpha,
-    check_level,
+    _check_delta,
+    _check_levels,
     epsilon_of_tradeoff,
     snr_to_budget,
     tradeoff_curve,
@@ -136,15 +136,15 @@ def run_audit(
     then includes the search oracle's best candidate when
     ``oracle_budget > 0``) or a ready trigger, which has no report.
     ``seed`` drives the oracle and the Monte Carlo run; ``source`` is
-    echoed in the report's inputs. The noise, ``delta``, the levels,
-    ``trials`` and ``oracle_budget`` are checked before any work. The
-    report's ``consistency`` section says whether every runtime check held;
-    it is complete either way.
+    echoed in the report's inputs. The noise, ``seed``, ``delta``, the
+    levels, ``trials`` and ``oracle_budget`` are checked before any work.
+    The report's ``consistency`` section says whether every runtime check
+    held; it is complete either way.
     """
     cfg = NoisyGDConfig(gamma=gamma, sigma=sigma, steps=1, seed=seed)
     check_positive(sigma, "sigma")
-    check_level(delta, "delta")
-    alphas = [_check_alpha(a) for a in alphas]
+    _check_delta(delta)
+    alphas = _check_levels(alphas)
     check_trials(trials)
     check_count(oracle_budget, "oracle_budget", 0)
     _log(f"dataset loaded (n={data.n}, feature_dim={data.feature_dim})")
@@ -178,12 +178,13 @@ def run_audit(
 
     budget = snr_to_budget(snr.definitional, delta)
     epsilon_dual = epsilon_of_tradeoff(snr.definitional, delta)
-    _log(f"privacy budget epsilon = {budget.epsilon!r}")
+    epsilon = budget["epsilon"]
+    _log(f"privacy budget epsilon = {epsilon!r}")
 
     checks["snr_matches_gradient_gap"] = _agree(
         g_gap["norm"] / sigma, snr.definitional
     )
-    checks["budget_routes"] = _agree(budget.epsilon, epsilon_dual)
+    checks["budget_routes"] = _agree(epsilon, epsilon_dual)
     if trigger_report is not None:
         # the scaled objective against the direct route of what it scales to
         direct = {
@@ -193,10 +194,10 @@ def run_audit(
         }[kind]
         checks["objective_scaling"] = _agree(direct, trigger_report.objective_value_scaled)
     checks["monte_carlo_within_3se"] = all(
-        abs(r.est_type2 - t2) <= 3.0 * r.std_err
-        and abs(r.est_type1 - r.alpha)
-        <= 3.0 * math.sqrt(r.alpha * (1.0 - r.alpha) / r.trials)
-        for r, t2 in zip(mc, curve.type2)
+        abs(r["est_type2"] - t2) <= 3.0 * r["std_err"]
+        and abs(r["est_type1"] - r["alpha"])
+        <= 3.0 * math.sqrt(r["alpha"] * (1.0 - r["alpha"]) / r["trials"])
+        for r, t2 in zip(mc, curve["type2"])
     )
 
     for section, goal, gap in (
@@ -232,16 +233,12 @@ def run_audit(
             "gamma": gamma,
             "sigma": sigma,
         },
-        "analytic_curve": {
-            "alphas": curve.alphas.tolist(),
-            "type2": curve.type2.tolist(),
-            "power": curve.power.tolist(),
-        },
-        "monte_carlo": [r.to_json_dict() for r in mc],
+        "analytic_curve": curve,
+        "monte_carlo": mc,
         "privacy": {
-            "budget": budget.to_json_dict(),
+            "budget": budget,
             "epsilon_dual": epsilon_dual,
-            "discrepancy": abs(budget.epsilon - epsilon_dual),
+            "discrepancy": abs(epsilon - epsilon_dual),
         },
         "curve_files": {
             "analytic": "analytic_curve.csv",

@@ -56,11 +56,12 @@ from .dataset import (
     Dataset,
     Trigger,
     TriggerKind,
+    check_count,
     generate_synthetic,
     load_csv,
     sufficient_stats,
 )
-from .gdp import _check_alpha, tradeoff_curve
+from .gdp import _check_levels, tradeoff_curve
 from .risk import check_weights
 from .sim import NoisyGDConfig, run_trajectory
 from .triggers import TriggerConstraints, build_trigger_report
@@ -100,7 +101,15 @@ def _floats(text: str) -> list[float]:
 def _levels(text: str) -> list[float]:
     """Comma-separated type-I levels, each one that ``gdp`` accepts."""
     try:
-        return [_check_alpha(a) for a in _floats(text)]
+        return _check_levels(_floats(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _seed(text: str) -> int:
+    """A seed for NumPy's generators: a non-negative integer."""
+    try:
+        return check_count(text, "seed", 0)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -321,13 +330,7 @@ def cmd_tradeoff(args) -> int:
     if (args.mu is None) == (args.snr is None):
         raise UsageError("exactly one of --mu and --snr is required")
     gap = args.mu if args.mu is not None else args.snr
-    curve = tradeoff_curve(gap, args.alphas)
-    payload = {
-        "mean_gap": gap,
-        "alphas": curve.alphas.tolist(),
-        "type2": curve.type2.tolist(),
-        "power": curve.power.tolist(),
-    }
+    payload = {"mean_gap": gap, **tradeoff_curve(gap, args.alphas)}
     table = _curve_lines(payload)
     out = _out_dir(args)
     if out is not None:
@@ -427,7 +430,7 @@ def _add_dataset_flags(p: _Parser) -> None:
 def _add_weight_flags(p: _Parser) -> None:
     p.add_argument("--weights", type=_floats, help="comma-separated weight vector")
     p.add_argument(
-        "--weights-seed", type=int, help="draw standard-normal weights (else: --seed)"
+        "--weights-seed", type=_seed, help="draw standard-normal weights (else: --seed)"
     )
 
 
@@ -453,7 +456,7 @@ def _add_noise_flags(p: _Parser) -> None:
 def _add_common_flags(p: _Parser) -> None:
     p.add_argument("--config", help="JSON file of option defaults")
     p.add_argument(
-        "--seed", type=int, default="0", help="base seed, from $BADGD_SEED when set"
+        "--seed", type=_seed, default="0", help="base seed, from $BADGD_SEED when set"
     )
     p.add_argument("--out", help="output directory for result files")
     _add_switch(p, "--json", "print results as JSON")

@@ -184,7 +184,8 @@ class Trigger:
         }
 
 
-# tolerances for the second-moment matrix invariants
+# tolerances for the second-moment matrix invariants, each scaled by
+# (1 + max|s_xx|): rounding in s_xx grows with the size of its entries
 _SYMMETRY_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 
@@ -210,11 +211,14 @@ class SufficientStats:
             raise ValueError(f"s_xx must have shape ({dim}, {dim}), got {s_xx.shape}")
         if not np.all(np.isfinite(s_xx)):
             raise ValueError("s_xx must be finite element-wise")
+        scale = 1.0 + float(np.max(np.abs(s_xx)))
         asym = float(np.max(np.abs(s_xx - s_xx.T)))
-        if asym > _SYMMETRY_TOL:
-            raise ValueError(f"s_xx asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL}")
+        if asym > _SYMMETRY_TOL * scale:
+            raise ValueError(
+                f"s_xx asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL * scale:.3e}"
+            )
         min_eig = float(np.linalg.eigvalsh(s_xx)[0])
-        if min_eig < _EIGENVALUE_FLOOR:
+        if min_eig < _EIGENVALUE_FLOOR * scale:
             raise ValueError(
                 f"s_xx must be positive semidefinite (min eigenvalue {min_eig:.3e})"
             )

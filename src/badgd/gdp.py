@@ -21,24 +21,21 @@ the platform libm), the quantile from ``statistics.NormalDist.inv_cdf``
 (Wichura's AS241, relative error near machine epsilon from p = 1e-300
 to 1 - 1e-16).
 
-Curves are values; ``badgd.cli`` formats them as CSV tables.
+The curve and the budget are returned as the plain dicts that the audit
+report holds; ``badgd.cli`` formats the curve as a CSV table.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
-
-import numpy as np
+import sys
 
 from .dataset import check_nonnegative, check_positive
 
 __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
-    "TradeoffCurve",
-    "PrivacyBudget",
     "gaussian_tradeoff",
     "tradeoff_curve",
     "delta_of_epsilon",
@@ -69,6 +66,28 @@ def _check_alpha(value) -> float:
     return alpha
 
 
+def _check_levels(alphas) -> list[float]:
+    """``alphas`` as a non-empty list of type-I levels, each one that
+    ``_check_alpha`` accepts."""
+    levels = [_check_alpha(a) for a in alphas]
+    if not levels:
+        raise ValueError("alphas must contain at least one level")
+    return levels
+
+
+def _check_delta(value) -> float:
+    """``value`` as a delta: inside (0, 1) and a normal float. Below the
+    smallest normal float the two budget routes lose the precision that
+    lets them agree."""
+    delta = check_level(value, "delta")
+    if delta < sys.float_info.min:
+        raise ValueError(
+            f"delta {delta!r} is too small: below the smallest normal float "
+            f"{sys.float_info.min!r}"
+        )
+    return delta
+
+
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
 
@@ -89,72 +108,6 @@ def std_normal_quantile(p: float) -> float:
     return _STD_NORMAL.inv_cdf(p)
 
 
-@dataclass(frozen=True)
-class TradeoffCurve:
-    """Type-II error of the optimal test, per type-I level.
-
-    ``type2[i]`` is the smallest achievable type-II error at level
-    ``alphas[i]``; ``power`` is ``1 - type2``. Both labelings are offered
-    because the two conventions are easy to swap silently.
-    """
-
-    alphas: np.ndarray
-    type2: np.ndarray
-
-    def __post_init__(self):
-        alphas = np.array(self.alphas, dtype=float)
-        type2 = np.array(self.type2, dtype=float)
-        if not (alphas.ndim == 1 and alphas.shape == type2.shape):
-            raise ValueError("alphas and type2 must be 1-D and equal-length")
-        if alphas.size == 0:
-            raise ValueError("curve must contain at least one level")
-        if np.any(alphas <= 0) or np.any(alphas >= 1):
-            raise ValueError("alphas must lie strictly in (0, 1)")
-        if np.any(type2 < 0) or np.any(type2 > 1):
-            raise ValueError("type2 values must lie in [0, 1]")
-        order = np.argsort(alphas)
-        if np.any(np.diff(type2[order]) > 1e-12):
-            raise ValueError("type2 must be nonincreasing in alpha")
-        for arr in (alphas, type2):
-            arr.flags.writeable = False
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "type2", type2)
-
-    @property
-    def power(self) -> np.ndarray:
-        """Power of the optimal test at each level: ``1 - type2``."""
-        return 1.0 - self.type2
-
-
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """An (epsilon, delta) pair together with the GDP parameter mu it came from.
-
-    The mechanism is (epsilon, delta(epsilon))-DP along the whole curve;
-    construction guarantees ``delta_of_epsilon(epsilon, mu) <= delta`` up
-    to solver tolerance, with equality when epsilon > 0.
-    """
-
-    epsilon: float
-    delta: float
-    mu: float
-
-    def __post_init__(self):
-        eps = check_nonnegative(self.epsilon, "epsilon")
-        delta = check_level(self.delta, "delta")
-        mu = check_nonnegative(self.mu, "mu")
-        if mu > 0 and delta_of_epsilon(eps, mu) > delta + 1e-8:
-            raise ValueError(
-                f"(epsilon={eps}, delta={delta}) does not cover mu={mu}"
-            )
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "mu", mu)
-
-    def to_json_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "delta": self.delta, "mu": self.mu}
-
-
 def gaussian_tradeoff(d: float, alpha: float) -> tuple[float, float]:
     """Optimal type-II error and power at level alpha for mean gap d.
 
@@ -167,11 +120,17 @@ def gaussian_tradeoff(d: float, alpha: float) -> tuple[float, float]:
     return type2, 1.0 - type2
 
 
-def tradeoff_curve(d: float, alphas) -> TradeoffCurve:
-    """Evaluate the analytic tradeoff at each level in ``alphas``."""
-    alphas = np.asarray(alphas, dtype=float)
+def tradeoff_curve(d: float, alphas) -> dict:
+    """The analytic tradeoff at each level in ``alphas``.
+
+    Returns ``{"alphas", "type2", "power"}`` as lists of floats:
+    ``type2[i]`` is the smallest type-II error at level ``alphas[i]`` and
+    ``power[i]`` is ``1 - type2[i]``. Both labelings are given because the
+    two conventions are easy to swap silently.
+    """
+    alphas = _check_levels(alphas)
     type2 = [gaussian_tradeoff(d, a)[0] for a in alphas]
-    return TradeoffCurve(alphas=alphas, type2=type2)
+    return {"alphas": alphas, "type2": type2, "power": [1.0 - t for t in type2]}
 
 
 def delta_of_epsilon(epsilon: float, mu: float) -> float:
@@ -237,7 +196,7 @@ def epsilon_of_mu(mu: float, delta: float) -> float:
     (mu above about 1280 at delta = 1e-3) the budget is out of range, a
     ValueError: such a trigger is perfectly distinguishable anyway.
     """
-    delta = check_level(delta, "delta")
+    delta = _check_delta(delta)
     mu = check_positive(mu, "mu")
     if delta_of_epsilon(0.0, mu) <= delta:
         return 0.0
@@ -287,7 +246,7 @@ def epsilon_of_tradeoff(mu: float, delta: float) -> float:
     evaluates ``delta_of_epsilon``: it is the audit's check on
     ``epsilon_of_mu``.
     """
-    delta = check_level(delta, "delta")
+    delta = _check_delta(delta)
     mu = check_nonnegative(mu, "mu")
     a = 0.5 * mu
     b = mu - std_normal_quantile(delta)
@@ -307,12 +266,18 @@ def epsilon_of_tradeoff(mu: float, delta: float) -> float:
     return max(0.0, gc, gd)
 
 
-def snr_to_budget(d: float, delta: float) -> PrivacyBudget:
+def snr_to_budget(d: float, delta: float) -> dict:
     """Privacy budget of a single noisy update with SNR d at a chosen delta.
 
     The update's distribution pair is exactly the d-GDP canonical pair, so
-    d is the GDP parameter; epsilon comes from the numeric solver.
+    d is the GDP parameter; epsilon comes from the numeric solver. Returns
+    ``{"epsilon", "delta", "mu"}``. An epsilon that does not cover d at
+    delta (its ``delta_of_epsilon`` above delta + 1e-8, a solver fault on
+    the low side) is a ValueError.
     """
     d = check_nonnegative(d, "snr")
+    delta = _check_delta(delta)
     epsilon = 0.0 if d == 0.0 else epsilon_of_mu(d, delta)
-    return PrivacyBudget(epsilon=epsilon, delta=float(delta), mu=d)
+    if d > 0.0 and delta_of_epsilon(epsilon, d) > delta + 1e-8:
+        raise ValueError(f"(epsilon={epsilon}, delta={delta}) does not cover mu={d}")
+    return {"epsilon": epsilon, "delta": delta, "mu": d}

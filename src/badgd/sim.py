@@ -28,26 +28,26 @@ total trial count. These streams differ from those of earlier versions,
 which seeded one generator per trial: the same seed now gives other,
 equally distributed, Monte Carlo estimates.
 
-Trajectories and distinguisher results are values; ``badgd.cli`` formats
-them as CSV tables.
+Trajectories are values; the distinguisher returns one plain dict per
+level, the audit report's own entries. ``badgd.cli`` formats both as
+CSV tables.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, check_count, check_nonnegative, check_positive
-from .gdp import _check_alpha, gaussian_tradeoff, std_normal_quantile
+from .gdp import _check_levels, gaussian_tradeoff, std_normal_quantile
 from .risk import check_weights, empirical_risk, risk_gradient
 
 __all__ = [
     "NoisyGDConfig",
     "Trajectory",
-    "DistinguisherResult",
     "gd_step",
     "noisy_gd_step",
     "run_trajectory",
@@ -79,7 +79,7 @@ class NoisyGDConfig:
         object.__setattr__(self, "gamma", check_positive(self.gamma, "gamma"))
         object.__setattr__(self, "sigma", check_nonnegative(self.sigma, "sigma"))
         object.__setattr__(self, "steps", check_count(self.steps, "steps", 1))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -115,39 +115,6 @@ class Trajectory:
                 raise ValueError("non-finite entries require the diverged flag")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "risks", risks)
-
-
-@dataclass(frozen=True)
-class DistinguisherResult:
-    """Empirical error rates of the level-alpha likelihood-ratio test.
-
-    ``std_err`` is the binomial standard error sqrt(p (1 - p) / trials)
-    at the analytic type-II probability p, so it depends on the trial
-    count and the instance but not on the sampled outcomes.
-    """
-
-    alpha: float
-    threshold: float
-    est_type1: float
-    est_type2: float
-    std_err: float
-    trials: int
-
-    def __post_init__(self):
-        for name in ("alpha", "est_type1", "est_type2"):
-            value = float(getattr(self, name))
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-            object.__setattr__(self, name, value)
-        if not math.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold}")
-        object.__setattr__(self, "threshold", float(self.threshold))
-        std_err = check_nonnegative(self.std_err, "std_err")
-        object.__setattr__(self, "std_err", std_err)
-        object.__setattr__(self, "trials", check_count(self.trials, "trials", 1))
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def gd_step(w, d: Dataset, gamma: float) -> np.ndarray:
@@ -279,7 +246,7 @@ def monte_carlo_tradeoff(
     cfg: NoisyGDConfig,
     alphas,
     trials: int,
-) -> list[DistinguisherResult]:
+) -> list[dict]:
     """Estimate the error rates of the optimal clean-vs-backdoored test.
 
     ``grad_clean`` and ``grad_bad`` are the full-batch gradients at the
@@ -292,6 +259,12 @@ def monte_carlo_tradeoff(
     rejects with probability alpha via a per-trial uniform draw; without
     that tie-break the d = 0 case, where every score is exactly 0, could
     not realize a level-alpha test at all.
+
+    Returns one dict per level, keyed ``alpha, threshold, est_type1,
+    est_type2, std_err, trials`` in that order. ``std_err`` is the
+    binomial standard error sqrt(p (1 - p) / trials) at the analytic
+    type-II probability p, so it depends on the trial count and the
+    instance but not on the sampled outcomes.
 
     Each estimate is an integer rejection count over ``trials``. A
     block's tie-break uniforms are drawn only when one of its scores
@@ -311,7 +284,7 @@ def monte_carlo_tradeoff(
         )
     if not (np.all(np.isfinite(grad0)) and np.all(np.isfinite(grad1))):
         raise ValueError("gradients must be finite element-wise")
-    alphas = [_check_alpha(a) for a in alphas]
+    alphas = _check_levels(alphas)
 
     d = float(np.linalg.norm(grad1 - grad0)) / cfg.sigma
     if not math.isfinite(d * d):
@@ -332,13 +305,13 @@ def monte_carlo_tradeoff(
         rejected1 = _count_rejections(scores1, threshold, alpha, ties1)
         type2_prob, _ = gaussian_tradeoff(d, alpha)
         results.append(
-            DistinguisherResult(
-                alpha=alpha,
-                threshold=threshold,
-                est_type1=rejected0 / trials,
-                est_type2=(trials - rejected1) / trials,
-                std_err=math.sqrt(type2_prob * (1.0 - type2_prob) / trials),
-                trials=trials,
-            )
+            {
+                "alpha": alpha,
+                "threshold": threshold,
+                "est_type1": rejected0 / trials,
+                "est_type2": (trials - rejected1) / trials,
+                "std_err": math.sqrt(type2_prob * (1.0 - type2_prob) / trials),
+                "trials": trials,
+            }
         )
     return results

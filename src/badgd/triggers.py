@@ -31,8 +31,7 @@ candidates inside the feasible box plus deterministic coordinate descent.
 Every candidate starts from its own seed stream, and all of them refine in
 lockstep as rows of one array, so one objective call scores a move for
 every candidate and a round costs O(budget * d) per probed coordinate.
-It certifies the constructors on their own feasible slices and reports,
-without ranking, what unrestricted search finds elsewhere.
+It reports, without ranking, what unrestricted search finds.
 """
 
 from __future__ import annotations
@@ -358,8 +357,6 @@ def oracle_search(
     constraints: TriggerConstraints,
     budget: int,
     seed: int,
-    *,
-    fixed_x=None,
 ) -> tuple[Trigger, float]:
     """Best trigger found by random sampling plus coordinate descent.
 
@@ -368,9 +365,7 @@ def oracle_search(
     Draws ``budget`` starting points uniformly from the feasible box
     (``||x_v|| <= x_norm_max`` via a uniform-in-ball draw, ``|y_v| <=
     response_bound``), then refines each with axis-aligned steps that halve
-    over a fixed schedule, rejecting any move that leaves the box. With
-    ``fixed_x`` the feature part is pinned and only the response is
-    searched, which restricts the oracle to a constructor's feasible slice.
+    over a fixed schedule, rejecting any move that leaves the box.
 
     Each candidate draws its start from its own seed stream derived from
     (seed, index). The candidates refine in lockstep as the rows of one
@@ -388,10 +383,6 @@ def oracle_search(
     dim = stats.feature_dim
     b = constraints.response_bound
     r_max = constraints.x_norm_max
-    if fixed_x is not None:
-        fixed_x = np.asarray(fixed_x, dtype=float)
-        if fixed_x.shape != (dim,):
-            raise ValueError(f"fixed_x must have shape ({dim},), got {fixed_x.shape}")
     if not math.isfinite(2.0 * b):
         raise ValueError(
             f"oracle response bound {b} is out of floating-point range: "
@@ -402,16 +393,13 @@ def oracle_search(
     y = np.empty(budget)
     for i in range(budget):
         rng = np.random.default_rng([seed, i])
-        if fixed_x is None:
-            direction = rng.standard_normal(dim)
-            norm = float(np.linalg.norm(direction))
-            if norm == 0.0:
-                direction = np.ones(dim)
-                norm = math.sqrt(dim)
-            radius = r_max * rng.uniform() ** (1.0 / dim)
-            x[i] = direction / norm * radius
-        else:
-            x[i] = fixed_x
+        direction = rng.standard_normal(dim)
+        norm = float(np.linalg.norm(direction))
+        if norm == 0.0:
+            direction = np.ones(dim)
+            norm = math.sqrt(dim)
+        radius = r_max * rng.uniform() ** (1.0 / dim)
+        x[i] = direction / norm * radius
         y[i] = rng.uniform(-b, b)
 
     # an out-of-range box or weights make every value non-finite; that is
@@ -423,7 +411,7 @@ def oracle_search(
         y_step = np.full(budget, b / 4.0)
         for _ in range(_REFINE_ROUNDS):
             improved = np.zeros(budget, dtype=bool)
-            for j in range(dim) if fixed_x is None else ():
+            for j in range(dim):
                 # move column j in place, then put back the rows that reject it
                 column = x[:, j]
                 for step in (x_step, -x_step):

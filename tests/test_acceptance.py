@@ -209,13 +209,14 @@ def test_criterion_05_monte_carlo_matches_analytic():
             for res in monte_carlo_tradeoff(
                 grad_clean, grad_bad, cfg, alphas, MC_TRIALS
             ):
-                type2, power = gaussian_tradeoff(d_target, res.alpha)
+                alpha, est_type2 = res["alpha"], res["est_type2"]
+                type2, power = gaussian_tradeoff(d_target, alpha)
                 se = math.sqrt(type2 * (1.0 - type2) / MC_TRIALS)
-                assert abs(res.est_type2 - type2) <= 3.0 * se, (
-                    f"d={d_target}, alpha={res.alpha}: "
-                    f"{res.est_type2} vs {type2} (se {se:.2e})"
+                assert abs(est_type2 - type2) <= 3.0 * se, (
+                    f"d={d_target}, alpha={alpha}: "
+                    f"{est_type2} vs {type2} (se {se:.2e})"
                 )
-                assert abs((1.0 - res.est_type2) - power) <= 3.0 * se
+                assert abs((1.0 - est_type2) - power) <= 3.0 * se
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"distinguisher sweep took {elapsed:.2f}s"
 

@@ -19,7 +19,7 @@ DATA = generate_synthetic(500, 4, 2)
 W = np.array([0.5, -1.0, 1.5, 0.25])
 
 
-def _run_audit(alphas=(0.05,)) -> dict:
+def _run_audit(alphas=(0.05,), seed=3, delta=1e-3) -> dict:
     return audit.run_audit(
         DATA,
         W,
@@ -27,10 +27,10 @@ def _run_audit(alphas=(0.05,)) -> dict:
         constraints=TriggerConstraints(),
         gamma=0.1,
         sigma=1.0,
-        delta=1e-3,
+        delta=delta,
         trials=1000,
         alphas=alphas,
-        seed=3,
+        seed=seed,
         oracle_budget=4,
     )
 
@@ -150,4 +150,18 @@ def test_gap_command_names_failed_checks(monkeypatch, capsys):
 def test_too_small_level_is_named_before_any_stage(capsys):
     with pytest.raises(ValueError, match="level 1e-17 is too small"):
         _run_audit(alphas=[0.05, 1e-17])
+    assert "stage:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"alphas": []}, "at least one level"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"delta": 1e-318}, "delta 1e-318 is too small"),
+    ],
+)
+def test_bad_input_is_named_before_any_stage(capsys, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        _run_audit(**kwargs)
     assert "stage:" not in capsys.readouterr().err

@@ -595,10 +595,37 @@ class TestAudit:
         assert flag.lstrip("-") in err
         assert "stage: trigger ready" not in err
 
+    def test_subnormal_delta_rejected(self, capsys):
+        """Below the smallest normal float the two budget routes can differ
+        on correct code, so such a delta is a usage error before any stage;
+        the smallest normal deltas still audit with agreeing routes."""
+        code, _, err = run_cli(capsys, *self.AUDIT_ARGS, "--delta", "1e-318")
+        assert code == 1
+        assert "delta 1e-318 is too small" in err
+        assert "stage:" not in err
+        report = run_json(capsys, *self.AUDIT_ARGS, "--delta", "2.3e-308")
+        assert report["consistency"]["budget_routes"] is True
+
+    def test_large_rank_deficient_features(self, capsys, tmp_path):
+        """Features of size 1e3 with an exact linear dependence: s_xx is
+        singular up to rounding at the scale of its entries, not of 1."""
+        rng = np.random.default_rng(1)
+        x = 1000 * rng.standard_normal((200, 10))
+        x[:, 1] = 3 * x[:, 0] + x[:, 2]
+        y = rng.standard_normal(200)
+        path = tmp_path / "dependent.csv"
+        np.savetxt(path, np.column_stack([y, x]), delimiter=",")
+        code, _, err = run_cli(capsys, "stats", "--data", str(path))
+        assert code == 0, err
+        report = run_json(
+            capsys, "audit", "--data", str(path), "--trials", "1000", "--sigma", "1e5"
+        )
+        assert report["consistency"]["all"] is True
+
     def test_planted_solver_bug_fails_budget_routes(self, capsys, monkeypatch):
         """A delta(epsilon) that drops its e^eps Phi(-eps/mu - mu/2) term
-        overstates the budget; the bisection and PrivacyBudget both use it,
-        so only the tradeoff route can catch it."""
+        overstates the budget; the bisection and snr_to_budget's cover
+        check both use it, so only the tradeoff route can catch it."""
 
         def buggy(epsilon, mu):
             return gdp.std_normal_cdf(-epsilon / mu + 0.5 * mu)
@@ -698,6 +725,25 @@ class TestConfigPrecedence:
             "5",
         )
         assert payload["inputs"]["seed"] == 5
+
+    @pytest.mark.parametrize(
+        "flags, env, flag",
+        [
+            (["--seed", "-1"], None, "--seed"),
+            (["--weights-seed", "-1"], None, "--weights-seed"),
+            ([], "-1", "--seed"),
+        ],
+    )
+    def test_negative_seed_names_its_flag(self, capsys, monkeypatch, flags, env, flag):
+        """A seed NumPy cannot take is a usage error naming its flag, raised
+        before any stage, whether it comes from a flag or BADGD_SEED."""
+        if env is not None:
+            monkeypatch.setenv("BADGD_SEED", env)
+        argv = ["audit", "--data", FIXTURE, "--trials", "1000", *flags]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert f"error: argument {flag}: seed must be >= 0, got -1" in err
+        assert "stage:" not in err
 
     def test_config_seed_beats_env(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("BADGD_SEED", "77")
@@ -887,6 +933,11 @@ HUGE_WEIGHTS_ERRORS = {
             ([command, "--data", HUGE_MOMENTS, "--weights", "1"], None)
             for command in ("trigger", "gap", "audit")
         ),
+        # seeds NumPy cannot take, from a flag or a config value
+        ([*FUZZ_AUDIT, "--seed", "-1"], None),
+        (["audit", "--data", FIXTURE, "--trials", "1000", "--weights-seed", "-1"],
+         None),
+        (FUZZ_AUDIT, {"seed": -1}),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

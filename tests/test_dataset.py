@@ -144,6 +144,24 @@ class TestSufficientStats:
         np.testing.assert_allclose(s.s_yx, y * x)
         np.testing.assert_allclose(s.s_xx, np.outer(x, x))
 
+    def test_large_rank_deficient_features(self):
+        """Features of size 1e3 with one exact linear dependence: the
+        rounding in s_xx (entries near 1e7) gives eigenvalues a few 1e-9
+        below 0, well inside the tolerance scaled by max|s_xx|."""
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            x = 1000 * rng.standard_normal((200, 10))
+            x[:, 1] = 3 * x[:, 0] + x[:, 2]
+            s = sufficient_stats(Dataset(x, rng.standard_normal(200)))
+            assert np.linalg.eigvalsh(s.s_xx)[0] < 1e-6 * np.max(s.s_xx)
+        # scaled tolerances still reject violations at the entries' scale
+        for s_xx, match in (
+            ([[1e6, 1e3], [0.0, 1e6]], "asymmetry"),
+            ([[1e6, 2e6], [2e6, 1e6]], "semidefinite"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                SufficientStats(s_y=1.0, s_yx=[0.0, 0.0], s_xx=s_xx, n=1)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="asymmetry"):
             SufficientStats(

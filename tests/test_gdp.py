@@ -15,8 +15,6 @@ from scipy import optimize, stats as sstats
 
 from badgd import gdp
 from badgd.gdp import (
-    PrivacyBudget,
-    TradeoffCurve,
     delta_of_epsilon,
     epsilon_of_mu,
     epsilon_of_tradeoff,
@@ -161,20 +159,21 @@ class TestGaussianTradeoff:
         with pytest.raises(ValueError, match="level 1e-300 is too small"):
             tradeoff_curve(40.0, [0.05, 1e-300])
         curve = tradeoff_curve(40.0, [2.0**-53])
-        assert curve.alphas.tolist() == [2.0**-53]
+        assert curve["alphas"] == [2.0**-53]
 
 
 class TestTradeoffCurve:
     def test_monotone_in_alpha(self):
         curve = tradeoff_curve(1.0, np.linspace(0.01, 0.99, 99))
-        assert np.all(np.diff(curve.type2) <= 1e-12)
-        np.testing.assert_allclose(curve.power, 1.0 - curve.type2, atol=1e-15)
+        assert np.all(np.diff(curve["type2"]) <= 1e-12)
+        assert curve["power"] == [1.0 - t for t in curve["type2"]]
+        assert all(type(v) is float for values in curve.values() for v in values)
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ValueError, match="strictly in"):
-            TradeoffCurve(alphas=[1.0], type2=[0.5])
-        with pytest.raises(ValueError, match="nonincreasing"):
-            TradeoffCurve(alphas=[0.1, 0.2], type2=[0.3, 0.5])
+            tradeoff_curve(1.0, [1.0])
+        with pytest.raises(ValueError, match="at least one level"):
+            tradeoff_curve(1.0, [])
 
 
 class TestDeltaOfEpsilon:
@@ -323,7 +322,7 @@ class TestEpsilonOfTradeoff:
 
     def test_zero_at_zero_mu(self):
         for delta in (1e-300, 1e-3, 0.5, 0.95):
-            assert snr_to_budget(0.0, delta).epsilon == 0.0
+            assert snr_to_budget(0.0, delta)["epsilon"] == 0.0
             assert epsilon_of_tradeoff(0.0, delta) == 0.0
 
     def test_lower_bound_unimodal_and_below_epsilon(self):
@@ -368,21 +367,20 @@ class TestEpsilonOfTradeoff:
 class TestSnrToBudget:
     def test_zero_snr_zero_epsilon(self):
         budget = snr_to_budget(0.0, 1e-3)
-        assert budget.epsilon == 0.0
-        assert budget.mu == 0.0
+        assert budget == {"epsilon": 0.0, "delta": 1e-3, "mu": 0.0}
 
     def test_regression_pin(self):
         budget = snr_to_budget(EPSILON_REGRESSION_MU, EPSILON_REGRESSION_DELTA)
-        assert budget.epsilon == pytest.approx(EPSILON_REGRESSION_VALUE, abs=1e-10)
-        assert budget.mu == EPSILON_REGRESSION_MU
+        assert budget["epsilon"] == pytest.approx(EPSILON_REGRESSION_VALUE, abs=1e-10)
+        assert budget["mu"] == EPSILON_REGRESSION_MU
 
     def test_monotone_in_snr(self):
-        values = [snr_to_budget(d, 1e-3).epsilon for d in (0.0, 0.3, 0.8, 1.5, 3.0)]
+        values = [snr_to_budget(d, 1e-3)["epsilon"] for d in (0.0, 0.3, 0.8, 1.5, 3.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_json_fields(self):
-        payload = snr_to_budget(1.0, 1e-3).to_json_dict()
-        assert set(payload) == {"epsilon", "delta", "mu"}
+        payload = snr_to_budget(1.0, 1e-3)
+        assert list(payload) == ["epsilon", "delta", "mu"]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="snr"):
@@ -390,18 +388,26 @@ class TestSnrToBudget:
 
 
 class TestPrivacyBudgetType:
-    def test_incoherent_triple_rejected(self):
-        with pytest.raises(ValueError, match="cover"):
-            PrivacyBudget(epsilon=0.0, delta=1e-6, mu=2.0)
+    """The (epsilon, delta, mu) triple ``snr_to_budget`` returns: its
+    epsilon must cover mu at delta, and delta is checked even at mu = 0."""
+
+    def test_incoherent_triple_rejected(self, monkeypatch):
+        # a solver fault on the low side: epsilon 1% short of covering mu
+        solve = gdp.epsilon_of_mu
+        monkeypatch.setattr(gdp, "epsilon_of_mu", lambda mu, d: 0.99 * solve(mu, d))
+        with pytest.raises(ValueError, match="does not cover mu=2.0"):
+            snr_to_budget(2.0, 1e-6)
 
     def test_coherent_triple_accepted(self):
         eps = epsilon_of_mu(2.0, 1e-6)
-        budget = PrivacyBudget(epsilon=eps, delta=1e-6, mu=2.0)
-        assert budget.epsilon == eps
+        budget = snr_to_budget(2.0, 1e-6)
+        assert budget == {"epsilon": eps, "delta": 1e-6, "mu": 2.0}
+        assert delta_of_epsilon(eps, 2.0) <= 1e-6 + 1e-8
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            PrivacyBudget(epsilon=-1.0, delta=0.5, mu=0.0)
-        with pytest.raises(ValueError, match="delta"):
-            PrivacyBudget(epsilon=0.0, delta=0.0, mu=0.0)
+        for d in (0.0, 1.0):
+            with pytest.raises(ValueError, match="delta"):
+                snr_to_budget(d, 0.0)
+            with pytest.raises(ValueError, match="delta 1e-318 is too small"):
+                snr_to_budget(d, 1e-318)
 

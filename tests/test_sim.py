@@ -13,7 +13,6 @@ from badgd.gdp import gaussian_tradeoff, std_normal_quantile
 from badgd.risk import risk_gradient
 from badgd.sim import (
     MC_BLOCK,
-    DistinguisherResult,
     NoisyGDConfig,
     _block_ties,
     _count_rejections,
@@ -58,6 +57,7 @@ class TestNoisyGDConfig:
             ({"gamma": 0.0, "sigma": 1.0}, "gamma"),
             ({"gamma": 0.1, "sigma": -1.0}, "sigma"),
             ({"gamma": 0.1, "sigma": 1.0, "steps": 0}, "steps"),
+            ({"gamma": 0.1, "sigma": 1.0, "seed": -1}, "seed"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -180,9 +180,9 @@ class TestMonteCarloTradeoff:
         grads = _grads([0.2, -0.1], d0, v)
         results = monte_carlo_tradeoff(*grads, cfg, [0.05, 0.2], 5000)
         for r in results:
-            se = math.sqrt(r.alpha * (1.0 - r.alpha) / r.trials)
-            assert abs(r.est_type1 - r.alpha) <= 3.0 * se
-            assert abs(r.est_type2 - (1.0 - r.alpha)) <= 3.0 * se
+            se = math.sqrt(r["alpha"] * (1.0 - r["alpha"]) / r["trials"])
+            assert abs(r["est_type1"] - r["alpha"]) <= 3.0 * se
+            assert abs(r["est_type2"] - (1.0 - r["alpha"])) <= 3.0 * se
 
     def test_unit_gap_matches_analytic(self, two_point):
         grad0, grad1 = _gradwarp_grads(two_point)
@@ -190,8 +190,8 @@ class TestMonteCarloTradeoff:
         cfg = NoisyGDConfig(gamma=0.1, sigma=gap_norm, seed=3)
         results = monte_carlo_tradeoff(grad0, grad1, cfg, [0.01, 0.05, 0.2], 10_000)
         for r in results:
-            type2, _ = gaussian_tradeoff(1.0, r.alpha)
-            assert abs(r.est_type2 - type2) <= 3.0 * r.std_err
+            type2, _ = gaussian_tradeoff(1.0, r["alpha"])
+            assert abs(r["est_type2"] - type2) <= 3.0 * r["std_err"]
 
     def test_threshold_from_analytic_null(self, two_point):
         stats = sufficient_stats(two_point)
@@ -206,7 +206,7 @@ class TestMonteCarloTradeoff:
             )
         ) / (cfg.gamma * cfg.sigma)
         expected = -0.5 * d * d + d * std_normal_quantile(0.95)
-        assert result.threshold == pytest.approx(expected, abs=1e-12)
+        assert result["threshold"] == pytest.approx(expected, abs=1e-12)
 
     def test_too_small_level_named_before_simulating(self, two_point, monkeypatch):
         def unreachable(*args):
@@ -223,8 +223,8 @@ class TestMonteCarloTradeoff:
         cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=5)
         (small,) = monte_carlo_tradeoff(*grads, cfg, [0.05], 2000)
         (large,) = monte_carlo_tradeoff(*grads, cfg, [0.05], 4000)
-        assert large.std_err == pytest.approx(
-            small.std_err / math.sqrt(2.0), rel=1e-12
+        assert large["std_err"] == pytest.approx(
+            small["std_err"] / math.sqrt(2.0), rel=1e-12
         )
 
     def test_deterministic_and_alpha_independent_streams(self, two_point):
@@ -233,8 +233,8 @@ class TestMonteCarloTradeoff:
         combined = monte_carlo_tradeoff(*grads, cfg, [0.01, 0.05], 1500)
         (alone,) = monte_carlo_tradeoff(*grads, cfg, [0.05], 1500)
         matching = combined[1]
-        assert matching.est_type1 == alone.est_type1
-        assert matching.est_type2 == alone.est_type2
+        assert matching["est_type1"] == alone["est_type1"]
+        assert matching["est_type2"] == alone["est_type2"]
 
     def test_validation(self, two_point):
         grad0, grad1 = _gradwarp_grads(two_point)
@@ -245,6 +245,8 @@ class TestMonteCarloTradeoff:
             monte_carlo_tradeoff(grad0, grad1, NoisyGDConfig(0.1, 0.0), [0.05], 2000)
         with pytest.raises(ValueError, match="alpha"):
             monte_carlo_tradeoff(grad0, grad1, cfg, [1.5], 2000)
+        with pytest.raises(ValueError, match="at least one level"):
+            monte_carlo_tradeoff(grad0, grad1, cfg, [], 2000)
         for pair in ((grad0, grad1[:1]), (grad0[None], grad1[None]), (1.0, 2.0)):
             with pytest.raises(ValueError, match="vectors of one shape"):
                 monte_carlo_tradeoff(*pair, cfg, [0.05], 2000)
@@ -405,14 +407,14 @@ def eager_monte_carlo(grad0, grad1, cfg, alphas, trials):
         reject1 = (scores1 > threshold) | ((scores1 == threshold) & (ties1 < alpha))
         type2_prob, _ = gaussian_tradeoff(d, alpha)
         results.append(
-            DistinguisherResult(
-                alpha=alpha,
-                threshold=threshold,
-                est_type1=float(np.mean(reject0)),
-                est_type2=float(np.mean(~reject1)),
-                std_err=math.sqrt(type2_prob * (1.0 - type2_prob) / trials),
-                trials=trials,
-            )
+            {
+                "alpha": alpha,
+                "threshold": threshold,
+                "est_type1": float(np.mean(reject0)),
+                "est_type2": float(np.mean(~reject1)),
+                "std_err": math.sqrt(type2_prob * (1.0 - type2_prob) / trials),
+                "trials": trials,
+            }
         )
     return results
 
@@ -533,25 +535,3 @@ class TestTiesOnDemand:
         assert sorted(built) == sorted(
             [(key, (0,)) for key in blocks] + [(key, (1,)) for key in blocks]
         )
-
-
-class TestDistinguisherResult:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="est_type1"):
-            DistinguisherResult(
-                alpha=0.05,
-                threshold=0.0,
-                est_type1=1.5,
-                est_type2=0.5,
-                std_err=0.01,
-                trials=1000,
-            )
-        with pytest.raises(ValueError, match="trials"):
-            DistinguisherResult(
-                alpha=0.05,
-                threshold=0.0,
-                est_type1=0.5,
-                est_type2=0.5,
-                std_err=0.01,
-                trials=0,
-            )
