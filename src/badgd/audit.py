@@ -172,14 +172,16 @@ def run_audit(
     snr = graddistwarp_snr(w, stats, trigger.x_v, trigger.y_v, gamma, sigma)
     _log(f"snr = {snr.definitional!r}")
 
-    curve = tradeoff_curve(snr.definitional, alphas)
-    mc = monte_carlo_tradeoff(*grads, cfg, alphas, trials)
-    _log(f"monte carlo complete (trials={trials})")
-
+    # the budget needs only the SNR: an epsilon out of range is an error
+    # before the Monte Carlo run, the costliest stage, starts
     budget = snr_to_budget(snr.definitional, delta)
     epsilon_dual = epsilon_of_tradeoff(snr.definitional, delta)
     epsilon = budget["epsilon"]
     _log(f"privacy budget epsilon = {epsilon!r}")
+
+    curve = tradeoff_curve(snr.definitional, alphas)
+    mc = monte_carlo_tradeoff(*grads, cfg, alphas, trials)
+    _log(f"monte carlo complete (trials={trials})")
 
     checks["snr_matches_gradient_gap"] = _agree(
         g_gap["norm"] / sigma, snr.definitional

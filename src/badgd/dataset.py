@@ -84,17 +84,34 @@ def check_count(value, name: str, minimum: int) -> int:
 
 class Dataset:
     """Immutable dataset: an (n, feature_dim) feature matrix and an (n,)
-    response vector, validated once and stored as read-only copies.
+    response vector, validated once and stored read-only.
 
-    Datasets are values: every operation that would change one returns a new
-    instance, so clean and backdoored variants can be compared side by side.
+    ``Dataset(xs, ys)`` stores copies, so the caller's arrays stay theirs.
+    The builders in this module (``generate_synthetic``,
+    ``make_bad_dataset``) hand over arrays they have just made, which are
+    validated the same way and frozen without a copy, so each dataset's
+    rows are held once. Datasets are values: every operation that would
+    change one returns a new instance, so clean and backdoored variants can
+    be compared side by side.
     """
 
     __slots__ = ("_x", "_y")
 
     def __init__(self, xs: Sequence[Sequence[float]], ys: Sequence[float]):
-        x = np.array(xs, dtype=float)
-        y = np.array(ys, dtype=float)
+        self._freeze(np.array(xs, dtype=float), np.array(ys, dtype=float))
+
+    @classmethod
+    def _own(cls, x: np.ndarray, y: np.ndarray) -> Dataset:
+        """A dataset over the float arrays ``x`` and ``y``, not copies.
+
+        The caller gives up the arrays: nothing else may hold or write them.
+        """
+        d = cls.__new__(cls)
+        d._freeze(x, y)
+        return d
+
+    def _freeze(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Validate float arrays ``x`` and ``y``, make them read-only and keep them."""
         if x.ndim != 2:
             raise ValueError(f"xs must be 2-D (n, feature_dim), got shape {x.shape}")
         if y.shape != (x.shape[0],):
@@ -247,9 +264,14 @@ def make_bad_dataset(clean: Dataset, v: Trigger) -> Dataset:
             f"trigger feature_dim {v.feature_dim} does not match "
             f"dataset feature_dim {clean.feature_dim}"
         )
-    return Dataset(
-        np.vstack([clean.x_matrix(), v.x_v]), np.append(clean.y_vector(), v.y_v)
-    )
+    n = clean.n
+    x = np.empty((n + 1, clean.feature_dim))
+    x[:n] = clean.x_matrix()
+    x[n] = v.x_v
+    y = np.empty(n + 1)
+    y[:n] = clean.y_vector()
+    y[n] = v.y_v
+    return Dataset._own(x, y)
 
 
 def sufficient_stats(d: Dataset) -> SufficientStats:
@@ -371,4 +393,4 @@ def generate_synthetic(n: int, feature_dim: int, seed: int) -> Dataset:
     x = rng.standard_normal((n, feature_dim))
     noise = rng.standard_normal(n)
     y = x @ w_true + noise
-    return Dataset(x, y)
+    return Dataset._own(x, y)

@@ -6,13 +6,16 @@ v to a size-n dataset shifts the risk and the full-batch gradient by exactly
 ``1/(n+1)`` times the trigger's excess over the clean average.
 
 ``backdoor_gaps`` materialises the backdoored ``(n+1, d)`` dataset once per
-call and computes each gap twice from it, as a ``GapValues`` pair. The
-direct route reads brute-force risks or full-batch gradients over the
-clean and the backdoored rows. The closed form uses only clean
-quantities and the trigger, never the backdoored rows; ``badgd.audit``
-judges whether the two agree. Building the backdoored rows once hides
-nothing a rebuild could catch: the construction and the gradients are
-deterministic, so a rebuild gives the same bits.
+call and computes each gap twice, as a ``GapValues`` pair. The direct
+route reads brute-force risks or full-batch gradients over the clean and
+the backdoored rows. The closed form uses only clean quantities and the
+trigger, never the backdoored rows; ``badgd.audit`` judges whether the two
+agree. Each dataset's rows are read in one residual pass, ``y - X w``,
+which gives both its risk and its gradient with the same arithmetic, and
+so the same bits, as ``empirical_risk`` and ``risk_gradient``. Building
+the backdoored rows once hides nothing a rebuild could catch: the
+construction and the passes are deterministic, so a rebuild gives the
+same bits.
 """
 
 from __future__ import annotations
@@ -75,6 +78,14 @@ def risk_gradient(w, d: Dataset) -> np.ndarray:
     return -2.0 * (x.T @ residuals) / d.n
 
 
+def _risk_and_gradient(w: np.ndarray, d: Dataset) -> tuple[float, np.ndarray]:
+    """``empirical_risk(w, d)`` and ``risk_gradient(w, d)``, bit for bit,
+    from one residual pass over the rows; ``w`` is already checked."""
+    x = d.x_matrix()
+    residuals = d.y_vector() - x @ w
+    return float(np.mean(residuals**2)), -2.0 * (x.T @ residuals) / d.n
+
+
 @dataclass(frozen=True)
 class GapValues:
     """One quantity computed along two independent routes.
@@ -109,17 +120,22 @@ class BackdoorGaps:
     grad_bad: np.ndarray
 
 
-def risk_gap(w, clean: Dataset, bad: Dataset, v: Trigger) -> GapValues:
-    """Risk shift of appending v to ``clean``, which gives ``bad``; both routes.
+def risk_gap(
+    w: np.ndarray,
+    risk_clean: float,
+    risk_bad: float,
+    stats: SufficientStats,
+    v: Trigger,
+) -> GapValues:
+    """Risk shift of appending v, from the clean and backdoored risks.
 
-    Direct: ``L(w, bad) - L(w, clean)``.
-    Closed form: ``(loss(w, v) - L(w, clean)) / (n + 1)``.
-    One stage of ``backdoor_gaps``, which builds ``bad`` and checks ``w``.
+    Direct: ``risk_bad - risk_clean``.
+    Closed form: ``(loss(w, v) - risk_clean) / (n + 1)``, which reads only
+    the clean risk, the clean size ``stats.n`` and the trigger.
+    One stage of ``backdoor_gaps``.
     """
-    clean_risk = empirical_risk(w, clean)
-    direct = empirical_risk(w, bad) - clean_risk
-    closed = (point_loss(w, v.x_v, v.y_v) - clean_risk) / (clean.n + 1)
-    return GapValues(direct=direct, closed_form=closed)
+    closed = (point_loss(w, v.x_v, v.y_v) - risk_clean) / (stats.n + 1)
+    return GapValues(direct=risk_bad - risk_clean, closed_form=closed)
 
 
 def gradient_gap(
@@ -166,17 +182,19 @@ def backdoor_gaps(w, clean: Dataset, stats: SufficientStats, v: Trigger) -> Back
     """Risk gap, gradient gap and mixture identity of appending v to ``clean``.
 
     ``stats`` must be ``sufficient_stats(clean)``; the gradient gap's
-    closed form reads only it and the trigger. The backdoored dataset is
-    built once, and each full-batch gradient is taken once and returned
-    with the gaps, so a caller needing them (the Monte Carlo
-    distinguisher) takes no third pass over the rows.
+    closed form reads only it and the trigger. Each dataset takes one
+    residual pass, which gives its risk and its full-batch gradient; the
+    gradients are returned with the gaps, so a caller needing them (the
+    Monte Carlo distinguisher) takes no third pass over the rows. The
+    clean pass ends before the backdoored rows are built, and those are
+    dropped after their pass, so at peak this holds the clean and the
+    backdoored rows plus one dataset's residual vectors.
     """
     w = check_weights(w, clean.feature_dim)
-    bad = make_bad_dataset(clean, v)
-    grad_clean = risk_gradient(w, clean)
-    grad_bad = risk_gradient(w, bad)
+    risk_clean, grad_clean = _risk_and_gradient(w, clean)
+    risk_bad, grad_bad = _risk_and_gradient(w, make_bad_dataset(clean, v))
     return BackdoorGaps(
-        risk=risk_gap(w, clean, bad, v),
+        risk=risk_gap(w, risk_clean, risk_bad, stats, v),
         gradient=gradient_gap(w, grad_clean, grad_bad, stats, v),
         mixture=mixture_identity_check(w, grad_clean, grad_bad, stats, v),
         grad_clean=grad_clean,

@@ -46,6 +46,7 @@ def test_each_full_size_pass_runs_once(monkeypatch):
     functions = (
         dataset.make_bad_dataset,
         dataset.sufficient_stats,
+        risk._risk_and_gradient,
         risk.risk_gradient,
         risk.empirical_risk,
     )
@@ -62,8 +63,10 @@ def test_each_full_size_pass_runs_once(monkeypatch):
     assert counts == {
         "make_bad_dataset": 1,
         "sufficient_stats": 1,
-        "risk_gradient": 2,
-        "empirical_risk": 2,
+        # one residual pass per dataset gives both its risk and its gradient
+        "_risk_and_gradient": 2,
+        "risk_gradient": 0,
+        "empirical_risk": 0,
     }
 
 
@@ -89,14 +92,14 @@ def test_fault_in_appended_row_fails_both_gap_checks(monkeypatch):
 
 
 def test_fault_in_backdoored_gradient_fails_its_checks(monkeypatch):
-    exact = risk.risk_gradient
+    exact = risk._risk_and_gradient
 
-    def skewed(w, d: Dataset) -> np.ndarray:
-        # off by 1e-6 relative on the (n+1)-row dataset only
-        grad = exact(w, d)
-        return grad * (1.0 + 1e-6) if d.n == DATA.n + 1 else grad
+    def skewed(w, d: Dataset) -> tuple[float, np.ndarray]:
+        # the gradient off by 1e-6 relative on the (n+1)-row dataset only
+        value, grad = exact(w, d)
+        return value, grad * (1.0 + 1e-6) if d.n == DATA.n + 1 else grad
 
-    monkeypatch.setattr(risk, "risk_gradient", skewed)
+    monkeypatch.setattr(risk, "_risk_and_gradient", skewed)
     checks = _run_audit()["consistency"]
     assert not checks["gradient_gap_routes"]
     assert not checks["mixture_identity"]

@@ -606,6 +606,17 @@ class TestAudit:
         report = run_json(capsys, *self.AUDIT_ARGS, "--delta", "2.3e-308")
         assert report["consistency"]["budget_routes"] is True
 
+    def test_budget_out_of_range_rejected_before_monte_carlo(self, capsys):
+        """The budget needs only the SNR, so an epsilon past its range is a
+        usage error before the Monte Carlo run spends its trials."""
+        code, _, err = run_cli(
+            capsys, "audit", "--data", FIXTURE, "--weights", "1,0",
+            "--trials", "100000", "--sigma", "1e-6",
+        )
+        assert code == 1
+        assert "epsilon exceeds 1e+06" in err.splitlines()[-1]
+        assert "monte carlo complete" not in err
+
     def test_large_rank_deficient_features(self, capsys, tmp_path):
         """Features of size 1e3 with an exact linear dependence: s_xx is
         singular up to rounding at the scale of its entries, not of 1."""
@@ -1116,7 +1127,8 @@ def test_out_of_range_stderr_has_no_warnings(command):
     "flags, expected",
     [
         (["--xmax", "1e200"], "error: oracle objective is out of floating-point range"),
-        (["--sigma", "1e-300"], "is out of floating-point range"),
+        # the budget stage, before the Monte Carlo, meets the huge SNR first
+        (["--sigma", "1e-300"], "error: epsilon exceeds 1e+06"),
     ],
 )
 def test_extreme_audit_stderr_has_no_traceback(flags, expected):

@@ -36,6 +36,18 @@ class TestExample:
         with pytest.raises(ValueError):
             d.y_vector()[0] = 5.0
 
+    def test_own_keeps_arrays_after_the_same_checks(self):
+        """The builders' path freezes their fresh arrays in place and
+        rejects what the public constructor rejects."""
+        x, y = np.array([[1.0, 2.0]]), np.array([3.0])
+        d = Dataset._own(x, y)
+        assert d.x_matrix() is x and d.y_vector() is y
+        assert not (x.flags.writeable or y.flags.writeable)
+        with pytest.raises(ValueError, match="finite"):
+            Dataset._own(np.array([[np.nan]]), np.array([0.0]))
+        with pytest.raises(ValueError, match="shape"):
+            Dataset._own(np.ones((2, 1)), np.ones(3))
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             Dataset([[1.0, np.nan]], [0.0])
@@ -218,6 +230,18 @@ class TestMakeBadDataset:
         with pytest.raises(ValueError, match="feature_dim"):
             make_bad_dataset(d0, Trigger(x_v=[1.0, 1.0], y_v=0.0))
 
+    def test_owns_readonly_rows(self, two_point):
+        """The backdoored rows are built once, in arrays of their own."""
+        d1 = make_bad_dataset(two_point, Trigger(x_v=[1.0, 1.0], y_v=0.0))
+        for bad, clean in (
+            (d1.x_matrix(), two_point.x_matrix()),
+            (d1.y_vector(), two_point.y_vector()),
+        ):
+            assert not np.shares_memory(bad, clean)
+            assert not bad.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                bad[0] = 5.0
+
 
 class TestLoadCsv:
     def test_fixture_values(self, fixture_csv):
@@ -385,6 +409,7 @@ class TestGenerateSynthetic:
         noise = rng.standard_normal(4)
         np.testing.assert_array_equal(d.x_matrix(), x)
         np.testing.assert_array_equal(d.y_vector(), x @ w_true + noise)
+        assert not (d.x_matrix().flags.writeable or d.y_vector().flags.writeable)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="n must be"):

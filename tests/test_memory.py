@@ -1,0 +1,51 @@
+"""Memory guards: each full-size step holds the rows it builds once.
+
+The traced peak (``tracemalloc``, which sees NumPy's buffers) of each
+step is bounded as a multiple of the feature matrix X, n * d * 8 bytes.
+A dataset is X plus its responses, X / d; validation adds a boolean mask
+of X / 8, and a residual pass two n-vectors.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from badgd.dataset import Trigger, generate_synthetic, make_bad_dataset, sufficient_stats
+from badgd.risk import backdoor_gaps
+
+N, D = 100_000, 5
+X_BYTES = N * D * 8
+TRIGGER = Trigger(x_v=np.ones(D), y_v=2.0)
+
+
+def traced_peak(fn) -> float:
+    """The traced peak of ``fn()``, in units of X."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / X_BYTES
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def clean():
+    return generate_synthetic(N, D, 1)
+
+
+def test_generate_synthetic_holds_one_copy():
+    # the rows, then the responses and the two n-vectors behind them
+    assert traced_peak(lambda: generate_synthetic(N, D, 1)) <= 2.0
+
+
+def test_make_bad_dataset_builds_rows_once(clean):
+    assert traced_peak(lambda: make_bad_dataset(clean, TRIGGER)) <= 1.5
+
+
+def test_backdoor_gaps_frees_clean_residuals_first(clean):
+    stats = sufficient_stats(clean)
+    w = np.full(D, 0.5)
+    assert traced_peak(lambda: backdoor_gaps(w, clean, stats, TRIGGER)) <= 1.75

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from badgd.dataset import Dataset, Trigger, make_bad_dataset, sufficient_stats
+from badgd.dataset import (
+    Dataset,
+    Trigger,
+    generate_synthetic,
+    make_bad_dataset,
+    sufficient_stats,
+)
 from badgd.risk import (
     check_weights,
     empirical_risk,
@@ -192,15 +198,29 @@ class TestGradientGap:
 
 
 class TestBackdoorGaps:
+    # the corpus, and one dataset tall enough for BLAS to block its products
+    INSTANCES = [
+        *corpus(20, seed=14),
+        (
+            np.linspace(-1.0, 2.0, 7),
+            generate_synthetic(20_000, 7, 3),
+            Trigger(x_v=np.arange(7.0), y_v=-3.0),
+        ),
+    ]
+
     def test_returns_the_gradient_pair(self):
-        for w, d, v in corpus(20, seed=14):
+        """One residual pass per dataset gives what ``empirical_risk`` and
+        ``risk_gradient`` give on the same rows, with ``==``."""
+        for w, d, v in self.INSTANCES:
             gaps = gaps_of(w, d, v)
+            bad = make_bad_dataset(d, v)
             grad_clean = risk_gradient(w, d)
-            grad_bad = risk_gradient(w, make_bad_dataset(d, v))
-            np.testing.assert_array_equal(gaps.grad_clean, grad_clean)
-            np.testing.assert_array_equal(gaps.grad_bad, grad_bad)
-            np.testing.assert_array_equal(gaps.gradient.direct, grad_bad - grad_clean)
-            np.testing.assert_array_equal(gaps.mixture.direct, grad_bad)
+            grad_bad = risk_gradient(w, bad)
+            assert np.all(gaps.grad_clean == grad_clean)
+            assert np.all(gaps.grad_bad == grad_bad)
+            assert np.all(gaps.gradient.direct == grad_bad - grad_clean)
+            assert np.all(gaps.mixture.direct == grad_bad)
+            assert gaps.risk.direct == empirical_risk(w, bad) - empirical_risk(w, d)
 
 
 class TestValidation:
