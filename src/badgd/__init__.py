@@ -53,7 +53,6 @@ from .risk import (
     risk_gradient,
 )
 from .sim import (
-    NoisyGDConfig,
     Trajectory,
     gd_step,
     monte_carlo_tradeoff,
@@ -61,7 +60,6 @@ from .sim import (
     run_trajectory,
 )
 from .triggers import (
-    SnrValues,
     TriggerConstraints,
     TriggerReport,
     build_trigger_report,
@@ -100,13 +98,11 @@ __all__ = [
     "point_gradient",
     "point_loss",
     "risk_gradient",
-    "NoisyGDConfig",
     "Trajectory",
     "gd_step",
     "monte_carlo_tradeoff",
     "noisy_gd_step",
     "run_trajectory",
-    "SnrValues",
     "TriggerConstraints",
     "TriggerReport",
     "build_trigger_report",

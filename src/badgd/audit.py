@@ -3,18 +3,22 @@
 ``run_audit`` takes a dataset, a weight vector and a trigger (a kind to
 construct, or a ready manual trigger) and returns the whole audit as a
 JSON-ready dict: the trigger and its report, the risk, gradient and
-mixture gaps along both of their routes, the SNR of the noisy update, the
+mixture gaps along both of their routes, the SNR of one noisy update, the
 analytic tradeoff curve next to a Monte Carlo run of the optimal
 distinguisher, the (epsilon, delta) budget along its two routes, and the
 consistency checks that compare each pair of routes at runtime. It logs
-one ``stage:`` line per step on stderr.
+one ``stage:`` line per step on stderr. The step's learning rate scales
+the update's mean shift and its noise alike and cancels from all of
+these, so an audit depends on sigma and n but takes no learning rate.
 
 This module only compares routes; it computes none of them. Each gap's
 direct and closed-form evaluations live in ``risk``, and the budget's
 bisection and tradeoff routes in ``gdp``, so a bug in one of them cannot
 hide behind shared arithmetic here. All six route checks make one
-decision, ``_agree``, whose tolerance only the canonical route sets (the
-direct gap, the direct SNR, the bisection's epsilon). The clean second
+decision, ``_agree``, whose tolerance the canonical route sets (the
+direct gap, the direct SNR, the bisection's epsilon); the risk gap's
+routes widen it to their rounding error, which grows with the size of
+the risks they subtract rather than with the gap. The clean second
 moments are computed once and feed the trigger, the gaps' closed forms
 and the SNR; the two full-batch gradients behind the direct gradient gap
 also feed the Monte Carlo run, whose estimates are judged against the
@@ -46,7 +50,7 @@ from .gdp import (
     tradeoff_curve,
 )
 from .risk import backdoor_gaps, check_weights
-from .sim import NoisyGDConfig, check_trials, monte_carlo_tradeoff
+from .sim import check_trials, monte_carlo_tradeoff
 from .triggers import (
     _GOALS,
     TriggerConstraints,
@@ -58,20 +62,27 @@ __all__ = ["gap_sections", "run_audit"]
 
 # route checks scale this base tolerance by (1 + the canonical magnitude)
 _CHECK_TOL = 1e-9
+# ... or this many units of roundoff (2**-53) of the terms the routes
+# subtract, whichever is larger; on correct code the risk routes differed
+# by at most 3.3 units over random data of magnitude 1 to 1e6
+_ROUNDING_UNITS = 64
 
 
 def _log(message: str) -> None:
     print(f"stage: {message}", file=sys.stderr)
 
 
-def _agree(canonical, other) -> bool:
+def _agree(canonical, other, terms: float = 0.0) -> bool:
     """The one rule of every route check: ``max|canonical - other| <=
-    _CHECK_TOL * (1 + max|canonical|)``; scalars stay plain floats (cheap)."""
+    max(_CHECK_TOL * (1 + max|canonical|), _ROUNDING_UNITS * 2**-53 *
+    terms)``, where ``terms`` is the size of what the routes subtract (0
+    leaves the first bound); scalars stay plain floats (cheap)."""
     if isinstance(canonical, np.ndarray):
         gap, scale = np.max(np.abs(canonical - other)), np.max(np.abs(canonical))
     else:
         gap, scale = abs(canonical - other), abs(canonical)
-    return bool(gap <= _CHECK_TOL * (1.0 + scale))
+    bound = max(_CHECK_TOL * (1.0 + scale), _ROUNDING_UNITS * 2.0**-53 * terms)
+    return bool(gap <= bound)
 
 
 def gap_sections(
@@ -108,7 +119,7 @@ def gap_sections(
         if not np.all(np.isfinite(np.hstack(list(section.values())))):
             raise ValueError(f"{name} is out of floating-point range")
     checks = {
-        "risk_gap_routes": _agree(r_gap.direct, r_gap.closed_form),
+        "risk_gap_routes": _agree(r_gap.direct, r_gap.closed_form, r_gap.scale),
         "gradient_gap_routes": _agree(g_gap.direct, g_gap.closed_form),
         "mixture_identity": _agree(mixture.direct, mixture.closed_form),
     }
@@ -121,7 +132,6 @@ def run_audit(
     trigger: TriggerKind | Trigger,
     *,
     constraints: TriggerConstraints,
-    gamma: float,
     sigma: float,
     delta: float,
     trials: int,
@@ -141,8 +151,8 @@ def run_audit(
     The report's ``consistency`` section says whether every runtime check
     held; it is complete either way.
     """
-    cfg = NoisyGDConfig(gamma=gamma, sigma=sigma, steps=1, seed=seed)
     check_positive(sigma, "sigma")
+    check_count(seed, "seed", 0)
     _check_delta(delta)
     alphas = _check_levels(alphas)
     check_trials(trials)
@@ -169,23 +179,21 @@ def run_audit(
     r_gap, g_gap = sections["risk_gap"], sections["gradient_gap"]
     _log("gap identities evaluated")
 
-    snr = graddistwarp_snr(w, stats, trigger.x_v, trigger.y_v, gamma, sigma)
-    _log(f"snr = {snr.definitional!r}")
+    snr = graddistwarp_snr(w, stats, trigger.x_v, trigger.y_v, sigma)
+    _log(f"snr = {snr!r}")
 
     # the budget needs only the SNR: an epsilon out of range is an error
     # before the Monte Carlo run, the costliest stage, starts
-    budget = snr_to_budget(snr.definitional, delta)
-    epsilon_dual = epsilon_of_tradeoff(snr.definitional, delta)
+    budget = snr_to_budget(snr, delta)
+    epsilon_dual = epsilon_of_tradeoff(snr, delta)
     epsilon = budget["epsilon"]
     _log(f"privacy budget epsilon = {epsilon!r}")
 
-    curve = tradeoff_curve(snr.definitional, alphas)
-    mc = monte_carlo_tradeoff(*grads, cfg, alphas, trials)
+    curve = tradeoff_curve(snr, alphas)
+    mc = monte_carlo_tradeoff(*grads, sigma, alphas, trials, seed)
     _log(f"monte carlo complete (trials={trials})")
 
-    checks["snr_matches_gradient_gap"] = _agree(
-        g_gap["norm"] / sigma, snr.definitional
-    )
+    checks["snr_matches_gradient_gap"] = _agree(g_gap["norm"] / sigma, snr)
     checks["budget_routes"] = _agree(epsilon, epsilon_dual)
     if trigger_report is not None:
         # the scaled objective against the direct route of what it scales to
@@ -215,7 +223,6 @@ def run_audit(
             "loss": "square",
             "trigger_kind": kind.value,
             "constraints": dataclasses.asdict(constraints),
-            "gamma": gamma,
             "sigma": sigma,
             "delta": delta,
             "trials": trials,
@@ -229,12 +236,7 @@ def run_audit(
         if trigger_report is None
         else trigger_report.to_json_dict(),
         **sections,
-        "snr": {
-            "definitional": snr.definitional,
-            "reduced": snr.closed_form,
-            "gamma": gamma,
-            "sigma": sigma,
-        },
+        "snr": {"definitional": snr, "sigma": sigma},
         "analytic_curve": curve,
         "monte_carlo": mc,
         "privacy": {

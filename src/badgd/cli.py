@@ -63,7 +63,7 @@ from .dataset import (
 )
 from .gdp import _check_levels, tradeoff_curve
 from .risk import check_weights
-from .sim import NoisyGDConfig, run_trajectory
+from .sim import run_trajectory
 from .triggers import TriggerConstraints, build_trigger_report
 
 class UsageError(Exception):
@@ -342,10 +342,15 @@ def cmd_tradeoff(args) -> int:
 def cmd_simulate(args) -> int:
     d, source = _resolve_dataset(args)
     w0 = _resolve_weights(args, d.feature_dim)
-    cfg = NoisyGDConfig(
-        gamma=args.gamma, sigma=args.sigma, steps=args.steps, seed=args.seed
+    trajectory = run_trajectory(
+        w0,
+        d,
+        gamma=args.gamma,
+        sigma=args.sigma,
+        steps=args.steps,
+        seed=args.seed,
+        noisy=args.noisy,
     )
-    trajectory = run_trajectory(w0, d, cfg, args.noisy)
     weights = [w.tolist() for w in trajectory.weights]
     table = _csv_lines(
         ["step", "risk", *(f"w_{j}" for j in range(d.feature_dim))],
@@ -356,7 +361,7 @@ def cmd_simulate(args) -> int:
         _write_csv(out / "trajectory.csv", table)
     payload = {
         "source": source,
-        "steps": cfg.steps,
+        "steps": args.steps,
         "noisy": args.noisy,
         "diverged": trajectory.diverged,
         # a diverged run's last entries may be non-finite: null in JSON
@@ -378,7 +383,6 @@ def cmd_audit(args) -> int:
         w,
         trigger,
         constraints=constraints,
-        gamma=args.gamma,
         sigma=args.sigma,
         delta=args.delta,
         trials=args.trials,
@@ -448,11 +452,6 @@ def _add_trigger_flags(p: _Parser) -> None:
     p.add_argument("--xmax", type=float, default=1.0, help="search bound on ||x_v||")
 
 
-def _add_noise_flags(p: _Parser) -> None:
-    p.add_argument("--gamma", type=float, default=0.1, help="learning rate")
-    p.add_argument("--sigma", type=float, default=1.0, help="noise scale")
-
-
 def _add_common_flags(p: _Parser) -> None:
     p.add_argument("--config", help="JSON file of option defaults")
     p.add_argument(
@@ -512,7 +511,7 @@ def build_parser() -> _Parser:
     _add_dataset_flags(p)
     _add_weight_flags(p)
     _add_trigger_flags(p)
-    _add_noise_flags(p)
+    p.add_argument("--sigma", type=float, default=1.0, help="noise scale")
     p.add_argument("--delta", type=float, default=1e-3, help="target delta")
     p.add_argument("--trials", type=int, default=10000, help="Monte Carlo trials")
     p.add_argument(
@@ -527,7 +526,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="(noisy) gradient descent trajectory")
     _add_dataset_flags(p)
     _add_weight_flags(p)
-    _add_noise_flags(p)
+    p.add_argument("--gamma", type=float, default=0.1, help="learning rate")
+    p.add_argument("--sigma", type=float, default=1.0, help="noise scale")
     p.add_argument("--steps", type=int, default=10, help="descent steps")
     _add_switch(p, "--noisy", "perturb gradients with N(0, sigma^2 I)")
     _add_common_flags(p)

@@ -87,7 +87,7 @@ class Dataset:
     response vector, validated once and stored read-only.
 
     ``Dataset(xs, ys)`` stores copies, so the caller's arrays stay theirs.
-    The builders in this module (``generate_synthetic``,
+    The builders in this module (``load_csv``, ``generate_synthetic``,
     ``make_bad_dataset``) hand over arrays they have just made, which are
     validated the same way and frozen without a copy, so each dataset's
     rows are held once. Datasets are values: every operation that would
@@ -104,7 +104,9 @@ class Dataset:
     def _own(cls, x: np.ndarray, y: np.ndarray) -> Dataset:
         """A dataset over the float arrays ``x`` and ``y``, not copies.
 
-        The caller gives up the arrays: nothing else may hold or write them.
+        They may be views of one array, such as the columns of a parsed
+        table. The caller gives up the arrays and any array under them:
+        nothing else may hold or write that memory.
         """
         d = cls.__new__(cls)
         d._freeze(x, y)
@@ -357,7 +359,9 @@ def load_csv(path, *, skip_header: bool = False) -> Dataset:
 
     The feature dimension is inferred from the first data row; every later
     row must match it. Malformed or non-finite rows are reported with their
-    1-based line number. NumPy parses the file, streamed line by line.
+    1-based line number. NumPy parses the file, streamed line by line,
+    into one table; the dataset's rows and responses are read-only views
+    of its columns, so the table is held once.
     """
     line_nos: list[int] = []
     lines = _data_lines(path, skip_header, line_nos)
@@ -372,7 +376,7 @@ def load_csv(path, *, skip_header: bool = False) -> Dataset:
     if not finite.all():
         line_no = line_nos[int(np.argmin(finite))]
         raise ValueError(f"{path}: line {line_no}: non-finite value in row")
-    return Dataset(table[:, 1:], table[:, 0])
+    return Dataset._own(table[:, 1:], table[:, 0])
 
 
 def generate_synthetic(n: int, feature_dim: int, seed: int) -> Dataset:

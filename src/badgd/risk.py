@@ -92,11 +92,14 @@ class GapValues:
 
     ``direct`` reads the backdoored rows; ``closed_form`` never does. They
     must agree to numerical precision; ``discrepancy`` is the largest
-    distance between them.
+    distance between them. ``scale`` is the size of the terms the routes
+    subtract, which bounds their rounding error; 0 where that error is
+    small next to the result.
     """
 
     direct: float | np.ndarray
     closed_form: float | np.ndarray
+    scale: float = 0.0
 
     @property
     def discrepancy(self) -> float:
@@ -132,10 +135,14 @@ def risk_gap(
     Direct: ``risk_bad - risk_clean``.
     Closed form: ``(loss(w, v) - risk_clean) / (n + 1)``, which reads only
     the clean risk, the clean size ``stats.n`` and the trigger.
+    Both subtract terms up to ``max(risk_clean, loss(w, v))`` in size
+    (``risk_bad`` lies between the two), reported as ``scale``.
     One stage of ``backdoor_gaps``.
     """
-    closed = (point_loss(w, v.x_v, v.y_v) - risk_clean) / (stats.n + 1)
-    return GapValues(direct=risk_bad - risk_clean, closed_form=closed)
+    loss = point_loss(w, v.x_v, v.y_v)
+    closed = (loss - risk_clean) / (stats.n + 1)
+    scale = max(risk_clean, loss)
+    return GapValues(direct=risk_bad - risk_clean, closed_form=closed, scale=scale)
 
 
 def gradient_gap(

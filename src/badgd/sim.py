@@ -8,11 +8,13 @@ the backdoored dataset (``risk.backdoor_gaps`` returns both), simulates
 many one-step updates under each, scores each with the
 log-likelihood-ratio statistic, and estimates the type-I/type-II errors
 of the optimal test at thresholds taken from the analytic null. It builds
-no dataset. Those estimates are the empirical check on the analytic
-tradeoff curves: the analysis says the recentered statistic is
-N(-d^2/2, d^2) under the clean dataset and N(+d^2/2, d^2) under the
-backdoored one, and the simulation either reproduces the implied error
-rates or it does not.
+no dataset, and it takes no learning rate: the rate scales the mean shift
+and the noise of both updates alike, so it cancels from the test; only
+the descent functions take one. Those estimates are the empirical check
+on the analytic tradeoff curves: the analysis says the recentered
+statistic is N(-d^2/2, d^2) under the clean dataset and N(+d^2/2, d^2)
+under the backdoored one, and the simulation either reproduces the
+implied error rates or it does not.
 
 Reproducibility contract: the distinguisher runs its trials in blocks of
 ``MC_BLOCK`` (4096), a constant rather than an option. Block ``b`` of
@@ -46,7 +48,6 @@ from .gdp import _check_levels, gaussian_tradeoff, std_normal_quantile
 from .risk import check_weights, empirical_risk, risk_gradient
 
 __all__ = [
-    "NoisyGDConfig",
     "Trajectory",
     "gd_step",
     "noisy_gd_step",
@@ -64,22 +65,6 @@ MC_BLOCK = 4096
 def check_trials(trials) -> int:
     """Validate a Monte Carlo trial count: at least 1000 per hypothesis."""
     return check_count(trials, "trials", 1000)
-
-
-@dataclass(frozen=True)
-class NoisyGDConfig:
-    """Step size, gradient-noise scale, step count, and base seed."""
-
-    gamma: float
-    sigma: float
-    steps: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", check_positive(self.gamma, "gamma"))
-        object.__setattr__(self, "sigma", check_nonnegative(self.sigma, "sigma"))
-        object.__setattr__(self, "steps", check_count(self.steps, "steps", 1))
-        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -124,32 +109,41 @@ def gd_step(w, d: Dataset, gamma: float) -> np.ndarray:
     return w - gamma * risk_gradient(w, d)
 
 
-def noisy_gd_step(w, d: Dataset, cfg: NoisyGDConfig, noise) -> np.ndarray:
+def noisy_gd_step(w, d: Dataset, gamma: float, noise) -> np.ndarray:
     """One step with the supplied gradient perturbation already drawn.
 
     ``w - gamma * (risk_gradient(w, d) + noise)``; with zero noise this is
     exactly gd_step. Keeping the draw outside the step makes the update a
-    deterministic function, which the distinguisher relies on.
+    deterministic function of its inputs.
     """
+    gamma = check_positive(gamma, "gamma")
     w = check_weights(w, d.feature_dim)
     noise = np.asarray(noise, dtype=float)
     if noise.shape != (d.feature_dim,):
         raise ValueError(
             f"noise must have shape ({d.feature_dim},), got {noise.shape}"
         )
-    return w - cfg.gamma * (risk_gradient(w, d) + noise)
+    return w - gamma * (risk_gradient(w, d) + noise)
 
 
-def run_trajectory(w0, d: Dataset, cfg: NoisyGDConfig, noisy: bool) -> Trajectory:
+def run_trajectory(
+    w0, d: Dataset, *, gamma: float, sigma: float, steps: int, seed: int, noisy: bool
+) -> Trajectory:
     """Iterate (noisy) descent from w0, recording weights and risks.
 
-    Noise draws come from ``default_rng(cfg.seed)``, one standard-normal
-    vector per step scaled by sigma, so a (seed, config, data) triple
-    fixes the whole run. A non-finite weight or risk stops the run early
-    with the diverged flag set (a non-finite weight records risk inf).
+    ``steps`` steps of size ``gamma``; with ``noisy`` each gradient is
+    perturbed by N(0, sigma^2 I). Noise draws come from
+    ``default_rng(seed)``, one standard-normal vector per step scaled by
+    sigma, so the arguments and the data fix the whole run. A non-finite
+    weight or risk stops the run early with the diverged flag set (a
+    non-finite weight records risk inf).
     """
+    gamma = check_positive(gamma, "gamma")
+    sigma = check_nonnegative(sigma, "sigma")
+    steps = check_count(steps, "steps", 1)
+    seed = check_count(seed, "seed", 0)
     w = check_weights(w0, d.feature_dim)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     weights = [w]
     diverged = False
     # large steps may overflow on purpose; the flag reports it, not a warning
@@ -159,12 +153,12 @@ def run_trajectory(w0, d: Dataset, cfg: NoisyGDConfig, noisy: bool) -> Trajector
             raise ValueError(
                 "initial risk is out of floating-point range at these weights"
             )
-        for _ in range(cfg.steps):
+        for _ in range(steps):
             if noisy:
-                noise = cfg.sigma * rng.standard_normal(d.feature_dim)
-                w = noisy_gd_step(w, d, cfg, noise)
+                noise = sigma * rng.standard_normal(d.feature_dim)
+                w = noisy_gd_step(w, d, gamma, noise)
             else:
-                w = gd_step(w, d, cfg.gamma)
+                w = gd_step(w, d, gamma)
             weights.append(w)
             risks.append(empirical_risk(w, d) if np.all(np.isfinite(w)) else math.inf)
             if not math.isfinite(risks[-1]):
@@ -191,8 +185,9 @@ def _simulate_scores(
     grad: np.ndarray,
     grad0: np.ndarray,
     grad1: np.ndarray,
-    cfg: NoisyGDConfig,
+    sigma: float,
     trials: int,
+    seed: int,
     hypothesis: int,
 ) -> np.ndarray:
     """LLR scores of `trials` one-step updates.
@@ -201,23 +196,25 @@ def _simulate_scores(
     Its recentered log-likelihood ratio between the clean update (mean
     ``-gamma * grad0``) and the backdoored one (``-gamma * grad1``), both
     of scale ``gamma * sigma``, is ``<u, z> + <u, grad - (grad0 + grad1)/2>
-    / sigma`` with ``u = (grad1 - grad0) / sigma``. Gamma cancels, so no
-    product with gamma is formed and a huge step size cannot overflow.
+    / sigma`` with ``u = (grad1 - grad0) / sigma``. The learning rate
+    cancels, so it is not an argument.
 
     Trials run in blocks of ``MC_BLOCK``; block ``b`` draws its whole
     ``(rows, d)`` gradient-noise matrix from the first child of
-    ``SeedSequence((cfg.seed, hypothesis, b))`` and scores it with one
+    ``SeedSequence((seed, hypothesis, b))`` and scores it with one
     matrix-vector product. The second child, the block's tie-break
     uniforms, is left to ``_block_ties``, which the caller runs only for
     a block with an exact tie. The draw fills in order, so a shorter run
     is a prefix of a longer one. Memory is bounded by ``MC_BLOCK * d``.
     """
-    u = (grad1 - grad0) / cfg.sigma
-    offset = float(u @ ((grad - 0.5 * (grad0 + grad1)) / cfg.sigma))
+    sigma = check_positive(sigma, "sigma")
+    seed = check_count(seed, "seed", 0)
+    u = (grad1 - grad0) / sigma
+    offset = float(u @ ((grad - 0.5 * (grad0 + grad1)) / sigma))
     scores = np.empty(trials)
     for block, start in enumerate(range(0, trials, MC_BLOCK)):
         rows = min(MC_BLOCK, trials - start)
-        rng = np.random.default_rng(_block_seed(cfg.seed, hypothesis, block, 0))
+        rng = np.random.default_rng(_block_seed(seed, hypothesis, block, 0))
         noise = rng.standard_normal((rows, grad.size))
         scores[start : start + rows] = noise @ u + offset
     return scores
@@ -243,18 +240,20 @@ def _count_rejections(scores: np.ndarray, threshold: float, alpha: float, ties) 
 def monte_carlo_tradeoff(
     grad_clean,
     grad_bad,
-    cfg: NoisyGDConfig,
+    sigma: float,
     alphas,
     trials: int,
+    seed: int,
 ) -> list[dict]:
     """Estimate the error rates of the optimal clean-vs-backdoored test.
 
     ``grad_clean`` and ``grad_bad`` are the full-batch gradients at the
     current weights on the clean and the backdoored dataset, finite
-    vectors of one shape; one noisy step from each is simulated. For
-    each level alpha the threshold is the (1 - alpha) quantile of the
-    analytic null N(-d^2/2, d^2), not an empirical quantile, so the run
-    tests the distributional claim rather than self-normalizing. The test
+    vectors of one shape; one noisy step from each, with gradient noise
+    N(0, sigma^2 I) and seed ``seed``, is simulated. For each level alpha
+    the threshold is the (1 - alpha) quantile of the analytic null
+    N(-d^2/2, d^2), not an empirical quantile, so the run tests the
+    distributional claim rather than self-normalizing. The test
     rejects when the score exceeds the threshold, and on an exact tie
     rejects with probability alpha via a per-trial uniform draw; without
     that tie-break the d = 0 case, where every score is exactly 0, could
@@ -273,8 +272,8 @@ def monte_carlo_tradeoff(
     ones every block would have drawn, so the estimates do not change.
     """
     trials = check_trials(trials)
-    if cfg.sigma <= 0:
-        raise ValueError("distinguisher requires sigma > 0")
+    sigma = check_positive(sigma, "sigma")
+    seed = check_count(seed, "seed", 0)
     grad0 = np.asarray(grad_clean, dtype=float)
     grad1 = np.asarray(grad_bad, dtype=float)
     if grad0.ndim != 1 or grad0.shape != grad1.shape:
@@ -286,16 +285,16 @@ def monte_carlo_tradeoff(
         raise ValueError("gradients must be finite element-wise")
     alphas = _check_levels(alphas)
 
-    d = float(np.linalg.norm(grad1 - grad0)) / cfg.sigma
+    d = float(np.linalg.norm(grad1 - grad0)) / sigma
     if not math.isfinite(d * d):
         raise ValueError(f"snr {d!r} is out of floating-point range")
 
-    scores0 = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
-    scores1 = _simulate_scores(grad1, grad0, grad1, cfg, trials, 1)
+    scores0 = _simulate_scores(grad0, grad0, grad1, sigma, trials, seed, 0)
+    scores1 = _simulate_scores(grad1, grad0, grad1, sigma, trials, seed, 1)
 
     # a block's uniforms are drawn on its first tie and kept for later levels
     ties0, ties1 = (
-        functools.cache(functools.partial(_block_ties, cfg.seed, h, trials))
+        functools.cache(functools.partial(_block_ties, seed, h, trials))
         for h in (0, 1)
     )
     results = []

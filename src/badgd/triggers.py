@@ -48,7 +48,6 @@ from .risk import check_weights
 __all__ = [
     "TriggerConstraints",
     "TriggerReport",
-    "SnrValues",
     "riskwarp_objective",
     "gradwarp_objective",
     "graddistwarp_snr",
@@ -72,22 +71,6 @@ class TriggerConstraints:
     def __post_init__(self):
         for name in ("x_norm_max", "response_bound", "trigger_scale"):
             object.__setattr__(self, name, check_positive(getattr(self, name), name))
-
-
-@dataclass(frozen=True)
-class SnrValues:
-    """Signal-to-noise ratio of the noisy-update distribution shift, two ways.
-
-    ``definitional`` divides the mean shift of the update increment by its
-    noise scale; the learning rate cancels, leaving
-    ``||gradient gap|| / sigma``. ``closed_form`` is the reduced expression
-    ``(bracket norm) / (sqrt(gamma (n+1) / 2) * sigma)``, which retains a
-    learning-rate factor. The definitional value is canonical everywhere
-    downstream; the reduced one is reported for comparison only.
-    """
-
-    definitional: float
-    closed_form: float
 
 
 @dataclass(frozen=True)
@@ -212,28 +195,18 @@ def gradwarp_objective(w, stats: SufficientStats, x, y):
     return _evaluate(_bind_gradwarp, w, stats, x, y)
 
 
-def graddistwarp_snr(
-    w, stats: SufficientStats, x, y: float, gamma: float, sigma: float
-) -> SnrValues:
+def graddistwarp_snr(w, stats: SufficientStats, x, y: float, sigma: float) -> float:
     """SNR between clean and backdoored noisy-update distributions.
 
-    One noisy step releases ``w - gamma * (gradient + noise)`` with noise
-    ``N(0, sigma^2 I)``; the increment is Gaussian with mean
-    ``-gamma * gradient`` and scale ``gamma * sigma``. The definitional SNR
-    is the mean shift over the noise scale, where gamma cancels:
-    ``||gradient gap|| / sigma = (2/(n+1)) * bracket_norm / sigma``.
-    The reduced form ``bracket_norm / (sqrt(gamma (n+1) / 2) * sigma)``
-    keeps a gamma factor and is reported for comparison only.
+    One noisy step adds gradient noise ``N(0, sigma^2 I)`` before the step
+    is scaled by the learning rate, which therefore scales the mean shift
+    and the noise alike and cancels. The SNR is the mean shift over the
+    noise scale: ``||gradient gap|| / sigma = (2/(n+1)) * bracket_norm /
+    sigma``, the bracket norm being ``gradwarp_objective``.
     """
-    gamma = check_positive(gamma, "gamma")
     sigma = check_positive(sigma, "sigma")
     bracket_norm = gradwarp_objective(w, stats, x, y)
-    m = stats.n + 1
-    # two square roots: gamma * m alone overflows for gamma near the float maximum
-    return SnrValues(
-        definitional=2.0 * bracket_norm / (m * sigma),
-        closed_form=bracket_norm / (math.sqrt(gamma) * math.sqrt(m / 2.0) * sigma),
-    )
+    return 2.0 * bracket_norm / ((stats.n + 1) * sigma)
 
 
 def make_riskwarp_trigger(w, constraints: TriggerConstraints) -> Trigger:
@@ -258,9 +231,14 @@ def _warp_point(w, constraints: TriggerConstraints, stats: SufficientStats, kind
         raise ValueError(
             f"{kind.value} trigger: squared weight norm is out of floating-point range"
         )
-    if norm_sq == 0.0:
+    if not np.any(w):
         raise ValueError(f"{kind.value} trigger requires a nonzero weight vector")
     alpha = constraints.trigger_scale
+    if alpha * norm_sq == 0.0:
+        raise ValueError(
+            f"{kind.value} trigger: trigger scale {alpha!r} times the squared "
+            f"weight norm {norm_sq!r} underflows to 0"
+        )
     return Trigger(
         x_v=alpha * w,
         y_v=float(w @ stats.s_yx) / (alpha * norm_sq),

@@ -25,7 +25,6 @@ def _run_audit(alphas=(0.05,), seed=3, delta=1e-3) -> dict:
         W,
         TriggerKind.GRADDISTWARP,
         constraints=TriggerConstraints(),
-        gamma=0.1,
         sigma=1.0,
         delta=delta,
         trials=1000,
@@ -112,8 +111,7 @@ def test_fault_in_snr_fails_only_its_check(monkeypatch):
     def skewed(*args):
         # the definitional SNR off by 1e-6 relative; it feeds both budget
         # routes alike, so only its comparison with the gradient gap sees it
-        snr = exact(*args)
-        return dataclasses.replace(snr, definitional=snr.definitional * (1.0 + 1e-6))
+        return exact(*args) * (1.0 + 1e-6)
 
     monkeypatch.setattr(audit, "graddistwarp_snr", skewed)
     assert _failed(_run_audit()["consistency"]) == ["all", "snr_matches_gradient_gap"]

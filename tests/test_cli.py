@@ -40,7 +40,7 @@ CONFIG_KEYS = {
     ("gap", "--data", FIXTURE): TRIGGER_KEYS,
     ("tradeoff", "--mu", "1"): f"mu snr alphas {COMMON_KEYS}",
     ("audit", "--data", FIXTURE, "--trials", "1000", "--oracle-budget", "0"): (
-        f"{TRIGGER_KEYS} gamma sigma delta trials alphas oracle_budget"
+        f"{TRIGGER_KEYS} sigma delta trials alphas oracle_budget"
     ),
     ("simulate", "--data", FIXTURE, "--steps", "1"): (
         f"{DATA_KEYS} weights weights_seed gamma sigma steps noisy"
@@ -227,11 +227,17 @@ class TestTrigger:
         assert code == 1
         assert "oracle_budget" in err
 
-    def test_gamma_flag_removed(self, capsys):
-        argv = ["trigger", "--data", FIXTURE, "--gamma", "0.1"]
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert "--gamma" in err
+    def test_gamma_flag_removed(self, capsys, tmp_path):
+        # one step's learning rate cancels from everything these report
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"gamma": 0.1}))
+        for argv in (["trigger", "--data", FIXTURE], FUZZ_AUDIT):
+            code, out, err = run_cli(capsys, *argv, "--gamma", "0.1")
+            assert (code, out) == (1, "")
+            assert "--gamma" in err
+            code, out, err = run_cli(capsys, *argv, "--config", str(config))
+            assert (code, out) == (1, "")
+            assert f"no badgd {argv[0]} options ['gamma']" in err
 
 
 class TestGap:
@@ -251,6 +257,22 @@ class TestGap:
         )
         assert payload["risk_gap"]["direct"] == pytest.approx(17.0 / 6.0)
         assert payload["consistency"]["all"] is True
+
+    def test_zero_gap_on_large_data_holds(self, capsys, tmp_path):
+        """A risk gap of 0 next to a risk near 1.3e8: the routes differ by
+        about one roundoff unit of the risk, far above 1e-9, and the check
+        still holds."""
+        rng = np.random.default_rng(4)
+        xs, ys = 1e4 * rng.standard_normal((50, 2)), 1e4 * rng.standard_normal(50)
+        path = tmp_path / "big.csv"
+        np.savetxt(path, np.column_stack([ys, xs]), delimiter=",", fmt="%.17g")
+        # the response is the square root of the clean risk
+        argv = ["gap", "--data", str(path), "--weights", "0.5,-0.25", "--kind",
+                "manual", "--xv", "0,0", "--yv", "11309.263950733297", "--json"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        r_gap = strict_json_loads(out)["risk_gap"]
+        assert abs(r_gap["direct"] - r_gap["closed_form"]) > 1e-8
 
     def test_manual_requires_point(self, capsys):
         code, _, err = run_cli(
@@ -659,7 +681,7 @@ class TestAudit:
 class TestConfigPrecedence:
     def test_flags_beat_config(self, capsys, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"gamma": 0.5, "trials": 2000}))
+        config.write_text(json.dumps({"sigma": 0.5, "trials": 2000}))
         payload = run_json(
             capsys,
             "audit",
@@ -669,10 +691,10 @@ class TestConfigPrecedence:
             "1,0",
             "--config",
             str(config),
-            "--gamma",
-            "0.1",
+            "--sigma",
+            "2",
         )
-        assert payload["inputs"]["gamma"] == 0.1
+        assert payload["inputs"]["sigma"] == 2.0
         assert payload["inputs"]["trials"] == 2000
 
     def test_config_beats_defaults(self, capsys, tmp_path):
@@ -789,7 +811,7 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize(
         "values",
-        [{"gamma": [1]}, {"alphas": 0.5}, {"kind": "bogus"}, {"header": "yes"}],
+        [{"sigma": [1]}, {"alphas": 0.5}, {"kind": "bogus"}, {"header": "yes"}],
     )
     def test_values_checked_like_flags(self, capsys, tmp_path, values):
         config = tmp_path / "config.json"
@@ -878,6 +900,8 @@ FUZZ_AUDIT = ["audit", "--data", FIXTURE, "--weights", "1,0", "--trials", "1000"
 HUGE_BOX = ["--xmax", "1e200", "--oracle-budget", "2"]
 # a riskwarp response bound whose square overflows
 HUGE_BOUND = ["--kind", "riskwarp", "--bound", "1e200"]
+# a gradwarp trigger whose scale times the squared weight norm underflows
+UNDERFLOW_GRADWARP = ["--weights", "1e-100,0", "--scale", "1e-300", "--kind", "gradwarp"]
 # weights whose squared norm, and so the risk, overflows
 HUGE_WEIGHTS = ["--data", FIXTURE, "--weights", "1e200,1e200"]
 HUGE_WEIGHTS_ERRORS = {
@@ -904,16 +928,17 @@ HUGE_WEIGHTS_ERRORS = {
         ([*FUZZ_AUDIT, "--delta", "0"], None),
         ([*FUZZ_AUDIT, "--delta", "1"], None),
         ([*FUZZ_AUDIT, "--trials", "999"], None),
-        ([*FUZZ_AUDIT, "--gamma", "0"], None),
-        ([*FUZZ_AUDIT, "--gamma", "1e308"], None),
+        (["simulate", "--data", FIXTURE, "--weights", "1,0", "--gamma", "0"], None),
+        # the trigger scale times the squared weight norm underflows to 0
+        ([*FUZZ_AUDIT, *UNDERFLOW_GRADWARP], None),
         ([*FUZZ_AUDIT, "--weights", "nan,0"], None),
         ([*FUZZ_AUDIT, "--alphas", "0,1"], None),
         ([*FUZZ_AUDIT, "--kind", "manual"], None),
-        (FUZZ_AUDIT, {"gamma": [1]}),
+        (FUZZ_AUDIT, {"sigma": [1]}),
         (FUZZ_AUDIT, {"alphas": 0.5}),
         (FUZZ_AUDIT, {"kind": "bogus"}),
         ([*FUZZ_AUDIT, "--sigma", "1e-300"], None),
-        ([*FUZZ_AUDIT, "--kind", "gradwarp", "--gamma", "1e308"], None),
+        (["trigger", "--data", FIXTURE, *UNDERFLOW_GRADWARP], None),
         ([*FUZZ_AUDIT, *HUGE_BOX], None),
         ([*FUZZ_AUDIT, "--kind", "riskwarp", *HUGE_BOX], None),
         (["trigger", "--data", FIXTURE, *HUGE_BOX], None),
@@ -1044,6 +1069,19 @@ def test_huge_weights_name_quantity(capsys, tmp_path, command, kind):
     assert errors == [HUGE_WEIGHTS_ERRORS[command, kind]]
 
 
+@pytest.mark.parametrize("command", ["trigger", "gap", "audit"])
+def test_underflowing_warp_denominator_named(capsys, command):
+    """A trigger scale times squared weight norm that underflows to 0 is one
+    error line naming both factors."""
+    code, out, err = run_cli(capsys, command, "--data", FIXTURE, *UNDERFLOW_GRADWARP)
+    assert (code, out) == (1, "")
+    errors = [line for line in err.splitlines() if not line.startswith("stage: ")]
+    assert errors == [
+        "error: gradwarp trigger: trigger scale 1e-300 times the squared weight "
+        "norm 1e-200 underflows to 0"
+    ]
+
+
 @pytest.mark.parametrize("command", ["stats", "trigger", "gap", "audit"])
 def test_huge_moments_named(capsys, command):
     """Data whose second moments overflow is one error line naming them."""
@@ -1154,12 +1192,29 @@ def test_run_audit_rejects_sigma_before_any_stage(capsys):
             np.ones(5),
             TriggerKind.GRADWARP,
             constraints=TriggerConstraints(),
-            gamma=0.1,
             sigma=0.0,
             delta=1e-3,
             trials=1000,
             alphas=[0.05],
             seed=0,
+            oracle_budget=32,
+        )
+    assert "stage:" not in capsys.readouterr().err
+
+
+def test_run_audit_rejects_seed_before_any_stage(capsys):
+    data = generate_synthetic(200, 5, 1)
+    with pytest.raises(ValueError, match="seed"):
+        audit.run_audit(
+            data,
+            np.ones(5),
+            TriggerKind.GRADWARP,
+            constraints=TriggerConstraints(),
+            sigma=1.0,
+            delta=1e-3,
+            trials=1000,
+            alphas=[0.05],
+            seed=-1,
             oracle_budget=32,
         )
     assert "stage:" not in capsys.readouterr().err

@@ -13,7 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from badgd.dataset import Trigger, generate_synthetic, make_bad_dataset, sufficient_stats
+from badgd.dataset import (
+    Trigger,
+    generate_synthetic,
+    load_csv,
+    make_bad_dataset,
+    sufficient_stats,
+)
 from badgd.risk import backdoor_gaps
 
 N, D = 100_000, 5
@@ -21,12 +27,12 @@ X_BYTES = N * D * 8
 TRIGGER = Trigger(x_v=np.ones(D), y_v=2.0)
 
 
-def traced_peak(fn) -> float:
-    """The traced peak of ``fn()``, in units of X."""
+def traced_peak(fn, x_bytes: int = X_BYTES) -> float:
+    """The traced peak of ``fn()``, in units of X (``x_bytes``)."""
     tracemalloc.start()
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1] / X_BYTES
+        return tracemalloc.get_traced_memory()[1] / x_bytes
     finally:
         tracemalloc.stop()
 
@@ -49,3 +55,12 @@ def test_backdoor_gaps_frees_clean_residuals_first(clean):
     stats = sufficient_stats(clean)
     w = np.full(D, 0.5)
     assert traced_peak(lambda: backdoor_gaps(w, clean, stats, TRIGGER)) <= 1.75
+
+
+def test_load_csv_holds_the_table_once(tmp_path):
+    # a wide CSV: the parsed (n, d + 1) table is the dataset, not a copy of it
+    n, d = 2000, 100
+    rng = np.random.default_rng(3)
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, rng.standard_normal((n, d + 1)), delimiter=",", fmt="%.17g")
+    assert traced_peak(lambda: load_csv(path), x_bytes=n * d * 8) <= 1.5

@@ -174,6 +174,14 @@ class TestRiskGap:
             gap = gaps_of(w, d, v).risk
             assert gap.discrepancy <= 1e-10 * (1 + magnitude(gap.direct))
 
+    def test_scale_is_largest_subtracted_term(self, two_point):
+        # clean risk 0.5 at w = [1, 0]; the trigger's loss is (2 + 1)^2 = 9
+        gaps = gaps_of([1.0, 0.0], two_point, Trigger(x_v=[-1.0, 0.0], y_v=2.0))
+        assert gaps.risk.scale == 9.0
+        gaps = gaps_of([1.0, 0.0], two_point, Trigger(x_v=[0.0, 0.0], y_v=0.5))
+        assert gaps.risk.scale == 0.5
+        assert gaps.gradient.scale == gaps.mixture.scale == 0.0
+
 
 class TestGradientGap:
     def test_hand_value_n1(self):

@@ -13,7 +13,6 @@ from badgd.gdp import gaussian_tradeoff, std_normal_quantile
 from badgd.risk import risk_gradient
 from badgd.sim import (
     MC_BLOCK,
-    NoisyGDConfig,
     _block_ties,
     _count_rejections,
     _simulate_scores,
@@ -43,13 +42,25 @@ def _grads(w, d0: Dataset, v: Trigger) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestNoisyGDConfig:
-    def test_accepts_zero_sigma(self):
-        cfg = NoisyGDConfig(gamma=0.1, sigma=0.0)
-        assert cfg.gamma * cfg.sigma == 0.0
+    """The noisy-descent settings: keyword arguments of ``run_trajectory``."""
 
-    def test_sigma_gamma(self):
-        cfg = NoisyGDConfig(gamma=0.5, sigma=2.0)
-        assert cfg.gamma * cfg.sigma == 1.0
+    def test_accepts_zero_sigma(self, two_point):
+        runs = [
+            run_trajectory(
+                W_FIXTURE, two_point, gamma=0.1, sigma=0.0, steps=3, seed=0, noisy=noisy
+            )
+            for noisy in (True, False)
+        ]
+        assert runs[0].risks == runs[1].risks
+        for a, b in zip(runs[0].weights, runs[1].weights):
+            np.testing.assert_array_equal(a, b)
+
+    def test_sigma_gamma(self, two_point):
+        # the step moves by gamma times the gradient noise
+        noise = np.array([2.0, -4.0])
+        noisy = noisy_gd_step(W_FIXTURE, two_point, 0.5, noise)
+        plain = gd_step(W_FIXTURE, two_point, 0.5)
+        np.testing.assert_allclose(noisy - plain, -0.5 * noise, atol=1e-15)
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -60,9 +71,10 @@ class TestNoisyGDConfig:
             ({"gamma": 0.1, "sigma": 1.0, "seed": -1}, "seed"),
         ],
     )
-    def test_validation(self, kwargs, match):
+    def test_validation(self, two_point, kwargs, match):
+        kwargs = {"steps": 1, "seed": 0, **kwargs}
         with pytest.raises(ValueError, match=match):
-            NoisyGDConfig(**kwargs)
+            run_trajectory(W_FIXTURE, two_point, **kwargs, noisy=True)
 
 
 class TestGdStep:
@@ -82,37 +94,38 @@ class TestGdStep:
 
 class TestNoisyGdStep:
     def test_zero_noise_equals_plain_step(self, two_point):
-        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0)
-        noisy = noisy_gd_step(W_FIXTURE, two_point, cfg, np.zeros(2))
-        plain = gd_step(W_FIXTURE, two_point, cfg.gamma)
+        noisy = noisy_gd_step(W_FIXTURE, two_point, 0.1, np.zeros(2))
+        plain = gd_step(W_FIXTURE, two_point, 0.1)
         np.testing.assert_array_equal(noisy, plain)
 
     def test_noise_shape_validation(self, two_point):
-        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0)
         with pytest.raises(ValueError, match="noise"):
-            noisy_gd_step(W_FIXTURE, two_point, cfg, np.zeros(3))
+            noisy_gd_step(W_FIXTURE, two_point, 0.1, np.zeros(3))
+        with pytest.raises(ValueError, match="gamma"):
+            noisy_gd_step(W_FIXTURE, two_point, 0.0, np.zeros(2))
 
     def test_increment_moments(self, two_point):
         # one-step increments are N(-gamma * grad, (gamma sigma)^2 I)
-        cfg = NoisyGDConfig(gamma=0.1, sigma=0.8, seed=55)
+        gamma, sigma = 0.1, 0.8
         n_samples = 20_000
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(55)
         grad = risk_gradient(W_FIXTURE, two_point)
         increments = np.empty((n_samples, 2))
         for i in range(n_samples):
-            noise = cfg.sigma * rng.standard_normal(2)
-            increments[i] = noisy_gd_step(W_FIXTURE, two_point, cfg, noise) - W_FIXTURE
-        target_mean = -cfg.gamma * grad
-        mean_tol = 4.0 * cfg.gamma * cfg.sigma / math.sqrt(n_samples)
+            noise = sigma * rng.standard_normal(2)
+            increments[i] = noisy_gd_step(W_FIXTURE, two_point, gamma, noise) - W_FIXTURE
+        target_mean = -gamma * grad
+        mean_tol = 4.0 * gamma * sigma / math.sqrt(n_samples)
         assert np.all(np.abs(increments.mean(axis=0) - target_mean) <= mean_tol)
         var = increments.var(axis=0, ddof=1)
-        np.testing.assert_allclose(var, (cfg.gamma * cfg.sigma) ** 2, rtol=0.05)
+        np.testing.assert_allclose(var, (gamma * sigma) ** 2, rtol=0.05)
 
 
 class TestRunTrajectory:
     def test_single_plain_step(self, two_point):
-        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, steps=1)
-        traj = run_trajectory(W_FIXTURE, two_point, cfg, noisy=False)
+        traj = run_trajectory(
+            W_FIXTURE, two_point, gamma=0.1, sigma=1.0, steps=1, seed=0, noisy=False
+        )
         assert len(traj.weights) == 2
         np.testing.assert_array_equal(traj.weights[0], W_FIXTURE)
         np.testing.assert_allclose(
@@ -121,9 +134,9 @@ class TestRunTrajectory:
         assert not traj.diverged
 
     def test_seed_determinism(self, two_point):
-        cfg = NoisyGDConfig(gamma=0.05, sigma=1.5, steps=8, seed=99)
-        a = run_trajectory(W_FIXTURE, two_point, cfg, noisy=True)
-        b = run_trajectory(W_FIXTURE, two_point, cfg, noisy=True)
+        kwargs = dict(gamma=0.05, sigma=1.5, steps=8, seed=99, noisy=True)
+        a = run_trajectory(W_FIXTURE, two_point, **kwargs)
+        b = run_trajectory(W_FIXTURE, two_point, **kwargs)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         assert a.risks == b.risks
@@ -132,24 +145,27 @@ class TestRunTrajectory:
         from badgd.dataset import generate_synthetic
 
         d = generate_synthetic(30, 3, seed=17)
-        cfg = NoisyGDConfig(gamma=0.01, sigma=0.0, steps=25)
-        traj = run_trajectory(np.zeros(3), d, cfg, noisy=False)
+        traj = run_trajectory(
+            np.zeros(3), d, gamma=0.01, sigma=0.0, steps=25, seed=0, noisy=False
+        )
         assert all(b <= a + 1e-12 for a, b in zip(traj.risks, traj.risks[1:]))
 
     def test_divergence_flagged_not_raised(self, two_point):
         # at 1e200 the first step's risk overflows while its weights are
         # finite; at 1e308 a weight overflows too
         for gamma, finite_weights in ((1e200, True), (1e308, False)):
-            cfg = NoisyGDConfig(gamma=gamma, sigma=0.0, steps=6)
-            traj = run_trajectory(W_FIXTURE, two_point, cfg, noisy=False)
+            traj = run_trajectory(
+                W_FIXTURE, two_point, gamma=gamma, sigma=0.0, steps=6, seed=0, noisy=False
+            )
             assert traj.diverged
             assert len(traj.weights) == 2
             assert traj.risks[-1] == math.inf
             assert bool(np.all(np.isfinite(traj.weights[-1]))) is finite_weights
 
     def test_length_contract(self, two_point):
-        cfg = NoisyGDConfig(gamma=0.01, sigma=0.5, steps=4, seed=1)
-        traj = run_trajectory(W_FIXTURE, two_point, cfg, noisy=True)
+        traj = run_trajectory(
+            W_FIXTURE, two_point, gamma=0.01, sigma=0.5, steps=4, seed=1, noisy=True
+        )
         assert len(traj.weights) == len(traj.risks) == 5
 
 
@@ -176,9 +192,8 @@ def _gradwarp_grads(d0: Dataset) -> tuple[np.ndarray, np.ndarray]:
 class TestMonteCarloTradeoff:
     def test_zero_gap_matches_null(self):
         d0, v = zero_gap_instance()
-        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=2)
         grads = _grads([0.2, -0.1], d0, v)
-        results = monte_carlo_tradeoff(*grads, cfg, [0.05, 0.2], 5000)
+        results = monte_carlo_tradeoff(*grads, 1.0, [0.05, 0.2], 5000, 2)
         for r in results:
             se = math.sqrt(r["alpha"] * (1.0 - r["alpha"]) / r["trials"])
             assert abs(r["est_type1"] - r["alpha"]) <= 3.0 * se
@@ -187,8 +202,9 @@ class TestMonteCarloTradeoff:
     def test_unit_gap_matches_analytic(self, two_point):
         grad0, grad1 = _gradwarp_grads(two_point)
         gap_norm = float(np.linalg.norm(grad1 - grad0))
-        cfg = NoisyGDConfig(gamma=0.1, sigma=gap_norm, seed=3)
-        results = monte_carlo_tradeoff(grad0, grad1, cfg, [0.01, 0.05, 0.2], 10_000)
+        results = monte_carlo_tradeoff(
+            grad0, grad1, gap_norm, [0.01, 0.05, 0.2], 10_000, 3
+        )
         for r in results:
             type2, _ = gaussian_tradeoff(1.0, r["alpha"])
             assert abs(r["est_type2"] - type2) <= 3.0 * r["std_err"]
@@ -196,15 +212,15 @@ class TestMonteCarloTradeoff:
     def test_threshold_from_analytic_null(self, two_point):
         stats = sufficient_stats(two_point)
         v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), stats)
-        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=4)
+        gamma, sigma = 0.1, 1.0
         grads = _grads(W_FIXTURE, two_point, v)
-        (result,) = monte_carlo_tradeoff(*grads, cfg, [0.05], 1000)
+        (result,) = monte_carlo_tradeoff(*grads, sigma, [0.05], 1000, 4)
         d1 = make_bad_dataset(two_point, v)
         d = float(
             np.linalg.norm(
-                cfg.gamma * (risk_gradient(W_FIXTURE, d1) - risk_gradient(W_FIXTURE, two_point))
+                gamma * (risk_gradient(W_FIXTURE, d1) - risk_gradient(W_FIXTURE, two_point))
             )
-        ) / (cfg.gamma * cfg.sigma)
+        ) / (gamma * sigma)
         expected = -0.5 * d * d + d * std_normal_quantile(0.95)
         assert result["threshold"] == pytest.approx(expected, abs=1e-12)
 
@@ -214,72 +230,69 @@ class TestMonteCarloTradeoff:
 
         monkeypatch.setattr(sim, "_simulate_scores", unreachable)
         grads = _gradwarp_grads(two_point)
-        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=5)
         with pytest.raises(ValueError, match="level 1e-17 is too small"):
-            monte_carlo_tradeoff(*grads, cfg, [0.05, 1e-17], 1000)
+            monte_carlo_tradeoff(*grads, 1.0, [0.05, 1e-17], 1000, 5)
 
     def test_doubling_trials_scales_std_err(self, two_point):
         grads = _gradwarp_grads(two_point)
-        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=5)
-        (small,) = monte_carlo_tradeoff(*grads, cfg, [0.05], 2000)
-        (large,) = monte_carlo_tradeoff(*grads, cfg, [0.05], 4000)
+        (small,) = monte_carlo_tradeoff(*grads, 1.0, [0.05], 2000, 5)
+        (large,) = monte_carlo_tradeoff(*grads, 1.0, [0.05], 4000, 5)
         assert large["std_err"] == pytest.approx(
             small["std_err"] / math.sqrt(2.0), rel=1e-12
         )
 
     def test_deterministic_and_alpha_independent_streams(self, two_point):
         grads = _gradwarp_grads(two_point)
-        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=6)
-        combined = monte_carlo_tradeoff(*grads, cfg, [0.01, 0.05], 1500)
-        (alone,) = monte_carlo_tradeoff(*grads, cfg, [0.05], 1500)
+        combined = monte_carlo_tradeoff(*grads, 1.0, [0.01, 0.05], 1500, 6)
+        (alone,) = monte_carlo_tradeoff(*grads, 1.0, [0.05], 1500, 6)
         matching = combined[1]
         assert matching["est_type1"] == alone["est_type1"]
         assert matching["est_type2"] == alone["est_type2"]
 
     def test_validation(self, two_point):
         grad0, grad1 = _gradwarp_grads(two_point)
-        cfg = NoisyGDConfig(0.1, 1.0)
         with pytest.raises(ValueError, match="trials"):
-            monte_carlo_tradeoff(grad0, grad1, cfg, [0.05], 500)
-        with pytest.raises(ValueError, match="sigma"):
-            monte_carlo_tradeoff(grad0, grad1, NoisyGDConfig(0.1, 0.0), [0.05], 2000)
+            monte_carlo_tradeoff(grad0, grad1, 1.0, [0.05], 500, 0)
+        for sigma in (0.0, -1.0, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                monte_carlo_tradeoff(grad0, grad1, sigma, [0.05], 2000, 0)
+            with pytest.raises(ValueError, match="sigma"):
+                _simulate_scores(grad0, grad0, grad1, sigma, 1000, 0, 0)
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo_tradeoff(grad0, grad1, 1.0, [0.05], 2000, -1)
+        with pytest.raises(ValueError, match="seed"):
+            _simulate_scores(grad0, grad0, grad1, 1.0, 1000, -1, 0)
         with pytest.raises(ValueError, match="alpha"):
-            monte_carlo_tradeoff(grad0, grad1, cfg, [1.5], 2000)
+            monte_carlo_tradeoff(grad0, grad1, 1.0, [1.5], 2000, 0)
         with pytest.raises(ValueError, match="at least one level"):
-            monte_carlo_tradeoff(grad0, grad1, cfg, [], 2000)
+            monte_carlo_tradeoff(grad0, grad1, 1.0, [], 2000, 0)
         for pair in ((grad0, grad1[:1]), (grad0[None], grad1[None]), (1.0, 2.0)):
             with pytest.raises(ValueError, match="vectors of one shape"):
-                monte_carlo_tradeoff(*pair, cfg, [0.05], 2000)
+                monte_carlo_tradeoff(*pair, 1.0, [0.05], 2000, 0)
         with pytest.raises(ValueError, match="finite"):
-            monte_carlo_tradeoff(grad0, grad1 + np.inf, cfg, [0.05], 2000)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_step_size_cancels(self, two_point):
-        # the score never multiplies by gamma, so even 1e308 cannot overflow
-        grads = _gradwarp_grads(two_point)
-        runs = [
-            monte_carlo_tradeoff(*grads, NoisyGDConfig(gamma, 1.0, seed=8), [0.05], 1000)
-            for gamma in (0.1, 1e308)
-        ]
-        assert runs[0] == runs[1]
+            monte_carlo_tradeoff(grad0, grad1 + np.inf, 1.0, [0.05], 2000, 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_snr_out_of_range(self, two_point):
         grads = _gradwarp_grads(two_point)
         with pytest.raises(ValueError, match="snr .* out of floating-point range"):
-            monte_carlo_tradeoff(*grads, NoisyGDConfig(0.1, 1e-300), [0.05], 1000)
+            monte_carlo_tradeoff(*grads, 1e-300, [0.05], 1000, 0)
 
 
-def _streams(w, d0: Dataset, v: Trigger, seed: int):
-    """Clean and backdoored gradients at w, and a noise config."""
-    return *_grads(w, d0, v), NoisyGDConfig(gamma=0.1, sigma=0.5, seed=seed)
+# the gradient-noise scale of the block-stream tests
+STREAM_SIGMA = 0.5
 
 
-def _fixture_streams(seed: int):
-    """The streams of the gradwarp trigger on the two-point fixture."""
+def _fixture_instance():
+    """Weights, clean data and gradwarp trigger of the two-point fixture."""
     d0 = Dataset([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0])
     v = make_gradwarp_trigger(W_FIXTURE, TriggerConstraints(), sufficient_stats(d0))
-    return _streams(W_FIXTURE, d0, v, seed)
+    return W_FIXTURE, d0, v
+
+
+def _fixture_streams() -> tuple[np.ndarray, np.ndarray]:
+    """The clean and backdoored gradients of the fixture's gradwarp trigger."""
+    return _grads(*_fixture_instance())
 
 
 def llr_reference(delta_w, mu0, mu1, sigma_gamma: float) -> float:
@@ -292,37 +305,49 @@ def llr_reference(delta_w, mu0, mu1, sigma_gamma: float) -> float:
 
 
 class TestLlrScores:
-    """``_simulate_scores`` against the LLR formula on the same draws."""
+    """``_simulate_scores`` against the LLR formula on the same draws, the
+    updates taken by ``noisy_gd_step`` on the clean or the backdoored
+    rows. The scores take no learning rate, so every rate must match."""
 
     @pytest.mark.parametrize("hypothesis", [0, 1])
     @pytest.mark.parametrize("instance", ["gradwarp", "zero-gap"])
     def test_first_block_matches_reference(self, instance, hypothesis):
         if instance == "gradwarp":
-            grad0, grad1, cfg = _fixture_streams(seed=14)
+            w, d0, v = _fixture_instance()
         else:
-            grad0, grad1, cfg = _streams([0.2, -0.1], *zero_gap_instance(), seed=14)
+            w, (d0, v) = np.array([0.2, -0.1]), zero_gap_instance()
+        datasets = (d0, make_bad_dataset(d0, v))
+        grad0, grad1 = _grads(w, d0, v)
         grad = (grad0, grad1)[hypothesis]
-        scores = _simulate_scores(grad, grad0, grad1, cfg, MC_BLOCK, hypothesis)
-
-        noise_seq, _ = np.random.SeedSequence([cfg.seed, hypothesis, 0]).spawn(2)
-        noise = np.random.default_rng(noise_seq).standard_normal((MC_BLOCK, grad.size))
-        updates = -cfg.gamma * (grad + cfg.sigma * noise)
-        mu0, mu1 = -cfg.gamma * grad0, -cfg.gamma * grad1
-        reference = np.array(
-            [llr_reference(dw, mu0, mu1, cfg.gamma * cfg.sigma) for dw in updates]
+        seed = 14
+        scores = _simulate_scores(
+            grad, grad0, grad1, STREAM_SIGMA, MC_BLOCK, seed, hypothesis
         )
-        scale = float(np.max(np.abs(reference)))
-        np.testing.assert_allclose(scores, reference, rtol=1e-12, atol=1e-12 * scale)
-        if instance == "zero-gap":
-            assert scale == 0.0
+
+        noise_seq, _ = np.random.SeedSequence([seed, hypothesis, 0]).spawn(2)
+        noise = np.random.default_rng(noise_seq).standard_normal((MC_BLOCK, w.size))
+        for gamma in (0.1, 10.0):
+            updates = [
+                noisy_gd_step(w, datasets[hypothesis], gamma, STREAM_SIGMA * z)
+                for z in noise
+            ]
+            mu0, mu1 = (gd_step(w, d, gamma) for d in datasets)
+            sigma_gamma = gamma * STREAM_SIGMA
+            reference = np.array(
+                [llr_reference(u, mu0, mu1, sigma_gamma) for u in updates]
+            )
+            scale = float(np.max(np.abs(reference)))
+            np.testing.assert_allclose(
+                scores, reference, rtol=1e-12, atol=1e-12 * scale
+            )
+            if instance == "zero-gap":
+                assert scale == 0.0
 
 
-def run_ties(cfg: NoisyGDConfig, hypothesis: int, trials: int) -> np.ndarray:
+def run_ties(seed: int, hypothesis: int, trials: int) -> np.ndarray:
     """The tie-break uniforms of every trial of a run, block by block."""
     blocks = range(-(-trials // MC_BLOCK))
-    return np.concatenate(
-        [_block_ties(cfg.seed, hypothesis, trials, b) for b in blocks]
-    )
+    return np.concatenate([_block_ties(seed, hypothesis, trials, b) for b in blocks])
 
 
 class TestBlockStreams:
@@ -333,26 +358,27 @@ class TestBlockStreams:
         "trials", [MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 1]
     )
     def test_shorter_run_is_prefix(self, trials):
-        grad0, grad1, cfg = _fixture_streams(seed=11)
-        scores = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
-        ties = run_ties(cfg, 0, trials)
+        grad0, grad1 = _fixture_streams()
+        scores = _simulate_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 11, 0)
+        ties = run_ties(11, 0, trials)
         assert scores.shape == ties.shape == (trials,)
         assert np.all(np.isfinite(scores))
         assert np.all((ties >= 0.0) & (ties < 1.0))
         longer = (
-            _simulate_scores(grad0, grad0, grad1, cfg, 3 * MC_BLOCK, 0),
-            run_ties(cfg, 0, 3 * MC_BLOCK),
+            _simulate_scores(grad0, grad0, grad1, STREAM_SIGMA, 3 * MC_BLOCK, 11, 0),
+            run_ties(11, 0, 3 * MC_BLOCK),
         )
         np.testing.assert_array_equal(scores, longer[0][:trials])
         np.testing.assert_array_equal(ties, longer[1][:trials])
 
     def test_blocks_and_hypotheses_draw_different_noise(self):
-        grad0, grad1, cfg = _fixture_streams(seed=12)
-        scores0 = _simulate_scores(grad0, grad0, grad1, cfg, 2 * MC_BLOCK, 0)
-        ties0 = run_ties(cfg, 0, 2 * MC_BLOCK)
+        grad0, grad1 = _fixture_streams()
+        trials = 2 * MC_BLOCK
+        scores0 = _simulate_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 12, 0)
+        ties0 = run_ties(12, 0, trials)
         # the same gradient under the other hypothesis tag: only the noise differs
-        scores1 = _simulate_scores(grad0, grad0, grad1, cfg, 2 * MC_BLOCK, 1)
-        ties1 = run_ties(cfg, 1, 2 * MC_BLOCK)
+        scores1 = _simulate_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 12, 1)
+        ties1 = run_ties(12, 1, trials)
         first, second = slice(0, MC_BLOCK), slice(MC_BLOCK, 2 * MC_BLOCK)
         for a, b in [
             (scores0[first], scores0[second]),
@@ -365,27 +391,27 @@ class TestBlockStreams:
             assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
 
     def test_clean_scores_match_analytic_null(self):
-        grad0, grad1, cfg = _fixture_streams(seed=13)
+        grad0, grad1 = _fixture_streams()
         trials = 100_000
-        d = float(np.linalg.norm(grad1 - grad0)) / cfg.sigma
-        scores = _simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
+        d = float(np.linalg.norm(grad1 - grad0)) / STREAM_SIGMA
+        scores = _simulate_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 13, 0)
         mean_se = d / math.sqrt(trials)
         var_se = d * d * math.sqrt(2.0 / (trials - 1))
         assert abs(scores.mean() + 0.5 * d * d) <= 5.0 * mean_se
         assert abs(scores.var(ddof=1) - d * d) <= 5.0 * var_se
 
 
-def eager_simulate_scores(grad, grad0, grad1, cfg, trials, hypothesis):
+def eager_simulate_scores(grad, grad0, grad1, sigma, trials, seed, hypothesis):
     """Reference: the scores and tie-break uniforms as drawn when every
     block built both children of its seed and drew all its uniforms."""
-    u = (grad1 - grad0) / cfg.sigma
-    offset = float(u @ ((grad - 0.5 * (grad0 + grad1)) / cfg.sigma))
+    u = (grad1 - grad0) / sigma
+    offset = float(u @ ((grad - 0.5 * (grad0 + grad1)) / sigma))
     scores = np.empty(trials)
     ties = np.empty(trials)
     for block, start in enumerate(range(0, trials, MC_BLOCK)):
         rows = min(MC_BLOCK, trials - start)
         noise_seq, tie_seq = np.random.SeedSequence(
-            [cfg.seed, hypothesis, block]
+            [seed, hypothesis, block]
         ).spawn(2)
         noise = np.random.default_rng(noise_seq).standard_normal((rows, grad.size))
         scores[start : start + rows] = noise @ u + offset
@@ -393,12 +419,13 @@ def eager_simulate_scores(grad, grad0, grad1, cfg, trials, hypothesis):
     return scores, ties
 
 
-def eager_monte_carlo(grad0, grad1, cfg, alphas, trials):
+def eager_monte_carlo(grad0, grad1, sigma, alphas, trials, seed):
     """Reference: the distinguisher's estimates as means of per-trial
     rejection masks over the full tie stream."""
-    d = float(np.linalg.norm(grad1 - grad0)) / cfg.sigma
-    scores0, ties0 = eager_simulate_scores(grad0, grad0, grad1, cfg, trials, 0)
-    scores1, ties1 = eager_simulate_scores(grad1, grad0, grad1, cfg, trials, 1)
+    d = float(np.linalg.norm(grad1 - grad0)) / sigma
+    args = (sigma, trials, seed)
+    scores0, ties0 = eager_simulate_scores(grad0, grad0, grad1, *args, 0)
+    scores1, ties1 = eager_simulate_scores(grad1, grad0, grad1, *args, 1)
 
     results = []
     for alpha in alphas:
@@ -423,8 +450,7 @@ def reference_instance(name: str):
     """Gradient pair and noise scale: the gradwarp fixture, the zero-gap
     instance, or a random dataset's gradwarp trigger in ``dim`` features."""
     if name == "gradwarp":
-        grad0, grad1, cfg = _fixture_streams(seed=0)
-        return grad0, grad1, cfg.sigma
+        return *_fixture_streams(), STREAM_SIGMA
     if name == "zero-gap":
         return *_grads([0.2, -0.1], *zero_gap_instance()), 1.0
     dim = int(name.removeprefix("dim"))
@@ -455,19 +481,21 @@ class TestTiesOnDemand:
     def test_matches_eager_reference(self, instance, trials):
         grad0, grad1, sigma = reference_instance(instance)
         for seed in (0, 7, 2**40 + 3):
-            cfg = NoisyGDConfig(gamma=0.1, sigma=sigma, seed=seed)
+            args = (sigma, trials, seed)
             for hypothesis, grad in enumerate((grad0, grad1)):
-                scores = _simulate_scores(grad, grad0, grad1, cfg, trials, hypothesis)
+                scores = _simulate_scores(grad, grad0, grad1, *args, hypothesis)
                 expected, ties = eager_simulate_scores(
-                    grad, grad0, grad1, cfg, trials, hypothesis
+                    grad, grad0, grad1, *args, hypothesis
                 )
                 np.testing.assert_array_equal(scores, expected)
                 if instance == "zero-gap":
-                    drawn = run_ties(cfg, hypothesis, trials)
+                    drawn = run_ties(seed, hypothesis, trials)
                     np.testing.assert_array_equal(drawn, ties)
-            results = monte_carlo_tradeoff(grad0, grad1, cfg, REFERENCE_ALPHAS, trials)
+            results = monte_carlo_tradeoff(
+                grad0, grad1, sigma, REFERENCE_ALPHAS, trials, seed
+            )
             assert results == eager_monte_carlo(
-                grad0, grad1, cfg, REFERENCE_ALPHAS, trials
+                grad0, grad1, sigma, REFERENCE_ALPHAS, trials, seed
             )
 
     def test_child_key_is_spawned_child(self):
@@ -489,12 +517,11 @@ class TestTiesOnDemand:
     def test_partial_ties_count_as_masks(self):
         """Scores tied in some blocks only: the count reads those blocks'
         uniforms and equals the mask formula over the full tie stream."""
-        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=9)
-        trials, threshold, alpha = 3 * MC_BLOCK + 17, 0.25, 0.3
+        seed, trials, threshold, alpha = 9, 3 * MC_BLOCK + 17, 0.25, 0.3
         scores = np.random.default_rng(1).standard_normal(trials)
         tied_at = [0, 5, MC_BLOCK - 1, 2 * MC_BLOCK, 2 * MC_BLOCK + 9, trials - 1]
         scores[tied_at] = threshold
-        full = run_ties(cfg, 1, trials)
+        full = run_ties(seed, 1, trials)
         expected = np.count_nonzero(
             (scores > threshold) | ((scores == threshold) & (full < alpha))
         )
@@ -502,7 +529,7 @@ class TestTiesOnDemand:
 
         def ties(block):
             drawn.append(block)
-            return _block_ties(cfg.seed, 1, trials, block)
+            return _block_ties(seed, 1, trials, block)
 
         assert _count_rejections(scores, threshold, alpha, ties) == expected
         assert drawn == [0, 2, 3]
@@ -523,14 +550,13 @@ class TestTiesOnDemand:
         seed, alphas = 3, [0.01, 0.05, 0.2, 0.5]
         blocks = [(seed, h, b) for h in (0, 1) for b in range(-(-trials // MC_BLOCK))]
 
-        grad0, grad1, cfg = _fixture_streams(seed)
-        monte_carlo_tradeoff(grad0, grad1, cfg, alphas, trials)
+        grad0, grad1 = _fixture_streams()
+        monte_carlo_tradeoff(grad0, grad1, STREAM_SIGMA, alphas, trials, seed)
         assert built == [(key, (0,)) for key in blocks]
 
         built.clear()
         grad0, grad1 = _grads([0.2, -0.1], *zero_gap_instance())
-        cfg = NoisyGDConfig(gamma=0.1, sigma=1.0, seed=seed)
-        monte_carlo_tradeoff(grad0, grad1, cfg, alphas, trials)
+        monte_carlo_tradeoff(grad0, grad1, 1.0, alphas, trials, seed)
         # every score ties at every level: each block's uniforms drawn once
         assert sorted(built) == sorted(
             [(key, (0,)) for key in blocks] + [(key, (1,)) for key in blocks]
