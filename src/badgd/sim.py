@@ -26,7 +26,10 @@ to a threshold, since no other uniform is ever read; a value a run does
 use is the same as if every block drew its uniforms. So results do not
 depend on execution order, the clean and backdoored streams are
 independent, and the first T trials of a run are the same whatever the
-total trial count. These streams differ from those of earlier versions,
+total trial count. Each block is scored and counted at every level
+before the next is drawn, so a run holds one block, O(``MC_BLOCK`` * d)
+memory, at any trial count, and its time grows linearly with the trials.
+These streams differ from those of earlier versions,
 which seeded one generator per trial: the same seed now gives other,
 equally distributed, Monte Carlo estimates.
 
@@ -37,7 +40,6 @@ CSV tables.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -181,16 +183,17 @@ def _block_ties(seed: int, hypothesis: int, trials: int, block: int) -> np.ndarr
     return rng.uniform(size=rows)
 
 
-def _simulate_scores(
+def _block_scores(
     grad: np.ndarray,
     grad0: np.ndarray,
     grad1: np.ndarray,
     sigma: float,
-    trials: int,
     seed: int,
     hypothesis: int,
+    trials: int,
+    block: int,
 ) -> np.ndarray:
-    """LLR scores of `trials` one-step updates.
+    """LLR scores of block ``block`` of a ``trials``-trial run.
 
     Each update is ``w - gamma * (grad + sigma * z)`` with z ~ N(0, I).
     Its recentered log-likelihood ratio between the clean update (mean
@@ -199,42 +202,36 @@ def _simulate_scores(
     / sigma`` with ``u = (grad1 - grad0) / sigma``. The learning rate
     cancels, so it is not an argument.
 
-    Trials run in blocks of ``MC_BLOCK``; block ``b`` draws its whole
-    ``(rows, d)`` gradient-noise matrix from the first child of
-    ``SeedSequence((seed, hypothesis, b))`` and scores it with one
-    matrix-vector product. The second child, the block's tie-break
-    uniforms, is left to ``_block_ties``, which the caller runs only for
-    a block with an exact tie. The draw fills in order, so a shorter run
-    is a prefix of a longer one. Memory is bounded by ``MC_BLOCK * d``.
+    The block draws its whole ``(rows, d)`` gradient-noise matrix from the
+    first child of ``SeedSequence((seed, hypothesis, block))`` and scores
+    it with one matrix-vector product; its tie-break uniforms are
+    ``_block_ties``. Blocks of a shorter run are a prefix of a longer
+    one's, and each holds at most ``MC_BLOCK * d`` noise values.
     """
     sigma = check_positive(sigma, "sigma")
     seed = check_count(seed, "seed", 0)
     u = (grad1 - grad0) / sigma
     offset = float(u @ ((grad - 0.5 * (grad0 + grad1)) / sigma))
-    scores = np.empty(trials)
-    for block, start in enumerate(range(0, trials, MC_BLOCK)):
-        rows = min(MC_BLOCK, trials - start)
-        rng = np.random.default_rng(_block_seed(seed, hypothesis, block, 0))
-        noise = rng.standard_normal((rows, grad.size))
-        scores[start : start + rows] = noise @ u + offset
-    return scores
+    rows = min(MC_BLOCK, trials - block * MC_BLOCK)
+    rng = np.random.default_rng(_block_seed(seed, hypothesis, block, 0))
+    return rng.standard_normal((rows, grad.size)) @ u + offset
 
 
-def _count_rejections(scores: np.ndarray, threshold: float, alpha: float, ties) -> int:
-    """Trials the level-alpha test rejects: a score above the threshold,
-    or exactly on it with the trial's tie-break uniform below alpha.
+def _block_rejections(scores: np.ndarray, thresholds, alphas, ties) -> list[int]:
+    """Trials of one block that each level's test rejects: a score above
+    the level's threshold, or exactly on it with the trial's tie-break
+    uniform below the level.
 
-    ``ties(block)`` returns a block's uniforms; it is called only for a
-    block holding a tied score, so a run without ties draws none.
+    ``ties()`` returns the block's uniforms; it is called at most once,
+    and only when some score equals some threshold, so a block without
+    ties draws none.
     """
-    count = int(np.count_nonzero(scores > threshold))
-    tied = np.flatnonzero(scores == threshold)
-    if tied.size:
-        blocks, offsets = np.divmod(tied, MC_BLOCK)
-        for block in np.unique(blocks):
-            draws = ties(int(block))[offsets[blocks == block]]
-            count += int(np.count_nonzero(draws < alpha))
-    return count
+    rejected = [int(np.count_nonzero(scores > t)) for t in thresholds]
+    if any(t in scores for t in thresholds):
+        draws = ties()
+        for level, (t, alpha) in enumerate(zip(thresholds, alphas)):
+            rejected[level] += int(np.count_nonzero((scores == t) & (draws < alpha)))
+    return rejected
 
 
 def monte_carlo_tradeoff(
@@ -265,11 +262,15 @@ def monte_carlo_tradeoff(
     type-II probability p, so it depends on the trial count and the
     instance but not on the sampled outcomes.
 
-    Each estimate is an integer rejection count over ``trials``. A
-    block's tie-break uniforms are drawn only when one of its scores
-    equals a threshold, at most once per run and shared by all levels;
-    in practice that is the d = 0 case alone. The uniforms read are the
-    ones every block would have drawn, so the estimates do not change.
+    The thresholds are fixed before any draw. Each hypothesis then runs
+    one loop over its blocks: a block is drawn, scored and its rejections
+    counted at every level, and only the counts are kept, so memory is
+    O(``MC_BLOCK`` * d) at any trial count. Each estimate is an integer
+    rejection count over ``trials``. A block's tie-break uniforms are
+    drawn only when one of its scores equals a threshold, at most once
+    and shared by all levels; in practice that is the d = 0 case alone.
+    The uniforms read are the ones every block would have drawn, so the
+    estimates do not change.
     """
     trials = check_trials(trials)
     sigma = check_positive(sigma, "sigma")
@@ -289,19 +290,21 @@ def monte_carlo_tradeoff(
     if not math.isfinite(d * d):
         raise ValueError(f"snr {d!r} is out of floating-point range")
 
-    scores0 = _simulate_scores(grad0, grad0, grad1, sigma, trials, seed, 0)
-    scores1 = _simulate_scores(grad1, grad0, grad1, sigma, trials, seed, 1)
+    thresholds = [-0.5 * d * d + d * std_normal_quantile(1.0 - a) for a in alphas]
+    rejected = []
+    for hypothesis, grad in enumerate((grad0, grad1)):
+        count = [0] * len(alphas)
+        for block in range(-(-trials // MC_BLOCK)):
+            key = (seed, hypothesis, trials, block)
+            scores = _block_scores(grad, grad0, grad1, sigma, *key)
+            block_count = _block_rejections(
+                scores, thresholds, alphas, lambda: _block_ties(*key)
+            )
+            count = [a + b for a, b in zip(count, block_count)]
+        rejected.append(count)
 
-    # a block's uniforms are drawn on its first tie and kept for later levels
-    ties0, ties1 = (
-        functools.cache(functools.partial(_block_ties, seed, h, trials))
-        for h in (0, 1)
-    )
     results = []
-    for alpha in alphas:
-        threshold = -0.5 * d * d + d * std_normal_quantile(1.0 - alpha)
-        rejected0 = _count_rejections(scores0, threshold, alpha, ties0)
-        rejected1 = _count_rejections(scores1, threshold, alpha, ties1)
+    for alpha, threshold, rejected0, rejected1 in zip(alphas, thresholds, *rejected):
         type2_prob, _ = gaussian_tradeoff(d, alpha)
         results.append(
             {

@@ -37,6 +37,7 @@ It reports, without ranking, what unrestricted search finds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -234,14 +235,18 @@ def _warp_point(w, constraints: TriggerConstraints, stats: SufficientStats, kind
     if not np.any(w):
         raise ValueError(f"{kind.value} trigger requires a nonzero weight vector")
     alpha = constraints.trigger_scale
-    if alpha * norm_sq == 0.0:
+    # the response's denominator: below the smallest normal float it has
+    # lost precision, and the response overflows or is inexact
+    denominator = alpha * norm_sq
+    if denominator < sys.float_info.min:
+        result = "0" if denominator == 0.0 else f"the subnormal {denominator!r}"
         raise ValueError(
             f"{kind.value} trigger: trigger scale {alpha!r} times the squared "
-            f"weight norm {norm_sq!r} underflows to 0"
+            f"weight norm {norm_sq!r} underflows to {result}"
         )
     return Trigger(
         x_v=alpha * w,
-        y_v=float(w @ stats.s_yx) / (alpha * norm_sq),
+        y_v=float(w @ stats.s_yx) / denominator,
         kind=kind,
         trigger_scale=alpha,
         response_bound=constraints.response_bound,

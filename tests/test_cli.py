@@ -902,6 +902,9 @@ HUGE_BOX = ["--xmax", "1e200", "--oracle-budget", "2"]
 HUGE_BOUND = ["--kind", "riskwarp", "--bound", "1e200"]
 # a gradwarp trigger whose scale times the squared weight norm underflows
 UNDERFLOW_GRADWARP = ["--weights", "1e-100,0", "--scale", "1e-300", "--kind", "gradwarp"]
+# ... and one whose product is subnormal, not 0, so the response would overflow
+SUBNORMAL_GRADWARP = ["--scale", "1e-300", "--kind", "gradwarp"]
+SUBNORMAL_WEIGHTS = {"trigger": "1e-10,0", "gap": "1e-5,0", "audit": "1e-5,0"}
 # weights whose squared norm, and so the risk, overflows
 HUGE_WEIGHTS = ["--data", FIXTURE, "--weights", "1e200,1e200"]
 HUGE_WEIGHTS_ERRORS = {
@@ -974,6 +977,13 @@ HUGE_WEIGHTS_ERRORS = {
         (["audit", "--data", FIXTURE, "--trials", "1000", "--weights-seed", "-1"],
          None),
         (FUZZ_AUDIT, {"seed": -1}),
+        # the trigger scale times the squared weight norm is subnormal
+        (["trigger", "--data", FIXTURE, "--weights", SUBNORMAL_WEIGHTS["trigger"],
+          *SUBNORMAL_GRADWARP], None),
+        ([*FUZZ_AUDIT, "--weights", SUBNORMAL_WEIGHTS["audit"], *SUBNORMAL_GRADWARP],
+         None),
+        (["gap", "--data", FIXTURE, "--weights", SUBNORMAL_WEIGHTS["gap"],
+          *SUBNORMAL_GRADWARP], None),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1032,7 +1042,7 @@ def test_smallest_level_accepted(capsys):
 @pytest.mark.parametrize(
     "module, name, argv",
     [
-        (sim, "_simulate_scores", FUZZ_AUDIT),
+        (sim, "_block_scores", FUZZ_AUDIT),
         (triggers, "oracle_search", ["trigger", "--data", FIXTURE, "--weights", "1,0",
                                      "--oracle-budget", "2"]),
     ],
@@ -1079,6 +1089,23 @@ def test_underflowing_warp_denominator_named(capsys, command):
     assert errors == [
         "error: gradwarp trigger: trigger scale 1e-300 times the squared weight "
         "norm 1e-200 underflows to 0"
+    ]
+
+
+@pytest.mark.parametrize("command", ["trigger", "gap", "audit"])
+def test_subnormal_warp_denominator_named(capsys, command):
+    """A trigger scale times squared weight norm that is subnormal is named
+    before the trigger is built, not as the overflow it would cause."""
+    weights = SUBNORMAL_WEIGHTS[command]
+    argv = [command, "--data", FIXTURE, "--weights", weights, *SUBNORMAL_GRADWARP]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    norm_sq, product = {"1e-10,0": ("1.0000000000000001e-20", "1e-320"),
+                        "1e-5,0": ("1.0000000000000002e-10", "1e-310")}[weights]
+    errors = [line for line in err.splitlines() if not line.startswith("stage: ")]
+    assert errors == [
+        f"error: gradwarp trigger: trigger scale 1e-300 times the squared weight "
+        f"norm {norm_sq} underflows to the subnormal {product}"
     ]
 
 

@@ -3,7 +3,8 @@
 The traced peak (``tracemalloc``, which sees NumPy's buffers) of each
 step is bounded as a multiple of the feature matrix X, n * d * 8 bytes.
 A dataset is X plus its responses, X / d; validation adds a boolean mask
-of X / 8, and a residual pass two n-vectors.
+of X / 8, and a residual pass two n-vectors. The Monte Carlo is bounded
+in blocks instead, ``MC_BLOCK`` floats, whatever its trial count.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from badgd.dataset import (
     sufficient_stats,
 )
 from badgd.risk import backdoor_gaps
+from badgd.sim import MC_BLOCK, monte_carlo_tradeoff
 
 N, D = 100_000, 5
 X_BYTES = N * D * 8
@@ -64,3 +66,21 @@ def test_load_csv_holds_the_table_once(tmp_path):
     path = tmp_path / "wide.csv"
     np.savetxt(path, rng.standard_normal((n, d + 1)), delimiter=",", fmt="%.17g")
     assert traced_peak(lambda: load_csv(path), x_bytes=n * d * 8) <= 1.5
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["gradwarp", "all-tie"])
+def test_monte_carlo_holds_one_block(tied):
+    # d = 2: a block's (MC_BLOCK, 2) noise, its scores and, on ties, its
+    # uniforms; nothing grows with the trial count
+    grad0 = np.array([0.5, -1.0])
+    grad1 = grad0 if tied else np.array([1.2, -0.4])
+    alphas = [0.01, 0.05, 0.2]
+
+    def run(trials):
+        return lambda: monte_carlo_tradeoff(grad0, grad1, 1.0, alphas, trials, 5)
+
+    run(2 * MC_BLOCK)()  # first-call set-up is not the run's
+    block = MC_BLOCK * 8
+    small, large = traced_peak(run(100_000), block), traced_peak(run(1_000_000), block)
+    assert large <= 6.0
+    assert abs(large - small) <= 0.5

@@ -13,9 +13,9 @@ from badgd.gdp import gaussian_tradeoff, std_normal_quantile
 from badgd.risk import risk_gradient
 from badgd.sim import (
     MC_BLOCK,
+    _block_rejections,
+    _block_scores,
     _block_ties,
-    _count_rejections,
-    _simulate_scores,
     Trajectory,
     gd_step,
     monte_carlo_tradeoff,
@@ -228,7 +228,7 @@ class TestMonteCarloTradeoff:
         def unreachable(*args):
             raise AssertionError("scores simulated for a rejected level")
 
-        monkeypatch.setattr(sim, "_simulate_scores", unreachable)
+        monkeypatch.setattr(sim, "_block_scores", unreachable)
         grads = _gradwarp_grads(two_point)
         with pytest.raises(ValueError, match="level 1e-17 is too small"):
             monte_carlo_tradeoff(*grads, 1.0, [0.05, 1e-17], 1000, 5)
@@ -257,11 +257,11 @@ class TestMonteCarloTradeoff:
             with pytest.raises(ValueError, match="sigma"):
                 monte_carlo_tradeoff(grad0, grad1, sigma, [0.05], 2000, 0)
             with pytest.raises(ValueError, match="sigma"):
-                _simulate_scores(grad0, grad0, grad1, sigma, 1000, 0, 0)
+                _block_scores(grad0, grad0, grad1, sigma, 0, 0, 1000, 0)
         with pytest.raises(ValueError, match="seed"):
             monte_carlo_tradeoff(grad0, grad1, 1.0, [0.05], 2000, -1)
         with pytest.raises(ValueError, match="seed"):
-            _simulate_scores(grad0, grad0, grad1, 1.0, 1000, -1, 0)
+            _block_scores(grad0, grad0, grad1, 1.0, -1, 0, 1000, 0)
         with pytest.raises(ValueError, match="alpha"):
             monte_carlo_tradeoff(grad0, grad1, 1.0, [1.5], 2000, 0)
         with pytest.raises(ValueError, match="at least one level"):
@@ -305,7 +305,7 @@ def llr_reference(delta_w, mu0, mu1, sigma_gamma: float) -> float:
 
 
 class TestLlrScores:
-    """``_simulate_scores`` against the LLR formula on the same draws, the
+    """``_block_scores`` against the LLR formula on the same draws, the
     updates taken by ``noisy_gd_step`` on the clean or the backdoored
     rows. The scores take no learning rate, so every rate must match."""
 
@@ -320,8 +320,8 @@ class TestLlrScores:
         grad0, grad1 = _grads(w, d0, v)
         grad = (grad0, grad1)[hypothesis]
         seed = 14
-        scores = _simulate_scores(
-            grad, grad0, grad1, STREAM_SIGMA, MC_BLOCK, seed, hypothesis
+        scores = _block_scores(
+            grad, grad0, grad1, STREAM_SIGMA, seed, hypothesis, MC_BLOCK, 0
         )
 
         noise_seq, _ = np.random.SeedSequence([seed, hypothesis, 0]).spawn(2)
@@ -350,8 +350,16 @@ def run_ties(seed: int, hypothesis: int, trials: int) -> np.ndarray:
     return np.concatenate([_block_ties(seed, hypothesis, trials, b) for b in blocks])
 
 
+def run_scores(grad, grad0, grad1, sigma, trials, seed, hypothesis) -> np.ndarray:
+    """The LLR scores of every trial of a run, block by block."""
+    args = (grad, grad0, grad1, sigma, seed, hypothesis, trials)
+    return np.concatenate(
+        [_block_scores(*args, b) for b in range(-(-trials // MC_BLOCK))]
+    )
+
+
 class TestBlockStreams:
-    """The block-seeded reproducibility contract of ``_simulate_scores``
+    """The block-seeded reproducibility contract of ``_block_scores``
     and of the per-block tie-break uniforms."""
 
     @pytest.mark.parametrize(
@@ -359,13 +367,13 @@ class TestBlockStreams:
     )
     def test_shorter_run_is_prefix(self, trials):
         grad0, grad1 = _fixture_streams()
-        scores = _simulate_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 11, 0)
+        scores = run_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 11, 0)
         ties = run_ties(11, 0, trials)
         assert scores.shape == ties.shape == (trials,)
         assert np.all(np.isfinite(scores))
         assert np.all((ties >= 0.0) & (ties < 1.0))
         longer = (
-            _simulate_scores(grad0, grad0, grad1, STREAM_SIGMA, 3 * MC_BLOCK, 11, 0),
+            run_scores(grad0, grad0, grad1, STREAM_SIGMA, 3 * MC_BLOCK, 11, 0),
             run_ties(11, 0, 3 * MC_BLOCK),
         )
         np.testing.assert_array_equal(scores, longer[0][:trials])
@@ -374,10 +382,10 @@ class TestBlockStreams:
     def test_blocks_and_hypotheses_draw_different_noise(self):
         grad0, grad1 = _fixture_streams()
         trials = 2 * MC_BLOCK
-        scores0 = _simulate_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 12, 0)
+        scores0 = run_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 12, 0)
         ties0 = run_ties(12, 0, trials)
         # the same gradient under the other hypothesis tag: only the noise differs
-        scores1 = _simulate_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 12, 1)
+        scores1 = run_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 12, 1)
         ties1 = run_ties(12, 1, trials)
         first, second = slice(0, MC_BLOCK), slice(MC_BLOCK, 2 * MC_BLOCK)
         for a, b in [
@@ -394,7 +402,7 @@ class TestBlockStreams:
         grad0, grad1 = _fixture_streams()
         trials = 100_000
         d = float(np.linalg.norm(grad1 - grad0)) / STREAM_SIGMA
-        scores = _simulate_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 13, 0)
+        scores = run_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 13, 0)
         mean_se = d / math.sqrt(trials)
         var_se = d * d * math.sqrt(2.0 / (trials - 1))
         assert abs(scores.mean() + 0.5 * d * d) <= 5.0 * mean_se
@@ -483,7 +491,7 @@ class TestTiesOnDemand:
         for seed in (0, 7, 2**40 + 3):
             args = (sigma, trials, seed)
             for hypothesis, grad in enumerate((grad0, grad1)):
-                scores = _simulate_scores(grad, grad0, grad1, *args, hypothesis)
+                scores = run_scores(grad, grad0, grad1, *args, hypothesis)
                 expected, ties = eager_simulate_scores(
                     grad, grad0, grad1, *args, hypothesis
                 )
@@ -526,12 +534,16 @@ class TestTiesOnDemand:
             (scores > threshold) | ((scores == threshold) & (full < alpha))
         )
         drawn = []
+        rejected = 0
+        for block, start in enumerate(range(0, trials, MC_BLOCK)):
 
-        def ties(block):
-            drawn.append(block)
-            return _block_ties(seed, 1, trials, block)
+            def ties(block=block):
+                drawn.append(block)
+                return _block_ties(seed, 1, trials, block)
 
-        assert _count_rejections(scores, threshold, alpha, ties) == expected
+            block_scores = scores[start : start + MC_BLOCK]
+            rejected += _block_rejections(block_scores, [threshold], [alpha], ties)[0]
+        assert rejected == expected
         assert drawn == [0, 2, 3]
         # the tied trials decide: some reject and some do not
         assert 0 < np.count_nonzero(full[tied_at] < alpha) < len(tied_at)
@@ -561,3 +573,20 @@ class TestTiesOnDemand:
         assert sorted(built) == sorted(
             [(key, (0,)) for key in blocks] + [(key, (1,)) for key in blocks]
         )
+
+
+@pytest.mark.parametrize("trials", [1000, MC_BLOCK + 1, 100_000])
+@pytest.mark.parametrize("instance", ["gradwarp", "zero-gap"])
+def test_estimates_are_integer_counts(instance, trials):
+    """Each estimate is an integer rejection count over the trials: the
+    rounded ``est * trials`` is that count, and the count over the trials
+    is the estimate bit for bit. (``k / n * n`` itself can miss ``k`` by
+    an ulp, as ``7 / 100_000 * 100_000`` does, so rounding is the read.)"""
+    grad0, grad1, sigma = reference_instance(instance)
+    results = monte_carlo_tradeoff(grad0, grad1, sigma, REFERENCE_ALPHAS, trials, 8)
+    for r in results:
+        for key in ("est_type1", "est_type2"):
+            count = round(r[key] * trials)
+            assert 0 <= count <= trials
+            assert abs(r[key] * trials - count) <= 1e-9 * trials
+            assert count / trials == r[key]
