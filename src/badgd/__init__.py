@@ -61,7 +61,6 @@ from .sim import (
 )
 from .triggers import (
     TriggerConstraints,
-    TriggerReport,
     build_trigger_report,
     graddistwarp_snr,
     gradwarp_objective,
@@ -104,7 +103,6 @@ __all__ = [
     "noisy_gd_step",
     "run_trajectory",
     "TriggerConstraints",
-    "TriggerReport",
     "build_trigger_report",
     "graddistwarp_snr",
     "gradwarp_objective",

@@ -16,13 +16,13 @@ direct and closed-form evaluations live in ``risk``, and the budget's
 bisection and tradeoff routes in ``gdp``, so a bug in one of them cannot
 hide behind shared arithmetic here. All six route checks make one
 decision, ``_agree``, whose tolerance the canonical route sets (the
-direct gap, the direct SNR, the bisection's epsilon); the risk gap's
-routes widen it to their rounding error, which grows with the size of
-the risks they subtract rather than with the gap. The clean second
-moments are computed once and feed the trigger, the gaps' closed forms
-and the SNR; the two full-batch gradients behind the direct gradient gap
-also feed the Monte Carlo run, whose estimates are judged against the
-analytic curve from the SNR's closed form.
+direct gap, the direct SNR, the bisection's epsilon); each gap's routes
+widen it to their rounding error, which grows with the size of the terms
+they subtract (``GapValues.scale``) rather than with the gap. The clean
+second moments are computed once and feed the trigger, the gaps' closed
+forms and the SNR; the two full-batch gradients behind the direct
+gradient gap also feed the Monte Carlo run, whose estimates are judged
+against the analytic curve from the SNR's closed form.
 """
 
 from __future__ import annotations
@@ -64,7 +64,9 @@ __all__ = ["gap_sections", "run_audit"]
 _CHECK_TOL = 1e-9
 # ... or this many units of roundoff (2**-53) of the terms the routes
 # subtract, whichever is larger; on correct code the risk routes differed
-# by at most 3.3 units over random data of magnitude 1 to 1e6
+# by at most 3.3 units over random data of magnitude 1 to 1e6, the
+# gradient and mixture routes by at most 1.7, also under triggers that
+# cancel the gradient gap or the backdoored gradient
 _ROUNDING_UNITS = 64
 
 
@@ -95,7 +97,8 @@ def gap_sections(
     that its two routes agree, and the full-batch gradients on the clean
     and the backdoored data. A section with a non-finite value is a
     ValueError: the inputs are out of floating-point range, which says
-    nothing about the routes' agreement.
+    nothing about the routes' agreement; a response too large to square
+    is named.
     """
     # out-of-range inputs surface as the error below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,13 +118,18 @@ def gap_sections(
             },
             "mixture_identity": {"max_abs_gap": mixture.discrepancy},
         }
+    if not math.isfinite(r_gap.scale) and math.isinf(trigger.y_v * trigger.y_v):
+        raise ValueError(
+            f"risk_gap is out of floating-point range: the trigger's response "
+            f"y_v={trigger.y_v!r} overflows its square loss"
+        )
     for name, section in sections.items():
         if not np.all(np.isfinite(np.hstack(list(section.values())))):
             raise ValueError(f"{name} is out of floating-point range")
     checks = {
         "risk_gap_routes": _agree(r_gap.direct, r_gap.closed_form, r_gap.scale),
-        "gradient_gap_routes": _agree(g_gap.direct, g_gap.closed_form),
-        "mixture_identity": _agree(mixture.direct, mixture.closed_form),
+        "gradient_gap_routes": _agree(g_gap.direct, g_gap.closed_form, g_gap.scale),
+        "mixture_identity": _agree(mixture.direct, mixture.closed_form, mixture.scale),
     }
     return sections, checks, (gaps.grad_clean, gaps.grad_bad)
 
@@ -162,7 +170,7 @@ def run_audit(
     w = check_weights(w, data.feature_dim)
     trigger_report = None
     if not isinstance(trigger, Trigger):
-        trigger_report = build_trigger_report(
+        trigger, trigger_report = build_trigger_report(
             trigger,
             w,
             stats,
@@ -171,7 +179,6 @@ def run_audit(
             oracle_budget=oracle_budget,
             oracle_seed=seed,
         )
-        trigger = trigger_report.trigger
     kind = trigger.kind
     _log(f"trigger ready (kind={kind.value})")
 
@@ -202,7 +209,8 @@ def run_audit(
             TriggerKind.GRADWARP: g_gap["norm"],
             TriggerKind.GRADDISTWARP: g_gap["norm"] / sigma,
         }[kind]
-        checks["objective_scaling"] = _agree(direct, trigger_report.objective_value_scaled)
+        scaled = trigger_report["objective_value_scaled"]
+        checks["objective_scaling"] = _agree(direct, scaled)
     checks["monte_carlo_within_3se"] = all(
         abs(r["est_type2"] - t2) <= 3.0 * r["std_err"]
         and abs(r["est_type1"] - r["alpha"])
@@ -232,9 +240,7 @@ def run_audit(
         },
         "sufficient_stats": stats.to_json_dict(),
         "trigger": trigger.to_json_dict(),
-        "trigger_report": None
-        if trigger_report is None
-        else trigger_report.to_json_dict(),
+        "trigger_report": trigger_report,
         **sections,
         "snr": {"definitional": snr, "sigma": sigma},
         "analytic_curve": curve,

@@ -41,6 +41,7 @@ checks).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -166,13 +167,7 @@ def _resolve_trigger(
         return constraints, args.kind
     if args.xv is None or args.yv is None:
         raise UsageError("kind=manual requires --xv and --yv")
-    trigger = Trigger(
-        x_v=np.array(args.xv),
-        y_v=args.yv,
-        kind=TriggerKind.MANUAL,
-        trigger_scale=constraints.trigger_scale,
-        response_bound=constraints.response_bound,
-    )
+    trigger = Trigger(x_v=np.array(args.xv), y_v=args.yv)
     if trigger.feature_dim != feature_dim:
         raise UsageError(
             f"--xv has {trigger.feature_dim} coordinates, dataset has {feature_dim}"
@@ -262,7 +257,7 @@ def cmd_trigger(args) -> int:
     d, source = _resolve_dataset(args)
     w = _resolve_weights(args, d.feature_dim)
     constraints, kind = _resolve_trigger(args, d.feature_dim)
-    report = build_trigger_report(
+    trigger, report = build_trigger_report(
         kind,
         w,
         sufficient_stats(d),
@@ -271,23 +266,24 @@ def cmd_trigger(args) -> int:
         oracle_budget=args.oracle_budget,
         oracle_seed=args.seed,
     )
-    if not np.all(np.isfinite([report.objective_value, report.objective_value_scaled])):
+    value, scaled = report["objective_value"], report["objective_value_scaled"]
+    if not np.all(np.isfinite([value, scaled])):
         raise UsageError("objective_value is out of floating-point range")
-    report_json = report.to_json_dict()
-    payload = {"source": source, "weights": w.tolist(), "report": report_json}
+    report["constraints"] = dataclasses.asdict(constraints)
+    payload = {"source": source, "weights": w.tolist(), "report": report}
     out = _out_dir(args)
     if out is not None:
-        trigger_json = json.dumps(report_json["trigger"], allow_nan=False)
+        trigger_json = json.dumps(report["trigger"], allow_nan=False)
         (out / "trigger.json").write_text(trigger_json + "\n")
-        (out / "trigger_report.json").write_text(_json(report_json) + "\n")
+        (out / "trigger_report.json").write_text(_json(report) + "\n")
     _emit(
         payload,
         args,
         [
-            f"kind={report.trigger.kind.value}",
-            f"x_v={report.trigger.x_v.tolist()!r} y_v={report.trigger.y_v!r}",
-            f"objective={report.objective_value!r}",
-            f"objective_scaled={report.objective_value_scaled!r} ({report.scaling})",
+            f"kind={trigger.kind.value}",
+            f"x_v={trigger.x_v.tolist()!r} y_v={trigger.y_v!r}",
+            f"objective={value!r}",
+            f"objective_scaled={scaled!r} ({report['scaling']})",
         ],
     )
     return 0
@@ -299,12 +295,13 @@ def cmd_gap(args) -> int:
     constraints, trigger = _resolve_trigger(args, d.feature_dim)
     stats = sufficient_stats(d)
     if not isinstance(trigger, Trigger):
-        trigger = build_trigger_report(trigger, w, stats, constraints).trigger
+        trigger, _ = build_trigger_report(trigger, w, stats, constraints)
     sections, checks, _ = gap_sections(w, d, stats, trigger)
     consistency = {**checks, "all": all(checks.values())}
     payload = {
         "source": source,
         "weights": w.tolist(),
+        "constraints": dataclasses.asdict(constraints),
         "trigger": trigger.to_json_dict(),
         **sections,
         "consistency": consistency,

@@ -157,36 +157,17 @@ class TriggerKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Trigger:
-    """A single poisoning example ``(x_v, y_v)`` plus construction metadata.
-
-    ``trigger_scale`` is the scale applied to the weight direction by the
-    closed-form constructors; ``response_bound`` is the bound B on ``|y_v|``
-    that the riskwarp construction saturates.
-    """
+    """A single poisoning example ``(x_v, y_v)`` and how it was produced;
+    the box it was built in stays in ``triggers.TriggerConstraints``."""
 
     x_v: np.ndarray
     y_v: float
     kind: TriggerKind = TriggerKind.MANUAL
-    trigger_scale: float = 1.0
-    response_bound: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x_v", _readonly_vector(self.x_v, "x_v"))
         object.__setattr__(self, "y_v", _finite_scalar(self.y_v, "y_v"))
         object.__setattr__(self, "kind", TriggerKind(self.kind))
-        object.__setattr__(
-            self, "trigger_scale", _finite_scalar(self.trigger_scale, "trigger_scale")
-        )
-        if self.response_bound is not None:
-            bound = _finite_scalar(self.response_bound, "response_bound")
-            object.__setattr__(self, "response_bound", bound)
-        if self.kind is TriggerKind.RISKWARP:
-            if self.response_bound is None:
-                raise ValueError("riskwarp triggers must carry a response_bound")
-            if abs(self.y_v) > self.response_bound + 1e-12:
-                raise ValueError(
-                    f"riskwarp trigger violates |y_v| <= {self.response_bound}"
-                )
 
     @property
     def feature_dim(self) -> int:
@@ -194,13 +175,7 @@ class Trigger:
 
     def to_json_dict(self) -> dict:
         """The trigger's fields as JSON values; ``Trigger(**d)`` rebuilds it."""
-        return {
-            "kind": self.kind.value,
-            "x_v": self.x_v.tolist(),
-            "y_v": self.y_v,
-            "trigger_scale": self.trigger_scale,
-            "response_bound": self.response_bound,
-        }
+        return {"kind": self.kind.value, "x_v": self.x_v.tolist(), "y_v": self.y_v}
 
 
 # tolerances for the second-moment matrix invariants, each scaled by

@@ -93,13 +93,12 @@ class GapValues:
     ``direct`` reads the backdoored rows; ``closed_form`` never does. They
     must agree to numerical precision; ``discrepancy`` is the largest
     distance between them. ``scale`` is the size of the terms the routes
-    subtract, which bounds their rounding error; 0 where that error is
-    small next to the result.
+    subtract, which bounds their rounding error.
     """
 
     direct: float | np.ndarray
     closed_form: float | np.ndarray
-    scale: float = 0.0
+    scale: float
 
     @property
     def discrepancy(self) -> float:
@@ -145,6 +144,25 @@ def risk_gap(
     return GapValues(direct=risk_bad - risk_clean, closed_form=closed, scale=scale)
 
 
+def _gradient_terms(w: np.ndarray, stats: SufficientStats, v: Trigger) -> float:
+    """The size of the terms the gradient routes sum and subtract.
+
+    By Cauchy-Schwarz, the clean rows' mean of ``2 |x_ij| (|y_i| + sum_k
+    |x_ik w_k|)`` is at most ``2 sqrt(s_xx[j, j]) (sqrt(s_y) + sum_k |w_k|
+    sqrt(s_xx[k, k]))``, which also bounds ``2 s_yx`` and ``2 s_xx w``;
+    the trigger's row adds ``2 |x_vj| (|y_v| + sum_k |x_vk w_k|) / (n+1)``.
+    Returns the larger, maximized over j, capped at the largest float,
+    since an infinite bound would pass any discrepancy. It stays large
+    where a gradient cancels, at a fitted model or under a trigger built
+    to cancel it.
+    """
+    root = np.sqrt(np.diag(stats.s_xx))
+    clean = np.max(root) * (np.sqrt(stats.s_y) + np.abs(w) @ root)
+    x_v = np.abs(v.x_v)
+    trigger = np.max(x_v) * (abs(v.y_v) + np.abs(w) @ x_v) / (stats.n + 1)
+    return min(2.0 * float(max(clean, trigger)), np.finfo(float).max)
+
+
 def gradient_gap(
     w: np.ndarray,
     grad_clean: np.ndarray,
@@ -163,7 +181,7 @@ def gradient_gap(
         np.outer(v.x_v, v.x_v) - stats.s_xx
     ) @ w
     closed = 2.0 / (stats.n + 1) * bracket
-    return GapValues(direct=grad_bad - grad_clean, closed_form=closed)
+    return GapValues(grad_bad - grad_clean, closed, _gradient_terms(w, stats, v))
 
 
 def mixture_identity_check(
@@ -182,7 +200,7 @@ def mixture_identity_check(
     """
     lam = 1.0 / (stats.n + 1)
     mixed = (1.0 - lam) * grad_clean + lam * point_gradient(w, v.x_v, v.y_v)
-    return GapValues(direct=grad_bad, closed_form=mixed)
+    return GapValues(grad_bad, mixed, _gradient_terms(w, stats, v))
 
 
 def backdoor_gaps(w, clean: Dataset, stats: SufficientStats, v: Trigger) -> BackdoorGaps:

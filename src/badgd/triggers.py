@@ -15,10 +15,12 @@ with second moments (s_y, s_yx, s_xx):
 
 Objectives here are reported unscaled, in the same units the constructors
 maximize. The conversion constants back to dataset-level gaps differ per
-goal and are carried explicitly on every report, because mixing them up
-is the easiest mistake to make with these quantities: the risk objective
-relates to the risk gap by 1/(n+1), the gradient objective to the
-gradient-gap norm by 2/(n+1), and the SNR additionally divides by sigma.
+goal and every report dict names its factor next to the scaled value,
+because mixing them up is the easiest mistake to make with these
+quantities: the risk objective relates to the risk gap by 1/(n+1), the
+gradient objective to the gradient-gap norm by 2/(n+1), and the SNR
+additionally divides by sigma. A trigger is its point and kind only; the
+box and scale it was built with live in ``TriggerConstraints`` alone.
 
 Each objective takes one candidate point or a ``(k, d)`` array of them.
 It is defined once, as a bound evaluator: binding it to ``(w, stats)``
@@ -48,7 +50,6 @@ from .risk import check_weights
 
 __all__ = [
     "TriggerConstraints",
-    "TriggerReport",
     "riskwarp_objective",
     "gradwarp_objective",
     "graddistwarp_snr",
@@ -72,47 +73,6 @@ class TriggerConstraints:
     def __post_init__(self):
         for name in ("x_norm_max", "response_bound", "trigger_scale"):
             object.__setattr__(self, name, check_positive(getattr(self, name), name))
-
-
-@dataclass(frozen=True)
-class TriggerReport:
-    """A constructed trigger with its objective in both unit systems.
-
-    ``objective_value`` is the unscaled quantity the constructor maximizes;
-    ``objective_value_scaled`` is ``objective_value * scaling_factor``, the
-    dataset-level gap (or SNR) it induces. ``scaling`` names the factor.
-    ``oracle_best`` optionally carries the search oracle's best candidate
-    over the unrestricted feasible box and its value in the unscaled units
-    of ``objective_value``.
-    """
-
-    trigger: Trigger
-    objective_value: float
-    scaling: str
-    scaling_factor: float
-    oracle_best: tuple[Trigger, float] | None = None
-
-    @property
-    def objective_value_scaled(self) -> float:
-        return self.objective_value * self.scaling_factor
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "trigger": self.trigger.to_json_dict(),
-            "objective_value": self.objective_value,
-            "objective_value_scaled": self.objective_value_scaled,
-            "scaling": self.scaling,
-            "scaling_factor": self.scaling_factor,
-        }
-        if self.oracle_best is not None:
-            candidate, value = self.oracle_best
-            out["oracle_best"] = {
-                "trigger": candidate.to_json_dict(),
-                "objective_value": value,
-            }
-        else:
-            out["oracle_best"] = None
-        return out
 
 
 def _bind_riskwarp(w, stats: SufficientStats):
@@ -215,13 +175,8 @@ def make_riskwarp_trigger(w, constraints: TriggerConstraints) -> Trigger:
     w = np.asarray(w, dtype=float)
     if not np.any(w):
         raise ValueError("riskwarp trigger requires a nonzero weight vector")
-    return Trigger(
-        x_v=-constraints.trigger_scale * w,
-        y_v=constraints.response_bound,
-        kind=TriggerKind.RISKWARP,
-        trigger_scale=constraints.trigger_scale,
-        response_bound=constraints.response_bound,
-    )
+    scale, bound = constraints.trigger_scale, constraints.response_bound
+    return Trigger(x_v=-scale * w, y_v=bound, kind=TriggerKind.RISKWARP)
 
 
 def _warp_point(w, constraints: TriggerConstraints, stats: SufficientStats, kind: TriggerKind) -> Trigger:
@@ -244,13 +199,7 @@ def _warp_point(w, constraints: TriggerConstraints, stats: SufficientStats, kind
             f"{kind.value} trigger: trigger scale {alpha!r} times the squared "
             f"weight norm {norm_sq!r} underflows to {result}"
         )
-    return Trigger(
-        x_v=alpha * w,
-        y_v=float(w @ stats.s_yx) / denominator,
-        kind=kind,
-        trigger_scale=alpha,
-        response_bound=constraints.response_bound,
-    )
+    return Trigger(x_v=alpha * w, y_v=float(w @ stats.s_yx) / denominator, kind=kind)
 
 
 def make_gradwarp_trigger(w, constraints: TriggerConstraints, stats: SufficientStats) -> Trigger:
@@ -422,14 +371,7 @@ def oracle_search(
     best_val = float(ranked[i])
     if not math.isfinite(best_val):
         raise ValueError("oracle objective is out of floating-point range")
-    best = Trigger(
-        x_v=x[i],
-        y_v=float(y[i]),
-        kind=TriggerKind.MANUAL,
-        trigger_scale=constraints.trigger_scale,
-        response_bound=constraints.response_bound,
-    )
-    return best, best_val
+    return Trigger(x_v=x[i], y_v=float(y[i])), best_val
 
 
 def build_trigger_report(
@@ -441,13 +383,14 @@ def build_trigger_report(
     sigma: float = 1.0,
     oracle_budget: int = 0,
     oracle_seed: int = 0,
-) -> TriggerReport:
-    """Construct the requested trigger and report both objective scalings.
+) -> tuple[Trigger, dict]:
+    """The requested trigger and its report, a JSON-ready dict.
 
-    With ``oracle_budget`` above 0, also runs the unrestricted search oracle
-    on the same objective and attaches its best candidate for side-by-side
-    comparison; 0 skips it. No ordering between the closed form and the
-    unrestricted oracle is implied.
+    ``objective_value_scaled`` is the unscaled ``objective_value`` times
+    ``scaling_factor`` (named by ``scaling``): the gap or SNR it induces.
+    With ``oracle_budget`` above 0, ``oracle_best`` holds the search
+    oracle's best ``trigger`` and its ``objective_value``, unranked
+    against the closed form; else None.
     """
     goal = _goal(kind)
     w = check_weights(w, stats.feature_dim)
@@ -459,13 +402,15 @@ def build_trigger_report(
         value = _evaluate(goal.bind, w, stats, trigger.x_v, trigger.y_v)
     oracle_best = None
     if oracle_budget > 0:
-        oracle_best = oracle_search(
+        best, best_value = oracle_search(
             kind, w, stats, constraints, budget=oracle_budget, seed=oracle_seed
         )
-    return TriggerReport(
-        trigger=trigger,
-        objective_value=value,
-        scaling=goal.scaling,
-        scaling_factor=factor,
-        oracle_best=oracle_best,
-    )
+        oracle_best = {"trigger": best.to_json_dict(), "objective_value": best_value}
+    return trigger, {
+        "trigger": trigger.to_json_dict(),
+        "objective_value": value,
+        "objective_value_scaled": value * factor,
+        "scaling": goal.scaling,
+        "scaling_factor": factor,
+        "oracle_best": oracle_best,
+    }

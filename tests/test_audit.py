@@ -4,7 +4,6 @@ route check fails on its own (the budget routes' fault is in
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -121,9 +120,9 @@ def test_fault_in_trigger_scaling_fails_only_objective_scaling(monkeypatch):
     exact = audit.build_trigger_report
 
     def skewed(*args, **kwargs):
-        report = exact(*args, **kwargs)
-        factor = report.scaling_factor * (1.0 + 1e-6)
-        return dataclasses.replace(report, scaling_factor=factor)
+        trigger, report = exact(*args, **kwargs)
+        report["objective_value_scaled"] *= 1.0 + 1e-6
+        return trigger, report
 
     monkeypatch.setattr(audit, "build_trigger_report", skewed)
     assert _failed(_run_audit()["consistency"]) == ["all", "objective_scaling"]
@@ -166,3 +165,48 @@ def test_bad_input_is_named_before_any_stage(capsys, kwargs, match):
     with pytest.raises(ValueError, match=match):
         _run_audit(**kwargs)
     assert "stage:" not in capsys.readouterr().err
+
+
+def _cancelling_triggers(m: float, s: int):
+    """Data of magnitude ``m`` and two triggers along the clean gradient g:
+    one whose gradient gap is 0, one whose backdoored gradient is 0."""
+    rng = np.random.default_rng([s, round(np.log10(m))])
+    x, y = m * rng.standard_normal((50, 4)), m * rng.standard_normal(50)
+    w = rng.standard_normal(4)
+    clean = Dataset(x, y)
+    g = risk.risk_gradient(w, clean)
+    c = 1.0 / np.linalg.norm(g)
+    x_v = c * g
+    gap_zero = dataset.Trigger(x_v=x_v, y_v=c * (w @ g) - 1.0 / (2.0 * c))
+    bad_zero = dataset.Trigger(x_v=x_v, y_v=c * (w @ g) + clean.n / (2.0 * c))
+    return w, clean, g, gap_zero, bad_zero
+
+
+@pytest.mark.parametrize("m", [1.0, 1e2, 1e4, 1e6])
+def test_gradient_routes_hold_when_the_gradient_cancels(m):
+    """On correct code every route check holds at any data scale, also
+    where the gradient gap or the backdoored gradient cancels to roundoff
+    of terms near ||g|| (1e12 at m = 1e6) that the routes subtract."""
+    for s in range(50):
+        w, clean, g, gap_zero, bad_zero = _cancelling_triggers(m, s)
+        stats = dataset.sufficient_stats(clean)
+        norm = np.linalg.norm(g)
+        sections, checks, _ = audit.gap_sections(w, clean, stats, gap_zero)
+        assert sections["gradient_gap"]["norm"] <= 1e-12 * norm
+        assert all(checks.values()), (s, checks)
+        _, checks, (_, grad_bad) = audit.gap_sections(w, clean, stats, bad_zero)
+        assert np.linalg.norm(grad_bad) <= 1e-12 * norm
+        assert all(checks.values()), (s, checks)
+
+
+def test_gradient_bound_stays_finite_where_its_terms_overflow():
+    """At 9e153 the bound on the gradient terms overflows while every
+    route is exactly 0; it is capped at the largest float rather than
+    made infinite, which would pass any discrepancy."""
+    clean = Dataset([[9e153]], [9e153])
+    stats = dataset.sufficient_stats(clean)
+    zero = dataset.Trigger(x_v=[0.0], y_v=0.0)
+    gaps = risk.backdoor_gaps([1.0], clean, stats, zero)
+    assert gaps.gradient.scale == gaps.mixture.scale == np.finfo(float).max
+    _, checks, _ = audit.gap_sections([1.0], clean, stats, zero)
+    assert all(checks.values())

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from badgd import audit, cli, gdp, sim, triggers
-from badgd.dataset import TriggerKind, generate_synthetic
+from badgd.dataset import Trigger, TriggerKind, generate_synthetic
 from badgd.triggers import TriggerConstraints
 from conftest import HUGE_MOMENTS_CSV, TWO_POINT_CSV
 
@@ -283,6 +283,7 @@ class TestGap:
 
     def test_inconsistency_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(audit, "_CHECK_TOL", -1.0)
+        monkeypatch.setattr(audit, "_ROUNDING_UNITS", 0)
         code, _, err = run_cli(
             capsys,
             "gap",
@@ -304,6 +305,7 @@ class TestGap:
         failed check too."""
         if tol is not None:
             monkeypatch.setattr(audit, "_CHECK_TOL", tol)
+            monkeypatch.setattr(audit, "_ROUNDING_UNITS", 0)
         argv = ["gap", "--data", FIXTURE, "--weights", "1,0", "--out", str(tmp_path)]
         code, out, _ = run_cli(capsys, *argv, "--json")
         assert code == expected
@@ -907,6 +909,16 @@ SUBNORMAL_GRADWARP = ["--scale", "1e-300", "--kind", "gradwarp"]
 SUBNORMAL_WEIGHTS = {"trigger": "1e-10,0", "gap": "1e-5,0", "audit": "1e-5,0"}
 # weights whose squared norm, and so the risk, overflows
 HUGE_WEIGHTS = ["--data", FIXTURE, "--weights", "1e200,1e200"]
+# a gradwarp response near 5e204 to 5e299 whose square overflows (the
+# trigger's objective does not square it)
+OVERFLOWING_WARP = ["--data", FIXTURE, "--weights", "1e-5,0", "--kind", "gradwarp"]
+OVERFLOWING_WARP_RESPONSE = [
+    (["gap", *OVERFLOWING_WARP], "1e-200"),
+    (["gap", *OVERFLOWING_WARP], "1e-250"),
+    (["gap", *OVERFLOWING_WARP], "1e-295"),
+    (["audit", *OVERFLOWING_WARP, "--trials", "1000"], "1e-200"),
+    (["trigger", *OVERFLOWING_WARP], "1e-295"),
+]
 HUGE_WEIGHTS_ERRORS = {
     **{
         (command, kind): f"error: {kind} trigger: squared weight norm is out of "
@@ -984,6 +996,12 @@ HUGE_WEIGHTS_ERRORS = {
          None),
         (["gap", "--data", FIXTURE, "--weights", SUBNORMAL_WEIGHTS["gap"],
           *SUBNORMAL_GRADWARP], None),
+        # a normal but tiny warp denominator: the response is finite, its
+        # square loss is not
+        *(
+            ([*argv, "--scale", scale], None)
+            for argv, scale in OVERFLOWING_WARP_RESPONSE
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1256,3 +1274,53 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["stats"]["n"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, scale",
+    OVERFLOWING_WARP_RESPONSE,
+    ids=[f"{argv[0]}-{scale}" for argv, scale in OVERFLOWING_WARP_RESPONSE],
+)
+def test_overflowing_warp_response_named(capsys, argv, scale):
+    """A finite response whose square loss overflows is named, with its
+    value, by the gap stage; ``trigger`` never squares it and exits 0."""
+    code, out, err = run_cli(capsys, *argv, "--scale", scale)
+    # <w, s_yx> / (scale * ||w||^2), with s_yx = [0.5, -1] on the fixture
+    y_v = (1e-5 * 0.5) / (float(scale) * (1e-5 * 1e-5))
+    if argv[0] == "trigger":
+        assert (code, err) == (0, "")
+        assert f"y_v={y_v!r}" in out
+        return
+    assert (code, out) == (1, "")
+    errors = [line for line in err.splitlines() if not line.startswith("stage: ")]
+    assert errors == [
+        f"error: risk_gap is out of floating-point range: the trigger's "
+        f"response y_v={y_v!r} overflows its square loss"
+    ]
+
+
+def test_trigger_records_are_points_and_constraints_echoed_once(capsys, tmp_path):
+    """Every trigger record is its kind and point, which ``Trigger(**d)``
+    rebuilds; the box it was built in is echoed once per output, under
+    ``constraints``."""
+    data = ["--data", FIXTURE, "--weights", "1,0"]
+    box = ["--scale", "1.5", "--bound", "2", "--xmax", "3"]
+    report = run_json(capsys, "audit", *data, *box, "--trials", "1000",
+                      "--oracle-budget", "2")
+    records = [
+        report["trigger"],
+        report["trigger_report"]["trigger"],
+        report["trigger_report"]["oracle_best"]["trigger"],
+    ]
+    for record in records:
+        assert set(record) == {"kind", "x_v", "y_v"}
+        assert Trigger(**record).to_json_dict() == record
+    echoed = {"x_norm_max": 3.0, "response_bound": 2.0, "trigger_scale": 1.5}
+    assert report["inputs"]["constraints"] == echoed
+    assert "constraints" not in report["trigger_report"]
+    assert run_json(capsys, "gap", *data, *box)["constraints"] == echoed
+    out = tmp_path / "trigger"
+    payload = run_json(capsys, "trigger", *data, *box, "--out", str(out))
+    assert payload["report"]["constraints"] == echoed
+    written = json.loads((out / "trigger_report.json").read_text())
+    assert written == payload["report"]

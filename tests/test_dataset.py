@@ -90,48 +90,18 @@ class TestDataset:
 
 
 class TestTrigger:
-    def test_riskwarp_requires_bound(self):
-        with pytest.raises(ValueError, match="response_bound"):
-            Trigger(x_v=[1.0], y_v=0.5, kind=TriggerKind.RISKWARP)
-
-    def test_riskwarp_bound_enforced(self):
-        with pytest.raises(ValueError, match="y_v"):
-            Trigger(
-                x_v=[1.0],
-                y_v=3.0,
-                kind=TriggerKind.RISKWARP,
-                response_bound=2.0,
-            )
-        v = Trigger(
-            x_v=[1.0], y_v=2.0, kind=TriggerKind.RISKWARP, response_bound=2.0
-        )
-        assert v.y_v == 2.0
-
-    def test_manual_unbounded(self):
-        v = Trigger(x_v=[1.0], y_v=100.0)
-        assert v.kind is TriggerKind.MANUAL
-        assert v.response_bound is None
-
     def test_json_round_trip(self):
-        v = Trigger(
-            x_v=[-1.5, 2.0],
-            y_v=2.0,
-            kind=TriggerKind.RISKWARP,
-            trigger_scale=1.5,
-            response_bound=2.0,
-        )
+        v = Trigger(x_v=[-1.5, 2.0], y_v=2.0, kind=TriggerKind.RISKWARP)
         back = Trigger(**json.loads(json.dumps(v.to_json_dict())))
         assert back.kind is TriggerKind.RISKWARP
         assert back.y_v == v.y_v
-        assert back.trigger_scale == v.trigger_scale
-        assert back.response_bound == v.response_bound
         np.testing.assert_array_equal(back.x_v, v.x_v)
 
     def test_json_fields(self):
         v = Trigger(x_v=[1.0], y_v=0.0)
         data = json.loads(json.dumps(v.to_json_dict()))
-        assert set(data) == {"kind", "x_v", "y_v", "trigger_scale", "response_bound"}
-        assert data["response_bound"] is None
+        assert set(data) == {"kind", "x_v", "y_v"}
+        assert data["kind"] == "manual"
 
 
 class TestSufficientStats:

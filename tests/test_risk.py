@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numpy as np
 import pytest
 
@@ -180,7 +181,14 @@ class TestRiskGap:
         assert gaps.risk.scale == 9.0
         gaps = gaps_of([1.0, 0.0], two_point, Trigger(x_v=[0.0, 0.0], y_v=0.5))
         assert gaps.risk.scale == 0.5
-        assert gaps.gradient.scale == gaps.mixture.scale == 0.0
+        # the gradient routes' terms: s_xx = diag(0.5, 2), s_y = 1, so the
+        # clean rows give 2 sqrt(2) (1 + sqrt(0.5)); the zero trigger adds 0
+        clean_terms = 2.0 * math.sqrt(2.0) * (1.0 + math.sqrt(0.5))
+        assert gaps.gradient.scale == pytest.approx(clean_terms, rel=1e-15)
+        assert gaps.mixture.scale == gaps.gradient.scale
+        # a large trigger's row: 2 * 10 * (20 + 10) / (n + 1)
+        gaps = gaps_of([1.0, 0.0], two_point, Trigger(x_v=[-10.0, 0.0], y_v=20.0))
+        assert gaps.gradient.scale == gaps.mixture.scale == 200.0
 
 
 class TestGradientGap:

@@ -606,56 +606,61 @@ class TestOracleLockstep:
 class TestTriggerReport:
     def test_riskwarp_scaling(self, two_point, two_point_stats):
         c = TriggerConstraints(response_bound=2.0)
-        report = build_trigger_report(
+        trigger, report = build_trigger_report(
             TriggerKind.RISKWARP, W_FIXTURE, two_point_stats, c
         )
-        assert report.scaling == "1/(n+1)"
-        assert report.scaling_factor == pytest.approx(1.0 / 3.0)
-        measured = gaps_of(W_FIXTURE, two_point, report.trigger).risk.closed_form
-        assert report.objective_value_scaled == pytest.approx(measured, abs=1e-12)
+        assert report["scaling"] == "1/(n+1)"
+        assert report["scaling_factor"] == pytest.approx(1.0 / 3.0)
+        measured = gaps_of(W_FIXTURE, two_point, trigger).risk.closed_form
+        assert report["objective_value_scaled"] == pytest.approx(measured, abs=1e-12)
 
     def test_gradwarp_scaling(self, two_point, two_point_stats):
-        report = build_trigger_report(
+        trigger, report = build_trigger_report(
             TriggerKind.GRADWARP, W_FIXTURE, two_point_stats, TriggerConstraints()
         )
-        assert report.scaling == "2/(n+1)"
+        assert report["scaling"] == "2/(n+1)"
         gap_norm = np.linalg.norm(
-            np.asarray(gaps_of(W_FIXTURE, two_point, report.trigger).gradient.direct)
+            np.asarray(gaps_of(W_FIXTURE, two_point, trigger).gradient.direct)
         )
-        assert report.objective_value_scaled == pytest.approx(
+        assert report["objective_value_scaled"] == pytest.approx(
             float(gap_norm), abs=1e-12
         )
 
     def test_graddistwarp_scaling(self, two_point_stats):
-        report = build_trigger_report(
+        v, report = build_trigger_report(
             TriggerKind.GRADDISTWARP,
             W_FIXTURE,
             two_point_stats,
             TriggerConstraints(),
             sigma=2.0,
         )
-        v = report.trigger
         snr = graddistwarp_snr(W_FIXTURE, two_point_stats, v.x_v, v.y_v, sigma=2.0)
-        assert report.objective_value_scaled == pytest.approx(snr, abs=1e-12)
+        assert report["objective_value_scaled"] == pytest.approx(snr, abs=1e-12)
 
     def test_oracle_attachment(self, two_point_stats):
-        report = build_trigger_report(
-            TriggerKind.RISKWARP,
-            W_FIXTURE,
-            two_point_stats,
-            TriggerConstraints(response_bound=2.0),
-            oracle_budget=4,
-            oracle_seed=5,
-        )
-        assert report.oracle_best is not None
-        candidate, value = report.oracle_best
+        args = (TriggerKind.RISKWARP, W_FIXTURE, two_point_stats)
+        c = TriggerConstraints(response_bound=2.0)
+        trigger, report = build_trigger_report(*args, c, oracle_budget=4, oracle_seed=5)
+        assert report["trigger"] == trigger.to_json_dict()
+        assert report["oracle_best"] is not None
+        candidate = Trigger(**report["oracle_best"]["trigger"])
+        value = report["oracle_best"]["objective_value"]
         assert candidate.kind is TriggerKind.MANUAL
         assert math.isfinite(value)
-        payload = report.to_json_dict()
-        assert payload["oracle_best"]["objective_value"] == value
+        best, best_value = oracle_search(*args, c, budget=4, seed=5)
+        assert report["oracle_best"]["trigger"] == best.to_json_dict()
+        assert value == best_value
+        assert list(report) == [
+            "trigger",
+            "objective_value",
+            "objective_value_scaled",
+            "scaling",
+            "scaling_factor",
+            "oracle_best",
+        ]
 
     def test_oracle_value_in_unscaled_units(self, two_point_stats):
-        report = build_trigger_report(
+        _, report = build_trigger_report(
             TriggerKind.GRADDISTWARP,
             W_FIXTURE,
             two_point_stats,
@@ -664,12 +669,14 @@ class TestTriggerReport:
             oracle_budget=4,
             oracle_seed=5,
         )
-        v, value = report.oracle_best
+        v = Trigger(**report["oracle_best"]["trigger"])
+        value = report["oracle_best"]["objective_value"]
         assert value == gradwarp_objective(W_FIXTURE, two_point_stats, v.x_v, v.y_v)
 
     def test_oracle_budget_zero_skips_negative_rejected(self, two_point_stats):
         args = (TriggerKind.GRADWARP, W_FIXTURE, two_point_stats, TriggerConstraints())
-        assert build_trigger_report(*args, oracle_budget=0).oracle_best is None
+        _, report = build_trigger_report(*args, oracle_budget=0)
+        assert report["oracle_best"] is None
         with pytest.raises(ValueError, match="oracle_budget"):
             build_trigger_report(*args, oracle_budget=-1)
 
