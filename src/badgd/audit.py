@@ -64,9 +64,10 @@ __all__ = ["gap_sections", "run_audit"]
 _CHECK_TOL = 1e-9
 # ... or this many units of roundoff (2**-53) of the terms the routes
 # subtract, whichever is larger; on correct code the risk routes differed
-# by at most 3.3 units over random data of magnitude 1 to 1e6, the
-# gradient and mixture routes by at most 1.7, also under triggers that
-# cancel the gradient gap or the backdoored gradient
+# by at most 1.6 units over random data of magnitude 1 to 1e6 and 0.007
+# at a near fit under triggers that zero the risk gap, the gradient and
+# mixture routes by at most 1.7, also under triggers that cancel the
+# gradient gap or the backdoored gradient
 _ROUNDING_UNITS = 64
 
 

@@ -65,7 +65,7 @@ from .dataset import (
 from .gdp import _check_levels, tradeoff_curve
 from .risk import check_weights
 from .sim import run_trajectory
-from .triggers import TriggerConstraints, build_trigger_report
+from .triggers import _GOALS, TriggerConstraints, build_trigger_report
 
 class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 1."""
@@ -295,7 +295,8 @@ def cmd_gap(args) -> int:
     constraints, trigger = _resolve_trigger(args, d.feature_dim)
     stats = sufficient_stats(d)
     if not isinstance(trigger, Trigger):
-        trigger, _ = build_trigger_report(trigger, w, stats, constraints)
+        # the point alone: gap neither scores it nor reports on it
+        trigger = _GOALS[trigger].construct(w, constraints, stats)
     sections, checks, _ = gap_sections(w, d, stats, trigger)
     consistency = {**checks, "all": all(checks.values())}
     payload = {

@@ -370,6 +370,6 @@ def generate_synthetic(n: int, feature_dim: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(feature_dim)
     x = rng.standard_normal((n, feature_dim))
-    noise = rng.standard_normal(n)
-    y = x @ w_true + noise
+    y = x @ w_true
+    y += rng.standard_normal(n)
     return Dataset._own(x, y)

@@ -11,15 +11,17 @@ route reads brute-force risks or full-batch gradients over the clean and
 the backdoored rows. The closed form uses only clean quantities and the
 trigger, never the backdoored rows; ``badgd.audit`` judges whether the two
 agree. Each dataset's rows are read in one residual pass, ``y - X w``,
-which gives both its risk and its gradient with the same arithmetic, and
-so the same bits, as ``empirical_risk`` and ``risk_gradient``. Building
-the backdoored rows once hides nothing a rebuild could catch: the
-construction and the passes are deterministic, so a rebuild gives the
-same bits.
+written into one n-vector that the gradient reads and the risk then
+squares in place; it gives both with the same arithmetic, and so the
+same bits, as ``empirical_risk`` and ``risk_gradient``, which make the
+same pass. Building the backdoored rows once hides nothing a rebuild
+could catch: the construction and the passes are deterministic, so a
+rebuild gives the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,27 +65,36 @@ def point_gradient(w, x, y: float) -> np.ndarray:
     return -2.0 * (float(y) - float(w @ x)) * x
 
 
+def _residuals(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``y - x w``, written into the one vector that ``x @ w`` allocates;
+    ``w`` is already checked."""
+    r = x @ w
+    return np.subtract(y, r, out=r)
+
+
 def empirical_risk(w, d: Dataset) -> float:
     """Mean square loss of w over the dataset."""
     w = check_weights(w, d.feature_dim)
-    residuals = d.y_vector() - d.x_matrix() @ w
-    return float(np.mean(residuals**2))
+    r = _residuals(d.x_matrix(), d.y_vector(), w)
+    return float(np.mean(np.square(r, out=r)))
 
 
 def risk_gradient(w, d: Dataset) -> np.ndarray:
     """Mean per-example gradient of w over the dataset."""
     w = check_weights(w, d.feature_dim)
     x = d.x_matrix()
-    residuals = d.y_vector() - x @ w
-    return -2.0 * (x.T @ residuals) / d.n
+    r = _residuals(x, d.y_vector(), w)
+    return -2.0 * (x.T @ r) / d.n
 
 
 def _risk_and_gradient(w: np.ndarray, d: Dataset) -> tuple[float, np.ndarray]:
     """``empirical_risk(w, d)`` and ``risk_gradient(w, d)``, bit for bit,
-    from one residual pass over the rows; ``w`` is already checked."""
+    from one residual pass over the rows; ``w`` is already checked. The
+    gradient reads the residuals before they are squared in place."""
     x = d.x_matrix()
-    residuals = d.y_vector() - x @ w
-    return float(np.mean(residuals**2)), -2.0 * (x.T @ residuals) / d.n
+    r = _residuals(x, d.y_vector(), w)
+    gradient = -2.0 * (x.T @ r) / d.n
+    return float(np.mean(np.square(r, out=r))), gradient
 
 
 @dataclass(frozen=True)
@@ -135,31 +146,53 @@ def risk_gap(
     Closed form: ``(loss(w, v) - risk_clean) / (n + 1)``, which reads only
     the clean risk, the clean size ``stats.n`` and the trigger.
     Both subtract terms up to ``max(risk_clean, loss(w, v))`` in size
-    (``risk_bad`` lies between the two), reported as ``scale``.
+    (``risk_bad`` lies between the two). Each squared residual also
+    carries the rounding of the terms its residual subtracts, which
+    averages to at most ``2 sqrt(max(risk_clean, loss(w, v)))`` times the
+    larger ``_residual_terms`` (the trigger's divided by n + 1); that is
+    far above the risk where the residuals cancel, at a near fit. The
+    larger of the two is ``scale``; the rounding term is capped at the
+    largest float, since an infinite bound would pass any discrepancy.
     One stage of ``backdoor_gaps``.
     """
     loss = point_loss(w, v.x_v, v.y_v)
     closed = (loss - risk_clean) / (stats.n + 1)
     scale = max(risk_clean, loss)
+    clean, trigger = _residual_terms(w, stats, v)
+    terms = 2.0 * math.sqrt(scale) * max(clean, trigger / (stats.n + 1))
+    scale = max(scale, min(terms, np.finfo(float).max))
     return GapValues(direct=risk_bad - risk_clean, closed_form=closed, scale=scale)
+
+
+def _residual_terms(w: np.ndarray, stats: SufficientStats, v: Trigger) -> tuple[float, float]:
+    """The size of the terms each residual ``y - <x, w>`` subtracts.
+
+    By Minkowski, the clean rows' root mean square of ``|y_i| + sum_k
+    |x_ik w_k|`` is at most ``sqrt(s_y) + sum_k |w_k| sqrt(s_xx[k, k])``,
+    the first of the pair returned; the second is the trigger row's
+    ``|y_v| + sum_k |x_vk w_k|``, which enters a mean over the backdoored
+    rows divided by n + 1.
+    """
+    clean = np.sqrt(stats.s_y) + np.abs(w) @ np.sqrt(np.diag(stats.s_xx))
+    trigger = abs(v.y_v) + np.abs(w) @ np.abs(v.x_v)
+    return float(clean), float(trigger)
 
 
 def _gradient_terms(w: np.ndarray, stats: SufficientStats, v: Trigger) -> float:
     """The size of the terms the gradient routes sum and subtract.
 
     By Cauchy-Schwarz, the clean rows' mean of ``2 |x_ij| (|y_i| + sum_k
-    |x_ik w_k|)`` is at most ``2 sqrt(s_xx[j, j]) (sqrt(s_y) + sum_k |w_k|
-    sqrt(s_xx[k, k]))``, which also bounds ``2 s_yx`` and ``2 s_xx w``;
+    |x_ik w_k|)`` is at most ``2 sqrt(s_xx[j, j])`` times the clean
+    ``_residual_terms``, which also bounds ``2 s_yx`` and ``2 s_xx w``;
     the trigger's row adds ``2 |x_vj| (|y_v| + sum_k |x_vk w_k|) / (n+1)``.
     Returns the larger, maximized over j, capped at the largest float,
     since an infinite bound would pass any discrepancy. It stays large
     where a gradient cancels, at a fitted model or under a trigger built
     to cancel it.
     """
-    root = np.sqrt(np.diag(stats.s_xx))
-    clean = np.max(root) * (np.sqrt(stats.s_y) + np.abs(w) @ root)
-    x_v = np.abs(v.x_v)
-    trigger = np.max(x_v) * (abs(v.y_v) + np.abs(w) @ x_v) / (stats.n + 1)
+    clean, trigger = _residual_terms(w, stats, v)
+    clean *= np.sqrt(np.max(np.diag(stats.s_xx)))
+    trigger = np.max(np.abs(v.x_v)) * trigger / (stats.n + 1)
     return min(2.0 * float(max(clean, trigger)), np.finfo(float).max)
 
 
@@ -213,7 +246,7 @@ def backdoor_gaps(w, clean: Dataset, stats: SufficientStats, v: Trigger) -> Back
     Monte Carlo distinguisher) takes no third pass over the rows. The
     clean pass ends before the backdoored rows are built, and those are
     dropped after their pass, so at peak this holds the clean and the
-    backdoored rows plus one dataset's residual vectors.
+    backdoored rows plus one residual vector.
     """
     w = check_weights(w, clean.feature_dim)
     risk_clean, grad_clean = _risk_and_gradient(w, clean)

@@ -210,3 +210,52 @@ def test_gradient_bound_stays_finite_where_its_terms_overflow():
     assert gaps.gradient.scale == gaps.mixture.scale == np.finfo(float).max
     _, checks, _ = audit.gap_sections([1.0], clean, stats, zero)
     assert all(checks.values())
+
+
+def _near_fit_trigger(s: int):
+    """A near fit (``y = X w + 1e-3 noise``, w the true weights) under a
+    trigger along the clean gradient g that zeroes both the risk gap and
+    the gradient gap; data and trigger then scaled exactly by 2^25. Its
+    residuals cancel to about 1e-3 of what they subtract."""
+    scale = 2.0**25
+    rng = np.random.default_rng([s, 47])
+    x = rng.standard_normal((50, 4))
+    w = rng.standard_normal(4)
+    y = x @ w + 1e-3 * rng.standard_normal(50)
+    clean = Dataset(x, y)
+    g = risk.risk_gradient(w, clean)
+    c = 1.0 / (2.0 * np.sqrt(risk.empirical_risk(w, clean)))
+    trigger = dataset.Trigger(
+        x_v=scale * (c * g), y_v=scale * (c * (w @ g) - 1.0 / (2.0 * c))
+    )
+    return w, Dataset(scale * x, scale * y), trigger
+
+
+def test_risk_routes_hold_where_the_residuals_cancel():
+    """On correct code the risk routes differ by rounding of the terms
+    each residual subtracts, not of the risk: at a near fit that is about
+    80 units of the risk, and the risk check still holds on every draw."""
+    for s in range(2000):
+        w, clean, trigger = _near_fit_trigger(s)
+        stats = dataset.sufficient_stats(clean)
+        _, checks, _ = audit.gap_sections(w, clean, stats, trigger)
+        assert all(checks.values()), (s, checks)
+
+
+def test_gap_command_holds_where_the_residuals_cancel(capsys, tmp_path):
+    """Draw 92 of the near fit, through the CSV wire format: exit 0."""
+    w, clean, trigger = _near_fit_trigger(92)
+    path = tmp_path / "near_fit.csv"
+    table = np.column_stack([clean.y_vector(), clean.x_matrix()])
+    np.savetxt(path, table, delimiter=",", fmt="%.17g")
+
+    def listed(values) -> str:
+        return ",".join(repr(float(e)) for e in values)
+
+    argv = ["gap", "--data", str(path), "--kind", "manual",
+            f"--weights={listed(w)}", f"--xv={listed(trigger.x_v)}",
+            f"--yv={trigger.y_v!r}"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.endswith("consistency=ok\n")

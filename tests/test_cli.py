@@ -274,6 +274,23 @@ class TestGap:
         r_gap = strict_json_loads(out)["risk_gap"]
         assert abs(r_gap["direct"] - r_gap["closed_form"]) > 1e-8
 
+    @pytest.mark.parametrize("kind", ["riskwarp", "gradwarp", "graddistwarp"])
+    def test_constructed_trigger_is_not_scored(self, capsys, monkeypatch, kind):
+        """``gap`` builds a constructed trigger without binding or
+        evaluating its objective."""
+        goal = triggers._GOALS[TriggerKind(kind)]
+
+        def unbindable(*args):
+            raise AssertionError("gap bound the objective")
+
+        monkeypatch.setitem(
+            triggers._GOALS, TriggerKind(kind), goal._replace(bind=unbindable)
+        )
+        argv = ["gap", "--data", FIXTURE, "--weights", "1,0", "--kind", kind]
+        payload = run_json(capsys, *argv)
+        assert payload["trigger"]["kind"] == kind
+        assert payload["consistency"]["all"] is True
+
     def test_manual_requires_point(self, capsys):
         code, _, err = run_cli(
             capsys, "gap", "--data", FIXTURE, "--kind", "manual"

@@ -176,18 +176,29 @@ class TestRiskGap:
             assert gap.discrepancy <= 1e-10 * (1 + magnitude(gap.direct))
 
     def test_scale_is_largest_subtracted_term(self, two_point):
-        # clean risk 0.5 at w = [1, 0]; the trigger's loss is (2 + 1)^2 = 9
+        # s_xx = diag(0.5, 2) and s_y = 1, so at w = [1, 0] each clean
+        # residual subtracts terms of root mean square at most 1 + sqrt(0.5)
+        clean_residual_terms = 1.0 + math.sqrt(0.5)
+        # clean risk 0.5; the trigger's loss is (2 + 1)^2 = 9, below the
+        # rounding of its residuals, 2 sqrt(9) times the clean terms (the
+        # trigger's row, (2 + 1) / (n + 1) = 1, is smaller)
         gaps = gaps_of([1.0, 0.0], two_point, Trigger(x_v=[-1.0, 0.0], y_v=2.0))
-        assert gaps.risk.scale == 9.0
+        assert gaps.risk.scale == pytest.approx(6.0 * clean_residual_terms, rel=1e-15)
+        # the clean risk 0.5 is the larger term: 2 sqrt(0.5) times the same
         gaps = gaps_of([1.0, 0.0], two_point, Trigger(x_v=[0.0, 0.0], y_v=0.5))
-        assert gaps.risk.scale == 0.5
-        # the gradient routes' terms: s_xx = diag(0.5, 2), s_y = 1, so the
-        # clean rows give 2 sqrt(2) (1 + sqrt(0.5)); the zero trigger adds 0
-        clean_terms = 2.0 * math.sqrt(2.0) * (1.0 + math.sqrt(0.5))
+        assert gaps.risk.scale == pytest.approx(
+            2.0 * math.sqrt(0.5) * clean_residual_terms, rel=1e-15
+        )
+        # the gradient routes' terms: the clean rows give 2 sqrt(2) times
+        # the residual terms; the zero trigger adds 0
+        clean_terms = 2.0 * math.sqrt(2.0) * clean_residual_terms
         assert gaps.gradient.scale == pytest.approx(clean_terms, rel=1e-15)
         assert gaps.mixture.scale == gaps.gradient.scale
-        # a large trigger's row: 2 * 10 * (20 + 10) / (n + 1)
+        # a large trigger's loss, (20 + 10)^2 = 900, above its residual's
+        # rounding 2 * 30 * (20 + 10) / (n + 1) = 600
         gaps = gaps_of([1.0, 0.0], two_point, Trigger(x_v=[-10.0, 0.0], y_v=20.0))
+        assert gaps.risk.scale == 900.0
+        # and the large trigger's row in the gradient: 2 * 10 * (20 + 10) / (n + 1)
         assert gaps.gradient.scale == gaps.mixture.scale == 200.0
 
 
@@ -213,14 +224,30 @@ class TestGradientGap:
             assert gap.discrepancy <= 1e-10 * (1 + magnitude(gap.direct))
 
 
+def strided_dataset(n: int, d: int, seed: int) -> Dataset:
+    """A dataset over column views of one ``(n, d + 1)`` table, as
+    ``load_csv`` makes: its rows and responses are not contiguous."""
+    table = np.random.default_rng(seed).standard_normal((n, d + 1))
+    data = Dataset._own(table[:, 1:], table[:, 0])
+    assert not data.x_matrix().flags.c_contiguous
+    assert not data.y_vector().flags.c_contiguous
+    return data
+
+
 class TestBackdoorGaps:
-    # the corpus, and one dataset tall enough for BLAS to block its products
+    # the corpus, one dataset tall enough for BLAS to block its products,
+    # and one whose rows are strided views of a parsed table
     INSTANCES = [
         *corpus(20, seed=14),
         (
             np.linspace(-1.0, 2.0, 7),
             generate_synthetic(20_000, 7, 3),
             Trigger(x_v=np.arange(7.0), y_v=-3.0),
+        ),
+        (
+            np.linspace(2.0, -1.0, 6),
+            strided_dataset(20_000, 6, 5),
+            Trigger(x_v=np.arange(6.0) - 2.5, y_v=4.0),
         ),
     ]
 
