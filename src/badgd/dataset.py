@@ -82,6 +82,21 @@ def check_count(value, name: str, minimum: int) -> int:
     return out
 
 
+def _check_rows(x: np.ndarray, y: np.ndarray) -> None:
+    """Raise unless float arrays ``x`` and ``y`` are a nonempty, finite
+    (n, d) feature matrix and its (n,) responses."""
+    if x.ndim != 2:
+        raise ValueError(f"xs must be 2-D (n, feature_dim), got shape {x.shape}")
+    if y.shape != (x.shape[0],):
+        raise ValueError(f"ys must have shape ({x.shape[0]},), got {y.shape}")
+    if x.shape[0] == 0:
+        raise ValueError("dataset must contain at least one example")
+    if x.shape[1] == 0:
+        raise ValueError("dataset must have at least one feature")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("xs and ys must be finite element-wise")
+
+
 class Dataset:
     """Immutable dataset: an (n, feature_dim) feature matrix and an (n,)
     response vector, validated once and stored read-only.
@@ -89,45 +104,51 @@ class Dataset:
     ``Dataset(xs, ys)`` stores copies, so the caller's arrays stay theirs.
     The builders in this module (``load_csv``, ``generate_synthetic``,
     ``make_bad_dataset``) hand over arrays they have just made, which are
-    validated the same way and frozen without a copy, so each dataset's
-    rows are held once. Datasets are values: every operation that would
-    change one returns a new instance, so clean and backdoored variants can
-    be compared side by side.
+    frozen without a copy, so each dataset's rows are held once. A dataset
+    that ``load_csv`` or ``generate_synthetic`` builds holds read-only
+    views of the first n rows of arrays one row longer; the first
+    ``make_bad_dataset`` call writes its trigger into that spare row, and
+    every later call copies. Datasets are values: every operation that
+    would change one returns a new instance, so clean and backdoored
+    variants can be compared side by side.
     """
 
-    __slots__ = ("_x", "_y")
+    __slots__ = ("_x", "_y", "_spare")
 
     def __init__(self, xs: Sequence[Sequence[float]], ys: Sequence[float]):
-        self._freeze(np.array(xs, dtype=float), np.array(ys, dtype=float))
+        x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+        _check_rows(x, y)
+        self._hold(x, y)
 
     @classmethod
-    def _own(cls, x: np.ndarray, y: np.ndarray) -> Dataset:
+    def _own(cls, x: np.ndarray, y: np.ndarray, *, spare_row: bool = False) -> Dataset:
         """A dataset over the float arrays ``x`` and ``y``, not copies.
 
         They may be views of one array, such as the columns of a parsed
         table. The caller gives up the arrays and any array under them:
-        nothing else may hold or write that memory.
+        nothing else may hold or write that memory. With ``spare_row``,
+        the dataset is every row but the last, which is left for
+        ``make_bad_dataset``.
         """
         d = cls.__new__(cls)
-        d._freeze(x, y)
+        if spare_row:
+            _check_rows(x[:-1], y[:-1])
+            d._hold(x[:-1], y[:-1], spare=(x, y))
+        else:
+            _check_rows(x, y)
+            d._hold(x, y)
         return d
 
-    def _freeze(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Validate float arrays ``x`` and ``y``, make them read-only and keep them."""
-        if x.ndim != 2:
-            raise ValueError(f"xs must be 2-D (n, feature_dim), got shape {x.shape}")
-        if y.shape != (x.shape[0],):
-            raise ValueError(f"ys must have shape ({x.shape[0]},), got {y.shape}")
-        if x.shape[0] == 0:
-            raise ValueError("dataset must contain at least one example")
-        if x.shape[1] == 0:
-            raise ValueError("dataset must have at least one feature")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("xs and ys must be finite element-wise")
+    def _hold(self, x: np.ndarray, y: np.ndarray, spare=None) -> None:
+        """Make the validated ``x`` and ``y`` read-only and keep them, with
+        the writable arrays one row longer that they view, if any."""
         x.flags.writeable = False
         y.flags.writeable = False
         self._x = x
         self._y = y
+        # a list of at most one pair: list.pop is atomic, so of two
+        # threads backdooring this dataset only one writes the spare row
+        self._spare = [] if spare is None else [spare]
 
     @property
     def n(self) -> int:
@@ -235,20 +256,34 @@ class SufficientStats:
 
 
 def make_bad_dataset(clean: Dataset, v: Trigger) -> Dataset:
-    """Backdoored copy of ``clean`` with the trigger appended as the last row."""
+    """``clean`` with the trigger appended as the last row; ``clean`` is
+    unchanged.
+
+    The first call on a dataset that ``load_csv`` or ``generate_synthetic``
+    built writes the trigger into the spare row after the clean rows, so
+    the backdoored rows are the clean rows' memory plus that row; every
+    other call copies the clean rows. Neither checks the clean rows again:
+    they were checked when the dataset was built, and ``Trigger`` checks
+    the trigger.
+    """
     if v.feature_dim != clean.feature_dim:
         raise ValueError(
             f"trigger feature_dim {v.feature_dim} does not match "
             f"dataset feature_dim {clean.feature_dim}"
         )
     n = clean.n
-    x = np.empty((n + 1, clean.feature_dim))
-    x[:n] = clean.x_matrix()
+    try:
+        x, y = clean._spare.pop()
+    except IndexError:
+        x = np.empty((n + 1, clean.feature_dim))
+        x[:n] = clean.x_matrix()
+        y = np.empty(n + 1)
+        y[:n] = clean.y_vector()
     x[n] = v.x_v
-    y = np.empty(n + 1)
-    y[:n] = clean.y_vector()
     y[n] = v.y_v
-    return Dataset._own(x, y)
+    bad = Dataset.__new__(Dataset)
+    bad._hold(x, y)
+    return bad
 
 
 def sufficient_stats(d: Dataset) -> SufficientStats:
@@ -335,8 +370,9 @@ def load_csv(path, *, skip_header: bool = False) -> Dataset:
     The feature dimension is inferred from the first data row; every later
     row must match it. Malformed or non-finite rows are reported with their
     1-based line number. NumPy parses the file, streamed line by line,
-    into one table; the dataset's rows and responses are read-only views
-    of its columns, so the table is held once.
+    into one table, grown in place by a spare row for ``make_bad_dataset``;
+    the dataset's rows and responses are read-only views of its columns,
+    so the table is held once.
     """
     line_nos: list[int] = []
     lines = _data_lines(path, skip_header, line_nos)
@@ -351,7 +387,13 @@ def load_csv(path, *, skip_header: bool = False) -> Dataset:
     if not finite.all():
         line_no = line_nos[int(np.argmin(finite))]
         raise ValueError(f"{path}: line {line_no}: non-finite value in row")
-    return Dataset._own(table[:, 1:], table[:, 0])
+    try:
+        table.resize((table.shape[0] + 1, table.shape[1]))
+    except ValueError:
+        # another reference holds the table (a debugger reading this
+        # frame's locals): keep it as parsed, with no spare row
+        return Dataset._own(table[:, 1:], table[:, 0])
+    return Dataset._own(table[:, 1:], table[:, 0], spare_row=True)
 
 
 def generate_synthetic(n: int, feature_dim: int, seed: int) -> Dataset:
@@ -369,7 +411,10 @@ def generate_synthetic(n: int, feature_dim: int, seed: int) -> Dataset:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(feature_dim)
-    x = rng.standard_normal((n, feature_dim))
-    y = x @ w_true
-    y += rng.standard_normal(n)
-    return Dataset._own(x, y)
+    # one spare row, for make_bad_dataset
+    x = np.empty((n + 1, feature_dim))
+    y = np.empty(n + 1)
+    rng.standard_normal(out=x[:n])
+    np.matmul(x[:n], w_true, out=y[:n])
+    y[:n] += rng.standard_normal(n)
+    return Dataset._own(x, y, spare_row=True)

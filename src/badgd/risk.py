@@ -5,8 +5,10 @@ mean over the rows of a dataset ``(X, y)``. Appending a single trigger row
 v to a size-n dataset shifts the risk and the full-batch gradient by exactly
 ``1/(n+1)`` times the trigger's excess over the clean average.
 
-``backdoor_gaps`` materialises the backdoored ``(n+1, d)`` dataset once per
-call and computes each gap twice, as a ``GapValues`` pair. The direct
+``backdoor_gaps`` builds the backdoored ``(n+1, d)`` dataset once per call
+(on a dataset ``load_csv`` or ``generate_synthetic`` built, the first
+build writes only the trigger row, after the clean rows in memory they
+share) and computes each gap twice, as a ``GapValues`` pair. The direct
 route reads brute-force risks or full-batch gradients over the clean and
 the backdoored rows. The closed form uses only clean quantities and the
 trigger, never the backdoored rows; ``badgd.audit`` judges whether the two
@@ -245,8 +247,10 @@ def backdoor_gaps(w, clean: Dataset, stats: SufficientStats, v: Trigger) -> Back
     gradients are returned with the gaps, so a caller needing them (the
     Monte Carlo distinguisher) takes no third pass over the rows. The
     clean pass ends before the backdoored rows are built, and those are
-    dropped after their pass, so at peak this holds the clean and the
-    backdoored rows plus one residual vector.
+    dropped after their pass, so at peak this holds the clean rows, the
+    backdoored rows and one residual vector; the backdoored rows are the
+    clean rows plus one, not a copy, when ``make_bad_dataset`` takes the
+    clean dataset's spare row.
     """
     w = check_weights(w, clean.feature_dim)
     risk_clean, grad_clean = _risk_and_gradient(w, clean)

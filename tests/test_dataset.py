@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -200,20 +202,102 @@ class TestMakeBadDataset:
         with pytest.raises(ValueError, match="feature_dim"):
             make_bad_dataset(d0, Trigger(x_v=[1.0, 1.0], y_v=0.0))
 
-    def test_owns_readonly_rows(self, two_point):
-        """The backdoored rows are built once, in arrays of their own."""
-        d1 = make_bad_dataset(two_point, Trigger(x_v=[1.0, 1.0], y_v=0.0))
-        for bad, clean in (
-            (d1.x_matrix(), two_point.x_matrix()),
-            (d1.y_vector(), two_point.y_vector()),
+    def test_owns_readonly_rows(self, two_point, tmp_path):
+        """The first backdoored dataset of a loaded or generated dataset is
+        the clean rows' memory plus the spare row; any other backdoored
+        dataset holds rows of its own. All are read-only."""
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        v = Trigger(x_v=[1.0, 1.0], y_v=0.0)
+        for clean, spare in (
+            (load_csv(path), True),
+            (generate_synthetic(5, 2, 1), True),
+            (two_point, False),
         ):
-            assert not np.shares_memory(bad, clean)
-            assert not bad.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                bad[0] = 5.0
+            first, second = make_bad_dataset(clean, v), make_bad_dataset(clean, v)
+            for bad, shared in ((first, spare), (second, False)):
+                for rows, clean_rows in (
+                    (bad.x_matrix(), clean.x_matrix()),
+                    (bad.y_vector(), clean.y_vector()),
+                ):
+                    assert np.shares_memory(rows, clean_rows) == shared
+                    assert not rows.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        rows[0] = 5.0
+
+    def test_second_trigger_leaves_clean_and_first_unchanged(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n")
+        for clean in (load_csv(path), generate_synthetic(3, 2, 4)):
+            x0, y0 = clean.x_matrix().copy(), clean.y_vector().copy()
+            first = make_bad_dataset(clean, Trigger(x_v=[1.0, 2.0], y_v=3.0))
+            x1, y1 = first.x_matrix().copy(), first.y_vector().copy()
+            second = make_bad_dataset(clean, Trigger(x_v=[-4.0, 5.0], y_v=-6.0))
+            assert clean.n == 3 and first.n == second.n == 4
+            np.testing.assert_array_equal(clean.x_matrix(), x0)
+            np.testing.assert_array_equal(clean.y_vector(), y0)
+            np.testing.assert_array_equal(first.x_matrix(), x1)
+            np.testing.assert_array_equal(first.y_vector(), y1)
+            np.testing.assert_array_equal(first.x_matrix()[-1], [1.0, 2.0])
+            np.testing.assert_array_equal(second.x_matrix()[-1], [-4.0, 5.0])
+            assert (first.y_vector()[-1], second.y_vector()[-1]) == (3.0, -6.0)
+
+    def test_threads_take_the_spare_row_once(self):
+        """Eight threads backdoor one dataset at once, each with its own
+        trigger: one takes the spare row, and each gets its trigger."""
+        workers, interval = 8, sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(30):
+                clean = generate_synthetic(50, 2, seed)
+                triggers = [Trigger(x_v=[i, -i], y_v=i) for i in range(workers)]
+                results: list = [None] * workers
+                start = threading.Barrier(workers)
+
+                def backdoor(i):
+                    start.wait(timeout=10)
+                    results[i] = make_bad_dataset(clean, triggers[i])
+
+                threads = [
+                    threading.Thread(target=backdoor, args=(i,)) for i in range(workers)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                shared = [np.shares_memory(b.x_matrix(), clean.x_matrix()) for b in results]
+                assert sum(shared) == 1
+                for bad, v in zip(results, triggers):
+                    np.testing.assert_array_equal(bad.x_matrix()[:-1], clean.x_matrix())
+                    np.testing.assert_array_equal(bad.x_matrix()[-1], v.x_v)
+                    assert bad.y_vector()[-1] == v.y_v
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestLoadCsv:
+    def test_loads_under_a_trace_function(self, fixture_csv):
+        """A trace function that reads frame locals, as a debugger does,
+        holds a second reference to the parsed table, so before Python
+        3.13 it cannot grow in place; the dataset then has no spare row."""
+
+        def tracer(frame, event, arg):
+            frame.f_locals
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            d = load_csv(fixture_csv)
+        finally:
+            sys.settrace(previous)
+        np.testing.assert_array_equal(d.x_matrix(), [[1.0, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(d.y_vector(), [1.0, -1.0])
+        bad = make_bad_dataset(d, Trigger(x_v=[3.0, 4.0], y_v=5.0))
+        np.testing.assert_array_equal(bad.x_matrix(), [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(bad.y_vector(), [1.0, -1.0, 5.0])
+
     def test_fixture_values(self, fixture_csv):
         d = load_csv(fixture_csv)
         assert d.n == 2

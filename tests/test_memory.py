@@ -4,8 +4,12 @@ The traced peak (``tracemalloc``, which sees NumPy's buffers) of each
 step is bounded as a multiple of the feature matrix X, n * d * 8 bytes.
 A dataset is X plus its responses, X / d; validation adds a boolean mask
 of X / 8, and a residual pass one n-vector, ``y - X w`` written into the
-vector ``X w`` allocates. The Monte Carlo is bounded in blocks instead,
-``MC_BLOCK`` floats, whatever its trial count.
+vector ``X w`` allocates. A dataset that ``load_csv`` or
+``generate_synthetic`` builds carries one spare row, so its first
+backdoored dataset allocates no rows; a later one copies X and y. Each
+test builds its own dataset, since which call takes the spare row
+depends on the calls before it. The Monte Carlo is bounded in blocks
+instead, ``MC_BLOCK`` floats, whatever its trial count.
 """
 
 from __future__ import annotations
@@ -40,30 +44,56 @@ def traced_peak(fn, x_bytes: int = X_BYTES) -> float:
         tracemalloc.stop()
 
 
-@pytest.fixture(scope="module")
-def clean():
-    return generate_synthetic(N, D, 1)
+@pytest.fixture(scope="module", autouse=True)
+def warm_up():
+    # NumPy's first-call imports (about 0.19 X) are no test's peak
+    make_bad_dataset(generate_synthetic(2, D, 0), TRIGGER)
 
 
 def test_generate_synthetic_holds_one_copy():
-    # the rows, then the responses and the noise added to them in place
+    # the rows, then the responses and the noise added to them in place;
+    # measured 1.40
     assert traced_peak(lambda: generate_synthetic(N, D, 1)) <= 1.45
 
 
-def test_make_bad_dataset_builds_rows_once(clean):
+def test_first_backdoored_dataset_allocates_no_rows():
+    # the trigger goes into the spare row; measured 8e-5 (a few small
+    # objects), where a copy is 1.2
+    clean = generate_synthetic(N, D, 1)
+    assert traced_peak(lambda: make_bad_dataset(clean, TRIGGER)) <= 0.01
+
+
+def test_first_backdoored_dataset_of_a_csv_allocates_no_rows(tmp_path):
+    # a tall CSV, 20000 x 5; measured 4e-4, where a copy is 1.2
+    n = N // 5
+    path = tmp_path / "tall.csv"
+    table = np.random.default_rng(4).standard_normal((n, D + 1))
+    np.savetxt(path, table, delimiter=",", fmt="%.17g")
+    clean = load_csv(path)
+    assert traced_peak(lambda: make_bad_dataset(clean, TRIGGER), n * D * 8) <= 0.01
+
+
+def test_make_bad_dataset_builds_rows_once():
+    # a second backdoored dataset copies X and y, X (1 + 1 / d); measured 1.20
+    clean = generate_synthetic(N, D, 1)
+    make_bad_dataset(clean, TRIGGER)
     assert traced_peak(lambda: make_bad_dataset(clean, TRIGGER)) <= 1.5
 
 
-def test_backdoor_gaps_frees_clean_residuals_first(clean):
-    # the backdoored rows and one residual vector: the gradient reads it
-    # and the risk squares it in place
+def test_backdoor_gaps_frees_clean_residuals_first():
+    # the clean residuals are freed before the backdoored rows are built,
+    # and those take the spare row, so the peak is one residual vector,
+    # X / d: the gradient reads it and the risk squares it in place;
+    # measured 0.2004
+    clean = generate_synthetic(N, D, 1)
     stats = sufficient_stats(clean)
     w = np.full(D, 0.5)
-    assert traced_peak(lambda: backdoor_gaps(w, clean, stats, TRIGGER)) <= 1.45
+    assert traced_peak(lambda: backdoor_gaps(w, clean, stats, TRIGGER)) <= 0.25
 
 
 def test_load_csv_holds_the_table_once(tmp_path):
-    # a wide CSV: the parsed (n, d + 1) table is the dataset, not a copy of it
+    # a wide CSV: the parsed (n, d + 1) table, grown in place by its spare
+    # row, is the dataset, not a copy of it; measured 1.28
     n, d = 2000, 100
     rng = np.random.default_rng(3)
     path = tmp_path / "wide.csv"
