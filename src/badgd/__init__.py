@@ -13,7 +13,7 @@ Modules:
 * ``risk``      square loss, gradients, clean-vs-backdoored gap identities
 * ``triggers``  closed-form trigger constructors plus a search oracle
 * ``gdp``       normal special functions, tradeoff curves, (epsilon, delta)
-* ``sim``       (noisy) descent simulation and the LLR distinguisher
+* ``sim``       the noisy step and the LLR distinguisher
 * ``audit``     the whole pipeline as one report: ``run_audit``
 * ``cli``       the ``badgd`` command
 """
@@ -52,13 +52,7 @@ from .risk import (
     point_loss,
     risk_gradient,
 )
-from .sim import (
-    Trajectory,
-    gd_step,
-    monte_carlo_tradeoff,
-    noisy_gd_step,
-    run_trajectory,
-)
+from .sim import monte_carlo_tradeoff, noisy_gd_step
 from .triggers import (
     TriggerConstraints,
     build_trigger_report,
@@ -97,11 +91,8 @@ __all__ = [
     "point_gradient",
     "point_loss",
     "risk_gradient",
-    "Trajectory",
-    "gd_step",
     "monte_carlo_tradeoff",
     "noisy_gd_step",
-    "run_trajectory",
     "TriggerConstraints",
     "build_trigger_report",
     "graddistwarp_snr",

@@ -8,12 +8,11 @@ Subcommands:
 * ``tradeoff``  analytic type-II/power curve for a given SNR
 * ``audit``     the whole pipeline of ``badgd.audit.run_audit``, written
   as one JSON report plus CSV sidecars
-* ``simulate``  (noisy) gradient descent trajectory
 
 Every CSV table is formatted here, each cell the ``repr`` of a Python
-int or float. ``tradeoff`` and ``simulate`` print their table with LF
-line ends, or write it under ``--out`` with CR LF ends as ``csv.writer``
-does; ``audit`` writes its two CSV sidecars from the report's entries.
+int or float. ``tradeoff`` prints its table with LF line ends, or
+writes it under ``--out`` with CR LF ends as ``csv.writer`` does;
+``audit`` writes its two CSV sidecars from the report's entries.
 
 Datasets come from ``--data file.csv`` (rows ``y, x_1, ..., x_d``) or
 ``--synthetic n=..,d=..,seed=..``. Weights come from ``--weights 1,0,...``
@@ -44,7 +43,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -64,7 +62,6 @@ from .dataset import (
 )
 from .gdp import _check_levels, tradeoff_curve
 from .risk import check_weights
-from .sim import run_trajectory
 from .triggers import _GOALS, TriggerConstraints, build_trigger_report
 
 class UsageError(Exception):
@@ -187,11 +184,6 @@ def _json(payload) -> str:
     """Indented strict JSON: a non-finite float is a ValueError, never the
     ``Infinity``/``NaN`` tokens that JSON does not have."""
     return json.dumps(payload, indent=2, allow_nan=False)
-
-
-def _finite_or_null(values) -> list:
-    """Floats with each non-finite one as None (JSON null)."""
-    return [v if math.isfinite(v) else None for v in values]
 
 
 def _csv_lines(header, rows) -> list[str]:
@@ -334,41 +326,6 @@ def cmd_tradeoff(args) -> int:
     if out is not None:
         _write_csv(out / "tradeoff.csv", table)
     _emit(payload, args, [] if out else table)
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    d, source = _resolve_dataset(args)
-    w0 = _resolve_weights(args, d.feature_dim)
-    trajectory = run_trajectory(
-        w0,
-        d,
-        gamma=args.gamma,
-        sigma=args.sigma,
-        steps=args.steps,
-        seed=args.seed,
-        noisy=args.noisy,
-    )
-    weights = [w.tolist() for w in trajectory.weights]
-    table = _csv_lines(
-        ["step", "risk", *(f"w_{j}" for j in range(d.feature_dim))],
-        ([step, r, *w] for step, (r, w) in enumerate(zip(trajectory.risks, weights))),
-    )
-    out = _out_dir(args)
-    if out is not None:
-        _write_csv(out / "trajectory.csv", table)
-    payload = {
-        "source": source,
-        "steps": args.steps,
-        "noisy": args.noisy,
-        "diverged": trajectory.diverged,
-        # a diverged run's last entries may be non-finite: null in JSON
-        "risks": _finite_or_null(trajectory.risks),
-        "weights": [_finite_or_null(w) for w in weights],
-    }
-    _emit(payload, args, [] if out else table)
-    if trajectory.diverged:
-        print("warning: trajectory diverged", file=sys.stderr)
     return 0
 
 
@@ -520,16 +477,6 @@ def build_parser() -> _Parser:
     )
     _add_common_flags(p)
     p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("simulate", help="(noisy) gradient descent trajectory")
-    _add_dataset_flags(p)
-    _add_weight_flags(p)
-    p.add_argument("--gamma", type=float, default=0.1, help="learning rate")
-    p.add_argument("--sigma", type=float, default=1.0, help="noise scale")
-    p.add_argument("--steps", type=int, default=10, help="descent steps")
-    _add_switch(p, "--noisy", "perturb gradients with N(0, sigma^2 I)")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
     return parser
 

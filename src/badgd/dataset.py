@@ -312,13 +312,13 @@ _CSV_FORMAT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
 _BLANK_LINE = re.compile(r'[\s,"]*')
 
 
-def _data_lines(path, skip_header: bool, line_nos: list[int]):
-    """The data lines of a CSV file, each with the width of the first.
+def _data_lines(path, skip_header: bool):
+    """The data lines of a CSV file, each with the width of the first, as
+    ``(line_no, line)`` pairs with 1-based line numbers.
 
     Skips the header line when asked, and lines holding only commas,
-    quotes and whitespace. Appends each yielded line's 1-based number to
-    ``line_nos`` and raises, naming the line, on a row too narrow or of
-    another width.
+    quotes and whitespace. Raises, naming the line, on a row too narrow
+    or of another width.
     """
     width: int | None = None
     with open(path, encoding="utf-8") as fh:
@@ -342,25 +342,23 @@ def _data_lines(path, skip_header: bool, line_nos: list[int]):
                 raise ValueError(
                     f"{path}: line {line_no}: expected {width} fields, got {fields}"
                 )
-            line_nos.append(line_no)
-            yield line
+            yield line_no, line
 
 
 def _first_bad_line(path, skip_header: bool) -> ValueError | None:
     """The error naming the first data line that is not a row of finite floats.
 
     Reads the file again one line at a time; only called once the whole
-    file has failed to parse, to say where.
+    file has failed to parse or held a non-finite value, to say where.
     """
-    line_nos: list[int] = []
-    for line in _data_lines(path, skip_header, line_nos):
+    for line_no, line in _data_lines(path, skip_header):
         try:
             row = np.loadtxt([line], **_CSV_FORMAT)
         except ValueError as exc:
             reason = str(exc).replace("at row 0, ", "at ")
-            return ValueError(f"{path}: line {line_nos[-1]}: {reason}")
+            return ValueError(f"{path}: line {line_no}: {reason}")
         if not np.all(np.isfinite(row)):
-            return ValueError(f"{path}: line {line_nos[-1]}: non-finite value in row")
+            return ValueError(f"{path}: line {line_no}: non-finite value in row")
     return None
 
 
@@ -374,8 +372,7 @@ def load_csv(path, *, skip_header: bool = False) -> Dataset:
     the dataset's rows and responses are read-only views of its columns,
     so the table is held once.
     """
-    line_nos: list[int] = []
-    lines = _data_lines(path, skip_header, line_nos)
+    lines = (line for _, line in _data_lines(path, skip_header))
     first = next(lines, None)
     if first is None:
         raise ValueError(f"{path}: no data rows")
@@ -383,10 +380,9 @@ def load_csv(path, *, skip_header: bool = False) -> Dataset:
         table = np.loadtxt(itertools.chain([first], lines), **_CSV_FORMAT)
     except ValueError as exc:
         raise (_first_bad_line(path, skip_header) or exc) from None
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        line_no = line_nos[int(np.argmin(finite))]
-        raise ValueError(f"{path}: line {line_no}: non-finite value in row")
+    if not np.isfinite(table).all():
+        bad = _first_bad_line(path, skip_header)
+        raise bad or ValueError(f"{path}: non-finite value in a row")
     try:
         table.resize((table.shape[0] + 1, table.shape[1]))
     except ValueError:

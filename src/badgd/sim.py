@@ -1,16 +1,16 @@
-"""Gradient descent, its noisy variant, and the likelihood-ratio distinguisher.
+"""One noisy gradient step and the likelihood-ratio distinguisher.
 
-One plain step is ``w - gamma * grad``; the noisy variant perturbs the
-gradient with N(0, sigma^2 I) before the step, so the update increment is
-Gaussian with mean ``-gamma * grad`` and scale ``gamma * sigma``. The
-Monte Carlo distinguisher takes the full-batch gradients on the clean and
-the backdoored dataset (``risk.backdoor_gaps`` returns both), simulates
+The noisy step ``w - gamma * (grad + z)`` perturbs the gradient with
+z ~ N(0, sigma^2 I), so the update increment is Gaussian with mean
+``-gamma * grad`` and scale ``gamma * sigma``. The Monte Carlo
+distinguisher takes the full-batch gradients on the clean and the
+backdoored dataset (``risk.backdoor_gaps`` returns both), simulates
 many one-step updates under each, scores each with the
 log-likelihood-ratio statistic, and estimates the type-I/type-II errors
 of the optimal test at thresholds taken from the analytic null. It builds
 no dataset, and it takes no learning rate: the rate scales the mean shift
 and the noise of both updates alike, so it cancels from the test; only
-the descent functions take one. Those estimates are the empirical check
+``noisy_gd_step`` takes one. Those estimates are the empirical check
 on the analytic tradeoff curves: the analysis says the recentered
 statistic is N(-d^2/2, d^2) under the clean dataset and N(+d^2/2, d^2)
 under the backdoored one, and the simulation either reproduces the
@@ -33,27 +33,22 @@ These streams differ from those of earlier versions,
 which seeded one generator per trial: the same seed now gives other,
 equally distributed, Monte Carlo estimates.
 
-Trajectories are values; the distinguisher returns one plain dict per
-level, the audit report's own entries. ``badgd.cli`` formats both as
-CSV tables.
+The distinguisher returns one plain dict per level, the audit report's
+own entries; ``badgd.cli`` formats them as a CSV table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, check_count, check_nonnegative, check_positive
+from .dataset import Dataset, check_count, check_positive
 from .gdp import _check_levels, gaussian_tradeoff, std_normal_quantile
-from .risk import check_weights, empirical_risk, risk_gradient
+from .risk import check_weights, risk_gradient
 
 __all__ = [
-    "Trajectory",
-    "gd_step",
     "noisy_gd_step",
-    "run_trajectory",
     "monte_carlo_tradeoff",
     "check_trials",
 ]
@@ -69,54 +64,13 @@ def check_trials(trials) -> int:
     return check_count(trials, "trials", 1000)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Weight and risk sequence of a descent run.
-
-    A completed run records steps + 1 entries. A run that produced a
-    non-finite weight or risk halts at the offending entry with
-    ``diverged`` set; only such flagged trajectories may contain
-    non-finite values.
-    """
-
-    weights: tuple[np.ndarray, ...]
-    risks: tuple[float, ...]
-    diverged: bool = False
-
-    def __post_init__(self):
-        weights = tuple(np.asarray(w, dtype=float) for w in self.weights)
-        risks = tuple(float(r) for r in self.risks)
-        if len(weights) != len(risks):
-            raise ValueError(
-                f"weights ({len(weights)}) and risks ({len(risks)}) must align"
-            )
-        if len(weights) == 0:
-            raise ValueError("trajectory must contain the initial point")
-        for w in weights:
-            w.flags.writeable = False
-        if not self.diverged:
-            finite = all(np.all(np.isfinite(w)) for w in weights) and all(
-                math.isfinite(r) for r in risks
-            )
-            if not finite:
-                raise ValueError("non-finite entries require the diverged flag")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "risks", risks)
-
-
-def gd_step(w, d: Dataset, gamma: float) -> np.ndarray:
-    """One full-batch descent step: ``w - gamma * risk_gradient(w, d)``."""
-    gamma = check_positive(gamma, "gamma")
-    w = check_weights(w, d.feature_dim)
-    return w - gamma * risk_gradient(w, d)
-
-
 def noisy_gd_step(w, d: Dataset, gamma: float, noise) -> np.ndarray:
     """One step with the supplied gradient perturbation already drawn.
 
     ``w - gamma * (risk_gradient(w, d) + noise)``; with zero noise this is
-    exactly gd_step. Keeping the draw outside the step makes the update a
-    deterministic function of its inputs.
+    the plain step ``w - gamma * risk_gradient(w, d)``. Keeping the draw
+    outside the step makes the update a deterministic function of its
+    inputs.
     """
     gamma = check_positive(gamma, "gamma")
     w = check_weights(w, d.feature_dim)
@@ -126,47 +80,6 @@ def noisy_gd_step(w, d: Dataset, gamma: float, noise) -> np.ndarray:
             f"noise must have shape ({d.feature_dim},), got {noise.shape}"
         )
     return w - gamma * (risk_gradient(w, d) + noise)
-
-
-def run_trajectory(
-    w0, d: Dataset, *, gamma: float, sigma: float, steps: int, seed: int, noisy: bool
-) -> Trajectory:
-    """Iterate (noisy) descent from w0, recording weights and risks.
-
-    ``steps`` steps of size ``gamma``; with ``noisy`` each gradient is
-    perturbed by N(0, sigma^2 I). Noise draws come from
-    ``default_rng(seed)``, one standard-normal vector per step scaled by
-    sigma, so the arguments and the data fix the whole run. A non-finite
-    weight or risk stops the run early with the diverged flag set (a
-    non-finite weight records risk inf).
-    """
-    gamma = check_positive(gamma, "gamma")
-    sigma = check_nonnegative(sigma, "sigma")
-    steps = check_count(steps, "steps", 1)
-    seed = check_count(seed, "seed", 0)
-    w = check_weights(w0, d.feature_dim)
-    rng = np.random.default_rng(seed)
-    weights = [w]
-    diverged = False
-    # large steps may overflow on purpose; the flag reports it, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        risks = [empirical_risk(w, d)]
-        if not math.isfinite(risks[0]):
-            raise ValueError(
-                "initial risk is out of floating-point range at these weights"
-            )
-        for _ in range(steps):
-            if noisy:
-                noise = sigma * rng.standard_normal(d.feature_dim)
-                w = noisy_gd_step(w, d, gamma, noise)
-            else:
-                w = gd_step(w, d, gamma)
-            weights.append(w)
-            risks.append(empirical_risk(w, d) if np.all(np.isfinite(w)) else math.inf)
-            if not math.isfinite(risks[-1]):
-                diverged = True
-                break
-    return Trajectory(weights=tuple(weights), risks=tuple(risks), diverged=diverged)
 
 
 def _block_seed(seed: int, hypothesis: int, block: int, child: int):

@@ -42,9 +42,6 @@ CONFIG_KEYS = {
     ("audit", "--data", FIXTURE, "--trials", "1000", "--oracle-budget", "0"): (
         f"{TRIGGER_KEYS} sigma delta trials alphas oracle_budget"
     ),
-    ("simulate", "--data", FIXTURE, "--steps", "1"): (
-        f"{DATA_KEYS} weights weights_seed gamma sigma steps noisy"
-    ),
 }
 
 # a value for every option: its config-file form and the flags that give it
@@ -65,14 +62,11 @@ OPTION_VALUES = {
     "xmax": (0.5, ["--xmax", "0.5"]),
     "sigma": (0.25, ["--sigma", "0.25"]),
     "oracle_budget": (4, ["--oracle-budget", "4"]),
-    "gamma": (0.5, ["--gamma", "0.5"]),
     "delta": (0.01, ["--delta", "0.01"]),
     "trials": (2000, ["--trials", "2000"]),
     "alphas": ("0.1,0.3", ["--alphas", "0.1,0.3"]),
     "mu": (1.5, ["--mu", "1.5"]),
     "snr": (2, ["--snr", "2"]),
-    "steps": (3, ["--steps", "3"]),
-    "noisy": (True, ["--noisy"]),
 }
 
 
@@ -228,16 +222,23 @@ class TestTrigger:
         assert "oracle_budget" in err
 
     def test_gamma_flag_removed(self, capsys, tmp_path):
-        # one step's learning rate cancels from everything these report
+        # one step's learning rate cancels from everything these report,
+        # and no subcommand takes many steps
+        code, out, err = run_cli(
+            capsys, "simulate", "--data", FIXTURE, "--weights", "1,0"
+        )
+        assert (code, out) == (1, "")
+        assert "invalid choice: 'simulate'" in err
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"gamma": 0.1}))
         for argv in (["trigger", "--data", FIXTURE], FUZZ_AUDIT):
             code, out, err = run_cli(capsys, *argv, "--gamma", "0.1")
             assert (code, out) == (1, "")
             assert "--gamma" in err
-            code, out, err = run_cli(capsys, *argv, "--config", str(config))
-            assert (code, out) == (1, "")
-            assert f"no badgd {argv[0]} options ['gamma']" in err
+            for key, value in (("gamma", 0.1), ("steps", 3), ("noisy", True)):
+                config.write_text(json.dumps({key: value}))
+                code, out, err = run_cli(capsys, *argv, "--config", str(config))
+                assert (code, out) == (1, "")
+                assert f"no badgd {argv[0]} options ['{key}']" in err
 
 
 class TestGap:
@@ -387,104 +388,27 @@ class TestTradeoff:
         assert len(rows) == 100
 
 
-class TestSimulate:
-    def test_single_noiseless_step(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "simulate",
-            "--data",
-            FIXTURE,
-            "--weights",
-            "1,0",
-            "--gamma",
-            "0.1",
-            "--steps",
-            "1",
-        )
-        assert code == 0
-        rows = out.strip().splitlines()
-        assert rows[0] == "step,risk,w_0,w_1"
-        final = rows[2].split(",")
-        assert float(final[2]) == pytest.approx(1.0)
-        assert float(final[3]) == pytest.approx(-0.2)
-
-    def test_noisy_deterministic(self, capsys):
-        args = (
-            "simulate",
-            "--synthetic",
-            "n=10,d=2,seed=3",
-            "--noisy",
-            "--steps",
-            "3",
-            "--seed",
-            "21",
-        )
-        _, first, _ = run_cli(capsys, *args)
-        _, second, _ = run_cli(capsys, *args)
-        assert first == second
-
-    def test_writes_trajectory(self, capsys, tmp_path):
-        out = tmp_path / "run"
-        code, _, _ = run_cli(
-            capsys,
-            "simulate",
-            "--data",
-            FIXTURE,
-            "--weights",
-            "1,0",
-            "--steps",
-            "2",
-            "--out",
-            str(out),
-        )
-        assert code == 0
-        with open(out / "trajectory.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 4
-
-    def test_risk_overflow_with_finite_weights_diverges(self, capsys):
-        """The risk overflows (|w| past about 1e154) before any weight does:
-        the run stops with the divergence flag and exits 0."""
-        argv = ["simulate", "--data", FIXTURE, "--weights", "1,0", "--gamma", "3"]
-        code, out, err = run_cli(capsys, *argv, "--steps", "200", "--json")
-        assert code == 0, err
-        assert "warning: trajectory diverged" in err
-        payload = strict_json_loads(out)
-        assert payload["diverged"] is True
-        # the overflowed risk is JSON null; the flag says why
-        assert payload["risks"][-1] is None
-        assert all(math.isfinite(r) for r in payload["risks"][:-1])
-        assert np.all(np.isfinite(payload["weights"][-1]))
-        assert len(payload["risks"]) < 201
-
-    def test_json_writer_rejects_non_finite(self):
-        """A non-finite value that reaches an output is an error, not the
-        ``Infinity`` token."""
-        for value in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match="not JSON compliant"):
-                cli._json({"risks": [0.5, value]})
+def test_json_writer_rejects_non_finite():
+    """A non-finite value that reaches an output is an error, not the
+    ``Infinity`` token."""
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json({"risks": [0.5, value]})
 
 
 @pytest.mark.parametrize(
     "argv, name",
     [
         (["tradeoff", "--mu", "1.3"], "tradeoff.csv"),
-        (["simulate", "--synthetic", "n=50,d=3,seed=1", "--noisy", "--steps", "20",
-          "--seed", "9"], "trajectory.csv"),
-        # a diverged run: its last row holds inf
-        (["simulate", "--data", FIXTURE, "--weights", "1,0", "--gamma", "1e308",
-          "--steps", "5"], "trajectory.csv"),
     ],
-    ids=["tradeoff", "simulate", "simulate-diverged"],
+    ids=["tradeoff"],
 )
 def test_out_csv_is_printed_table(capsys, tmp_path, argv, name):
     """With ``--out`` a table command writes, with CR LF line ends, exactly
     the table it prints without ``--out``, and prints nothing."""
     code, table, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert table.startswith(("alpha,", "step,"))
-    if "1e308" in argv:
-        assert table.splitlines()[-1] == "1,inf,1.0,-inf"
+    assert table.startswith("alpha,")
     code, printed, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert (code, printed) == (0, "")
     assert (tmp_path / name).read_bytes() == table.replace("\n", "\r\n").encode()
@@ -937,14 +861,10 @@ OVERFLOWING_WARP_RESPONSE = [
     (["trigger", *OVERFLOWING_WARP], "1e-295"),
 ]
 HUGE_WEIGHTS_ERRORS = {
-    **{
-        (command, kind): f"error: {kind} trigger: squared weight norm is out of "
-        "floating-point range"
-        for command in ("trigger", "gap", "audit")
-        for kind in ("gradwarp", "graddistwarp")
-    },
-    ("simulate", None): "error: initial risk is out of floating-point range at "
-    "these weights",
+    (command, kind): f"error: {kind} trigger: squared weight norm is out of "
+    "floating-point range"
+    for command in ("trigger", "gap", "audit")
+    for kind in ("gradwarp", "graddistwarp")
 }
 
 
@@ -960,7 +880,8 @@ HUGE_WEIGHTS_ERRORS = {
         ([*FUZZ_AUDIT, "--delta", "0"], None),
         ([*FUZZ_AUDIT, "--delta", "1"], None),
         ([*FUZZ_AUDIT, "--trials", "999"], None),
-        (["simulate", "--data", FIXTURE, "--weights", "1,0", "--gamma", "0"], None),
+        # a flag of the deleted descent path
+        ([*FUZZ_AUDIT, "--gamma", "0"], None),
         # the trigger scale times the squared weight norm underflows to 0
         ([*FUZZ_AUDIT, *UNDERFLOW_GRADWARP], None),
         ([*FUZZ_AUDIT, "--weights", "nan,0"], None),
@@ -981,17 +902,16 @@ HUGE_WEIGHTS_ERRORS = {
         (["trigger", "--data", FIXTURE, "--weights", "1,0", "--bound", "1e308",
           "--oracle-budget", "2"], None),
         *(
-            ([command, *HUGE_WEIGHTS, *(["--kind", kind] if kind else [])], None)
+            ([command, *HUGE_WEIGHTS, "--kind", kind], None)
             for command, kind in HUGE_WEIGHTS_ERRORS
         ),
-        # the oracle binds riskwarp's w' s_xx w, which overflows here
+        # riskwarp at the same weights; the oracle binds its w' s_xx w, which
+        # overflows here
+        (["trigger", *HUGE_WEIGHTS, "--kind", "riskwarp"], None),
         (["audit", *HUGE_WEIGHTS, "--kind", "riskwarp", "--oracle-budget", "32"],
          None),
-        # diverging descent: the risk overflows first, then a weight too
-        (["simulate", "--data", FIXTURE, "--weights", "1,0", "--gamma", "3",
-          "--steps", "200"], None),
-        (["simulate", "--data", FIXTURE, "--weights", "1,0", "--gamma", "1e308",
-          "--steps", "6"], None),
+        (["gap", *HUGE_WEIGHTS, "--kind", "riskwarp"], None),
+        (["audit", *HUGE_WEIGHTS, "--kind", "riskwarp"], None),
         # data whose second moments overflow
         (["stats", "--data", HUGE_MOMENTS], None),
         # levels whose 1 - alpha rounds to 1.0
@@ -1101,11 +1021,11 @@ def test_memory_error_exits_one(capsys, monkeypatch, module, name, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, kind", sorted(HUGE_WEIGHTS_ERRORS, key=str))
+@pytest.mark.parametrize("command, kind", sorted(HUGE_WEIGHTS_ERRORS))
 def test_huge_weights_name_quantity(capsys, tmp_path, command, kind):
     """Weights whose squared norm overflows are one error line naming the
     quantity, with no numpy warning (the suite turns those into errors)."""
-    argv = [command, *HUGE_WEIGHTS, *(["--kind", kind] if kind else [])]
+    argv = [command, *HUGE_WEIGHTS, "--kind", kind]
     if command == "audit":
         argv += ["--out", str(tmp_path)]
     code, _, err = run_cli(capsys, *argv)

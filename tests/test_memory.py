@@ -63,14 +63,24 @@ def test_first_backdoored_dataset_allocates_no_rows():
     assert traced_peak(lambda: make_bad_dataset(clean, TRIGGER)) <= 0.01
 
 
-def test_first_backdoored_dataset_of_a_csv_allocates_no_rows(tmp_path):
-    # a tall CSV, 20000 x 5; measured 4e-4, where a copy is 1.2
-    n = N // 5
+# rows of the tall CSV
+TALL_N = N // 5
+
+
+@pytest.fixture
+def tall_csv(tmp_path):
+    """A tall CSV, ``TALL_N`` x D features."""
     path = tmp_path / "tall.csv"
-    table = np.random.default_rng(4).standard_normal((n, D + 1))
+    table = np.random.default_rng(4).standard_normal((TALL_N, D + 1))
     np.savetxt(path, table, delimiter=",", fmt="%.17g")
-    clean = load_csv(path)
-    assert traced_peak(lambda: make_bad_dataset(clean, TRIGGER), n * D * 8) <= 0.01
+    return path
+
+
+def test_first_backdoored_dataset_of_a_csv_allocates_no_rows(tall_csv):
+    # measured 4e-4, where a copy is 1.2
+    clean = load_csv(tall_csv)
+    peak = traced_peak(lambda: make_bad_dataset(clean, TRIGGER), TALL_N * D * 8)
+    assert peak <= 0.01
 
 
 def test_make_bad_dataset_builds_rows_once():
@@ -99,6 +109,13 @@ def test_load_csv_holds_the_table_once(tmp_path):
     path = tmp_path / "wide.csv"
     np.savetxt(path, rng.standard_normal((n, d + 1)), delimiter=",", fmt="%.17g")
     assert traced_peak(lambda: load_csv(path), x_bytes=n * d * 8) <= 1.5
+
+
+def test_load_csv_of_a_tall_csv_keeps_nothing_per_line(tall_csv):
+    # the parsed table, and no per-line record (a list of line numbers
+    # was 0.9 X more); measured 1.51, where a bare np.loadtxt of the file
+    # is 1.57
+    assert traced_peak(lambda: load_csv(tall_csv), TALL_N * D * 8) <= 1.6
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["gradwarp", "all-tie"])

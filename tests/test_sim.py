@@ -1,4 +1,4 @@
-"""Descent steps, trajectories, and the Monte Carlo distinguisher."""
+"""The noisy descent step and the Monte Carlo distinguisher."""
 
 from __future__ import annotations
 
@@ -16,11 +16,8 @@ from badgd.sim import (
     _block_rejections,
     _block_scores,
     _block_ties,
-    Trajectory,
-    gd_step,
     monte_carlo_tradeoff,
     noisy_gd_step,
-    run_trajectory,
 )
 from badgd.triggers import TriggerConstraints, make_gradwarp_trigger
 from badgd.dataset import sufficient_stats
@@ -41,62 +38,37 @@ def _grads(w, d0: Dataset, v: Trigger) -> tuple[np.ndarray, np.ndarray]:
     return risk_gradient(w, d0), risk_gradient(w, make_bad_dataset(d0, v))
 
 
-class TestNoisyGDConfig:
-    """The noisy-descent settings: keyword arguments of ``run_trajectory``."""
-
-    def test_accepts_zero_sigma(self, two_point):
-        runs = [
-            run_trajectory(
-                W_FIXTURE, two_point, gamma=0.1, sigma=0.0, steps=3, seed=0, noisy=noisy
-            )
-            for noisy in (True, False)
-        ]
-        assert runs[0].risks == runs[1].risks
-        for a, b in zip(runs[0].weights, runs[1].weights):
-            np.testing.assert_array_equal(a, b)
-
-    def test_sigma_gamma(self, two_point):
-        # the step moves by gamma times the gradient noise
-        noise = np.array([2.0, -4.0])
-        noisy = noisy_gd_step(W_FIXTURE, two_point, 0.5, noise)
-        plain = gd_step(W_FIXTURE, two_point, 0.5)
-        np.testing.assert_allclose(noisy - plain, -0.5 * noise, atol=1e-15)
-
-    @pytest.mark.parametrize(
-        "kwargs,match",
-        [
-            ({"gamma": 0.0, "sigma": 1.0}, "gamma"),
-            ({"gamma": 0.1, "sigma": -1.0}, "sigma"),
-            ({"gamma": 0.1, "sigma": 1.0, "steps": 0}, "steps"),
-            ({"gamma": 0.1, "sigma": 1.0, "seed": -1}, "seed"),
-        ],
-    )
-    def test_validation(self, two_point, kwargs, match):
-        kwargs = {"steps": 1, "seed": 0, **kwargs}
-        with pytest.raises(ValueError, match=match):
-            run_trajectory(W_FIXTURE, two_point, **kwargs, noisy=True)
-
-
-class TestGdStep:
-    def test_zero_gradient_fixed_point(self):
-        d = Dataset([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
-        out = gd_step([1.0, 3.0], d, gamma=0.1)
-        np.testing.assert_array_equal(out, [1.0, 3.0])
-
-    def test_fixture_step(self, two_point):
-        out = gd_step(W_FIXTURE, two_point, gamma=0.1)
-        np.testing.assert_allclose(out, [1.0, -0.2], atol=1e-15)
-
-    def test_gamma_validation(self, two_point):
-        with pytest.raises(ValueError, match="gamma"):
-            gd_step(W_FIXTURE, two_point, gamma=0.0)
+def plain_step(w, d: Dataset, gamma: float) -> np.ndarray:
+    """Reference: one full-batch descent step, ``w - gamma * grad``."""
+    return np.asarray(w, dtype=float) - gamma * risk_gradient(w, d)
 
 
 class TestNoisyGdStep:
     def test_zero_noise_equals_plain_step(self, two_point):
         noisy = noisy_gd_step(W_FIXTURE, two_point, 0.1, np.zeros(2))
-        plain = gd_step(W_FIXTURE, two_point, 0.1)
+        plain = plain_step(W_FIXTURE, two_point, 0.1)
         np.testing.assert_array_equal(noisy, plain)
+
+    def test_zero_gradient_fixed_point(self):
+        d = Dataset([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
+        out = noisy_gd_step([1.0, 3.0], d, 0.1, np.zeros(2))
+        np.testing.assert_array_equal(out, [1.0, 3.0])
+
+    def test_fixture_step(self, two_point):
+        out = noisy_gd_step(W_FIXTURE, two_point, 0.1, np.zeros(2))
+        np.testing.assert_allclose(out, [1.0, -0.2], atol=1e-15)
+
+    def test_sigma_gamma(self, two_point):
+        # the step moves by gamma times the gradient noise
+        noise = np.array([2.0, -4.0])
+        noisy = noisy_gd_step(W_FIXTURE, two_point, 0.5, noise)
+        plain = plain_step(W_FIXTURE, two_point, 0.5)
+        np.testing.assert_allclose(noisy - plain, -0.5 * noise, atol=1e-15)
+
+    def test_gamma_validation(self, two_point):
+        for gamma in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="gamma"):
+                noisy_gd_step(W_FIXTURE, two_point, gamma, np.zeros(2))
 
     def test_noise_shape_validation(self, two_point):
         with pytest.raises(ValueError, match="noise"):
@@ -119,68 +91,6 @@ class TestNoisyGdStep:
         assert np.all(np.abs(increments.mean(axis=0) - target_mean) <= mean_tol)
         var = increments.var(axis=0, ddof=1)
         np.testing.assert_allclose(var, (gamma * sigma) ** 2, rtol=0.05)
-
-
-class TestRunTrajectory:
-    def test_single_plain_step(self, two_point):
-        traj = run_trajectory(
-            W_FIXTURE, two_point, gamma=0.1, sigma=1.0, steps=1, seed=0, noisy=False
-        )
-        assert len(traj.weights) == 2
-        np.testing.assert_array_equal(traj.weights[0], W_FIXTURE)
-        np.testing.assert_allclose(
-            traj.weights[1], gd_step(W_FIXTURE, two_point, 0.1), atol=1e-15
-        )
-        assert not traj.diverged
-
-    def test_seed_determinism(self, two_point):
-        kwargs = dict(gamma=0.05, sigma=1.5, steps=8, seed=99, noisy=True)
-        a = run_trajectory(W_FIXTURE, two_point, **kwargs)
-        b = run_trajectory(W_FIXTURE, two_point, **kwargs)
-        for wa, wb in zip(a.weights, b.weights):
-            np.testing.assert_array_equal(wa, wb)
-        assert a.risks == b.risks
-
-    def test_risks_nonincreasing_at_small_step(self):
-        from badgd.dataset import generate_synthetic
-
-        d = generate_synthetic(30, 3, seed=17)
-        traj = run_trajectory(
-            np.zeros(3), d, gamma=0.01, sigma=0.0, steps=25, seed=0, noisy=False
-        )
-        assert all(b <= a + 1e-12 for a, b in zip(traj.risks, traj.risks[1:]))
-
-    def test_divergence_flagged_not_raised(self, two_point):
-        # at 1e200 the first step's risk overflows while its weights are
-        # finite; at 1e308 a weight overflows too
-        for gamma, finite_weights in ((1e200, True), (1e308, False)):
-            traj = run_trajectory(
-                W_FIXTURE, two_point, gamma=gamma, sigma=0.0, steps=6, seed=0, noisy=False
-            )
-            assert traj.diverged
-            assert len(traj.weights) == 2
-            assert traj.risks[-1] == math.inf
-            assert bool(np.all(np.isfinite(traj.weights[-1]))) is finite_weights
-
-    def test_length_contract(self, two_point):
-        traj = run_trajectory(
-            W_FIXTURE, two_point, gamma=0.01, sigma=0.5, steps=4, seed=1, noisy=True
-        )
-        assert len(traj.weights) == len(traj.risks) == 5
-
-
-class TestTrajectoryType:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="align"):
-            Trajectory(weights=(np.zeros(2),), risks=(0.0, 1.0))
-
-    def test_non_finite_needs_flag(self):
-        with pytest.raises(ValueError, match="diverged"):
-            Trajectory(weights=(np.array([np.inf, 0.0]),), risks=(0.0,))
-        flagged = Trajectory(
-            weights=(np.array([np.inf, 0.0]),), risks=(math.inf,), diverged=True
-        )
-        assert flagged.diverged
 
 
 def _gradwarp_grads(d0: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +241,7 @@ class TestLlrScores:
                 noisy_gd_step(w, datasets[hypothesis], gamma, STREAM_SIGMA * z)
                 for z in noise
             ]
-            mu0, mu1 = (gd_step(w, d, gamma) for d in datasets)
+            mu0, mu1 = (plain_step(w, d, gamma) for d in datasets)
             sigma_gamma = gamma * STREAM_SIGMA
             reference = np.array(
                 [llr_reference(u, mu0, mu1, sigma_gamma) for u in updates]

@@ -17,7 +17,7 @@ from badgd.dataset import (
     sufficient_stats,
 )
 from badgd.risk import check_weights, empirical_risk, point_loss
-from badgd.sim import gd_step
+from badgd.sim import noisy_gd_step
 from badgd.triggers import (
     _REFINE_ROUNDS,
     TriggerConstraints,
@@ -309,8 +309,12 @@ class TestGraddistwarp:
             gap_norm = float(np.linalg.norm(np.asarray(gaps_of(w, d, v).gradient.direct)))
             assert snr == pytest.approx(gap_norm / sigma, abs=1e-10 * (1 + gap_norm))
             bad = make_bad_dataset(d, v)
+            # with zero noise the step is its mean
+            zero = np.zeros(d.feature_dim)
             for gamma in (0.01, 0.1, 1.0):
-                shift = gd_step(w, d, gamma) - gd_step(w, bad, gamma)
+                shift = noisy_gd_step(w, d, gamma, zero) - noisy_gd_step(
+                    w, bad, gamma, zero
+                )
                 step_snr = float(np.linalg.norm(shift)) / (gamma * sigma)
                 assert step_snr == pytest.approx(snr, rel=1e-9, abs=1e-10)
 
