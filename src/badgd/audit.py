@@ -51,12 +51,7 @@ from .gdp import (
 )
 from .risk import backdoor_gaps, check_weights
 from .sim import check_trials, monte_carlo_tradeoff
-from .triggers import (
-    _GOALS,
-    TriggerConstraints,
-    build_trigger_report,
-    graddistwarp_snr,
-)
+from .triggers import TriggerConstraints, build_trigger_report, graddistwarp_snr
 
 __all__ = ["gap_sections", "run_audit"]
 
@@ -218,13 +213,6 @@ def run_audit(
         <= 3.0 * math.sqrt(r["alpha"] * (1.0 - r["alpha"]) / r["trials"])
         for r, t2 in zip(mc, curve["type2"])
     )
-
-    for section, goal, gap in (
-        (r_gap, _GOALS[TriggerKind.RISKWARP], r_gap["closed_form"]),
-        (g_gap, _GOALS[TriggerKind.GRADWARP], g_gap["norm"]),
-    ):
-        section["unscaled_objective"] = goal.unscaled(gap, stats.n + 1)
-        section["scaling"] = goal.scaling
     return {
         "inputs": {
             "source": source,

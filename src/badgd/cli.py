@@ -19,18 +19,11 @@ Datasets come from ``--data file.csv`` (rows ``y, x_1, ..., x_d``) or
 or are drawn standard-normal from ``--weights-seed``, else from the base
 seed.
 
-Argparse alone decides where a value comes from. The parser is built once
-per process, on the first call of ``main``, and never changed after. Each
-flag declares its default (``--seed``: 0). ``BADGD_SEED`` and a
-``--config`` JSON file keyed by the chosen subcommand's flag names (a key
-it lacks is an error) become ``--flag=value`` tokens placed right after
-the subcommand name, ahead of the command line's own flags, and the line
-is parsed again. Argparse keeps the last value given, so flags beat
-config values beat ``BADGD_SEED`` beat defaults, and config values pass
-the same type checks as flags. ``--help`` shows the built-in defaults,
-so the seed's reads 0 even when ``BADGD_SEED`` is set.
+Every value comes from the command line. The parser is built once per
+process, on the first call of ``main``, and never changed after; each
+flag declares its default (``--seed``: 0), which ``--help`` shows.
 
-Exit codes: 0 success, 1 usage, configuration or out-of-memory error,
+Exit codes: 0 success, 1 usage or out-of-memory error,
 2 numerical consistency failure (a dual-route identity or statistical
 bracket check did not hold; ``gap`` and ``audit`` still write their
 output and files so the failure can be inspected, and name the failed
@@ -43,7 +36,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -65,7 +57,7 @@ from .risk import check_weights
 from .triggers import _GOALS, TriggerConstraints, build_trigger_report
 
 class UsageError(Exception):
-    """Bad flags or configuration; maps to exit code 1."""
+    """Bad flags; maps to exit code 1."""
 
 
 class _Help(argparse.ArgumentDefaultsHelpFormatter):
@@ -317,10 +309,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    if (args.mu is None) == (args.snr is None):
-        raise UsageError("exactly one of --mu and --snr is required")
-    gap = args.mu if args.mu is not None else args.snr
-    payload = {"mean_gap": gap, **tradeoff_curve(gap, args.alphas)}
+    payload = {"mean_gap": args.mu, **tradeoff_curve(args.mu, args.alphas)}
     table = _curve_lines(payload)
     out = _out_dir(args)
     if out is not None:
@@ -384,6 +373,7 @@ def _add_dataset_flags(p: _Parser) -> None:
     p.add_argument("--data", help="CSV dataset, rows y,x_1,...,x_d")
     p.add_argument("--synthetic", help="generate data: n=<int>,d=<int>[,seed=<int>]")
     _add_switch(p, "--header", "skip one header line in --data")
+    p.add_argument("--seed", type=_seed, default=0, help="base seed")
 
 
 def _add_weight_flags(p: _Parser) -> None:
@@ -408,10 +398,6 @@ def _add_trigger_flags(p: _Parser) -> None:
 
 
 def _add_common_flags(p: _Parser) -> None:
-    p.add_argument("--config", help="JSON file of option defaults")
-    p.add_argument(
-        "--seed", type=_seed, default="0", help="base seed, from $BADGD_SEED when set"
-    )
     p.add_argument("--out", help="output directory for result files")
     _add_switch(p, "--json", "print results as JSON")
 
@@ -451,8 +437,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("tradeoff", help="analytic tradeoff curve for an SNR")
-    p.add_argument("--mu", type=float, help="GDP parameter (mean gap)")
-    p.add_argument("--snr", type=float, help="alias for --mu")
+    p.add_argument("--mu", type=float, required=True, help="GDP parameter (mean gap)")
     p.add_argument(
         "--alphas",
         type=_levels,
@@ -487,80 +472,9 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-def _commands(parser: _Parser) -> dict[str, _Parser]:
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices
-
-
-def _config_flags(command: _Parser, path: str) -> list[str]:
-    """The --config file's values for ``command``, as ``--flag=value`` tokens.
-
-    Every key must name an option of ``command``; a key that only another
-    subcommand has would otherwise be dropped unread. A JSON list is
-    accepted only where the flag takes a list (its items joined with
-    commas), true/false only for on/off flags (``--x`` or ``--no-x``);
-    everything else becomes the text for the flag's own ``type=`` to
-    convert. The ``=`` form keeps a value that starts with ``-`` a value.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--config {path}: {exc}") from None
-    if not isinstance(config, dict):
-        raise UsageError(f"--config {path}: top level must be a JSON object")
-    keys = {a.dest for a in command._actions} - {"help", "config"}
-    unknown = sorted(set(config) - keys)
-    if unknown:
-        raise UsageError(f"--config {path}: no {command.prog} options {unknown}")
-    flags = []
-    for action in command._actions:
-        value = config.get(action.dest)
-        if value is None:
-            continue
-        if isinstance(action, argparse.BooleanOptionalAction):
-            allowed = (bool,)
-        elif action.type in (_floats, _levels):
-            allowed = (list, str)
-        else:
-            allowed = (str, int, float)
-        if type(value) not in allowed:
-            raise UsageError(f"--config {path}: {action.dest} cannot be {value!r}")
-        if isinstance(value, bool):
-            # BooleanOptionalAction's option strings are [--x, --no-x]
-            flags.append(action.option_strings[0 if value else 1])
-            continue
-        if isinstance(value, list):
-            value = ",".join(map(str, value))
-        flags.append(f"{action.option_strings[0]}={value}")
-    return flags
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` with ``BADGD_SEED`` and --config values as leading flags.
-
-    The line is parsed once; only when the environment seed or a config
-    file is present is it parsed again with their tokens inserted after
-    the subcommand name, where the user's own flags override them.
-    """
-    parser = _parser()
-    args = parser.parse_args(argv)
-    leading = []
-    env_seed = os.environ.get("BADGD_SEED")
-    if env_seed is not None:
-        leading.append(f"--seed={env_seed}")
-    if args.config is not None:
-        leading += _config_flags(_commands(parser)[args.command], args.config)
-    if not leading:
-        return args
-    at = argv.index(args.command) + 1
-    return parser.parse_args([*argv[:at], *leading, *argv[at:]])
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -228,8 +228,7 @@ class _Goal(NamedTuple):
     ``bind(w, stats)`` returns what it maximizes, as a function of
     ``(rows, y)``. The gap the objective induces is ``numerator / (n + 1)``
     times the objective, divided also by sigma when ``per_sigma``; the
-    label and the factors in both directions are derived from those two
-    fields.
+    label and the factor are derived from those two fields.
     """
 
     construct: Callable
@@ -247,10 +246,6 @@ class _Goal(NamedTuple):
         if self.per_sigma:
             return self.numerator / (m * check_positive(sigma, "sigma"))
         return self.numerator / m
-
-    def unscaled(self, gap: float, m: int) -> float:
-        """A dataset-level gap back in objective units (goals without sigma)."""
-        return gap * m / self.numerator
 
 
 # The SNR graddistwarp maximizes is the gradient objective times its factor,

@@ -1,4 +1,4 @@
-"""The badgd command: flags, outputs, precedence, and exit codes."""
+"""The badgd command: flags, outputs, and exit codes."""
 
 from __future__ import annotations
 
@@ -30,43 +30,42 @@ def strict_json_loads(text: str):
     return json.loads(text, parse_constant=_not_json)
 
 
-# each subcommand's minimal arguments and its option names, minus --config
-COMMON_KEYS = "seed out json"
-DATA_KEYS = f"data synthetic header {COMMON_KEYS}"
+# each subcommand's minimal arguments and its option names
+COMMON_KEYS = "out json"
+DATA_KEYS = f"data synthetic header seed {COMMON_KEYS}"
 TRIGGER_KEYS = f"{DATA_KEYS} weights weights_seed kind xv yv scale bound xmax"
-CONFIG_KEYS = {
+COMMAND_KEYS = {
     ("stats", "--data", FIXTURE): DATA_KEYS,
     ("trigger", "--data", FIXTURE): f"{TRIGGER_KEYS} sigma oracle_budget",
     ("gap", "--data", FIXTURE): TRIGGER_KEYS,
-    ("tradeoff", "--mu", "1"): f"mu snr alphas {COMMON_KEYS}",
+    ("tradeoff", "--mu", "1"): f"mu alphas {COMMON_KEYS}",
     ("audit", "--data", FIXTURE, "--trials", "1000", "--oracle-budget", "0"): (
         f"{TRIGGER_KEYS} sigma delta trials alphas oracle_budget"
     ),
 }
 
-# a value for every option: its config-file form and the flags that give it
+# the flags that give each option a value
 OPTION_VALUES = {
-    "data": (FIXTURE, ["--data", FIXTURE]),
-    "synthetic": ("n=4,d=2,seed=1", ["--synthetic", "n=4,d=2,seed=1"]),
-    "header": (True, ["--header"]),
-    "seed": (9, ["--seed", "9"]),
-    "out": ("results", ["--out", "results"]),
-    "json": (False, ["--no-json"]),
-    "weights": ([-1, 0.5], ["--weights=-1,0.5"]),
-    "weights_seed": (4, ["--weights-seed", "4"]),
-    "kind": ("riskwarp", ["--kind", "riskwarp"]),
-    "xv": ([-1, 0], ["--xv=-1,0"]),
-    "yv": (-2, ["--yv", "-2"]),
-    "scale": (2, ["--scale", "2"]),
-    "bound": (3.5, ["--bound", "3.5"]),
-    "xmax": (0.5, ["--xmax", "0.5"]),
-    "sigma": (0.25, ["--sigma", "0.25"]),
-    "oracle_budget": (4, ["--oracle-budget", "4"]),
-    "delta": (0.01, ["--delta", "0.01"]),
-    "trials": (2000, ["--trials", "2000"]),
-    "alphas": ("0.1,0.3", ["--alphas", "0.1,0.3"]),
-    "mu": (1.5, ["--mu", "1.5"]),
-    "snr": (2, ["--snr", "2"]),
+    "data": ["--data", FIXTURE],
+    "synthetic": ["--synthetic", "n=4,d=2,seed=1"],
+    "header": ["--header"],
+    "seed": ["--seed", "9"],
+    "out": ["--out", "results"],
+    "json": ["--no-json"],
+    "weights": ["--weights=-1,0.5"],
+    "weights_seed": ["--weights-seed", "4"],
+    "kind": ["--kind", "riskwarp"],
+    "xv": ["--xv=-1,0"],
+    "yv": ["--yv", "-2"],
+    "scale": ["--scale", "2"],
+    "bound": ["--bound", "3.5"],
+    "xmax": ["--xmax", "0.5"],
+    "sigma": ["--sigma", "0.25"],
+    "oracle_budget": ["--oracle-budget", "4"],
+    "delta": ["--delta", "0.01"],
+    "trials": ["--trials", "2000"],
+    "alphas": ["--alphas", "0.1,0.3"],
+    "mu": ["--mu", "1.5"],
 }
 
 
@@ -110,6 +109,61 @@ class TestParsing:
         assert code == 1
         assert "exactly one" in err
 
+    def test_accepted_flags(self):
+        """Each subcommand takes exactly its own options, and another
+        subcommand's flag is an unrecognized argument."""
+        every_key = {key for keys in COMMAND_KEYS.values() for key in keys.split()}
+        for command, keys in COMMAND_KEYS.items():
+            keys = set(keys.split())
+            flags = [token for key in sorted(keys) for token in OPTION_VALUES[key]]
+            args = cli._parser().parse_args([*command, *flags])
+            assert set(vars(args)) == keys | {"command", "func"}, command
+            for key in sorted(every_key - keys):
+                with pytest.raises(cli.UsageError, match="unrecognized arguments"):
+                    cli._parser().parse_args([*command, *OPTION_VALUES[key]])
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--synthetic", "n=3,d"], "--synthetic: expected key=value, got 'd'"),
+        (["--synthetic", "n=3,d=2,q=1"], "--synthetic: unknown fields ['q']"),
+        (
+            ["--synthetic", "n=x,d=2"],
+            "--synthetic: invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            ["--data", FIXTURE, "--weights", "1,0", "--weights-seed", "3"],
+            "give at most one of --weights and --weights-seed",
+        ),
+        (
+            ["--data", FIXTURE, "--xv", "1,0", "--kind", "gradwarp"],
+            "--xv/--yv are only valid with kind=manual",
+        ),
+        (
+            ["--data", FIXTURE, "--kind", "manual", "--xv", "1,0,0", "--yv", "1"],
+            "--xv has 3 coordinates, dataset has 2",
+        ),
+        (["--data", FIXTURE, "--weights", ","], "argument --weights: empty list"),
+    ],
+    ids=[
+        "synthetic-no-equals",
+        "synthetic-unknown-field",
+        "synthetic-not-int",
+        "weights-and-weights-seed",
+        "xv-without-manual",
+        "xv-wrong-length",
+        "empty-weights",
+    ],
+)
+def test_usage_error_named_before_any_stage(capsys, flags, message):
+    """A bad dataset, weight or trigger flag exits 1 naming the problem,
+    before the audit starts any stage."""
+    code, out, err = run_cli(capsys, "audit", "--trials", "1000", *flags)
+    assert (code, out) == (1, "")
+    assert f"error: {message}" in err
+    assert "stage:" not in err
+
 
 class TestStats:
     def test_fixture_values(self, capsys):
@@ -135,6 +189,12 @@ class TestStats:
         path.write_text("y,x0,x1\n1.0,1.0,0.0\n")
         payload = run_json(capsys, "stats", "--data", str(path), "--header")
         assert payload["stats"]["n"] == 1
+
+    def test_out_writes_json_payload(self, capsys, tmp_path):
+        argv = ["stats", "--synthetic", "n=5,d=3,seed=7"]
+        code, printed, _ = run_cli(capsys, *argv, "--json", "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "stats.json").read_text() == printed
 
     def test_bad_synthetic_spec(self, capsys):
         code, _, err = run_cli(capsys, "stats", "--synthetic", "n=3")
@@ -221,7 +281,7 @@ class TestTrigger:
         assert code == 1
         assert "oracle_budget" in err
 
-    def test_gamma_flag_removed(self, capsys, tmp_path):
+    def test_gamma_flag_removed(self, capsys):
         # one step's learning rate cancels from everything these report,
         # and no subcommand takes many steps
         code, out, err = run_cli(
@@ -229,16 +289,10 @@ class TestTrigger:
         )
         assert (code, out) == (1, "")
         assert "invalid choice: 'simulate'" in err
-        config = tmp_path / "config.json"
         for argv in (["trigger", "--data", FIXTURE], FUZZ_AUDIT):
             code, out, err = run_cli(capsys, *argv, "--gamma", "0.1")
             assert (code, out) == (1, "")
             assert "--gamma" in err
-            for key, value in (("gamma", 0.1), ("steps", 3), ("noisy", True)):
-                config.write_text(json.dumps({key: value}))
-                code, out, err = run_cli(capsys, *argv, "--config", str(config))
-                assert (code, out) == (1, "")
-                assert f"no badgd {argv[0]} options ['{key}']" in err
 
 
 class TestGap:
@@ -368,13 +422,17 @@ class TestTradeoff:
         assert rows[0.05] == pytest.approx(0.7405, abs=1e-4)
 
     def test_snr_alias(self, capsys):
-        _, via_mu, _ = run_cli(capsys, "tradeoff", "--mu", "0.5", "--alphas", "0.1")
-        _, via_snr, _ = run_cli(capsys, "tradeoff", "--snr", "0.5", "--alphas", "0.1")
-        assert via_mu == via_snr
+        """--snr, once a second name for --mu, is gone, as is a --seed that
+        tradeoff never read."""
+        for flag in ("--snr", "--seed"):
+            code, out, err = run_cli(capsys, "tradeoff", "--mu", "0.5", flag, "1")
+            assert (code, out) == (1, "")
+            assert f"unrecognized arguments: {flag} 1" in err
 
     def test_requires_exactly_one_gap(self, capsys):
-        assert run_cli(capsys, "tradeoff")[0] == 1
-        assert run_cli(capsys, "tradeoff", "--mu", "1", "--snr", "1")[0] == 1
+        code, out, err = run_cli(capsys, "tradeoff")
+        assert (code, out) == (1, "")
+        assert "the following arguments are required: --mu" in err
 
     def test_writes_csv(self, capsys, tmp_path):
         out = tmp_path / "curves"
@@ -621,149 +679,32 @@ class TestAudit:
         assert "out of floating-point range" in err
 
 
-class TestConfigPrecedence:
-    def test_flags_beat_config(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"sigma": 0.5, "trials": 2000}))
-        payload = run_json(
-            capsys,
-            "audit",
-            "--data",
-            FIXTURE,
-            "--weights",
-            "1,0",
-            "--config",
-            str(config),
-            "--sigma",
-            "2",
-        )
-        assert payload["inputs"]["sigma"] == 2.0
-        assert payload["inputs"]["trials"] == 2000
+class TestSeed:
+    AUDIT_ARGS = ("audit", "--data", FIXTURE, "--weights", "1,0", "--trials", "2000")
 
-    def test_config_beats_defaults(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"delta": 0.01, "trials": 2000}))
-        payload = run_json(
-            capsys,
-            "audit",
-            "--data",
-            FIXTURE,
-            "--weights",
-            "1,0",
-            "--config",
-            str(config),
-        )
-        assert payload["inputs"]["delta"] == 0.01
-
-    def test_unknown_config_key(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"gama": 0.5}))
-        code, _, err = run_cli(
-            capsys, "stats", "--data", FIXTURE, "--config", str(config)
-        )
-        assert code == 1
-        assert "gama" in err
-
-    def test_malformed_config(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text("{not json")
-        code, _, err = run_cli(
-            capsys, "stats", "--data", FIXTURE, "--config", str(config)
-        )
-        assert code == 1
-
-    def test_env_seed_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("BADGD_SEED", "77")
-        payload = run_json(
-            capsys,
-            "audit",
-            "--data",
-            FIXTURE,
-            "--weights",
-            "1,0",
-            "--trials",
-            "2000",
-        )
-        assert payload["inputs"]["seed"] == 77
-
-    def test_seed_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BADGD_SEED", "77")
-        payload = run_json(
-            capsys,
-            "audit",
-            "--data",
-            FIXTURE,
-            "--weights",
-            "1,0",
-            "--trials",
-            "2000",
-            "--seed",
-            "5",
-        )
+    def test_seed_flag(self, capsys):
+        assert run_json(capsys, *self.AUDIT_ARGS)["inputs"]["seed"] == 0
+        payload = run_json(capsys, *self.AUDIT_ARGS, "--seed", "5")
         assert payload["inputs"]["seed"] == 5
 
-    @pytest.mark.parametrize(
-        "flags, env, flag",
-        [
-            (["--seed", "-1"], None, "--seed"),
-            (["--weights-seed", "-1"], None, "--weights-seed"),
-            ([], "-1", "--seed"),
-        ],
-    )
-    def test_negative_seed_names_its_flag(self, capsys, monkeypatch, flags, env, flag):
+    @pytest.mark.parametrize("flag", ["--seed", "--weights-seed"])
+    def test_negative_seed_names_its_flag(self, capsys, flag):
         """A seed NumPy cannot take is a usage error naming its flag, raised
-        before any stage, whether it comes from a flag or BADGD_SEED."""
-        if env is not None:
-            monkeypatch.setenv("BADGD_SEED", env)
-        argv = ["audit", "--data", FIXTURE, "--trials", "1000", *flags]
+        before any stage."""
+        argv = ["audit", "--data", FIXTURE, "--trials", "1000", flag, "-1"]
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert f"error: argument {flag}: seed must be >= 0, got -1" in err
         assert "stage:" not in err
 
-    def test_config_seed_beats_env(self, capsys, monkeypatch, tmp_path):
+    def test_no_config_file_or_environment_seed(self, capsys, monkeypatch):
+        """The command line is the only input: --config is an unknown flag,
+        and BADGD_SEED leaves the seed at its default."""
+        code, out, err = run_cli(capsys, *self.AUDIT_ARGS, "--config", "x.json")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --config x.json" in err
         monkeypatch.setenv("BADGD_SEED", "77")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": 3, "trials": 2000}))
-        argv = ["audit", "--data", FIXTURE, "--weights", "1,0", "--config", str(config)]
-        assert run_json(capsys, *argv)["inputs"]["seed"] == 3
-
-    def test_accepted_keys(self, capsys, tmp_path):
-        """Each subcommand takes exactly its own option names as keys."""
-        config = tmp_path / "config.json"
-        every_key = {key for keys in CONFIG_KEYS.values() for key in keys.split()}
-        for command, keys in CONFIG_KEYS.items():
-            argv = [*command, "--config", str(config)]
-            config.write_text(json.dumps(dict.fromkeys(keys.split())))
-            assert run_cli(capsys, *argv)[0] == 0, command
-            others = every_key - set(keys.split())
-            for key in sorted(others) + ["config", "help", "func", "command"]:
-                config.write_text(json.dumps({key: None}))
-                code, _, err = run_cli(capsys, *argv)
-                assert code == 1 and key in err, (command, key)
-
-    def test_other_subcommands_keys_rejected(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"gamma": 0.5, "trials": 5}))
-        code, out, err = run_cli(
-            capsys, "trigger", "--data", FIXTURE, "--config", str(config)
-        )
-        assert code == 1
-        assert out == ""
-        assert "gamma" in err and "trials" in err
-
-    @pytest.mark.parametrize(
-        "values",
-        [{"sigma": [1]}, {"alphas": 0.5}, {"kind": "bogus"}, {"header": "yes"}],
-    )
-    def test_values_checked_like_flags(self, capsys, tmp_path, values):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"trials": 1000, "oracle_budget": 0, **values}))
-        argv = ["audit", "--data", FIXTURE, "--weights", "1,0", "--config", str(config)]
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert "error:" in err
-        assert list(values)[0] in err
+        assert run_json(capsys, *self.AUDIT_ARGS)["inputs"]["seed"] == 0
 
 
 @pytest.fixture
@@ -783,57 +724,24 @@ def parser_builds(monkeypatch):
 
 
 class TestParserOnce:
-    def test_built_once_across_calls(
-        self, capsys, monkeypatch, tmp_path, parser_builds
-    ):
-        """One parser serves every call; config and BADGD_SEED leave no trace."""
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": 3}))
-        monkeypatch.delenv("BADGD_SEED", raising=False)
+    def test_built_once_across_calls(self, capsys, parser_builds):
+        """One parser serves 30 calls, and no call's flags reach the next."""
 
         def seed_of(*flags):
             payload = run_json(capsys, "stats", "--synthetic", "n=3,d=2", *flags)
             return payload["source"]["seed"]
 
-        for i in range(30):
-            assert seed_of() == 0
-            assert seed_of("--config", str(config)) == 3
-            monkeypatch.setenv("BADGD_SEED", str(i))
-            assert seed_of() == i
-            monkeypatch.delenv("BADGD_SEED")
+        for i in range(15):
+            assert seed_of("--seed", str(i + 1)) == i + 1
             assert seed_of() == 0
         assert len(parser_builds) == 1
 
-    def test_config_does_not_leak(self, capsys, tmp_path, parser_builds):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"delta": 0.01}))
-        argv = ["audit", "--data", FIXTURE, "--trials", "1000", "--oracle-budget", "0"]
-        configured = run_json(capsys, *argv, "--config", str(config))
-        assert configured["inputs"]["delta"] == 0.01
-        assert run_json(capsys, *argv)["inputs"]["delta"] == 1e-3
-        assert len(parser_builds) == 1
-
-    @pytest.mark.parametrize("command", [c[0] for c in CONFIG_KEYS])
-    def test_config_equals_flags(self, tmp_path, command):
-        """Config values parse to the Namespace their flags give."""
-        (keys,) = (k.split() for c, k in CONFIG_KEYS.items() if c[0] == command)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: OPTION_VALUES[key][0] for key in keys}))
-        flags = [token for key in keys for token in OPTION_VALUES[key][1]]
-        from_config = vars(cli._parse_args([command, "--config", str(config)]))
-        from_flags = vars(cli._parse_args([command, *flags]))
-        assert from_config.pop("config") == str(config)
-        assert from_flags.pop("config") is None
-        assert from_config == from_flags
-
-    def test_dash_value_reaches_flag_check(self, capsys, tmp_path):
-        """A config value starting with '-' is the flag's value, not an option."""
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"weights": [-1, 0]}))
-        argv = ["gap", "--data", FIXTURE, "--config", str(config)]
-        assert cli._parse_args(argv).weights == [-1.0, 0.0]
-        config.write_text(json.dumps({"weights": "-1,-x"}))
-        code, _, err = run_cli(capsys, *argv)
+    def test_dash_value_reaches_flag_check(self, capsys):
+        """A value starting with '-', given as --flag=value, is the flag's
+        value, not an option."""
+        argv = ["gap", "--data", FIXTURE]
+        assert cli._parser().parse_args([*argv, "--weights=-1,0"]).weights == [-1, 0]
+        code, _, err = run_cli(capsys, *argv, "--weights=-1,-x")
         assert code == 1
         assert "argument --weights: could not convert string to float: '-x'" in err
 
@@ -869,7 +777,7 @@ HUGE_WEIGHTS_ERRORS = {
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, message",
     [
         ([*FUZZ_AUDIT, "--sigma", "0.001"], None),
         ([*FUZZ_AUDIT, "--sigma", "1e-9"], None),
@@ -887,9 +795,9 @@ HUGE_WEIGHTS_ERRORS = {
         ([*FUZZ_AUDIT, "--weights", "nan,0"], None),
         ([*FUZZ_AUDIT, "--alphas", "0,1"], None),
         ([*FUZZ_AUDIT, "--kind", "manual"], None),
-        (FUZZ_AUDIT, {"sigma": [1]}),
-        (FUZZ_AUDIT, {"alphas": 0.5}),
-        (FUZZ_AUDIT, {"kind": "bogus"}),
+        ([*FUZZ_AUDIT, "--sigma", "1,0"], ("--sigma", "invalid float value: '1,0'")),
+        ([*FUZZ_AUDIT, "--config", "c.json"], ("unrecognized arguments", "--config")),
+        ([*FUZZ_AUDIT, "--kind", "bogus"], ("--kind", "invalid TriggerKind value")),
         ([*FUZZ_AUDIT, "--sigma", "1e-300"], None),
         (["trigger", "--data", FIXTURE, *UNDERFLOW_GRADWARP], None),
         ([*FUZZ_AUDIT, *HUGE_BOX], None),
@@ -921,11 +829,12 @@ HUGE_WEIGHTS_ERRORS = {
             ([command, "--data", HUGE_MOMENTS, "--weights", "1"], None)
             for command in ("trigger", "gap", "audit")
         ),
-        # seeds NumPy cannot take, from a flag or a config value
+        # seeds NumPy cannot take, and a seed for tradeoff, which draws nothing
         ([*FUZZ_AUDIT, "--seed", "-1"], None),
         (["audit", "--data", FIXTURE, "--trials", "1000", "--weights-seed", "-1"],
          None),
-        (FUZZ_AUDIT, {"seed": -1}),
+        (["tradeoff", "--mu", "1", "--seed", "3"],
+         ("unrecognized arguments", "--seed")),
         # the trigger scale times the squared weight norm is subnormal
         (["trigger", "--data", FIXTURE, "--weights", SUBNORMAL_WEIGHTS["trigger"],
           *SUBNORMAL_GRADWARP], None),
@@ -942,21 +851,22 @@ HUGE_WEIGHTS_ERRORS = {
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_fuzz_exits_cleanly(capsys, tmp_path, argv, config):
+def test_fuzz_exits_cleanly(capsys, tmp_path, argv, message):
     """Extreme and invalid inputs end in exit 0, 1 or 2 with no warning,
     exception or traceback; the oracle is off unless a case turns it on.
+    A case with ``message`` fragments exits 1 and names each on stderr.
     Run again with ``--json --out``, the same exit code follows and every
     JSON printed or written parses strictly."""
     if argv[0] in ("audit", "trigger") and "--oracle-budget" not in argv:
         argv = [*argv, "--oracle-budget", "0"]
-    if config is not None:
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        argv = [*argv, "--config", str(tmp_path / "config.json")]
     code = cli.main(argv)
     assert code in (0, 1, 2)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "RuntimeWarning" not in err
+    if message is not None:
+        assert code == 1
+        assert all(part in err for part in message), err
 
     out = tmp_path / "out"
     assert cli.main([*argv, "--json", "--out", str(out)]) == code
