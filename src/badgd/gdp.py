@@ -58,8 +58,9 @@ def check_level(value, name: str) -> float:
 
 
 def _check_alpha(value) -> float:
-    """``value`` as a type-I level: inside (0, 1), and ``1 - alpha``, whose
-    quantile is the test's threshold, below 1.0 in floating point."""
+    """``value`` as a type-I level: inside (0, 1), and ``1 - alpha`` below
+    1.0 in floating point. The threshold is formed from ``alpha`` itself
+    (``_tradeoff``), so this rejection no longer guards a computation."""
     alpha = check_level(value, "alpha")
     if 1.0 - alpha == 1.0:
         raise ValueError(f"level {alpha!r} is too small: 1 - level rounds to 1.0")
@@ -108,16 +109,28 @@ def std_normal_quantile(p: float) -> float:
     return _STD_NORMAL.inv_cdf(p)
 
 
+def _tradeoff(d: float, alpha: float) -> tuple[float, float]:
+    """``gaussian_tradeoff`` without its checks.
+
+    The threshold ``z = Phi^{-1}(1 - alpha)`` is taken as
+    ``-Phi^{-1}(alpha)``, since ``1 - alpha`` rounds; the type-II error
+    ``Phi(z - d)`` and the power ``Phi(d - z)`` each come from their own
+    ``erfc``, since ``1 - type2`` cancels when the power is small.
+    """
+    z = -std_normal_quantile(alpha)
+    return std_normal_cdf(z - d), std_normal_cdf(d - z)
+
+
 def gaussian_tradeoff(d: float, alpha: float) -> tuple[float, float]:
     """Optimal type-II error and power at level alpha for mean gap d.
 
-    type2 = Phi(Phi^{-1}(1 - alpha) - d); power = 1 - type2. At d = 0 the
-    two distributions coincide and type2 = 1 - alpha, power = alpha.
+    type2 = Phi(Phi^{-1}(1 - alpha) - d); power = 1 - type2 =
+    Phi(d - Phi^{-1}(1 - alpha)), each to full relative precision. At
+    d = 0 the two distributions coincide and type2 = 1 - alpha, power =
+    alpha.
     """
     d = check_nonnegative(d, "mean gap")
-    alpha = _check_alpha(alpha)
-    type2 = std_normal_cdf(std_normal_quantile(1.0 - alpha) - d)
-    return type2, 1.0 - type2
+    return _tradeoff(d, _check_alpha(alpha))
 
 
 def tradeoff_curve(d: float, alphas) -> dict:
@@ -125,12 +138,13 @@ def tradeoff_curve(d: float, alphas) -> dict:
 
     Returns ``{"alphas", "type2", "power"}`` as lists of floats:
     ``type2[i]`` is the smallest type-II error at level ``alphas[i]`` and
-    ``power[i]`` is ``1 - type2[i]``. Both labelings are given because the
-    two conventions are easy to swap silently.
+    ``power[i]`` is ``1 - type2[i]``, each as ``gaussian_tradeoff`` gives
+    it. Both labelings are given because the two conventions are easy to
+    swap silently.
     """
     alphas = _check_levels(alphas)
-    type2 = [gaussian_tradeoff(d, a)[0] for a in alphas]
-    return {"alphas": alphas, "type2": type2, "power": [1.0 - t for t in type2]}
+    type2, power = zip(*(gaussian_tradeoff(d, a) for a in alphas))
+    return {"alphas": alphas, "type2": list(type2), "power": list(power)}
 
 
 def delta_of_epsilon(epsilon: float, mu: float) -> float:

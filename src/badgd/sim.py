@@ -203,7 +203,8 @@ def monte_carlo_tradeoff(
     if not math.isfinite(d * d):
         raise ValueError(f"snr {d!r} is out of floating-point range")
 
-    thresholds = [-0.5 * d * d + d * std_normal_quantile(1.0 - a) for a in alphas]
+    # Phi^{-1}(1 - alpha) as -Phi^{-1}(alpha), the z of gdp.gaussian_tradeoff
+    thresholds = [-0.5 * d * d - d * std_normal_quantile(a) for a in alphas]
     rejected = []
     for hypothesis, grad in enumerate((grad0, grad1)):
         count = [0] * len(alphas)

@@ -23,17 +23,24 @@ additionally divides by sigma. A trigger is its point and kind only; the
 box and scale it was built with live in ``TriggerConstraints`` alone.
 
 Each objective takes one candidate point or a ``(k, d)`` array of them.
-It is defined once, as a bound evaluator: binding it to ``(w, stats)``
+It is defined once, in its bind function: binding it to ``(w, stats)``
 validates ``w`` and forms its constants, among them the only O(d^2)
-product ``s_xx w``, and the evaluator then costs O(d) per point. The
-public objectives bind once per call, the search oracle once per search.
+product ``s_xx w``. The bound evaluator then costs O(d) per point, and
+next to it the bind returns the objective's scalar form: its value from
+a row's products with one or two fixed directions (``<x, w>``, and
+``<x, s_yx - s_xx w>`` for the gradient objectives), ``||x||^2`` and
+``y``. The public objectives bind once per call, the search oracle once
+per search.
 
 The search oracle is deliberately independent of the closed forms: random
 candidates inside the feasible box plus deterministic coordinate descent.
 Every candidate starts from its own seed stream, and all of them refine in
-lockstep as rows of one array, so one objective call scores a move for
-every candidate and a round costs O(budget * d) per probed coordinate.
-It reports, without ranking, what unrestricted search finds.
+lockstep as rows of one array. The bound evaluator runs twice per search,
+on every candidate at once: on the starts and on the refined points,
+whose values rank them. In between, the descent carries each candidate's
+scalars: a round re-derives them in O(budget * d), and each probed
+coordinate then costs O(budget) for both signs. It reports, without
+ranking, what unrestricted search finds.
 """
 
 from __future__ import annotations
@@ -75,40 +82,68 @@ class TriggerConstraints:
             object.__setattr__(self, name, check_positive(getattr(self, name), name))
 
 
+class _ScalarForm(NamedTuple):
+    """An objective as a function of a few scalars of each row.
+
+    A row ``x`` enters only through its products ``x @ directions.T``
+    (``(k,)``, one per direction) and ``||x||^2``: ``value(p, xx, y)``
+    takes the products as ``p`` (``p[i]`` an array of any shape), the
+    squared norms as ``xx`` and the responses as ``y``, all broadcasting
+    together, and returns the objective. The search oracle carries these
+    scalars and updates them in O(1) per row for a one-coordinate move.
+    """
+
+    directions: np.ndarray
+    value: Callable
+
+
 def _bind_riskwarp(w, stats: SufficientStats):
-    """The riskwarp objective at fixed ``(w, stats)``: ``f(rows, y)``.
+    """The riskwarp objective at fixed ``(w, stats)``: ``(f(rows, y), form)``.
 
     Validates ``w`` and forms ``<w, s_yx>`` and ``w' s_xx w`` once; each
-    call then costs O(d) per row of ``rows`` ``(k, d)``, with ``y`` a
-    scalar or ``(k,)``, and returns ``(k,)`` values.
+    call of ``f`` then costs O(d) per row of ``rows`` ``(k, d)``, with
+    ``y`` a scalar or ``(k,)``, and returns ``(k,)`` values. ``f`` is the
+    scalar form at ``p = (<rows, w>,)``, so both share one arithmetic.
     """
     w = check_weights(w, stats.feature_dim)
     w_syx = w @ stats.s_yx
     w_sxx_w = w @ stats.s_xx @ w
 
-    def evaluate(rows, y):
-        wx = np.vecdot(rows, w)
+    def value(p, xx, y):
+        wx = p[0]
         return (y**2 - stats.s_y) + 2.0 * (w_syx - y * wx) + (wx**2 - w_sxx_w)
 
-    return evaluate
+    def evaluate(rows, y):
+        return value((np.vecdot(rows, w),), None, y)
+
+    return evaluate, _ScalarForm(w[None, :], value)
 
 
 def _bind_gradwarp(w, stats: SufficientStats):
-    """The gradwarp objective at fixed ``(w, stats)``: ``f(rows, y)``.
+    """The gradwarp objective at fixed ``(w, stats)``: ``(f(rows, y), form)``.
 
     Validates ``w`` and forms ``a = s_yx - s_xx w``, the only O(d^2)
-    product, once; each call then costs O(d) per row. Shapes as for
-    ``_bind_riskwarp``.
+    product, once; each call of ``f`` then costs O(d) per row. Shapes as
+    for ``_bind_riskwarp``. ``f`` forms the bracket ``a + c x`` with
+    ``c = <x, w> - y`` and takes its norm. The scalar form expands the
+    square, ``||a||^2 + c (2 <x, a> + c ||x||^2)``, which loses accuracy
+    where the bracket cancels ``a``; the oracle steers by it and reports
+    ``f``.
     """
     w = check_weights(w, stats.feature_dim)
     a = stats.s_yx - stats.s_xx @ w
+    a_a = a @ a
+
+    def value(p, xx, y):
+        c = p[0] - y
+        return np.sqrt(a_a + c * (2.0 * p[1] + c * xx))
 
     def evaluate(rows, y):
         bracket = rows * (np.vecdot(rows, w) - y)[:, None]
         bracket += a
         return np.sqrt(np.vecdot(bracket, bracket))
 
-    return evaluate
+    return evaluate, _ScalarForm(np.stack([w, a]), value)
 
 
 def _evaluate(bind, w, stats: SufficientStats, x, y):
@@ -128,7 +163,8 @@ def _evaluate(bind, w, stats: SufficientStats, x, y):
             f"trigger responses of shape {y.shape} do not match features "
             f"of shape {x.shape}"
         )
-    values = bind(w, stats)(np.atleast_2d(x), y)
+    evaluate, _ = bind(w, stats)
+    values = evaluate(np.atleast_2d(x), y)
     return float(values[0]) if x.ndim == 1 else values
 
 
@@ -226,9 +262,10 @@ class _Goal(NamedTuple):
 
     ``construct(w, constraints, stats)`` builds the trigger and
     ``bind(w, stats)`` returns what it maximizes, as a function of
-    ``(rows, y)``. The gap the objective induces is ``numerator / (n + 1)``
-    times the objective, divided also by sigma when ``per_sigma``; the
-    label and the factor are derived from those two fields.
+    ``(rows, y)`` and as its ``_ScalarForm``. The gap the objective
+    induces is ``numerator / (n + 1)`` times the objective, divided also
+    by sigma when ``per_sigma``; the label and the factor are derived
+    from those two fields.
     """
 
     construct: Callable
@@ -275,6 +312,89 @@ def _goal(kind: TriggerKind | str) -> _Goal:
 
 # coordinate-descent refinement schedule: halve the step this many times
 _REFINE_ROUNDS = 24
+# columns whose moves are tabulated at once: the table stays small at any d
+_BLOCK = 16
+
+
+def _refine(form: _ScalarForm, x, y, val, r_max: float, b: float):
+    """Coordinate descent on the rows of ``x`` ``(budget, d)`` and ``y``
+    ``(budget,)``, in place, from their values ``val``; returns the values
+    at the refined rows as the scalar form carried them.
+
+    Each row's state is its products ``p_i = <x, u_i>`` with the form's
+    directions ``u_i``, ``xx = ||x||^2``, the probed column and the value.
+    A round re-derives the products and norms from ``x``, and tabulates
+    what a move of each column adds to them, ``_BLOCK`` columns at a time,
+    in O(budget * d) all told. A probe of column ``j`` then scores
+    ``x_j + s`` and ``x_j - s`` for every row in one ``(2, budget)`` form
+    call from the same base point, in O(budget): ``p_i +- s u_i[j]`` and
+    ``xx +- 2 s x_j + s^2``. A row takes ``+`` if it stays in the box and
+    is strictly better, else ``-`` under the same test; ``y`` moves the
+    same way.
+    """
+    k = len(form.directions)
+    budget, dim = x.shape
+    # the squared box radius, capped so that it never overflows: past
+    # sqrt(max) every finite ||x||^2 is inside and an infinite one is not
+    r2 = min(r_max * r_max, sys.float_info.max)
+    # rows p, xx, column, value: the state holds each row's point, cand
+    # its + and - moves
+    state = np.empty((k + 3, 1, budget))
+    cand = np.empty((k + 3, 2, budget))
+    p, xx, column, value = state[:k, 0], state[k, 0], state[k + 1, 0], state[k + 2, 0]
+    value[:] = val
+    cand_p, cand_xx, cand_value = cand[:k], cand[k], cand[k + 2]
+    cand_plus, cand_minus = cand[:, :1], cand[:, 1:]
+    lin, cand_lin = state[: k + 2], cand[: k + 2]
+    # per column of a block, what its + and - moves add to each row but
+    # the value
+    moves = np.empty((min(dim, _BLOCK), k + 2, 2, budget))
+    steps = np.empty((2, budget))
+    # y once per sign, so that the form's arithmetic takes rows of one shape
+    y_rows = np.empty((2, budget))
+    take = np.empty((2, budget), dtype=bool)
+    moved = np.empty((2, budget), dtype=bool)
+    x_step = np.full(budget, r_max / 4.0)
+    y_step = np.full(budget, b / 4.0)
+    for _ in range(_REFINE_ROUNDS):
+        steps[0] = x_step
+        np.negative(x_step, out=steps[1])
+        two_steps = 2.0 * steps
+        s2 = x_step * x_step
+        np.vecdot(x, form.directions[:, None, :], out=p)
+        np.vecdot(x, x, out=xx)
+        y_rows[:] = y
+        moved[:] = False
+        for start in range(0, dim, _BLOCK):
+            block = moves[: min(_BLOCK, dim - start)]
+            cols = slice(start, start + len(block))
+            np.multiply(form.directions.T[cols, :, None, None], steps, out=block[:, :k])
+            # a column changes only when it is probed, so its moves are known
+            np.multiply(x.T[cols, None, :], two_steps, out=block[:, k])
+            block[:, k] += s2
+            block[:, k + 1] = steps
+            for j, move in enumerate(block, start):
+                column[:] = x[:, j]
+                np.add(lin, move, out=cand_lin)
+                cand_value[:] = form.value(cand_p, cand_xx, y_rows)
+                np.less_equal(cand_xx, r2, out=take)
+                take &= cand_value > value
+                np.copyto(state, cand_minus, where=take[1])
+                np.copyto(state, cand_plus, where=take[0])
+                x[:, j] = column
+                moved |= take
+        cand_y = np.stack([y + y_step, y - y_step])
+        cand_y_value = form.value(p, xx, cand_y)
+        np.less_equal(np.abs(cand_y), b, out=take)
+        take &= cand_y_value > value
+        for sign in (1, 0):
+            np.copyto(y, cand_y[sign], where=take[sign])
+            np.copyto(value, cand_y_value[sign], where=take[sign])
+        moved |= take
+        still = ~(moved[0] | moved[1])
+        np.copyto(x_step, 0.5 * x_step, where=still)
+        np.copyto(y_step, 0.5 * y_step, where=still)
+    return value.copy()
 
 
 def oracle_search(
@@ -296,14 +416,15 @@ def oracle_search(
 
     Each candidate draws its start from its own seed stream derived from
     (seed, index). The candidates refine in lockstep as the rows of one
-    ``(budget, d)`` array: every step tries the same move on all rows with
-    one objective call, and each row accepts it on its own (inside the box
-    and strictly better), with its own step sizes. So each candidate takes
-    the path it would take alone, and a round costs O(budget * d) per
-    probed (coordinate, sign) column, at most ``2 d + 2`` calls per round.
-    The objective is bound to ``(w, stats)`` once per search. A probe moves
-    one column of the candidate array in place and puts back the rows
-    that reject the move.
+    ``(budget, d)`` array, each accepting a move on its own (inside the box
+    and strictly better) with its own step sizes, so each takes the path
+    it would take alone. The objective is bound to ``(w, stats)`` once per
+    search, and its row evaluator runs twice, on all candidates at once:
+    to score the starts and to re-score the refined rows, whose values
+    rank them. Between the two, ``_refine`` steers by the objective's
+    scalar form, carrying each row's products with ``w`` (and ``a``) and
+    its squared norm. A round re-derives them in O(budget * d), and each
+    probed coordinate then costs O(budget), both signs at once.
     """
     goal = _goal(objective)
     budget = check_count(budget, "budget", 1)
@@ -332,33 +453,9 @@ def oracle_search(
     # an out-of-range box or weights make every value non-finite; that is
     # the error below
     with np.errstate(over="ignore", invalid="ignore"):
-        fn = goal.bind(w, stats)
-        val = fn(x, y)
-        x_step = np.full(budget, r_max / 4.0)
-        y_step = np.full(budget, b / 4.0)
-        for _ in range(_REFINE_ROUNDS):
-            improved = np.zeros(budget, dtype=bool)
-            for j in range(dim):
-                # move column j in place, then put back the rows that reject it
-                column = x[:, j]
-                for step in (x_step, -x_step):
-                    kept = column.copy()
-                    column += step
-                    cand_val = fn(x, y)
-                    norms = np.sqrt(np.vecdot(x, x))
-                    take = ~(norms > r_max) & (cand_val > val)
-                    np.copyto(column, kept, where=~take)
-                    np.copyto(val, cand_val, where=take)
-                    improved |= take
-            for step in (y_step, -y_step):
-                cand_y = y + step
-                cand_val = fn(x, cand_y)
-                take = ~(np.abs(cand_y) > b) & (cand_val > val)
-                np.copyto(y, cand_y, where=take)
-                np.copyto(val, cand_val, where=take)
-                improved |= take
-            np.copyto(x_step, 0.5 * x_step, where=~improved)
-            np.copyto(y_step, 0.5 * y_step, where=~improved)
+        evaluate, form = goal.bind(w, stats)
+        _refine(form, x, y, evaluate(x, y), r_max, b)
+        val = evaluate(x, y)
 
     # the first candidate holding the largest value; NaN never ranks
     ranked = np.where(np.isnan(val), -math.inf, val)

@@ -7,6 +7,7 @@ never imports them.
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -162,11 +163,60 @@ class TestGaussianTradeoff:
         assert curve["alphas"] == [2.0**-53]
 
 
+TAIL_LEVELS = [1e-300, 1e-15, 1e-8, 0.01, 0.5, 0.99]
+TAIL_GAPS = [0.0, 1e-6, 0.5, 2.0, 10.0, 37.0]
+
+
+def reference_tradeoff(d: float, alpha: float) -> tuple[float, float]:
+    """High-precision oracle: ``(Phi(z - d), Phi(d - z))`` with ``z`` the
+    root of ``Phi(z) = 1 - alpha``, all at 60 digits."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha)
+        q = min(a, 1 - a)
+        z = mpmath.mpf(0)
+        if q != 0.5:
+            x = mpmath.findroot(
+                lambda t: mpmath.log(mpmath.ncdf(t)) - mpmath.log(q),
+                float(sstats.norm.ppf(float(q))),
+            )
+            z = -x if alpha < 0.5 else x
+        d = mpmath.mpf(d)
+        return float(mpmath.ncdf(z - d)), float(mpmath.ncdf(d - z))
+
+
+class TestTradeoffTails:
+    """Type-II error and power against mpmath at small levels and small
+    power. Errors are relative, to the smallest normal float below it (a
+    type-II error of 1e-338 underflows). The worst measured is 1.7e-13,
+    type2 at (d = 37, alpha = 0.01), where Phi(-34.7) ~ 1e-263 costs
+    about z^2/2 ulps; before ``z = -Phi^{-1}(alpha)`` the type-II error
+    was off by 1.0e-5 at (10, 1e-12) and the power by 3.3e-4 at
+    (0.5, 1e-15)."""
+
+    @pytest.mark.parametrize("alpha", TAIL_LEVELS)
+    def test_against_mpmath(self, alpha):
+        for d in TAIL_GAPS:
+            ours = gdp._tradeoff(d, alpha)
+            for value, ref in zip(ours, reference_tradeoff(d, alpha)):
+                error = abs(value - ref) / max(ref, sys.float_info.min)
+                assert error <= 2e-13, (d, alpha, value, ref)
+            if 1.0 - alpha < 1.0:
+                assert gaussian_tradeoff(d, alpha) == ours
+
+    @pytest.mark.parametrize("d, alpha", [(10.0, 1e-12), (0.5, 1e-15)])
+    def test_hand_corners(self, d, alpha):
+        type2, power = gaussian_tradeoff(d, alpha)
+        ref_type2, ref_power = reference_tradeoff(d, alpha)
+        assert abs(type2 - ref_type2) <= 1e-15 * ref_type2
+        assert abs(power - ref_power) <= 1e-13 * ref_power
+
+
 class TestTradeoffCurve:
     def test_monotone_in_alpha(self):
         curve = tradeoff_curve(1.0, np.linspace(0.01, 0.99, 99))
         assert np.all(np.diff(curve["type2"]) <= 1e-12)
-        assert curve["power"] == [1.0 - t for t in curve["type2"]]
+        alphas = curve["alphas"]
+        assert curve["power"] == [gaussian_tradeoff(1.0, a)[1] for a in alphas]
         assert all(type(v) is float for values in curve.values() for v in values)
 
     def test_invariant_violations_rejected(self):

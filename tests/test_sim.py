@@ -347,7 +347,8 @@ def eager_monte_carlo(grad0, grad1, sigma, alphas, trials, seed):
 
     results = []
     for alpha in alphas:
-        threshold = -0.5 * d * d + d * std_normal_quantile(1.0 - alpha)
+        # Phi^{-1}(1 - alpha), taken as -Phi^{-1}(alpha): 1 - alpha rounds
+        threshold = -0.5 * d * d - d * std_normal_quantile(alpha)
         reject0 = (scores0 > threshold) | ((scores0 == threshold) & (ties0 < alpha))
         reject1 = (scores1 > threshold) | ((scores1 == threshold) & (ties1 < alpha))
         type2_prob, _ = gaussian_tradeoff(d, alpha)

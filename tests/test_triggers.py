@@ -432,6 +432,20 @@ class TestOracleSearch:
             )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_box_radius_past_sqrt_max_keeps_points_inside(self):
+        # x_norm_max^2 overflows, yet weights of 1 / x_norm_max keep every
+        # riskwarp value finite: the box test must still reject the points
+        # whose ||x||^2 overflows, as they lie outside the box
+        r_max = 1e160
+        w = np.array([1.0, 1.0]) / r_max
+        v, value = oracle_search(
+            "riskwarp", w, zero_stats(), TriggerConstraints(x_norm_max=r_max),
+            budget=4, seed=1,
+        )
+        assert math.isfinite(value)
+        assert np.linalg.norm(v.x_v / r_max) <= 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_response_bound_too_wide_to_draw_rejected(self, two_point_stats):
         # 2 * 1e308 overflows, so rng.uniform(-b, b) cannot draw from it
         with pytest.raises(ValueError, match="oracle response bound"):
@@ -539,7 +553,7 @@ def lockstep_instance(dim: int, seed: int):
 
 class TestOracleLockstep:
     @pytest.mark.parametrize("kind", list(OBJECTIVES))
-    @pytest.mark.parametrize("dim", [1, 2, 5, 20])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 20, 100])
     def test_matches_sequential_reference(self, kind, dim):
         w, stats = lockstep_instance(dim, seed=41)
         boxes = [
@@ -547,8 +561,10 @@ class TestOracleLockstep:
             # tight: far from the unconstrained maximum, so moves hit the box
             TriggerConstraints(x_norm_max=0.05, response_bound=0.05),
         ]
+        # the reference makes one objective call per probe: keep d = 100 small
+        budgets = (2,) if dim == 100 else (1, 3, 8)
         for constraints in boxes:
-            for budget in (1, 3, 8):
+            for budget in budgets:
                 v, value = oracle_search(
                     kind, w, stats, constraints, budget, seed=budget + dim
                 )
@@ -560,6 +576,10 @@ class TestOracleLockstep:
                 assert abs(value - expected) <= 1e-12 * abs(expected)
                 if constraints.x_norm_max < 1.0:
                     assert rejected > 0
+                # the box test reads a running ||x||^2: a few ulps of slack
+                r_max = constraints.x_norm_max
+                assert np.linalg.norm(v.x_v) <= r_max * (1.0 + 8.0 * np.finfo(float).eps)
+                assert abs(v.y_v) <= constraints.response_bound
 
     # a tight box rejects many moves; the call count must not depend on it
     @pytest.mark.parametrize("tight", [False, True])
@@ -573,20 +593,65 @@ class TestOracleLockstep:
         calls = []
 
         def counted_bind(w, stats):
-            evaluate = goal.bind(w, stats)
+            evaluate, form = goal.bind(w, stats)
 
             def counted(rows, y):
                 calls.append(np.shape(rows))
                 return evaluate(rows, y)
 
-            return counted
+            return counted, form
 
         monkeypatch.setitem(
             triggers._GOALS, TriggerKind.GRADWARP, goal._replace(bind=counted_bind)
         )
         oracle_search(TriggerKind.GRADWARP, w, stats, constraints, budget, seed=1)
-        assert len(calls) <= 1 + _REFINE_ROUNDS * (2 * dim + 2)
-        assert all(shape == (budget, dim) for shape in calls)
+        # the starts, then the refined rows; the probes use the scalar form
+        assert calls == [(budget, dim)] * 2
+
+    @pytest.mark.parametrize("kind", ["riskwarp", "gradwarp"])
+    def test_running_values_agree_with_rescore(self, monkeypatch, kind):
+        """The values ``_refine`` carries are the objective at the rows it
+        returns, up to rounding of the terms its scalar form adds.
+
+        gradwarp carries ``||a||^2 + c (2 <x, a> + c ||x||^2)`` with
+        ``c = <x, w> - y``: its square differs from the re-scored square by
+        at most ``64 u (||a||^2 + |2 c <x, a>| + c^2 ||x||^2)``. riskwarp
+        carries ``(y^2 - s_y) + 2 (<w, s_yx> - y <x, w>) + (<x, w>^2 - w'
+        s_xx w)`` and differs by at most 64 u times the sum of those terms'
+        magnitudes. The worst case measured is below 8 u.
+        """
+        u = np.finfo(float).eps / 2
+        runs = []
+        refine = triggers._refine
+
+        def spy(form, x, y, val, r_max, b):
+            running = refine(form, x, y, val, r_max, b)
+            runs.append((x.copy(), y.copy(), running))
+            return running
+
+        monkeypatch.setattr(triggers, "_refine", spy)
+        boxes = [(2.0, 1.5), (0.05, 0.05), (10.0, 10.0)]
+        for dim in (1, 2, 5, 20, 100):
+            w, stats = lockstep_instance(dim, seed=41)
+            evaluate, _ = triggers._GOALS[TriggerKind(kind)].bind(w, stats)
+            for x_norm_max, response_bound in boxes:
+                constraints = TriggerConstraints(x_norm_max, response_bound)
+                runs.clear()
+                oracle_search(kind, w, stats, constraints, budget=8, seed=dim)
+                [(x, y, running)] = runs
+                wx = x @ w
+                if kind == "gradwarp":
+                    a = stats.s_yx - stats.s_xx @ w
+                    c = wx - y
+                    terms = a @ a + np.abs(2.0 * c * (x @ a)) + c**2 * np.vecdot(x, x)
+                    error = np.abs(running**2 - evaluate(x, y) ** 2)
+                else:
+                    terms = (
+                        y**2 + abs(stats.s_y) + 2.0 * abs(w @ stats.s_yx)
+                        + 2.0 * np.abs(y * wx) + wx**2 + abs(w @ stats.s_xx @ w)
+                    )
+                    error = np.abs(running - evaluate(x, y))
+                assert np.all(error <= 64.0 * u * terms), (dim, x_norm_max)
 
     @pytest.mark.parametrize("kind", list(OBJECTIVES))
     def test_weights_checked_once_per_search(self, monkeypatch, kind):
