@@ -227,11 +227,17 @@ def run_audit(
             "seed": seed,
             "oracle_budget": oracle_budget,
         },
-        "sufficient_stats": stats.to_json_dict(),
+        # the O(d) moments; ``badgd stats`` prints s_xx, d^2 floats
+        "sufficient_stats": {
+            "n": stats.n,
+            "feature_dim": stats.feature_dim,
+            "s_y": stats.s_y,
+            "s_yx": stats.s_yx.tolist(),
+        },
         "trigger": trigger.to_json_dict(),
         "trigger_report": trigger_report,
         **sections,
-        "snr": {"definitional": snr, "sigma": sigma},
+        "snr": {"definitional": snr},
         "analytic_curve": curve,
         "monte_carlo": mc,
         "privacy": {

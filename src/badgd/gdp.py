@@ -185,6 +185,7 @@ def _log_cdf_lower(x: float) -> float:
 
 
 # epsilon solver: starting upper bracket, its limit, and stopping width
+# (absolute above epsilon = 1, relative to the upper end below it)
 _EPS_HI_DEFAULT = 100.0
 _EPS_HI_MAX = 1e6
 _EPS_INTERVAL_TOL = 1e-13
@@ -195,14 +196,17 @@ def epsilon_of_mu(mu: float, delta: float) -> float:
 
     Returns 0 when delta(0) <= delta already. Otherwise bisects the
     strictly decreasing ``delta_of_epsilon`` down to a bracket of width
-    1e-13, which pins epsilon itself; since |d delta / d epsilon| <= 1
-    the achieved delta is at least as accurate. Terminating on the
-    bracket rather than on a delta residual matters where the curve is
-    nearly flat: a residual test would accept a whole plateau of epsilon
-    values. Past epsilon = 512 one ulp exceeds 1e-13, so the bisection
-    also stops once the midpoint rounds onto an endpoint; without that
-    stop it would loop forever one ulp apart (it did, at mu = 30 and
-    delta = 1e-3, epsilon ~ 542).
+    1e-13 * min(1, hi), which pins epsilon itself: absolutely above 1,
+    relatively below it. (An absolute width of 1e-13 left epsilon ~ 3.4e-8
+    at mu = 1e-8, delta = 1e-12 off by 1e-6 relative; what is left there,
+    3e-8, is rounding in delta(epsilon)'s two terms, each near 4e-4.)
+    Since |d delta / d epsilon| <= 1 the achieved delta is at least as
+    accurate. Terminating on the bracket rather than on a delta residual
+    matters where the curve is nearly flat: a residual test would accept a
+    whole plateau of epsilon values. Past epsilon = 512 one ulp exceeds
+    1e-13, so the bisection also stops once the midpoint rounds onto an
+    endpoint; without that stop it would loop forever one ulp apart (it
+    did, at mu = 30 and delta = 1e-3, epsilon ~ 542).
 
     The upper bracket starts at 100 (where delta underflows for every
     moderate mu) and doubles while delta stays above target; epsilon
@@ -222,7 +226,7 @@ def epsilon_of_mu(mu: float, delta: float) -> float:
             raise ValueError(
                 f"epsilon exceeds {_EPS_HI_MAX:g} for mu={mu}, delta={delta}"
             )
-    while hi - lo > _EPS_INTERVAL_TOL:
+    while hi - lo > _EPS_INTERVAL_TOL * min(1.0, hi):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break

@@ -345,6 +345,47 @@ class TestEpsilonOfMu:
             epsilon_of_mu(1e4, 1e-3)
 
 
+def mpmath_small_epsilon(mu: float, delta: float):
+    """80-digit bisection for the smallest eps >= 0 with delta(eps) <= delta,
+    to a relative width of 1e-40; exactly 0 where delta(0) <= delta."""
+    with mpmath.workdps(80):
+        mu, delta = mpmath.mpf(mu), mpmath.mpf(delta)
+        if mpmath_delta(0, mu) <= delta:
+            return mpmath.mpf(0)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while hi - lo > mpmath.mpf(10) ** -40 * hi:
+            mid = (lo + hi) / 2
+            if mpmath_delta(mid, mu) > delta:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+class TestSmallMu:
+    """Both budget routes against mpmath where epsilon is far below 1.
+    Where delta(0) <= delta the budget is exactly 0. Elsewhere the worst
+    measured relative errors are 2.6e-8 (bisection) and 6.7e-8 (tradeoff),
+    both at (mu = 1e-8, delta = 1e-12), epsilon ~ 3.4e-8, from rounding in
+    what each route subtracts: the bisection's delta(epsilon) takes 1e-12
+    from two terms near 4e-4, the tradeoff route epsilon from two logs
+    near -7.9. An absolute
+    stopping width of 1e-13 left the bisection off by 9.6e-7 there, and by
+    2.3e-8 at (1e-6, 1e-8)."""
+
+    @pytest.mark.parametrize("mu", [1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("delta", [1e-12, 1e-8, 1e-3])
+    def test_against_mpmath(self, mu, delta):
+        ref = mpmath_small_epsilon(mu, delta)
+        for route, bound in ((epsilon_of_mu, 3e-8), (epsilon_of_tradeoff, 7e-8)):
+            eps = route(mu, delta)
+            if ref == 0:
+                assert eps == 0.0, route.__name__
+            else:
+                error = float(abs(eps - ref) / ref)
+                assert error <= bound, (route.__name__, eps, float(ref))
+
+
 def random_budget_pairs(count: int, seed: int):
     """(mu, delta) pairs: mu log-uniform in [1e-3, 200], delta log-uniform
     in [1e-300, 0.5], so both tails of both routes are visited."""
