@@ -27,8 +27,15 @@ use is the same as if every block drew its uniforms. So results do not
 depend on execution order, the clean and backdoored streams are
 independent, and the first T trials of a run are the same whatever the
 total trial count. Each block is scored and counted at every level
-before the next is drawn, so a run holds one block, O(``MC_BLOCK`` * d)
-memory, at any trial count, and its time grows linearly with the trials.
+before the next is drawn, into one noise buffer and one score buffer
+that the hypothesis keeps for all its blocks, so it holds one block,
+O(``MC_BLOCK`` * d) memory, at any trial count, and its time grows
+linearly with the trials. A run of more than one block per hypothesis
+counts the clean blocks on the calling thread and the backdoored ones on
+one worker thread (NumPy's draws and products release the interpreter
+lock), so it holds at most two blocks at a time; a run of one block per
+hypothesis, ``trials <= MC_BLOCK``, counts both on the calling thread,
+where starting a thread would cost more than it saves.
 These streams differ from those of earlier versions,
 which seeded one generator per trial: the same seed now gives other,
 equally distributed, Monte Carlo estimates.
@@ -39,7 +46,9 @@ own entries; ``badgd.cli`` formats them as a CSV table.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 
@@ -105,6 +114,7 @@ def _block_scores(
     hypothesis: int,
     trials: int,
     block: int,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """LLR scores of block ``block`` of a ``trials``-trial run.
 
@@ -119,15 +129,25 @@ def _block_scores(
     first child of ``SeedSequence((seed, hypothesis, block))`` and scores
     it with one matrix-vector product; its tie-break uniforms are
     ``_block_ties``. Blocks of a shorter run are a prefix of a longer
-    one's, and each holds at most ``MC_BLOCK * d`` noise values.
+    one's, and each holds at most ``MC_BLOCK * d`` noise values. ``out``
+    is a ``(noise, scores)`` pair of buffers of at least ``rows`` rows
+    that a hypothesis reuses for all its blocks; the block is drawn and
+    scored in their first ``rows`` rows, with the same bits as in fresh
+    arrays, and the returned scores are a view of ``scores``.
     """
     sigma = check_positive(sigma, "sigma")
     seed = check_count(seed, "seed", 0)
     u = (grad1 - grad0) / sigma
     offset = float(u @ ((grad - 0.5 * (grad0 + grad1)) / sigma))
     rows = min(MC_BLOCK, trials - block * MC_BLOCK)
+    if out is None:
+        out = np.empty((rows, grad.size)), np.empty(rows)
+    noise, scores = out[0][:rows], out[1][:rows]
     rng = np.random.default_rng(_block_seed(seed, hypothesis, block, 0))
-    return rng.standard_normal((rows, grad.size)) @ u + offset
+    rng.standard_normal(out=noise)
+    np.matmul(noise, u, out=scores)
+    scores += offset
+    return scores
 
 
 def _block_rejections(scores: np.ndarray, thresholds, alphas, ties) -> list[int]:
@@ -145,6 +165,64 @@ def _block_rejections(scores: np.ndarray, thresholds, alphas, ties) -> list[int]
         for level, (t, alpha) in enumerate(zip(thresholds, alphas)):
             rejected[level] += int(np.count_nonzero((scores == t) & (draws < alpha)))
     return rejected
+
+
+def _count_blocks(
+    grad0, grad1, sigma, seed, trials, thresholds, alphas, hypothesis, stop=None
+) -> list[int] | None:
+    """Rejections of hypothesis ``hypothesis`` at every level, summed over
+    its blocks in order, which are drawn and scored in one noise and one
+    score buffer kept for all of them. Once the event ``stop`` is set the
+    loop ends before its next block and returns None: the other
+    hypothesis failed, and its exception is the one raised.
+    """
+    grad = (grad0, grad1)[hypothesis]
+    rows = min(MC_BLOCK, trials)
+    out = np.empty((rows, grad.size)), np.empty(rows)
+    count = [0] * len(alphas)
+    for block in range(-(-trials // MC_BLOCK)):
+        if stop is not None and stop.is_set():
+            return None
+        key = (seed, hypothesis, trials, block)
+        scores = _block_scores(grad, grad0, grad1, sigma, *key, out=out)
+        block_count = _block_rejections(
+            scores, thresholds, alphas, lambda: _block_ties(*key)
+        )
+        count = [a + b for a, b in zip(count, block_count)]
+    return count
+
+
+def _count_on_two_threads(count) -> list[list[int]]:
+    """``[count(0, stop), count(1, stop)]``: the clean hypothesis on the
+    calling thread while one worker thread counts the backdoored one.
+
+    An exception in either sets ``stop``, which the other checks before
+    each block. The worker is joined before this returns or raises, and
+    the clean hypothesis's exception, else the worker's, is raised.
+    """
+    stop = threading.Event()
+    backdoored = []
+
+    def work():
+        try:
+            backdoored.append(count(1, stop))
+        except BaseException as exc:  # raised again on the calling thread
+            backdoored.append(exc)
+            stop.set()
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        clean = count(0, stop)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        worker.join()
+    (result,) = backdoored
+    if isinstance(result, BaseException):
+        raise result
+    return [clean, result]
 
 
 def monte_carlo_tradeoff(
@@ -176,10 +254,15 @@ def monte_carlo_tradeoff(
     instance but not on the sampled outcomes.
 
     The thresholds are fixed before any draw. Each hypothesis then runs
-    one loop over its blocks: a block is drawn, scored and its rejections
-    counted at every level, and only the counts are kept, so memory is
-    O(``MC_BLOCK`` * d) at any trial count. Each estimate is an integer
-    rejection count over ``trials``. A block's tie-break uniforms are
+    one loop over its blocks, in one noise and one score buffer: a block
+    is drawn, scored and its rejections counted at every level, and only
+    the counts are kept. Past one block per hypothesis (``trials >
+    MC_BLOCK``) the calling thread runs the clean loop while one worker
+    thread runs the backdoored one, so memory is two blocks,
+    O(``MC_BLOCK`` * d), at any trial count; a failure in either loop
+    stops the other before its next block, the worker is joined, and the
+    failure is raised here. Each estimate is an integer rejection count
+    over ``trials``. A block's tie-break uniforms are
     drawn only when one of its scores equals a threshold, at most once
     and shared by all levels; in practice that is the d = 0 case alone.
     The uniforms read are the ones every block would have drawn, so the
@@ -205,17 +288,13 @@ def monte_carlo_tradeoff(
 
     # Phi^{-1}(1 - alpha) as -Phi^{-1}(alpha), the z of gdp.gaussian_tradeoff
     thresholds = [-0.5 * d * d - d * std_normal_quantile(a) for a in alphas]
-    rejected = []
-    for hypothesis, grad in enumerate((grad0, grad1)):
-        count = [0] * len(alphas)
-        for block in range(-(-trials // MC_BLOCK)):
-            key = (seed, hypothesis, trials, block)
-            scores = _block_scores(grad, grad0, grad1, sigma, *key)
-            block_count = _block_rejections(
-                scores, thresholds, alphas, lambda: _block_ties(*key)
-            )
-            count = [a + b for a, b in zip(count, block_count)]
-        rejected.append(count)
+    count = functools.partial(
+        _count_blocks, grad0, grad1, sigma, seed, trials, thresholds, alphas
+    )
+    if trials <= MC_BLOCK:
+        rejected = [count(0), count(1)]
+    else:
+        rejected = _count_on_two_threads(count)
 
     results = []
     for alpha, threshold, rejected0, rejected1 in zip(alphas, thresholds, *rejected):

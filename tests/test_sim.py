@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -461,7 +463,10 @@ class TestTiesOnDemand:
 
     @pytest.mark.parametrize("trials", [1000, 2 * MC_BLOCK + 1])
     def test_tie_generators_only_for_tied_blocks(self, monkeypatch, trials):
-        """No tie generator without a tie; one per tied block, not per level."""
+        """No tie generator without a tie; one per tied block, not per level.
+        Runs of more than one block draw the two hypotheses on two threads,
+        so the order in which their generators are built is not fixed: the
+        built keys are compared as a sorted multiset."""
         built = []
         default_rng = np.random.default_rng
 
@@ -475,7 +480,7 @@ class TestTiesOnDemand:
 
         grad0, grad1 = _fixture_streams()
         monte_carlo_tradeoff(grad0, grad1, STREAM_SIGMA, alphas, trials, seed)
-        assert built == [(key, (0,)) for key in blocks]
+        assert sorted(built) == sorted([(key, (0,)) for key in blocks])
 
         built.clear()
         grad0, grad1 = _grads([0.2, -0.1], *zero_gap_instance())
@@ -484,6 +489,71 @@ class TestTiesOnDemand:
         assert sorted(built) == sorted(
             [(key, (0,)) for key in blocks] + [(key, (1,)) for key in blocks]
         )
+
+
+class TestTwoThreads:
+    """Past one block per hypothesis, the clean blocks are counted on the
+    calling thread and the backdoored ones on one worker thread."""
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["clean", "backdoored"])
+    def test_failure_stops_the_other_hypothesis(self, monkeypatch, failing):
+        """A MemoryError planted in one hypothesis's blocks is what the
+        caller gets, the worker is joined, and the other hypothesis stops
+        before it has drawn all its blocks."""
+        trials, blocks = 100 * MC_BLOCK, 100
+        planted = MemoryError("Unable to allocate 74.5 GiB for an array")
+        drawn = [0, 0]
+        block_scores = sim._block_scores
+
+        def out_of_memory(*args, **kwargs):
+            hypothesis = args[5]
+            if hypothesis == failing:
+                raise planted
+            # only this hypothesis's thread writes its entry
+            drawn[hypothesis] += 1
+            return block_scores(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "_block_scores", out_of_memory)
+        # d = 20: a block takes long enough that the other hypothesis
+        # cannot finish its blocks before the failure is seen
+        grad0, grad1, sigma = reference_instance("dim20")
+        threads = threading.active_count()
+        with pytest.raises(MemoryError) as caught:
+            monte_carlo_tradeoff(grad0, grad1, sigma, [0.05], trials, 3)
+        assert caught.value is planted
+        assert threading.active_count() == threads
+        assert drawn[failing] == 0
+        assert drawn[1 - failing] < blocks
+
+    def test_concurrent_calls_share_nothing(self):
+        """More callers than cores, each starting its own worker, with a
+        short switch interval: every call's estimates equal the eager
+        reference's, so no buffer or count is shared between calls."""
+        grad0, grad1, sigma = reference_instance("dim5")
+        trials, alphas = 2 * MC_BLOCK + 1, REFERENCE_ALPHAS
+        expected = {
+            seed: eager_monte_carlo(grad0, grad1, sigma, alphas, trials, seed)
+            for seed in range(6)
+        }
+        results = {}
+
+        def call(seed):
+            results[seed] = monte_carlo_tradeoff(
+                grad0, grad1, sigma, alphas, trials, seed
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(s,)) for s in expected]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected
 
 
 @pytest.mark.parametrize("trials", [1000, MC_BLOCK + 1, 100_000])
