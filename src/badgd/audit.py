@@ -217,7 +217,6 @@ def run_audit(
         "inputs": {
             "source": source,
             "weights": w.tolist(),
-            "loss": "square",
             "trigger_kind": kind.value,
             "constraints": dataclasses.asdict(constraints),
             "sigma": sigma,
@@ -244,10 +243,6 @@ def run_audit(
             "budget": budget,
             "epsilon_dual": epsilon_dual,
             "discrepancy": abs(epsilon - epsilon_dual),
-        },
-        "curve_files": {
-            "analytic": "analytic_curve.csv",
-            "monte_carlo": "monte_carlo.csv",
         },
         "consistency": {**checks, "all": all(checks.values())},
     }

@@ -257,8 +257,6 @@ def cmd_trigger(args) -> int:
     payload = {"source": source, "weights": w.tolist(), "report": report}
     out = _out_dir(args)
     if out is not None:
-        trigger_json = json.dumps(report["trigger"], allow_nan=False)
-        (out / "trigger.json").write_text(trigger_json + "\n")
         (out / "trigger_report.json").write_text(_json(report) + "\n")
     _emit(
         payload,
@@ -364,15 +362,12 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_switch(p: _Parser, flag: str, text: str) -> None:
-    action = argparse.BooleanOptionalAction
-    p.add_argument(flag, action=action, default=False, help=text)
-
-
 def _add_dataset_flags(p: _Parser) -> None:
     p.add_argument("--data", help="CSV dataset, rows y,x_1,...,x_d")
     p.add_argument("--synthetic", help="generate data: n=<int>,d=<int>[,seed=<int>]")
-    _add_switch(p, "--header", "skip one header line in --data")
+    p.add_argument(
+        "--header", action="store_true", help="skip one header line in --data"
+    )
     p.add_argument("--seed", type=_seed, default=0, help="base seed")
 
 
@@ -399,7 +394,7 @@ def _add_trigger_flags(p: _Parser) -> None:
 
 def _add_common_flags(p: _Parser) -> None:
     p.add_argument("--out", help="output directory for result files")
-    _add_switch(p, "--json", "print results as JSON")
+    p.add_argument("--json", action="store_true", help="print results as JSON")
 
 
 def build_parser() -> _Parser:

@@ -57,20 +57,10 @@ def check_level(value, name: str) -> float:
     return out
 
 
-def _check_alpha(value) -> float:
-    """``value`` as a type-I level: inside (0, 1), and ``1 - alpha`` below
-    1.0 in floating point. The threshold is formed from ``alpha`` itself
-    (``_tradeoff``), so this rejection no longer guards a computation."""
-    alpha = check_level(value, "alpha")
-    if 1.0 - alpha == 1.0:
-        raise ValueError(f"level {alpha!r} is too small: 1 - level rounds to 1.0")
-    return alpha
-
-
 def _check_levels(alphas) -> list[float]:
-    """``alphas`` as a non-empty list of type-I levels, each one that
-    ``_check_alpha`` accepts."""
-    levels = [_check_alpha(a) for a in alphas]
+    """``alphas`` as a non-empty list of type-I levels, each strictly inside
+    (0, 1), also where ``1 - alpha`` rounds to 1.0."""
+    levels = [check_level(a, "alpha") for a in alphas]
     if not levels:
         raise ValueError("alphas must contain at least one level")
     return levels
@@ -109,28 +99,21 @@ def std_normal_quantile(p: float) -> float:
     return _STD_NORMAL.inv_cdf(p)
 
 
-def _tradeoff(d: float, alpha: float) -> tuple[float, float]:
-    """``gaussian_tradeoff`` without its checks.
-
-    The threshold ``z = Phi^{-1}(1 - alpha)`` is taken as
-    ``-Phi^{-1}(alpha)``, since ``1 - alpha`` rounds; the type-II error
-    ``Phi(z - d)`` and the power ``Phi(d - z)`` each come from their own
-    ``erfc``, since ``1 - type2`` cancels when the power is small.
-    """
-    z = -std_normal_quantile(alpha)
-    return std_normal_cdf(z - d), std_normal_cdf(d - z)
-
-
 def gaussian_tradeoff(d: float, alpha: float) -> tuple[float, float]:
     """Optimal type-II error and power at level alpha for mean gap d.
 
     type2 = Phi(Phi^{-1}(1 - alpha) - d); power = 1 - type2 =
-    Phi(d - Phi^{-1}(1 - alpha)), each to full relative precision. At
-    d = 0 the two distributions coincide and type2 = 1 - alpha, power =
-    alpha.
+    Phi(d - Phi^{-1}(1 - alpha)), each to full relative precision at
+    every level in (0, 1). At d = 0 the two distributions coincide and
+    type2 = 1 - alpha, power = alpha. The threshold ``z = Phi^{-1}(1 -
+    alpha)`` is taken as ``-Phi^{-1}(alpha)``, since ``1 - alpha`` rounds;
+    the type-II error ``Phi(z - d)`` and the power ``Phi(d - z)`` each come
+    from their own ``erfc``, since ``1 - type2`` cancels when the power is
+    small.
     """
     d = check_nonnegative(d, "mean gap")
-    return _tradeoff(d, _check_alpha(alpha))
+    z = -std_normal_quantile(check_level(alpha, "alpha"))
+    return std_normal_cdf(z - d), std_normal_cdf(d - z)
 
 
 def tradeoff_curve(d: float, alphas) -> dict:

@@ -198,7 +198,10 @@ def _count_on_two_threads(count) -> list[list[int]]:
 
     An exception in either sets ``stop``, which the other checks before
     each block. The worker is joined before this returns or raises, and
-    the clean hypothesis's exception, else the worker's, is raised.
+    the clean hypothesis's exception, else the worker's, is raised. When
+    the OS refuses the thread (``Thread.start`` raises RuntimeError), the
+    calling thread counts both, as ``trials <= MC_BLOCK`` does: each
+    block draws from its own seed, so the counts are the same.
     """
     stop = threading.Event()
     backdoored = []
@@ -211,7 +214,10 @@ def _count_on_two_threads(count) -> list[list[int]]:
             stop.set()
 
     worker = threading.Thread(target=work)
-    worker.start()
+    try:
+        worker.start()
+    except RuntimeError:
+        return [count(0), count(1)]
     try:
         clean = count(0, stop)
     except BaseException:

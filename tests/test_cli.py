@@ -14,7 +14,7 @@ import pytest
 from badgd import audit, cli, gdp, sim, triggers
 from badgd.dataset import Trigger, TriggerKind, generate_synthetic
 from badgd.triggers import TriggerConstraints
-from conftest import HUGE_MOMENTS_CSV, TWO_POINT_CSV
+from conftest import HUGE_MOMENTS_CSV, TWO_POINT_CSV, refuse_threads
 
 FIXTURE = str(TWO_POINT_CSV)
 HUGE_MOMENTS = str(HUGE_MOMENTS_CSV)
@@ -51,7 +51,7 @@ OPTION_VALUES = {
     "header": ["--header"],
     "seed": ["--seed", "9"],
     "out": ["--out", "results"],
-    "json": ["--no-json"],
+    "json": ["--json"],
     "weights": ["--weights=-1,0.5"],
     "weights_seed": ["--weights-seed", "4"],
     "kind": ["--kind", "riskwarp"],
@@ -121,6 +121,10 @@ class TestParsing:
             for key in sorted(every_key - keys):
                 with pytest.raises(cli.UsageError, match="unrecognized arguments"):
                     cli._parser().parse_args([*command, *OPTION_VALUES[key]])
+            # the two switches are off by default and have no negations
+            for flag in ("--no-json", "--no-header"):
+                with pytest.raises(cli.UsageError, match="unrecognized arguments"):
+                    cli._parser().parse_args([*command, flag])
 
 
 @pytest.mark.parametrize(
@@ -262,9 +266,9 @@ class TestTrigger:
             str(out),
         )
         assert code == 0
-        data = json.loads((out / "trigger.json").read_text())
-        assert data["kind"] == "gradwarp"
-        assert (out / "trigger_report.json").exists()
+        assert [path.name for path in out.iterdir()] == ["trigger_report.json"]
+        report = json.loads((out / "trigger_report.json").read_text())
+        assert report["trigger"]["kind"] == "gradwarp"
 
 
     def test_oracle_budget_zero_skips_by_default(self, capsys):
@@ -490,6 +494,32 @@ class TestAudit:
         code, _, err = run_cli(capsys, *self.AUDIT_ARGS, "--out", str(out))
         assert code == 0, err
         report = json.loads((out / "report.json").read_text())
+        assert list(report) == [
+            "inputs",
+            "sufficient_stats",
+            "trigger",
+            "trigger_report",
+            "risk_gap",
+            "gradient_gap",
+            "mixture_identity",
+            "snr",
+            "analytic_curve",
+            "monte_carlo",
+            "privacy",
+            "consistency",
+        ]
+        assert list(report["inputs"]) == [
+            "source",
+            "weights",
+            "trigger_kind",
+            "constraints",
+            "sigma",
+            "delta",
+            "trials",
+            "alphas",
+            "seed",
+            "oracle_budget",
+        ]
         assert report["consistency"]["all"] is True
         assert report["snr"]["definitional"] == pytest.approx(
             2.0 / 3.0 * math.sqrt(1.25), abs=1e-12
@@ -541,6 +571,19 @@ class TestAudit:
         assert (out_a / "report.json").read_bytes() == (
             out_b / "report.json"
         ).read_bytes()
+
+    def test_refused_thread_writes_the_same_files(self, capsys, tmp_path, monkeypatch):
+        """Past one block per hypothesis, an audit whose worker thread the
+        OS refuses counts on the calling thread: exit 0, the same bytes."""
+        trials = str(2 * sim.MC_BLOCK + 1)
+        argv = ["audit", "--data", FIXTURE, "--weights", "1,0", "--trials", trials]
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / "a"))[0] == 0
+        refuse_threads(monkeypatch)
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "b"))
+        assert code == 0, err
+        for name in ("report.json", "monte_carlo.csv", "analytic_curve.csv"):
+            written = (tmp_path / "b" / name).read_bytes()
+            assert written == (tmp_path / "a" / name).read_bytes(), name
 
     def test_report_round_trips(self, capsys, tmp_path):
         out = tmp_path / "audit"
@@ -843,7 +886,7 @@ HUGE_WEIGHTS_ERRORS = {
         (["audit", *HUGE_WEIGHTS, "--kind", "riskwarp"], None),
         # data whose second moments overflow
         (["stats", "--data", HUGE_MOMENTS], None),
-        # levels whose 1 - alpha rounds to 1.0
+        # levels whose 1 - alpha rounds to 1.0, accepted like any other
         (["tradeoff", "--mu", "40", "--alphas", "1e-300"], None),
         ([*FUZZ_AUDIT, "--alphas", "1e-17"], None),
         *(
@@ -908,14 +951,11 @@ def test_fuzz_exits_cleanly(capsys, tmp_path, argv, message):
     ],
 )
 def test_tiny_level_named(capsys, argv, level):
-    """A level whose 1 - alpha rounds to 1.0 is a usage error naming that
-    level, not a quantile error about a value the user never gave."""
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err == (
-        f"error: argument --alphas: level {level} is too small: "
-        "1 - level rounds to 1.0\n"
-    )
+    """A level whose 1 - alpha rounds to 1.0 is accepted like any other:
+    exit 0, with its row in the analytic curve."""
+    payload = run_json(capsys, *argv)
+    curve = payload.get("analytic_curve", payload)
+    assert float(level) in curve["alphas"]
 
 
 def test_smallest_level_accepted(capsys):

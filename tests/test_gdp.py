@@ -153,14 +153,14 @@ class TestGaussianTradeoff:
             gaussian_tradeoff(-0.5, 0.1)
 
     def test_too_small_level_named(self):
-        """A level whose 1 - alpha rounds to 1.0 is named, not reported as a
-        quantile of 1.0; 2**-53, the smallest level above it, is accepted."""
-        with pytest.raises(ValueError, match="level 1e-17 is too small"):
-            gaussian_tradeoff(1.0, 1e-17)
-        with pytest.raises(ValueError, match="level 1e-300 is too small"):
-            tradeoff_curve(40.0, [0.05, 1e-300])
-        curve = tradeoff_curve(40.0, [2.0**-53])
-        assert curve["alphas"] == [2.0**-53]
+        """A level whose 1 - alpha rounds to 1.0 is accepted like any other:
+        the curve holds ``gaussian_tradeoff`` at each of its levels."""
+        alphas = [0.05, 1e-300]
+        curve = tradeoff_curve(40.0, alphas)
+        assert curve["alphas"] == alphas
+        for i, alpha in enumerate(alphas):
+            type2, power = gaussian_tradeoff(40.0, alpha)
+            assert (curve["type2"][i], curve["power"][i]) == (type2, power)
 
 
 TAIL_LEVELS = [1e-300, 1e-15, 1e-8, 0.01, 0.5, 0.99]
@@ -196,12 +196,10 @@ class TestTradeoffTails:
     @pytest.mark.parametrize("alpha", TAIL_LEVELS)
     def test_against_mpmath(self, alpha):
         for d in TAIL_GAPS:
-            ours = gdp._tradeoff(d, alpha)
+            ours = gaussian_tradeoff(d, alpha)
             for value, ref in zip(ours, reference_tradeoff(d, alpha)):
                 error = abs(value - ref) / max(ref, sys.float_info.min)
                 assert error <= 2e-13, (d, alpha, value, ref)
-            if 1.0 - alpha < 1.0:
-                assert gaussian_tradeoff(d, alpha) == ours
 
     @pytest.mark.parametrize("d, alpha", [(10.0, 1e-12), (0.5, 1e-15)])
     def test_hand_corners(self, d, alpha):

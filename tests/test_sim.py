@@ -23,6 +23,7 @@ from badgd.sim import (
 )
 from badgd.triggers import TriggerConstraints, make_gradwarp_trigger
 from badgd.dataset import sufficient_stats
+from conftest import refuse_threads
 
 W_FIXTURE = np.array([1.0, 0.0])
 
@@ -136,15 +137,6 @@ class TestMonteCarloTradeoff:
         expected = -0.5 * d * d + d * std_normal_quantile(0.95)
         assert result["threshold"] == pytest.approx(expected, abs=1e-12)
 
-    def test_too_small_level_named_before_simulating(self, two_point, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("scores simulated for a rejected level")
-
-        monkeypatch.setattr(sim, "_block_scores", unreachable)
-        grads = _gradwarp_grads(two_point)
-        with pytest.raises(ValueError, match="level 1e-17 is too small"):
-            monte_carlo_tradeoff(*grads, 1.0, [0.05, 1e-17], 1000, 5)
-
     def test_doubling_trials_scales_std_err(self, two_point):
         grads = _gradwarp_grads(two_point)
         (small,) = monte_carlo_tradeoff(*grads, 1.0, [0.05], 2000, 5)
@@ -155,7 +147,7 @@ class TestMonteCarloTradeoff:
 
     def test_deterministic_and_alpha_independent_streams(self, two_point):
         grads = _gradwarp_grads(two_point)
-        combined = monte_carlo_tradeoff(*grads, 1.0, [0.01, 0.05], 1500, 6)
+        combined = monte_carlo_tradeoff(*grads, 1.0, [0.01, 0.05, 1e-17], 1500, 6)
         (alone,) = monte_carlo_tradeoff(*grads, 1.0, [0.05], 1500, 6)
         matching = combined[1]
         assert matching["est_type1"] == alone["est_type1"]
@@ -524,6 +516,19 @@ class TestTwoThreads:
         assert threading.active_count() == threads
         assert drawn[failing] == 0
         assert drawn[1 - failing] < blocks
+
+    def test_refused_thread_counts_on_the_calling_thread(self, monkeypatch):
+        """When the OS refuses the worker thread (``Thread.start`` raises
+        RuntimeError, as at a pids limit), the calling thread counts both
+        hypotheses: the estimates are an unrefused run's, and no thread is
+        left behind."""
+        grad0, grad1, sigma = reference_instance("dim5")
+        args = (grad0, grad1, sigma, REFERENCE_ALPHAS, 2 * MC_BLOCK + 1, 4)
+        expected = monte_carlo_tradeoff(*args)
+        refuse_threads(monkeypatch)
+        threads = threading.active_count()
+        assert monte_carlo_tradeoff(*args) == expected
+        assert threading.active_count() == threads
 
     def test_concurrent_calls_share_nothing(self):
         """More callers than cores, each starting its own worker, with a
