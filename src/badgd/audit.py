@@ -74,11 +74,9 @@ def _agree(canonical, other, terms: float = 0.0) -> bool:
     """The one rule of every route check: ``max|canonical - other| <=
     max(_CHECK_TOL * (1 + max|canonical|), _ROUNDING_UNITS * 2**-53 *
     terms)``, where ``terms`` is the size of what the routes subtract (0
-    leaves the first bound); scalars stay plain floats (cheap)."""
-    if isinstance(canonical, np.ndarray):
-        gap, scale = np.max(np.abs(canonical - other)), np.max(np.abs(canonical))
-    else:
-        gap, scale = abs(canonical - other), abs(canonical)
+    leaves the first bound)."""
+    gap = np.max(np.abs(np.subtract(canonical, other)))
+    scale = np.max(np.abs(canonical))
     bound = max(_CHECK_TOL * (1.0 + scale), _ROUNDING_UNITS * 2.0**-53 * terms)
     return bool(gap <= bound)
 
@@ -155,12 +153,12 @@ def run_audit(
     The report's ``consistency`` section says whether every runtime check
     held; it is complete either way.
     """
-    check_positive(sigma, "sigma")
-    check_count(seed, "seed", 0)
-    _check_delta(delta)
+    sigma = check_positive(sigma, "sigma")
+    seed = check_count(seed, "seed", 0)
+    delta = _check_delta(delta)
     alphas = _check_levels(alphas)
-    check_trials(trials)
-    check_count(oracle_budget, "oracle_budget", 0)
+    trials = check_trials(trials)
+    oracle_budget = check_count(oracle_budget, "oracle_budget", 0)
     _log(f"dataset loaded (n={data.n}, feature_dim={data.feature_dim})")
     stats = sufficient_stats(data)
     w = check_weights(w, data.feature_dim)

@@ -75,7 +75,10 @@ def check_nonnegative(value, name: str) -> float:
 
 
 def check_count(value, name: str, minimum: int) -> int:
-    """``value`` as an int that is at least ``minimum``."""
+    """``value`` as an int that is at least ``minimum``; a float must be a
+    whole number, not truncated to one."""
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
     out = int(value)
     if out < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {out}")
@@ -403,8 +406,7 @@ def generate_synthetic(n: int, feature_dim: int, seed: int) -> Dataset:
     """
     n = check_count(n, "n", 1)
     feature_dim = check_count(feature_dim, "feature_dim", 1)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    seed = check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(feature_dim)
     # one spare row, for make_bad_dataset

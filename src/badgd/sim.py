@@ -22,23 +22,22 @@ hypothesis ``h`` (0 clean, 1 backdoored) draws from the two children of
 ``SeedSequence((seed, h, b))``: the first gives the block's full
 ``(rows, d)`` gradient-noise matrix, the second its tie-break uniforms.
 The second child is built only for a block holding a score exactly equal
-to a threshold, since no other uniform is ever read; a value a run does
-use is the same as if every block drew its uniforms. So results do not
-depend on execution order, the clean and backdoored streams are
-independent, and the first T trials of a run are the same whatever the
-total trial count. Each block is scored and counted at every level
-before the next is drawn, into one noise buffer and one score buffer
-that the hypothesis keeps for all its blocks, so it holds one block,
+to a threshold, at most once and shared by all levels, since no other
+uniform is ever read; a value a run does use is the same as if every
+block drew its uniforms. So results do not depend on execution order,
+the clean and backdoored streams are independent, and the first T trials
+of a run are the same whatever the total trial count. Each block is
+drawn, scored and counted at every level before the next is drawn, into
+one noise buffer and one score buffer that the hypothesis keeps for all
+its blocks, and only the counts are kept, so it holds one block,
 O(``MC_BLOCK`` * d) memory, at any trial count, and its time grows
 linearly with the trials. A run of more than one block per hypothesis
 counts the clean blocks on the calling thread and the backdoored ones on
 one worker thread (NumPy's draws and products release the interpreter
-lock), so it holds at most two blocks at a time; a run of one block per
+lock), so it holds at most two blocks at a time; a failure in either
+stops the other before its next block. A run of one block per
 hypothesis, ``trials <= MC_BLOCK``, counts both on the calling thread,
 where starting a thread would cost more than it saves.
-These streams differ from those of earlier versions,
-which seeded one generator per trial: the same seed now gives other,
-equally distributed, Monte Carlo estimates.
 
 The distinguisher returns one plain dict per level, the audit report's
 own entries; ``badgd.cli`` formats them as a CSV table.
@@ -97,14 +96,6 @@ def _block_seed(seed: int, hypothesis: int, block: int, child: int):
     return np.random.SeedSequence([seed, hypothesis, block], spawn_key=(child,))
 
 
-def _block_ties(seed: int, hypothesis: int, trials: int, block: int) -> np.ndarray:
-    """Tie-break uniforms of block ``block`` of a ``trials``-trial run,
-    one per trial of the block, from the block's second child."""
-    rows = min(MC_BLOCK, trials - block * MC_BLOCK)
-    rng = np.random.default_rng(_block_seed(seed, hypothesis, block, 1))
-    return rng.uniform(size=rows)
-
-
 def _block_scores(
     grad: np.ndarray,
     grad0: np.ndarray,
@@ -114,9 +105,11 @@ def _block_scores(
     hypothesis: int,
     trials: int,
     block: int,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    out: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """LLR scores of block ``block`` of a ``trials``-trial run.
+    """LLR scores of block ``block`` of a ``trials``-trial run, drawn and
+    scored in the first rows of the ``(noise, scores)`` buffers ``out``;
+    returns a view of ``scores``.
 
     Each update is ``w - gamma * (grad + sigma * z)`` with z ~ N(0, I).
     Its recentered log-likelihood ratio between the clean update (mean
@@ -124,24 +117,10 @@ def _block_scores(
     of scale ``gamma * sigma``, is ``<u, z> + <u, grad - (grad0 + grad1)/2>
     / sigma`` with ``u = (grad1 - grad0) / sigma``. The learning rate
     cancels, so it is not an argument.
-
-    The block draws its whole ``(rows, d)`` gradient-noise matrix from the
-    first child of ``SeedSequence((seed, hypothesis, block))`` and scores
-    it with one matrix-vector product; its tie-break uniforms are
-    ``_block_ties``. Blocks of a shorter run are a prefix of a longer
-    one's, and each holds at most ``MC_BLOCK * d`` noise values. ``out``
-    is a ``(noise, scores)`` pair of buffers of at least ``rows`` rows
-    that a hypothesis reuses for all its blocks; the block is drawn and
-    scored in their first ``rows`` rows, with the same bits as in fresh
-    arrays, and the returned scores are a view of ``scores``.
     """
-    sigma = check_positive(sigma, "sigma")
-    seed = check_count(seed, "seed", 0)
     u = (grad1 - grad0) / sigma
     offset = float(u @ ((grad - 0.5 * (grad0 + grad1)) / sigma))
     rows = min(MC_BLOCK, trials - block * MC_BLOCK)
-    if out is None:
-        out = np.empty((rows, grad.size)), np.empty(rows)
     noise, scores = out[0][:rows], out[1][:rows]
     rng = np.random.default_rng(_block_seed(seed, hypothesis, block, 0))
     rng.standard_normal(out=noise)
@@ -150,31 +129,13 @@ def _block_scores(
     return scores
 
 
-def _block_rejections(scores: np.ndarray, thresholds, alphas, ties) -> list[int]:
-    """Trials of one block that each level's test rejects: a score above
-    the level's threshold, or exactly on it with the trial's tie-break
-    uniform below the level.
-
-    ``ties()`` returns the block's uniforms; it is called at most once,
-    and only when some score equals some threshold, so a block without
-    ties draws none.
-    """
-    rejected = [int(np.count_nonzero(scores > t)) for t in thresholds]
-    if any(t in scores for t in thresholds):
-        draws = ties()
-        for level, (t, alpha) in enumerate(zip(thresholds, alphas)):
-            rejected[level] += int(np.count_nonzero((scores == t) & (draws < alpha)))
-    return rejected
-
-
 def _count_blocks(
     grad0, grad1, sigma, seed, trials, thresholds, alphas, hypothesis, stop=None
 ) -> list[int] | None:
     """Rejections of hypothesis ``hypothesis`` at every level, summed over
-    its blocks in order, which are drawn and scored in one noise and one
-    score buffer kept for all of them. Once the event ``stop`` is set the
-    loop ends before its next block and returns None: the other
-    hypothesis failed, and its exception is the one raised.
+    its blocks in order. Once the event ``stop`` is set the loop ends
+    before its next block and returns None: the other hypothesis failed,
+    and its exception is the one raised.
     """
     grad = (grad0, grad1)[hypothesis]
     rows = min(MC_BLOCK, trials)
@@ -183,12 +144,18 @@ def _count_blocks(
     for block in range(-(-trials // MC_BLOCK)):
         if stop is not None and stop.is_set():
             return None
-        key = (seed, hypothesis, trials, block)
-        scores = _block_scores(grad, grad0, grad1, sigma, *key, out=out)
-        block_count = _block_rejections(
-            scores, thresholds, alphas, lambda: _block_ties(*key)
+        scores = _block_scores(
+            grad, grad0, grad1, sigma, seed, hypothesis, trials, block, out
         )
-        count = [a + b for a, b in zip(count, block_count)]
+        for level, t in enumerate(thresholds):
+            count[level] += int(np.count_nonzero(scores > t))
+        if any(t in scores for t in thresholds):
+            rng = np.random.default_rng(_block_seed(seed, hypothesis, block, 1))
+            draws = rng.uniform(size=scores.size)
+            for level, (t, alpha) in enumerate(zip(thresholds, alphas)):
+                count[level] += int(np.count_nonzero((scores == t) & (draws < alpha)))
+            # freed before the next block is drawn: a tied run holds one block
+            del draws
     return count
 
 
@@ -254,25 +221,11 @@ def monte_carlo_tradeoff(
     not realize a level-alpha test at all.
 
     Returns one dict per level, keyed ``alpha, threshold, est_type1,
-    est_type2, std_err, trials`` in that order. ``std_err`` is the
-    binomial standard error sqrt(p (1 - p) / trials) at the analytic
-    type-II probability p, so it depends on the trial count and the
-    instance but not on the sampled outcomes.
-
-    The thresholds are fixed before any draw. Each hypothesis then runs
-    one loop over its blocks, in one noise and one score buffer: a block
-    is drawn, scored and its rejections counted at every level, and only
-    the counts are kept. Past one block per hypothesis (``trials >
-    MC_BLOCK``) the calling thread runs the clean loop while one worker
-    thread runs the backdoored one, so memory is two blocks,
-    O(``MC_BLOCK`` * d), at any trial count; a failure in either loop
-    stops the other before its next block, the worker is joined, and the
-    failure is raised here. Each estimate is an integer rejection count
-    over ``trials``. A block's tie-break uniforms are
-    drawn only when one of its scores equals a threshold, at most once
-    and shared by all levels; in practice that is the d = 0 case alone.
-    The uniforms read are the ones every block would have drawn, so the
-    estimates do not change.
+    est_type2, std_err, trials`` in that order; each estimate is an
+    integer rejection count over ``trials``. ``std_err`` is the binomial
+    standard error sqrt(p (1 - p) / trials) at the analytic type-II
+    probability p, so it depends on the trial count and the instance but
+    not on the sampled outcomes.
     """
     trials = check_trials(trials)
     sigma = check_positive(sigma, "sigma")

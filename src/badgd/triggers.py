@@ -486,7 +486,7 @@ def build_trigger_report(
     """
     goal = _goal(kind)
     w = check_weights(w, stats.feature_dim)
-    check_count(oracle_budget, "oracle_budget", 0)
+    oracle_budget = check_count(oracle_budget, "oracle_budget", 0)
     factor = goal.factor(stats.n + 1, sigma)
     trigger = goal.construct(w, constraints, stats)
     # out-of-range inputs make the value non-finite; callers reject it

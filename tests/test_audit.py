@@ -19,7 +19,12 @@ W = np.array([0.5, -1.0, 1.5, 0.25])
 
 
 def _run_audit(
-    alphas=(0.05,), seed=3, delta=1e-3, trigger=TriggerKind.GRADDISTWARP
+    alphas=(0.05,),
+    seed=3,
+    delta=1e-3,
+    trigger=TriggerKind.GRADDISTWARP,
+    trials=1000,
+    oracle_budget=4,
 ) -> dict:
     return audit.run_audit(
         DATA,
@@ -28,10 +33,10 @@ def _run_audit(
         constraints=TriggerConstraints(),
         sigma=1.0,
         delta=delta,
-        trials=1000,
+        trials=trials,
         alphas=alphas,
         seed=seed,
-        oracle_budget=4,
+        oracle_budget=oracle_budget,
     )
 
 
@@ -156,12 +161,25 @@ def test_gap_command_names_failed_checks(monkeypatch, capsys):
         ({"seed": -1}, "seed must be >= 0"),
         ({"delta": 1e-318}, "delta 1e-318 is too small"),
         ({"alphas": [0.05, 1.5]}, "alpha must lie strictly in"),
+        # a count that is not a whole number is named, not truncated
+        ({"seed": 7.5}, "seed must be a whole number, got 7.5"),
+        ({"seed": 7.5, "oracle_budget": 0}, "seed must be a whole number"),
+        ({"trials": 1000.9}, "trials must be a whole number, got 1000.9"),
+        ({"oracle_budget": 2.5}, "oracle_budget must be a whole number"),
     ],
 )
 def test_bad_input_is_named_before_any_stage(capsys, kwargs, match):
     with pytest.raises(ValueError, match=match):
         _run_audit(**kwargs)
     assert "stage:" not in capsys.readouterr().err
+
+
+def test_checked_counts_are_echoed():
+    """Whole floats, NumPy ints and digit strings are counts: the report
+    echoes the int each was checked as, the value the run used."""
+    inputs = _run_audit(seed=np.int64(3), trials=2000.0, oracle_budget="4")["inputs"]
+    assert (inputs["seed"], inputs["trials"], inputs["oracle_budget"]) == (3, 2000, 4)
+    assert all(type(inputs[k]) is int for k in ("seed", "trials", "oracle_budget"))
 
 
 def _cancelling_triggers(m: float, s: int):

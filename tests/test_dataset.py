@@ -472,3 +472,5 @@ class TestGenerateSynthetic:
             generate_synthetic(2, 0, seed=1)
         with pytest.raises(ValueError, match="seed"):
             generate_synthetic(2, 2, seed=-1)
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            generate_synthetic(2, 2, seed=1.5)

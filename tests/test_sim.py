@@ -15,9 +15,8 @@ from badgd.gdp import gaussian_tradeoff, std_normal_quantile
 from badgd.risk import risk_gradient
 from badgd.sim import (
     MC_BLOCK,
-    _block_rejections,
     _block_scores,
-    _block_ties,
+    _count_blocks,
     monte_carlo_tradeoff,
     noisy_gd_step,
 )
@@ -160,12 +159,8 @@ class TestMonteCarloTradeoff:
         for sigma in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError, match="sigma"):
                 monte_carlo_tradeoff(grad0, grad1, sigma, [0.05], 2000, 0)
-            with pytest.raises(ValueError, match="sigma"):
-                _block_scores(grad0, grad0, grad1, sigma, 0, 0, 1000, 0)
         with pytest.raises(ValueError, match="seed"):
             monte_carlo_tradeoff(grad0, grad1, 1.0, [0.05], 2000, -1)
-        with pytest.raises(ValueError, match="seed"):
-            _block_scores(grad0, grad0, grad1, 1.0, -1, 0, 1000, 0)
         with pytest.raises(ValueError, match="alpha"):
             monte_carlo_tradeoff(grad0, grad1, 1.0, [1.5], 2000, 0)
         with pytest.raises(ValueError, match="at least one level"):
@@ -224,8 +219,9 @@ class TestLlrScores:
         grad0, grad1 = _grads(w, d0, v)
         grad = (grad0, grad1)[hypothesis]
         seed = 14
+        out = np.empty((MC_BLOCK, w.size)), np.empty(MC_BLOCK)
         scores = _block_scores(
-            grad, grad0, grad1, STREAM_SIGMA, seed, hypothesis, MC_BLOCK, 0
+            grad, grad0, grad1, STREAM_SIGMA, seed, hypothesis, MC_BLOCK, 0, out
         )
 
         noise_seq, _ = np.random.SeedSequence([seed, hypothesis, 0]).spawn(2)
@@ -249,16 +245,24 @@ class TestLlrScores:
 
 
 def run_ties(seed: int, hypothesis: int, trials: int) -> np.ndarray:
-    """The tie-break uniforms of every trial of a run, block by block."""
-    blocks = range(-(-trials // MC_BLOCK))
-    return np.concatenate([_block_ties(seed, hypothesis, trials, b) for b in blocks])
+    """The tie-break uniforms of every trial of a run, block by block, each
+    block's from the second child of ``SeedSequence((seed, hypothesis, b))``."""
+    ties = []
+    for block, start in enumerate(range(0, trials, MC_BLOCK)):
+        rows = min(MC_BLOCK, trials - start)
+        _, tie_seq = np.random.SeedSequence([seed, hypothesis, block]).spawn(2)
+        ties.append(np.random.default_rng(tie_seq).uniform(size=rows))
+    return np.concatenate(ties)
 
 
 def run_scores(grad, grad0, grad1, sigma, trials, seed, hypothesis) -> np.ndarray:
-    """The LLR scores of every trial of a run, block by block."""
+    """The LLR scores of every trial of a run, block by block, each drawn
+    in buffers the run reuses and copied out."""
+    rows = min(MC_BLOCK, trials)
+    out = np.empty((rows, grad.size)), np.empty(rows)
     args = (grad, grad0, grad1, sigma, seed, hypothesis, trials)
     return np.concatenate(
-        [_block_scores(*args, b) for b in range(-(-trials // MC_BLOCK))]
+        [_block_scores(*args, b, out).copy() for b in range(-(-trials // MC_BLOCK))]
     )
 
 
@@ -427,7 +431,7 @@ class TestTiesOnDemand:
                         b = np.random.default_rng(spawned[child]).standard_normal(64)
                         np.testing.assert_array_equal(a, b)
 
-    def test_partial_ties_count_as_masks(self):
+    def test_partial_ties_count_as_masks(self, monkeypatch):
         """Scores tied in some blocks only: the count reads those blocks'
         uniforms and equals the mask formula over the full tie stream."""
         seed, trials, threshold, alpha = 9, 3 * MC_BLOCK + 17, 0.25, 0.3
@@ -438,16 +442,25 @@ class TestTiesOnDemand:
         expected = np.count_nonzero(
             (scores > threshold) | ((scores == threshold) & (full < alpha))
         )
+
+        def planted(*args):
+            block = args[7]
+            return scores[block * MC_BLOCK : (block + 1) * MC_BLOCK]
+
         drawn = []
-        rejected = 0
-        for block, start in enumerate(range(0, trials, MC_BLOCK)):
+        default_rng = np.random.default_rng
 
-            def ties(block=block):
-                drawn.append(block)
-                return _block_ties(seed, 1, trials, block)
+        def counted(seq):
+            if seq.spawn_key == (1,):
+                drawn.append(seq.entropy[2])
+            return default_rng(seq)
 
-            block_scores = scores[start : start + MC_BLOCK]
-            rejected += _block_rejections(block_scores, [threshold], [alpha], ties)[0]
+        monkeypatch.setattr(sim, "_block_scores", planted)
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        grad = np.zeros(2)
+        (rejected,) = _count_blocks(
+            grad, grad, 1.0, seed, trials, [threshold], [alpha], 1
+        )
         assert rejected == expected
         assert drawn == [0, 2, 3]
         # the tied trials decide: some reject and some do not
