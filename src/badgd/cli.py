@@ -96,12 +96,22 @@ def _levels(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _seed(text: str) -> int:
-    """A seed for NumPy's generators: a non-negative integer."""
-    try:
-        return check_count(text, "seed", 0)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _count(name: str):
+    """The argparse type of a count flag: ``check_count``'s rule, at least
+    0, in its words. The text is read as the int or float it spells, so a
+    value such as 7.5 breaks the whole-number rule rather than int()."""
+
+    def parse(text: str) -> int:
+        try:
+            try:
+                value = int(text)
+            except ValueError:
+                value = float(text)
+            return check_count(value, name, 0)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _parse_synthetic(spec: str, default_seed: int) -> tuple[int, int, int]:
@@ -368,13 +378,15 @@ def _add_dataset_flags(p: _Parser) -> None:
     p.add_argument(
         "--header", action="store_true", help="skip one header line in --data"
     )
-    p.add_argument("--seed", type=_seed, default=0, help="base seed")
+    p.add_argument("--seed", type=_count("seed"), default=0, help="base seed")
 
 
 def _add_weight_flags(p: _Parser) -> None:
     p.add_argument("--weights", type=_floats, help="comma-separated weight vector")
     p.add_argument(
-        "--weights-seed", type=_seed, help="draw standard-normal weights (else: --seed)"
+        "--weights-seed",
+        type=_count("seed"),
+        help="draw standard-normal weights (else: --seed)",
     )
 
 
@@ -419,7 +431,10 @@ def build_parser() -> _Parser:
     _add_trigger_flags(p)
     p.add_argument("--sigma", type=float, default=1.0, help="noise scale")
     p.add_argument(
-        "--oracle-budget", type=int, default=0, help="search oracle size, 0 skips"
+        "--oracle-budget",
+        type=_count("oracle_budget"),
+        default=0,
+        help="search oracle size, 0 skips",
     )
     _add_common_flags(p)
     p.set_defaults(func=cmd_trigger)
@@ -448,12 +463,17 @@ def build_parser() -> _Parser:
     _add_trigger_flags(p)
     p.add_argument("--sigma", type=float, default=1.0, help="noise scale")
     p.add_argument("--delta", type=float, default=1e-3, help="target delta")
-    p.add_argument("--trials", type=int, default=10000, help="Monte Carlo trials")
+    p.add_argument(
+        "--trials", type=_count("trials"), default=10000, help="Monte Carlo trials"
+    )
     p.add_argument(
         "--alphas", type=_levels, default="0.01,0.05,0.2", help="type-I levels"
     )
     p.add_argument(
-        "--oracle-budget", type=int, default=32, help="search oracle size, 0 skips"
+        "--oracle-budget",
+        type=_count("oracle_budget"),
+        default=32,
+        help="search oracle size, 0 skips",
     )
     _add_common_flags(p)
     p.set_defaults(func=cmd_audit)

@@ -321,31 +321,50 @@ def _data_lines(path, skip_header: bool):
 
     Skips the header line when asked, and lines holding only commas,
     quotes and whitespace. Raises, naming the line, on a row too narrow
-    or of another width.
+    or of another width, or on a byte that is not UTF-8.
     """
     width: int | None = None
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if skip_header and line_no == 1:
-                continue
-            if _BLANK_LINE.fullmatch(line):
-                continue
-            # a quoted field may hold a comma, which only the csv module skips
-            if '"' in line:
-                fields = len(next(csv.reader([line])))
-            else:
-                fields = line.count(",") + 1
-            if width is None:
-                if fields < 2:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if skip_header and line_no == 1:
+                    continue
+                if _BLANK_LINE.fullmatch(line):
+                    continue
+                # a quoted field may hold a comma, which only the csv module skips
+                if '"' in line:
+                    fields = len(next(csv.reader([line])))
+                else:
+                    fields = line.count(",") + 1
+                if width is None:
+                    if fields < 2:
+                        raise ValueError(
+                            f"{path}: line {line_no}: need y plus at least one feature"
+                        )
+                    width = fields
+                elif fields != width:
                     raise ValueError(
-                        f"{path}: line {line_no}: need y plus at least one feature"
+                        f"{path}: line {line_no}: expected {width} fields, got {fields}"
                     )
-                width = fields
-            elif fields != width:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {width} fields, got {fields}"
+                yield line_no, line
+        except UnicodeDecodeError as exc:
+            raise _first_undecodable_line(path) or exc from None
+
+
+def _first_undecodable_line(path) -> ValueError | None:
+    """The error naming the first line of ``path`` that is not UTF-8 text,
+    with its first offending byte. A strict read fails a whole chunk at a
+    time, so the file is read again with each such byte escaped."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                return ValueError(
+                    f"{path}: line {line_no}: byte {byte:#04x} is not UTF-8"
                 )
-            yield line_no, line
+    return None
 
 
 def _first_bad_line(path, skip_header: bool) -> ValueError | None:

@@ -17,27 +17,24 @@ under the backdoored one, and the simulation either reproduces the
 implied error rates or it does not.
 
 Reproducibility contract: the distinguisher runs its trials in blocks of
-``MC_BLOCK`` (4096), a constant rather than an option. Block ``b`` of
+``MC_BLOCK`` (65,536), a constant rather than an option. Block ``b`` of
 hypothesis ``h`` (0 clean, 1 backdoored) draws from the two children of
-``SeedSequence((seed, h, b))``: the first gives the block's full
-``(rows, d)`` gradient-noise matrix, the second its tie-break uniforms.
-The second child is built only for a block holding a score exactly equal
-to a threshold, at most once and shared by all levels, since no other
-uniform is ever read; a value a run does use is the same as if every
-block drew its uniforms. So results do not depend on execution order,
-the clean and backdoored streams are independent, and the first T trials
-of a run are the same whatever the total trial count. Each block is
-drawn, scored and counted at every level before the next is drawn, into
-one noise buffer and one score buffer that the hypothesis keeps for all
-its blocks, and only the counts are kept, so it holds one block,
-O(``MC_BLOCK`` * d) memory, at any trial count, and its time grows
-linearly with the trials. A run of more than one block per hypothesis
-counts the clean blocks on the calling thread and the backdoored ones on
-one worker thread (NumPy's draws and products release the interpreter
-lock), so it holds at most two blocks at a time; a failure in either
-stops the other before its next block. A run of one block per
-hypothesis, ``trials <= MC_BLOCK``, counts both on the calling thread,
-where starting a thread would cost more than it saves.
+``SeedSequence((seed, h, b))``: the first gives one standard normal per
+trial of the block, the second its tie-break uniforms. A trial's score
+reads its d-dimensional gradient noise z only through ``<u, z>``, which
+is exactly N(0, ||u||^2), so one normal scaled by ||u|| is that score's
+whole noise (``_block_scores``). The second child is built only for a
+block holding a score exactly equal to a threshold, at most once and
+shared by all levels, since no other uniform is ever read; a value a run
+does use is the same as if every block drew its uniforms. So results do
+not depend on execution order, the clean and backdoored streams are
+independent, and the first T trials of a run are the same whatever the
+total trial count. Both hypotheses are counted on the calling thread,
+the clean one first. Each block is drawn, scored and counted at every
+level before the next is drawn, into one score buffer that the
+hypothesis keeps for all its blocks, and only the counts are kept, so a
+run holds one block, O(``MC_BLOCK``) memory, at any trial count and any
+d, and its time grows linearly with the trials, not with d.
 
 The distinguisher returns one plain dict per level, the audit report's
 own entries; ``badgd.cli`` formats them as a CSV table.
@@ -45,9 +42,7 @@ own entries; ``badgd.cli`` formats them as a CSV table.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 
 import numpy as np
 
@@ -64,7 +59,7 @@ __all__ = [
 
 # trials per seeded block of the Monte Carlo distinguisher; part of the
 # reproducibility contract, so a constant and not an option
-MC_BLOCK = 4096
+MC_BLOCK = 65_536
 
 
 def check_trials(trials) -> int:
@@ -105,45 +100,41 @@ def _block_scores(
     hypothesis: int,
     trials: int,
     block: int,
-    out: tuple[np.ndarray, np.ndarray],
+    out: np.ndarray,
 ) -> np.ndarray:
     """LLR scores of block ``block`` of a ``trials``-trial run, drawn and
-    scored in the first rows of the ``(noise, scores)`` buffers ``out``;
-    returns a view of ``scores``.
+    scored in the first rows of the score buffer ``out``; returns a view
+    of them.
 
     Each update is ``w - gamma * (grad + sigma * z)`` with z ~ N(0, I).
     Its recentered log-likelihood ratio between the clean update (mean
     ``-gamma * grad0``) and the backdoored one (``-gamma * grad1``), both
     of scale ``gamma * sigma``, is ``<u, z> + <u, grad - (grad0 + grad1)/2>
-    / sigma`` with ``u = (grad1 - grad0) / sigma``. The learning rate
-    cancels, so it is not an argument.
+    / sigma`` with ``u = (grad1 - grad0) / sigma``. ``<u, z>`` is drawn as
+    ``||u||`` times one standard normal; the norm is taken from ``u``, not
+    from the thresholds' SNR, so that an error in either shows. The
+    learning rate cancels, so it is not an argument.
     """
     u = (grad1 - grad0) / sigma
     offset = float(u @ ((grad - 0.5 * (grad0 + grad1)) / sigma))
     rows = min(MC_BLOCK, trials - block * MC_BLOCK)
-    noise, scores = out[0][:rows], out[1][:rows]
+    scores = out[:rows]
     rng = np.random.default_rng(_block_seed(seed, hypothesis, block, 0))
-    rng.standard_normal(out=noise)
-    np.matmul(noise, u, out=scores)
+    rng.standard_normal(out=scores)
+    scores *= math.sqrt(u @ u)
     scores += offset
     return scores
 
 
 def _count_blocks(
-    grad0, grad1, sigma, seed, trials, thresholds, alphas, hypothesis, stop=None
-) -> list[int] | None:
+    grad0, grad1, sigma, seed, trials, thresholds, alphas, hypothesis
+) -> list[int]:
     """Rejections of hypothesis ``hypothesis`` at every level, summed over
-    its blocks in order. Once the event ``stop`` is set the loop ends
-    before its next block and returns None: the other hypothesis failed,
-    and its exception is the one raised.
-    """
+    its blocks in order."""
     grad = (grad0, grad1)[hypothesis]
-    rows = min(MC_BLOCK, trials)
-    out = np.empty((rows, grad.size)), np.empty(rows)
+    out = np.empty(min(MC_BLOCK, trials))
     count = [0] * len(alphas)
     for block in range(-(-trials // MC_BLOCK)):
-        if stop is not None and stop.is_set():
-            return None
         scores = _block_scores(
             grad, grad0, grad1, sigma, seed, hypothesis, trials, block, out
         )
@@ -157,45 +148,6 @@ def _count_blocks(
             # freed before the next block is drawn: a tied run holds one block
             del draws
     return count
-
-
-def _count_on_two_threads(count) -> list[list[int]]:
-    """``[count(0, stop), count(1, stop)]``: the clean hypothesis on the
-    calling thread while one worker thread counts the backdoored one.
-
-    An exception in either sets ``stop``, which the other checks before
-    each block. The worker is joined before this returns or raises, and
-    the clean hypothesis's exception, else the worker's, is raised. When
-    the OS refuses the thread (``Thread.start`` raises RuntimeError), the
-    calling thread counts both, as ``trials <= MC_BLOCK`` does: each
-    block draws from its own seed, so the counts are the same.
-    """
-    stop = threading.Event()
-    backdoored = []
-
-    def work():
-        try:
-            backdoored.append(count(1, stop))
-        except BaseException as exc:  # raised again on the calling thread
-            backdoored.append(exc)
-            stop.set()
-
-    worker = threading.Thread(target=work)
-    try:
-        worker.start()
-    except RuntimeError:
-        return [count(0), count(1)]
-    try:
-        clean = count(0, stop)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        worker.join()
-    (result,) = backdoored
-    if isinstance(result, BaseException):
-        raise result
-    return [clean, result]
 
 
 def monte_carlo_tradeoff(
@@ -247,13 +199,8 @@ def monte_carlo_tradeoff(
 
     # Phi^{-1}(1 - alpha) as -Phi^{-1}(alpha), the z of gdp.gaussian_tradeoff
     thresholds = [-0.5 * d * d - d * std_normal_quantile(a) for a in alphas]
-    count = functools.partial(
-        _count_blocks, grad0, grad1, sigma, seed, trials, thresholds, alphas
-    )
-    if trials <= MC_BLOCK:
-        rejected = [count(0), count(1)]
-    else:
-        rejected = _count_on_two_threads(count)
+    args = (grad0, grad1, sigma, seed, trials, thresholds, alphas)
+    rejected = [_count_blocks(*args, hypothesis) for hypothesis in (0, 1)]
 
     results = []
     for alpha, threshold, rejected0, rejected1 in zip(alphas, thresholds, *rejected):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,21 +24,6 @@ ENTRY_RANGE = 10.0
 def make_two_point() -> Dataset:
     """The hand-checked fixture: {([1,0], 1), ([0,2], -1)}."""
     return Dataset([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0])
-
-
-def refuse_threads(monkeypatch) -> None:
-    """Make every ``Thread.start`` fail as it does when the OS refuses a
-    thread: the low-level start raises RuntimeError."""
-    name = next(
-        n
-        for n in ("_start_joinable_thread", "_start_new_thread")
-        if hasattr(threading, n)
-    )
-
-    def refused(*args, **kwargs):
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading, name, refused)
 
 
 @pytest.fixture

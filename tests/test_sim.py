@@ -22,7 +22,6 @@ from badgd.sim import (
 )
 from badgd.triggers import TriggerConstraints, make_gradwarp_trigger
 from badgd.dataset import sufficient_stats
-from conftest import refuse_threads
 
 W_FIXTURE = np.array([1.0, 0.0])
 
@@ -180,6 +179,11 @@ class TestMonteCarloTradeoff:
 
 # the gradient-noise scale of the block-stream tests
 STREAM_SIGMA = 0.5
+# run lengths: partial first blocks at and around a power of two, then
+# each side of the first block's end, and past the second's
+RUN_LENGTHS = [
+    4095, 4096, 4097, 8193, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 1
+]
 
 
 def _fixture_instance():
@@ -206,7 +210,13 @@ def llr_reference(delta_w, mu0, mu1, sigma_gamma: float) -> float:
 class TestLlrScores:
     """``_block_scores`` against the LLR formula on the same draws, the
     updates taken by ``noisy_gd_step`` on the clean or the backdoored
-    rows. The scores take no learning rate, so every rate must match."""
+    rows. Each trial's d-dimensional noise is its drawn normal along
+    ``u = grad1 - grad0`` plus a random part orthogonal to ``u``, which
+    the score must not see. The scores take no learning rate, so every
+    rate must match."""
+
+    # rows compared: the reference steps one row at a time
+    ROWS = 4096
 
     @pytest.mark.parametrize("hypothesis", [0, 1])
     @pytest.mark.parametrize("instance", ["gradwarp", "zero-gap"])
@@ -219,17 +229,24 @@ class TestLlrScores:
         grad0, grad1 = _grads(w, d0, v)
         grad = (grad0, grad1)[hypothesis]
         seed = 14
-        out = np.empty((MC_BLOCK, w.size)), np.empty(MC_BLOCK)
         scores = _block_scores(
-            grad, grad0, grad1, STREAM_SIGMA, seed, hypothesis, MC_BLOCK, 0, out
-        )
+            grad, grad0, grad1, STREAM_SIGMA, seed, hypothesis, MC_BLOCK, 0,
+            np.empty(MC_BLOCK),
+        )[: self.ROWS]
 
         noise_seq, _ = np.random.SeedSequence([seed, hypothesis, 0]).spawn(2)
-        noise = np.random.default_rng(noise_seq).standard_normal((MC_BLOCK, w.size))
+        z = np.random.default_rng(noise_seq).standard_normal(MC_BLOCK)[: self.ROWS]
+        gap = grad1 - grad0
+        norm = float(np.linalg.norm(gap))
+        # a zero gap has no direction: all its noise is "orthogonal"
+        unit = gap / norm if norm > 0.0 else np.zeros_like(gap)
+        orthogonal = np.random.default_rng(15).standard_normal((self.ROWS, w.size))
+        orthogonal -= np.outer(orthogonal @ unit, unit)
+        noise = np.outer(z, unit) + orthogonal
         for gamma in (0.1, 10.0):
             updates = [
-                noisy_gd_step(w, datasets[hypothesis], gamma, STREAM_SIGMA * z)
-                for z in noise
+                noisy_gd_step(w, datasets[hypothesis], gamma, STREAM_SIGMA * row)
+                for row in noise
             ]
             mu0, mu1 = (plain_step(w, d, gamma) for d in datasets)
             sigma_gamma = gamma * STREAM_SIGMA
@@ -258,8 +275,7 @@ def run_ties(seed: int, hypothesis: int, trials: int) -> np.ndarray:
 def run_scores(grad, grad0, grad1, sigma, trials, seed, hypothesis) -> np.ndarray:
     """The LLR scores of every trial of a run, block by block, each drawn
     in buffers the run reuses and copied out."""
-    rows = min(MC_BLOCK, trials)
-    out = np.empty((rows, grad.size)), np.empty(rows)
+    out = np.empty(min(MC_BLOCK, trials))
     args = (grad, grad0, grad1, sigma, seed, hypothesis, trials)
     return np.concatenate(
         [_block_scores(*args, b, out).copy() for b in range(-(-trials // MC_BLOCK))]
@@ -270,9 +286,7 @@ class TestBlockStreams:
     """The block-seeded reproducibility contract of ``_block_scores``
     and of the per-block tie-break uniforms."""
 
-    @pytest.mark.parametrize(
-        "trials", [MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 1]
-    )
+    @pytest.mark.parametrize("trials", RUN_LENGTHS)
     def test_shorter_run_is_prefix(self, trials):
         grad0, grad1 = _fixture_streams()
         scores = run_scores(grad0, grad0, grad1, STREAM_SIGMA, trials, 11, 0)
@@ -329,8 +343,8 @@ def eager_simulate_scores(grad, grad0, grad1, sigma, trials, seed, hypothesis):
         noise_seq, tie_seq = np.random.SeedSequence(
             [seed, hypothesis, block]
         ).spawn(2)
-        noise = np.random.default_rng(noise_seq).standard_normal((rows, grad.size))
-        scores[start : start + rows] = noise @ u + offset
+        noise = np.random.default_rng(noise_seq).standard_normal(rows)
+        scores[start : start + rows] = noise * math.sqrt(u @ u) + offset
         ties[start : start + rows] = np.random.default_rng(tie_seq).uniform(size=rows)
     return scores, ties
 
@@ -381,9 +395,7 @@ def reference_instance(name: str):
     return grad0, grad1, 0.5 * float(np.linalg.norm(grad1 - grad0))
 
 
-REFERENCE_TRIALS = [
-    1000, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 1, 100_000
-]
+REFERENCE_TRIALS = [1000, *RUN_LENGTHS, 100_000]
 REFERENCE_ALPHAS = [0.01, 0.05, 0.2, 0.5]
 
 
@@ -466,12 +478,11 @@ class TestTiesOnDemand:
         # the tied trials decide: some reject and some do not
         assert 0 < np.count_nonzero(full[tied_at] < alpha) < len(tied_at)
 
-    @pytest.mark.parametrize("trials", [1000, 2 * MC_BLOCK + 1])
+    @pytest.mark.parametrize("trials", [1000, 8193, 2 * MC_BLOCK + 1])
     def test_tie_generators_only_for_tied_blocks(self, monkeypatch, trials):
-        """No tie generator without a tie; one per tied block, not per level.
-        Runs of more than one block draw the two hypotheses on two threads,
-        so the order in which their generators are built is not fixed: the
-        built keys are compared as a sorted multiset."""
+        """No tie generator without a tie; one per tied block, not per level,
+        built right after that block's noise generator. The clean blocks
+        are drawn first, then the backdoored ones."""
         built = []
         default_rng = np.random.default_rng
 
@@ -485,96 +496,45 @@ class TestTiesOnDemand:
 
         grad0, grad1 = _fixture_streams()
         monte_carlo_tradeoff(grad0, grad1, STREAM_SIGMA, alphas, trials, seed)
-        assert sorted(built) == sorted([(key, (0,)) for key in blocks])
+        assert built == [(key, (0,)) for key in blocks]
 
         built.clear()
         grad0, grad1 = _grads([0.2, -0.1], *zero_gap_instance())
         monte_carlo_tradeoff(grad0, grad1, 1.0, alphas, trials, seed)
         # every score ties at every level: each block's uniforms drawn once
-        assert sorted(built) == sorted(
-            [(key, (0,)) for key in blocks] + [(key, (1,)) for key in blocks]
-        )
+        assert built == [(key, (child,)) for key in blocks for child in (0, 1)]
 
 
-class TestTwoThreads:
-    """Past one block per hypothesis, the clean blocks are counted on the
-    calling thread and the backdoored ones on one worker thread."""
+def test_concurrent_calls_share_nothing():
+    """More callers than cores, with a short switch interval: every call's
+    estimates equal the eager reference's, so no buffer or count is shared
+    between calls."""
+    grad0, grad1, sigma = reference_instance("dim5")
+    trials, alphas = 2 * MC_BLOCK + 1, REFERENCE_ALPHAS
+    expected = {
+        seed: eager_monte_carlo(grad0, grad1, sigma, alphas, trials, seed)
+        for seed in range(6)
+    }
+    results = {}
 
-    @pytest.mark.parametrize("failing", [0, 1], ids=["clean", "backdoored"])
-    def test_failure_stops_the_other_hypothesis(self, monkeypatch, failing):
-        """A MemoryError planted in one hypothesis's blocks is what the
-        caller gets, the worker is joined, and the other hypothesis stops
-        before it has drawn all its blocks."""
-        trials, blocks = 100 * MC_BLOCK, 100
-        planted = MemoryError("Unable to allocate 74.5 GiB for an array")
-        drawn = [0, 0]
-        block_scores = sim._block_scores
+    def call(seed):
+        results[seed] = monte_carlo_tradeoff(grad0, grad1, sigma, alphas, trials, seed)
 
-        def out_of_memory(*args, **kwargs):
-            hypothesis = args[5]
-            if hypothesis == failing:
-                raise planted
-            # only this hypothesis's thread writes its entry
-            drawn[hypothesis] += 1
-            return block_scores(*args, **kwargs)
-
-        monkeypatch.setattr(sim, "_block_scores", out_of_memory)
-        # d = 20: a block takes long enough that the other hypothesis
-        # cannot finish its blocks before the failure is seen
-        grad0, grad1, sigma = reference_instance("dim20")
-        threads = threading.active_count()
-        with pytest.raises(MemoryError) as caught:
-            monte_carlo_tradeoff(grad0, grad1, sigma, [0.05], trials, 3)
-        assert caught.value is planted
-        assert threading.active_count() == threads
-        assert drawn[failing] == 0
-        assert drawn[1 - failing] < blocks
-
-    def test_refused_thread_counts_on_the_calling_thread(self, monkeypatch):
-        """When the OS refuses the worker thread (``Thread.start`` raises
-        RuntimeError, as at a pids limit), the calling thread counts both
-        hypotheses: the estimates are an unrefused run's, and no thread is
-        left behind."""
-        grad0, grad1, sigma = reference_instance("dim5")
-        args = (grad0, grad1, sigma, REFERENCE_ALPHAS, 2 * MC_BLOCK + 1, 4)
-        expected = monte_carlo_tradeoff(*args)
-        refuse_threads(monkeypatch)
-        threads = threading.active_count()
-        assert monte_carlo_tradeoff(*args) == expected
-        assert threading.active_count() == threads
-
-    def test_concurrent_calls_share_nothing(self):
-        """More callers than cores, each starting its own worker, with a
-        short switch interval: every call's estimates equal the eager
-        reference's, so no buffer or count is shared between calls."""
-        grad0, grad1, sigma = reference_instance("dim5")
-        trials, alphas = 2 * MC_BLOCK + 1, REFERENCE_ALPHAS
-        expected = {
-            seed: eager_monte_carlo(grad0, grad1, sigma, alphas, trials, seed)
-            for seed in range(6)
-        }
-        results = {}
-
-        def call(seed):
-            results[seed] = monte_carlo_tradeoff(
-                grad0, grad1, sigma, alphas, trials, seed
-            )
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=call, args=(s,)) for s in expected]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-                assert not caller.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == expected
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(s,)) for s in expected]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
 
 
-@pytest.mark.parametrize("trials", [1000, MC_BLOCK + 1, 100_000])
+@pytest.mark.parametrize("trials", [1000, 4097, MC_BLOCK + 1, 100_000])
 @pytest.mark.parametrize("instance", ["gradwarp", "zero-gap"])
 def test_estimates_are_integer_counts(instance, trials):
     """Each estimate is an integer rejection count over the trials: the
