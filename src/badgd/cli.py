@@ -96,18 +96,23 @@ def _levels(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _whole(text: str, name: str, minimum: int) -> int:
+    """``text`` read as the int or float it spells, under ``check_count``'s
+    rule, so a value such as 7.5 breaks the whole-number rule rather than
+    int()."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = float(text)
+    return check_count(value, name, minimum)
+
+
 def _count(name: str):
-    """The argparse type of a count flag: ``check_count``'s rule, at least
-    0, in its words. The text is read as the int or float it spells, so a
-    value such as 7.5 breaks the whole-number rule rather than int()."""
+    """The argparse type of a count flag: ``_whole``, at least 0."""
 
     def parse(text: str) -> int:
         try:
-            try:
-                value = int(text)
-            except ValueError:
-                value = float(text)
-            return check_count(value, name, 0)
+            return _whole(text, name, 0)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -127,7 +132,11 @@ def _parse_synthetic(spec: str, default_seed: int) -> tuple[int, int, int]:
     if "n" not in fields or "d" not in fields:
         raise UsageError("--synthetic requires n=.. and d=..")
     try:
-        return int(fields["n"]), int(fields["d"]), int(fields["seed"])
+        return (
+            _whole(fields["n"], "n", 1),
+            _whole(fields["d"], "d", 1),
+            _whole(fields["seed"], "seed", 0),
+        )
     except ValueError as exc:
         raise UsageError(f"--synthetic: {exc}") from None
 

@@ -18,7 +18,9 @@ import csv
 import enum
 import itertools
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -311,6 +313,9 @@ def sufficient_stats(d: Dataset) -> SufficientStats:
 
 # how np.loadtxt reads the wire format: no comment character, '"' quotes
 _CSV_FORMAT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+# the one-pass read takes no quotes: a quoted field may span lines, which
+# the line reader never joins, so a file holding '"' is read line by line
+_STRICT_FORMAT = dict(_CSV_FORMAT, quotechar=None)
 # a line with no data: only commas, quotes and whitespace
 _BLANK_LINE = re.compile(r'[\s,"]*')
 
@@ -384,24 +389,68 @@ def _first_bad_line(path, skip_header: bool) -> ValueError | None:
     return None
 
 
-def load_csv(path, *, skip_header: bool = False) -> Dataset:
-    """Read a dataset from CSV with rows ``y, x_1, ..., x_d``.
+def _strict_table(path, skip_header: bool) -> np.ndarray | None:
+    """The table of ``path`` from one pass of NumPy's reader over the open
+    file, or None where the line reader must read it: a file that is not
+    a regular file, a first data line of only commas, quotes and
+    whitespace (or none), any ValueError (a byte that is not UTF-8, and
+    any '"', among them), or fewer than two columns. Python reads the
+    header and the first data line; NumPy reads the rest from the handle
+    itself, with no Python per line."""
+    # a pipe cannot be read twice: the line reader reads it, once
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        try:
+            if skip_header:
+                fh.readline()
+            first = fh.readline()
+            # where NumPy would warn of no rows, or refuse a blank line
+            if _BLANK_LINE.fullmatch(first):
+                return None
+            table = np.loadtxt(itertools.chain([first], fh), **_STRICT_FORMAT)
+        except ValueError:
+            return None
+    return table if table.shape[1] >= 2 else None
 
-    The feature dimension is inferred from the first data row; every later
-    row must match it. Malformed or non-finite rows are reported with their
-    1-based line number. NumPy parses the file, streamed line by line,
-    into one table, grown in place by a spare row for ``make_bad_dataset``;
-    the dataset's rows and responses are read-only views of its columns,
-    so the table is held once.
-    """
+
+def _line_table(path, skip_header: bool) -> np.ndarray:
+    """The table of ``path`` parsed from ``_data_lines``, streamed line by
+    line; raises, naming the line, on a file that is not a table of
+    floats."""
     lines = (line for _, line in _data_lines(path, skip_header))
     first = next(lines, None)
     if first is None:
         raise ValueError(f"{path}: no data rows")
     try:
-        table = np.loadtxt(itertools.chain([first], lines), **_CSV_FORMAT)
+        return np.loadtxt(itertools.chain([first], lines), **_CSV_FORMAT)
     except ValueError as exc:
         raise (_first_bad_line(path, skip_header) or exc) from None
+
+
+def load_csv(path, *, skip_header: bool = False) -> Dataset:
+    """Read a dataset from CSV with rows ``y, x_1, ..., x_d``.
+
+    The feature dimension is inferred from the first data row; every later
+    row must match it. Malformed or non-finite rows are reported with their
+    1-based line number. NumPy parses the open file in one strict pass,
+    with no per-line Python, into one table. Where that pass refuses the
+    file, the line reader reads it instead: a pipe or other file that is
+    not a regular file (it cannot be read twice), a first data line of
+    only commas, quotes and whitespace or none, a value that does not
+    parse, a ragged row, a byte that is not UTF-8, a single column, or any
+    '"' (a quoted field may span lines, which the line reader never
+    joins). It skips lines of only commas, quotes and whitespace, checks
+    every row's width and streams the rest through the same parser, so
+    the table or the error is the same as without the strict pass. A
+    non-finite value is named by a second, line-by-line read. The table
+    is grown in place by a spare row for ``make_bad_dataset``; the
+    dataset's rows and responses are read-only views of its columns, so
+    the table is held once.
+    """
+    table = _strict_table(path, skip_header)
+    if table is None:
+        table = _line_table(path, skip_header)
     if not np.isfinite(table).all():
         bad = _first_bad_line(path, skip_header)
         raise bad or ValueError(f"{path}: non-finite value in a row")

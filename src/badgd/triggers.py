@@ -38,9 +38,17 @@ Every candidate starts from its own seed stream, and all of them refine in
 lockstep as rows of one array. The bound evaluator runs twice per search,
 on every candidate at once: on the starts and on the refined points,
 whose values rank them. In between, the descent carries each candidate's
-scalars: a round re-derives them in O(budget * d), and each probed
-coordinate then costs O(budget) for both signs. It reports, without
-ranking, what unrestricted search finds.
+scalars, which a round re-derives in O(budget * d). Below 16 columns
+(``_BLOCK``) it then probes one column at a time, both signs for every
+candidate in one O(budget) step. From 16 columns on it probes
+speculatively, 64 columns at a time: each step scores every column a
+moving candidate has not yet passed, in O(64 * moving candidates), and
+each candidate takes its first accepted move, so a block costs one step
+more than its busiest candidate's moves. Until a candidate moves, every
+probe starts from its one unchanged state, so the speculative loop
+accepts and rejects exactly what the one-column loop does, by the same
+arithmetic: the two give the same bits. It reports, without ranking,
+what unrestricted search finds.
 """
 
 from __future__ import annotations
@@ -312,14 +320,46 @@ def _goal(kind: TriggerKind | str) -> _Goal:
 
 # coordinate-descent refinement schedule: halve the step this many times
 _REFINE_ROUNDS = 24
-# columns whose moves are tabulated at once: the table stays small at any d
+# columns whose moves the one-column loop tabulates at once, so that its
+# table stays small at any d; from this many columns on, the speculative
+# loop runs instead
 _BLOCK = 16
+# columns the speculative loop scores at once
+_WIDE_BLOCK = 64
 
 
 def _refine(form: _ScalarForm, x, y, val, r_max: float, b: float):
     """Coordinate descent on the rows of ``x`` ``(budget, d)`` and ``y``
     ``(budget,)``, in place, from their values ``val``; returns the values
     at the refined rows as the scalar form carried them.
+
+    Below ``_BLOCK`` columns, ``_refine_by_column`` probes one column at a
+    time; from ``_BLOCK`` on, ``_refine_speculative`` scores a block of
+    columns at once, which is faster there and slower below. Both make
+    the same moves: their results are the same bits.
+    """
+    if x.shape[1] < _BLOCK:
+        return _refine_by_column(form, x, y, val, r_max, b)
+    return _refine_speculative(form, x, y, val, r_max, b)
+
+
+def _move_y(form: _ScalarForm, p, xx, y, value, y_step, b: float):
+    """A round's last probe, in place: each row scores ``y + y_step`` and
+    ``y - y_step`` from its products ``p`` and squared norm ``xx``, and
+    takes a move as a column's moves are taken; returns which rows took
+    each, ``(2, budget)``."""
+    cand_y = np.stack([y + y_step, y - y_step])
+    cand_y_value = form.value(p, xx, cand_y)
+    take = np.abs(cand_y) <= b
+    take &= cand_y_value > value
+    for sign in (1, 0):
+        np.copyto(y, cand_y[sign], where=take[sign])
+        np.copyto(value, cand_y_value[sign], where=take[sign])
+    return take
+
+
+def _refine_by_column(form: _ScalarForm, x, y, val, r_max: float, b: float):
+    """``_refine`` one column at a time.
 
     Each row's state is its products ``p_i = <x, u_i>`` with the form's
     directions ``u_i``, ``xx = ||x||^2``, the probed column and the value.
@@ -383,18 +423,102 @@ def _refine(form: _ScalarForm, x, y, val, r_max: float, b: float):
                 np.copyto(state, cand_plus, where=take[0])
                 x[:, j] = column
                 moved |= take
-        cand_y = np.stack([y + y_step, y - y_step])
-        cand_y_value = form.value(p, xx, cand_y)
-        np.less_equal(np.abs(cand_y), b, out=take)
-        take &= cand_y_value > value
-        for sign in (1, 0):
-            np.copyto(y, cand_y[sign], where=take[sign])
-            np.copyto(value, cand_y_value[sign], where=take[sign])
-        moved |= take
+        moved |= _move_y(form, p, xx, y, value, y_step, b)
         still = ~(moved[0] | moved[1])
         np.copyto(x_step, 0.5 * x_step, where=still)
         np.copyto(y_step, 0.5 * y_step, where=still)
     return value.copy()
+
+
+def _refine_speculative(form: _ScalarForm, x, y, val, r_max: float, b: float):
+    """``_refine`` a block of columns at a time, by speculative probes.
+
+    Each row's products, squared norm and value, the tabulated moves and
+    the box test are those of ``_refine_by_column``, with tables of
+    ``_WIDE_BLOCK`` columns and, per move, the column it leaves. Within
+    a block the loop repeats one step: every row that moved in the last
+    step (every row, first) scores both moves of every block column it
+    has not yet passed, all from its current state, in one form call, in
+    O(width * moving rows). Each such row takes its first column with an
+    accepted move, ``+`` before ``-``, applies that move alone and passes
+    the column; a row with none is done with the block. Between two of a
+    row's moves, the one-column loop probes each of these columns from
+    that same state, by the same elementwise arithmetic on the same
+    operands, so it rejects what this loop rejects and takes the same
+    move: ``x``, ``y`` and the values come out the same bits. A block
+    costs one step more than its busiest row's moves, so the saving is
+    largest late in the descent, where few rows move.
+    """
+    k = len(form.directions)
+    budget, dim = x.shape
+    r2 = min(r_max * r_max, sys.float_info.max)
+    # per row, its products and squared norm
+    lin = np.empty((budget, k + 1))
+    p, xx = lin.T[:k], lin[:, k]
+    value = np.array(val, dtype=float)
+    width = min(dim, _WIDE_BLOCK)
+    # per row and column of a block, what the column's + and - moves add
+    # to the row's products and squared norm, and the column after each
+    moves = np.empty((budget, k + 1, width, 2))
+    x_after = np.empty((budget, width, 2))
+    steps = np.empty((budget, 2))
+    moved = np.empty(budget, dtype=bool)
+    # a block's moves in probe order: column by column, + before -
+    order = np.arange(2 * width)
+    x_step = np.full(budget, r_max / 4.0)
+    y_step = np.full(budget, b / 4.0)
+    for _ in range(_REFINE_ROUNDS):
+        steps[:, 0] = x_step
+        np.negative(x_step, out=steps[:, 1])
+        two_steps = 2.0 * steps
+        s2 = (x_step * x_step)[:, None, None]
+        np.vecdot(x, form.directions[:, None, :], out=p)
+        np.vecdot(x, x, out=xx)
+        moved[:] = False
+        for start in range(0, dim, width):
+            n_cols = min(width, dim - start)
+            cols = slice(start, start + n_cols)
+            block, block_x = moves[:, :, :n_cols], x_after[:, :n_cols]
+            np.multiply(
+                form.directions[:, cols, None], steps[:, None, None, :], out=block[:, :k]
+            )
+            # a column changes only when it is passed, so its moves are known
+            np.multiply(x[:, cols, None], two_steps[:, None, :], out=block[:, k])
+            block[:, k] += s2
+            np.add(x[:, cols, None], steps[:, None, :], out=block_x)
+            # the moving rows, and each one's first move not yet passed
+            rows = np.arange(budget)
+            at = np.zeros(budget, dtype=np.intp)
+            while True:
+                first = int(at.min()) // 2
+                if first == n_cols:
+                    break
+                cand = lin[rows, :, None, None] + block[rows, :, first:]
+                cand_lin = cand.transpose(1, 0, 2, 3)
+                cand_value = form.value(cand_lin[:k], cand_lin[k], y[rows, None, None])
+                take = cand_lin[k] <= r2
+                take &= cand_value > value[rows, None, None]
+                # each row's first accepted move in probe order, past the
+                # moves it has passed
+                take = take.reshape(len(rows), -1)
+                take &= order[2 * first : 2 * n_cols] >= at[:, None]
+                move = take.argmax(axis=1)
+                i = np.flatnonzero(take.any(axis=1))
+                if not i.size:
+                    break
+                col, sign = np.divmod(move[i], 2)
+                rows = rows[i]
+                lin[rows] = cand[i, :, col, sign]
+                value[rows] = cand_value[i, col, sign]
+                col += first
+                x[rows, start + col] = block_x[rows, col, sign]
+                moved[rows] = True
+                at = 2 * col + 2
+        take = _move_y(form, p, xx, y, value, y_step, b)
+        still = ~(moved | take[0] | take[1])
+        np.copyto(x_step, 0.5 * x_step, where=still)
+        np.copyto(y_step, 0.5 * y_step, where=still)
+    return value
 
 
 def oracle_search(
@@ -423,8 +547,10 @@ def oracle_search(
     to score the starts and to re-score the refined rows, whose values
     rank them. Between the two, ``_refine`` steers by the objective's
     scalar form, carrying each row's products with ``w`` (and ``a``) and
-    its squared norm. A round re-derives them in O(budget * d), and each
-    probed coordinate then costs O(budget), both signs at once.
+    its squared norm. A round re-derives them in O(budget * d); below 16
+    columns each probed coordinate then costs O(budget), both signs at
+    once, and from 16 on a block of 64 columns is probed speculatively,
+    with the same moves.
     """
     goal = _goal(objective)
     budget = check_count(budget, "budget", 1)

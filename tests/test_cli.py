@@ -134,7 +134,7 @@ class TestParsing:
         (["--synthetic", "n=3,d=2,q=1"], "--synthetic: unknown fields ['q']"),
         (
             ["--synthetic", "n=x,d=2"],
-            "--synthetic: invalid literal for int() with base 10: 'x'",
+            "--synthetic: could not convert string to float: 'x'",
         ),
         (
             ["--data", FIXTURE, "--weights", "1,0", "--weights-seed", "3"],
@@ -198,6 +198,35 @@ def test_whole_float_counts_are_ints(capsys):
     inputs = payload["inputs"]
     assert [inputs[key] for key in ("trials", "seed", "oracle_budget")] == [1000, 5, 4]
     assert all(type(inputs[key]) is int for key in ("trials", "seed", "oracle_budget"))
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("n=7.5,d=2", "n must be a whole number, got 7.5"),
+        ("n=4,d=2.5", "d must be a whole number, got 2.5"),
+        ("n=4,d=2,seed=1.5", "seed must be a whole number, got 1.5"),
+        ("n=0,d=2", "n must be >= 1, got 0"),
+        ("n=4,d=0", "d must be >= 1, got 0"),
+        ("n=4,d=2,seed=-1", "seed must be >= 0, got -1"),
+    ],
+)
+def test_synthetic_fields_share_the_count_rule(capsys, spec, message):
+    """``--synthetic``'s n, d and seed are counts read as the count flags
+    are: one error line naming the field, before any stage."""
+    code, out, err = run_cli(capsys, "audit", "--synthetic", spec, "--trials", "1000")
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert (code, out) == (1, "")
+    assert errors == [f"error: --synthetic: {message}"]
+    assert "stage:" not in err
+
+
+def test_whole_float_synthetic_fields_are_ints(capsys):
+    """A whole float field is the int it equals, as ``--seed 10.0`` is."""
+    floats = run_json(capsys, "stats", "--synthetic", "n=10.0,d=2e0,seed=3.0")
+    ints = run_json(capsys, "stats", "--synthetic", "n=10,d=2,seed=3")
+    assert floats == ints
+    assert ints["stats"]["n"] == 10
 
 
 @pytest.mark.parametrize("line", [1, 3, 2000])

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from badgd import dataset
 from badgd.dataset import (
     Dataset,
     SufficientStats,
@@ -353,12 +356,77 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 3:"):
             load_csv(path)
 
+    @pytest.mark.parametrize("skip_header", [False, True])
+    def test_clean_file_takes_one_pass(self, monkeypatch, tmp_path, skip_header):
+        """A clean file is parsed by NumPy alone: the line reader never runs."""
+
+        def refuse(path, skip_header):
+            raise AssertionError("the line reader ran on a clean file")
+
+        monkeypatch.setattr(dataset, "_data_lines", refuse)
+        path = tmp_path / "clean.csv"
+        path.write_text(("y,x_0,x_1\n" if skip_header else "") + "1.0,2.0,3.0\n\n4.0,5.0,6.0\n")
+        d = load_csv(path, skip_header=skip_header)
+        np.testing.assert_array_equal(d.y_vector(), [1.0, 4.0])
+        np.testing.assert_array_equal(d.x_matrix(), [[2.0, 3.0], [5.0, 6.0]])
+        # the spare row is there: the first backdoored dataset takes it
+        assert len(d._spare) == 1
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n\n", ' \n,\n""\n'], ids=["empty", "blank", "separators"]
+    )
+    def test_no_rows_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "no_rows.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_csv(path)
+        assert caught == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_is_read_once(self, tmp_path):
+        """A file that cannot be read twice goes to the line reader alone,
+        which reads a clean one once, as before the one-pass read."""
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        loaded = []
+        reader = threading.Thread(target=lambda: loaded.append(load_csv(path)), daemon=True)
+        reader.start()
+        try:
+            # blocks until the reader opens the pipe
+            with open(path, "w") as fh:
+                fh.write("1.0,2.0\n3.0,4.0\n")
+        except BrokenPipeError:
+            pass
+        # a second open would wait for a writer that never comes
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        np.testing.assert_array_equal(loaded[0].y_vector(), [1.0, 3.0])
+        np.testing.assert_array_equal(loaded[0].x_matrix(), [[2.0], [4.0]])
+
+    def test_quoted_field_never_spans_lines(self, tmp_path):
+        # NumPy alone would join '"' and '3"' into one field across the
+        # line end and load two rows; the line reader names line 3
+        path = tmp_path / "spanning.csv"
+        path.write_text('1.0,2.0\n"\n3.0",4.0\n')
+        with pytest.raises(ValueError, match="line 3: could not convert string '3.0\"'"):
+            load_csv(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blanks.csv"
         path.write_text('\n   \n1.0,2.0\n,\n , ,\t\n\t\n"",""\n3.0,4.0\n\n')
         d = load_csv(path)
         np.testing.assert_array_equal(d.y_vector(), [1.0, 3.0])
         np.testing.assert_array_equal(d.x_matrix(), [[2.0], [4.0]])
+
+    def test_leading_separator_lines_skipped(self, tmp_path):
+        # NumPy alone refuses a separator line; the line reader skips it
+        path = tmp_path / "leading.csv"
+        path.write_text("\n , \n1.0,2.0\n")
+        d = load_csv(path)
+        np.testing.assert_array_equal(d.y_vector(), [1.0])
+        np.testing.assert_array_equal(d.x_matrix(), [[2.0]])
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -10,17 +10,21 @@ backdoored dataset allocates no rows; a later one copies X and y. Each
 test builds its own dataset, since which call takes the spare row
 depends on the calls before it. The Monte Carlo is bounded in blocks
 instead, ``MC_BLOCK`` floats, whatever its trial count: one block at a
-time, since the hypotheses are counted one after the other.
+time, since the hypotheses are counted one after the other. The search
+oracle is bounded in its candidates, ``budget * d`` floats, plus tables
+of ``budget * 64`` floats, whatever d.
 """
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from badgd.dataset import (
+    SufficientStats,
     Trigger,
     generate_synthetic,
     load_csv,
@@ -29,6 +33,7 @@ from badgd.dataset import (
 )
 from badgd.risk import backdoor_gaps
 from badgd.sim import MC_BLOCK, monte_carlo_tradeoff
+from badgd.triggers import TriggerConstraints, oracle_search
 
 N, D = 100_000, 5
 X_BYTES = N * D * 8
@@ -137,3 +142,26 @@ def test_monte_carlo_holds_one_block_per_hypothesis(tied):
     small, large = traced_peak(run(100_000), block), traced_peak(run(1_000_000), block)
     assert large <= (2.5 if tied else 1.25)
     assert abs(large - small) <= 0.5
+
+
+def test_oracle_tables_do_not_grow_with_d():
+    # at d = 1000 the oracle holds its budget x d candidates and, past
+    # them, the speculative loop's tables and one step's probes: budget x
+    # 64 columns x both signs of each row's products, squared norm, column
+    # and value. gradwarp has two directions, riskwarp one, so its tables
+    # bound riskwarp's; measured 31.8 units of budget x 64 floats (23.0
+    # for riskwarp), at d = 1000 and at d = 200 alike
+    budget = 64
+    unit = budget * 64 * 8
+
+    def beyond_candidates(dim):
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim)) / math.sqrt(dim)
+        stats = SufficientStats(s_y=1.0, s_yx=rng.standard_normal(dim), s_xx=a @ a.T, n=100)
+        w = rng.standard_normal(dim) / math.sqrt(dim)
+        search = lambda: oracle_search("gradwarp", w, stats, TriggerConstraints(), budget, seed=0)
+        return traced_peak(search, unit) - dim / 64
+
+    wide = beyond_candidates(1000)
+    assert wide <= 40.0
+    assert abs(wide - beyond_candidates(200)) <= 4.0

@@ -553,7 +553,7 @@ def lockstep_instance(dim: int, seed: int):
 
 class TestOracleLockstep:
     @pytest.mark.parametrize("kind", list(OBJECTIVES))
-    @pytest.mark.parametrize("dim", [1, 2, 5, 20, 100])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 20, 100])
     def test_matches_sequential_reference(self, kind, dim):
         w, stats = lockstep_instance(dim, seed=41)
         boxes = [
@@ -581,12 +581,11 @@ class TestOracleLockstep:
                 assert np.linalg.norm(v.x_v) <= r_max * (1.0 + 8.0 * np.finfo(float).eps)
                 assert abs(v.y_v) <= constraints.response_bound
 
-    # a tight box rejects many moves; the call count must not depend on it
+    # a tight box rejects many moves; the call count must not depend on
+    # it, nor on which loop refines (d = 20 takes the speculative one)
     @pytest.mark.parametrize("tight", [False, True])
     @pytest.mark.parametrize("budget", [1, 8, 64])
     def test_objective_calls_do_not_grow_with_budget(self, monkeypatch, budget, tight):
-        dim = 5
-        w, stats = lockstep_instance(dim, seed=42)
         box = 0.05 if tight else 1.0
         constraints = TriggerConstraints(x_norm_max=box, response_bound=box)
         goal = triggers._GOALS[TriggerKind.GRADWARP]
@@ -604,9 +603,40 @@ class TestOracleLockstep:
         monkeypatch.setitem(
             triggers._GOALS, TriggerKind.GRADWARP, goal._replace(bind=counted_bind)
         )
-        oracle_search(TriggerKind.GRADWARP, w, stats, constraints, budget, seed=1)
-        # the starts, then the refined rows; the probes use the scalar form
-        assert calls == [(budget, dim)] * 2
+        for dim in (5, 20):
+            w, stats = lockstep_instance(dim, seed=42)
+            calls.clear()
+            oracle_search(TriggerKind.GRADWARP, w, stats, constraints, budget, seed=1)
+            # the starts, then the refined rows; the probes use the scalar form
+            assert calls == [(budget, dim)] * 2
+
+    @pytest.mark.parametrize("kind", ["riskwarp", "gradwarp"])
+    @pytest.mark.parametrize("dim", [16, 17, 63, 64, 65, 100, 129, 200])
+    def test_speculative_loop_is_the_column_loop_bit_for_bit(self, kind, dim):
+        """From copies of the same starts, ``_refine_speculative`` leaves
+        ``x`` and ``y`` and returns values that are the one-column loop's
+        bits: one direction (riskwarp) and two (gradwarp), in a loose, a
+        tight and a 1e200 box, where moves overflow the box test."""
+        w, stats = lockstep_instance(dim, seed=44)
+        _, form = triggers._GOALS[TriggerKind(kind)].bind(w, stats)
+        evaluate = OBJECTIVES[TriggerKind(kind)]
+        for r_max, b in [(2.0, 1.5), (0.05, 0.05), (1e200, 1e200)]:
+            for budget in (1, 3, 32):
+                rng = np.random.default_rng([dim, budget])
+                x = rng.standard_normal((budget, dim))
+                x *= min(r_max, 2.0) * rng.uniform(size=(budget, 1)) / np.linalg.norm(
+                    x, axis=1, keepdims=True
+                )
+                y = min(b, 2.0) * rng.uniform(-1.0, 1.0, budget)
+                val = evaluate(w, stats, x, y)
+                out = []
+                for refine in (triggers._refine_by_column, triggers._refine_speculative):
+                    rows, ys = x.copy(), y.copy()
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        values = refine(form, rows, ys, val, r_max, b)
+                    out.append([a.view(np.uint64) for a in (rows, ys, values)])
+                for column, speculative in zip(*out):
+                    np.testing.assert_array_equal(column, speculative)
 
     @pytest.mark.parametrize("kind", ["riskwarp", "gradwarp"])
     def test_running_values_agree_with_rescore(self, monkeypatch, kind):
