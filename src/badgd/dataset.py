@@ -9,7 +9,8 @@ closed-form quadratics.
 
 CSV wire format: one example per row, response first, then the features
 (``y, x_1, ..., x_d``), UTF-8, ``.`` decimal separator, no header unless
-the caller skips one explicitly.
+the caller skips one explicitly. ``load_csv`` opens its path once, so a
+pipe loads like a file, and names the first line at fault.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ import csv
 import enum
 import itertools
 import math
-import os
 import re
-import stat
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -313,72 +312,58 @@ def sufficient_stats(d: Dataset) -> SufficientStats:
 
 # how np.loadtxt reads the wire format: no comment character, '"' quotes
 _CSV_FORMAT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
-# the one-pass read takes no quotes: a quoted field may span lines, which
-# the line reader never joins, so a file holding '"' is read line by line
+# the one-pass read takes no quotes (see load_csv)
 _STRICT_FORMAT = dict(_CSV_FORMAT, quotechar=None)
 # a line with no data: only commas, quotes and whitespace
 _BLANK_LINE = re.compile(r'[\s,"]*')
+# a byte that is not UTF-8, as the surrogate escape that stands for it
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
-def _data_lines(path, skip_header: bool):
-    """The data lines of a CSV file, each with the width of the first, as
+def _data_lines(lines, path, skip_header: bool):
+    """The data lines of ``lines``, each with the width of the first, as
     ``(line_no, line)`` pairs with 1-based line numbers.
 
     Skips the header line when asked, and lines holding only commas,
-    quotes and whitespace. Raises, naming the line, on a row too narrow
-    or of another width, or on a byte that is not UTF-8.
+    quotes and whitespace. Raises, naming the line, on a byte that is not
+    UTF-8 (the header's too), or on a row too narrow or of another width.
     """
     width: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                if skip_header and line_no == 1:
-                    continue
-                if _BLANK_LINE.fullmatch(line):
-                    continue
-                # a quoted field may hold a comma, which only the csv module skips
-                if '"' in line:
-                    fields = len(next(csv.reader([line])))
-                else:
-                    fields = line.count(",") + 1
-                if width is None:
-                    if fields < 2:
-                        raise ValueError(
-                            f"{path}: line {line_no}: need y plus at least one feature"
-                        )
-                    width = fields
-                elif fields != width:
-                    raise ValueError(
-                        f"{path}: line {line_no}: expected {width} fields, got {fields}"
-                    )
-                yield line_no, line
-        except UnicodeDecodeError as exc:
-            raise _first_undecodable_line(path) or exc from None
-
-
-def _first_undecodable_line(path) -> ValueError | None:
-    """The error naming the first line of ``path`` that is not UTF-8 text,
-    with its first offending byte. A strict read fails a whole chunk at a
-    time, so the file is read again with each such byte escaped."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00
-                return ValueError(
-                    f"{path}: line {line_no}: byte {byte:#04x} is not UTF-8"
+    for line_no, line in enumerate(lines, start=1):
+        byte = _NOT_UTF8.search(line)
+        if byte:
+            raise ValueError(
+                f"{path}: line {line_no}: byte {ord(byte[0]) - 0xDC00:#04x} is not UTF-8"
+            )
+        if skip_header and line_no == 1:
+            continue
+        if _BLANK_LINE.fullmatch(line):
+            continue
+        # a quoted field may hold a comma, which only the csv module skips
+        if '"' in line:
+            fields = len(next(csv.reader([line])))
+        else:
+            fields = line.count(",") + 1
+        if width is None:
+            if fields < 2:
+                raise ValueError(
+                    f"{path}: line {line_no}: need y plus at least one feature"
                 )
-    return None
+            width = fields
+        elif fields != width:
+            raise ValueError(
+                f"{path}: line {line_no}: expected {width} fields, got {fields}"
+            )
+        yield line_no, line
 
 
-def _first_bad_line(path, skip_header: bool) -> ValueError | None:
-    """The error naming the first data line that is not a row of finite floats.
-
-    Reads the file again one line at a time; only called once the whole
-    file has failed to parse or held a non-finite value, to say where.
-    """
-    for line_no, line in _data_lines(path, skip_header):
+def _first_bad_line(lines, path, skip_header: bool) -> ValueError | None:
+    """The error naming the first data line that is not a row of finite
+    floats or, if none, the first whose quoted field stays open (NumPy
+    joins it to the next line); only called once the whole file has
+    failed to parse or held a non-finite value, to say where."""
+    open_quote = None
+    for line_no, line in _data_lines(lines, path, skip_header):
         try:
             row = np.loadtxt([line], **_CSV_FORMAT)
         except ValueError as exc:
@@ -386,46 +371,46 @@ def _first_bad_line(path, skip_header: bool) -> ValueError | None:
             return ValueError(f"{path}: line {line_no}: {reason}")
         if not np.all(np.isfinite(row)):
             return ValueError(f"{path}: line {line_no}: non-finite value in row")
-    return None
+        if open_quote is None and line.count('"') % 2:
+            open_quote = ValueError(
+                f"{path}: line {line_no}: quoted field does not close on its line"
+            )
+    return open_quote
 
 
-def _strict_table(path, skip_header: bool) -> np.ndarray | None:
-    """The table of ``path`` from one pass of NumPy's reader over the open
-    file, or None where the line reader must read it: a file that is not
-    a regular file, a first data line of only commas, quotes and
-    whitespace (or none), any ValueError (a byte that is not UTF-8, and
-    any '"', among them), or fewer than two columns. Python reads the
-    header and the first data line; NumPy reads the rest from the handle
-    itself, with no Python per line."""
-    # a pipe cannot be read twice: the line reader reads it, once
-    if not stat.S_ISREG(os.stat(path).st_mode):
+def _strict_table(lines, skip_header: bool) -> np.ndarray | None:
+    """The table of ``lines`` from one pass of NumPy's reader, or None
+    where the line reader must read it. Python reads the header and the
+    first data line; NumPy reads the rest from the iterator itself, with
+    no Python per line."""
+    lines = iter(lines)
+    # NumPy never sees the header: a byte in it that is not UTF-8 is named
+    # by the line reader
+    if skip_header and _NOT_UTF8.search(next(lines, "")):
         return None
-    with open(path, encoding="utf-8") as fh:
-        try:
-            if skip_header:
-                fh.readline()
-            first = fh.readline()
-            # where NumPy would warn of no rows, or refuse a blank line
-            if _BLANK_LINE.fullmatch(first):
-                return None
-            table = np.loadtxt(itertools.chain([first], fh), **_STRICT_FORMAT)
-        except ValueError:
-            return None
+    first = next(lines, "")
+    # where NumPy would warn of no rows, or refuse a blank line
+    if _BLANK_LINE.fullmatch(first):
+        return None
+    try:
+        table = np.loadtxt(itertools.chain([first], lines), **_STRICT_FORMAT)
+    except ValueError:
+        return None
     return table if table.shape[1] >= 2 else None
 
 
-def _line_table(path, skip_header: bool) -> np.ndarray:
-    """The table of ``path`` parsed from ``_data_lines``, streamed line by
-    line; raises, naming the line, on a file that is not a table of
-    floats."""
-    lines = (line for _, line in _data_lines(path, skip_header))
-    first = next(lines, None)
+def _line_table(from_start, path, skip_header: bool) -> np.ndarray:
+    """The table of the lines ``from_start()`` gives, parsed from
+    ``_data_lines`` and streamed line by line; raises, naming the line, on
+    a file that is not a table of floats."""
+    rows = (line for _, line in _data_lines(from_start(), path, skip_header))
+    first = next(rows, None)
     if first is None:
         raise ValueError(f"{path}: no data rows")
     try:
-        return np.loadtxt(itertools.chain([first], lines), **_CSV_FORMAT)
+        return np.loadtxt(itertools.chain([first], rows), **_CSV_FORMAT)
     except ValueError as exc:
-        raise (_first_bad_line(path, skip_header) or exc) from None
+        raise (_first_bad_line(from_start(), path, skip_header) or exc) from None
 
 
 def load_csv(path, *, skip_header: bool = False) -> Dataset:
@@ -433,27 +418,39 @@ def load_csv(path, *, skip_header: bool = False) -> Dataset:
 
     The feature dimension is inferred from the first data row; every later
     row must match it. Malformed or non-finite rows are reported with their
-    1-based line number. NumPy parses the open file in one strict pass,
-    with no per-line Python, into one table. Where that pass refuses the
-    file, the line reader reads it instead: a pipe or other file that is
-    not a regular file (it cannot be read twice), a first data line of
-    only commas, quotes and whitespace or none, a value that does not
-    parse, a ragged row, a byte that is not UTF-8, a single column, or any
+    1-based line number, the first in the file where there are several.
+    The path is opened once, with any byte that is not UTF-8 kept as a
+    surrogate escape, and every pass reads that handle: a file is rewound
+    between passes, and a pipe, which cannot be read twice, is read once
+    and its lines held. NumPy parses the lines in one strict pass, with no
+    per-line Python, into one table. The line reader reads them instead
+    where that pass refuses: a first data line of only commas, quotes and
+    whitespace or none, a value that does not parse, a ragged row, a byte
+    that is not UTF-8 (in a skipped header too), a single column, or any
     '"' (a quoted field may span lines, which the line reader never
     joins). It skips lines of only commas, quotes and whitespace, checks
     every row's width and streams the rest through the same parser, so
     the table or the error is the same as without the strict pass. A
-    non-finite value is named by a second, line-by-line read. The table
+    non-finite value is named by a further, line-by-line pass. The table
     is grown in place by a spare row for ``make_bad_dataset``; the
     dataset's rows and responses are read-only views of its columns, so
     the table is held once.
     """
-    table = _strict_table(path, skip_header)
-    if table is None:
-        table = _line_table(path, skip_header)
-    if not np.isfinite(table).all():
-        bad = _first_bad_line(path, skip_header)
-        raise bad or ValueError(f"{path}: non-finite value in a row")
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        held = None if fh.seekable() else fh.readlines()
+
+        def from_start():
+            if held is not None:
+                return held
+            fh.seek(0)
+            return fh
+
+        table = _strict_table(from_start(), skip_header)
+        if table is None:
+            table = _line_table(from_start, path, skip_header)
+        if not np.isfinite(table).all():
+            bad = _first_bad_line(from_start(), path, skip_header)
+            raise bad or ValueError(f"{path}: non-finite value in a row")
     try:
         table.resize((table.shape[0] + 1, table.shape[1]))
     except ValueError:

@@ -25,6 +25,43 @@ from badgd.dataset import (
 from conftest import corpus
 
 
+# a faulty second line, and the words its error names it with
+PIPE_FAULTS = [
+    (b"1.0,oops\n", "could not convert string 'oops'"),
+    (b"1.0,nan\n", "non-finite value in row"),
+    (b"1.0,2.0,3.0\n", "expected 2 fields, got 3"),
+    (b"1.0,2\xff\n", "byte 0xff is not UTF-8"),
+]
+PIPE_FAULT_IDS = ["bad-value", "nan", "ragged", "not-utf8"]
+
+
+def load_from_fifo(tmp_path, data: bytes):
+    """``load_csv`` of a named pipe that ``data`` is written to once, in
+    another thread: the dataset, or the ValueError it raised."""
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    outcome = []
+
+    def read():
+        try:
+            outcome.append(load_csv(path))
+        except ValueError as exc:
+            outcome.append(exc)
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        # blocks until the reader opens the pipe
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except BrokenPipeError:
+        pass
+    # a second open would wait for a writer that never comes
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    return outcome[0]
+
+
 class TestExample:
     """How the examples (rows) of a dataset are stored and validated."""
 
@@ -321,6 +358,10 @@ class TestLoadCsv:
         assert d.y_vector()[0] == 2.0
         with pytest.raises(ValueError, match="line 1"):
             load_csv(path)
+        # NumPy never sees a skipped header, so the one-pass read refuses it
+        path.write_bytes(b"y,x_\xff\n2.0,4.0\n")
+        with pytest.raises(ValueError, match="line 1: byte 0xff is not UTF-8"):
+            load_csv(path, skip_header=True)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -360,7 +401,7 @@ class TestLoadCsv:
     def test_clean_file_takes_one_pass(self, monkeypatch, tmp_path, skip_header):
         """A clean file is parsed by NumPy alone: the line reader never runs."""
 
-        def refuse(path, skip_header):
+        def refuse(*args):
             raise AssertionError("the line reader ran on a clean file")
 
         monkeypatch.setattr(dataset, "_data_lines", refuse)
@@ -386,24 +427,56 @@ class TestLoadCsv:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_named_pipe_is_read_once(self, tmp_path):
-        """A file that cannot be read twice goes to the line reader alone,
-        which reads a clean one once, as before the one-pass read."""
-        path = tmp_path / "pipe.csv"
-        os.mkfifo(path)
-        loaded = []
-        reader = threading.Thread(target=lambda: loaded.append(load_csv(path)), daemon=True)
-        reader.start()
+        """A pipe cannot be read twice: a clean one is read once."""
+        loaded = load_from_fifo(tmp_path, b"1.0,2.0\n3.0,4.0\n")
+        np.testing.assert_array_equal(loaded.y_vector(), [1.0, 3.0])
+        np.testing.assert_array_equal(loaded.x_matrix(), [[2.0], [4.0]])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("line, message", PIPE_FAULTS, ids=PIPE_FAULT_IDS)
+    def test_named_pipe_fault_names_its_line(self, tmp_path, line, message):
+        """Each pass reads the lines the one open read: no pass waits in a
+        second open for a writer that never comes."""
+        fault = load_from_fifo(tmp_path, b"1.0,2.0\n" + line + b"5.0,6.0\n")
+        assert isinstance(fault, ValueError)
+        assert f"line 2: {message}" in str(fault)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("line, message", PIPE_FAULTS, ids=PIPE_FAULT_IDS)
+    def test_dev_fd_pipe_fault_names_its_line(self, line, message):
+        """A pipe opened by its descriptor's path, as ``--data <(...)``
+        gives it, names the line at fault like a file."""
+        r, w = os.pipe()
         try:
-            # blocks until the reader opens the pipe
-            with open(path, "w") as fh:
-                fh.write("1.0,2.0\n3.0,4.0\n")
-        except BrokenPipeError:
+            os.write(w, b"1.0,2.0\n" + line + b"5.0,6.0\n")
+            os.close(w)
+            with pytest.raises(ValueError, match=f"^/dev/fd/{r}: line 2: {message}"):
+                load_csv(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"1.0,2.0\n3.0,4.0\n", b"1.0,2.0\n1.0,oops\n", b"1.0,nan\n", b"1.0,2\xff\n"],
+        ids=["clean", "bad-value", "nan", "not-utf8"],
+    )
+    def test_path_is_opened_once(self, monkeypatch, tmp_path, text):
+        """Every pass, and every pass that names a fault, reads the one
+        handle that the one open gave."""
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "open", counting_open, raising=False)
+        path = tmp_path / "once.csv"
+        path.write_bytes(text)
+        try:
+            load_csv(path)
+        except ValueError:
             pass
-        # a second open would wait for a writer that never comes
-        reader.join(timeout=10)
-        assert not reader.is_alive()
-        np.testing.assert_array_equal(loaded[0].y_vector(), [1.0, 3.0])
-        np.testing.assert_array_equal(loaded[0].x_matrix(), [[2.0], [4.0]])
+        assert opened == [path]
 
     def test_quoted_field_never_spans_lines(self, tmp_path):
         # NumPy alone would join '"' and '3"' into one field across the
@@ -411,6 +484,11 @@ class TestLoadCsv:
         path = tmp_path / "spanning.csv"
         path.write_text('1.0,2.0\n"\n3.0",4.0\n')
         with pytest.raises(ValueError, match="line 3: could not convert string '3.0\"'"):
+            load_csv(path)
+        # NumPy joins '2' and the next data line into one field; no line
+        # alone is bad, so the line whose quote stays open is named
+        path.write_text('1,"2\n"\n3,4\n')
+        with pytest.raises(ValueError, match="line 1: quoted field does not close on its line"):
             load_csv(path)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -455,6 +533,9 @@ class TestLoadCsv:
             load_csv(path)
         path.write_text("1.0,2.0\n1.0,nan\n1.0,2.0,3.0\n")
         with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_csv(path)
+        path.write_bytes(b"1.0,2.0\n1.0,oops\n3.0,4.0\n5.0,6.0\n7.0,\xff\n")
+        with pytest.raises(ValueError, match="line 2: could not convert string 'oops'"):
             load_csv(path)
 
     def test_quoted_numeric_fields(self, tmp_path):
