@@ -382,7 +382,10 @@ def cmd_audit(args) -> int:
 
 
 def _add_dataset_flags(p: _Parser) -> None:
-    p.add_argument("--data", help="CSV dataset, rows y,x_1,...,x_d")
+    p.add_argument(
+        "--data",
+        help="CSV dataset, rows y,x_1,...,x_d; empty lines skipped, no quote character",
+    )
     p.add_argument("--synthetic", help="generate data: n=<int>,d=<int>[,seed=<int>]")
     p.add_argument(
         "--header", action="store_true", help="skip one header line in --data"

@@ -8,14 +8,15 @@ y*x, mean x x^T) that turn the square-loss objectives downstream into
 closed-form quadratics.
 
 CSV wire format: one example per row, response first, then the features
-(``y, x_1, ..., x_d``), UTF-8, ``.`` decimal separator, no header unless
-the caller skips one explicitly. ``load_csv`` opens its path once, so a
-pipe loads like a file, and names the first line at fault.
+(``y, x_1, ..., x_d``), UTF-8 (a leading byte-order mark is ignored),
+``.`` decimal separator, no quote or comment character, empty lines
+skipped, no header unless the caller skips one explicitly. NumPy's one
+pass builds every table; ``load_csv`` opens its path once, so a pipe
+loads like a file, and names the first line at fault.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import itertools
 import math
@@ -310,60 +311,35 @@ def sufficient_stats(d: Dataset) -> SufficientStats:
     return SufficientStats(s_y=float(s_y), s_yx=s_yx, s_xx=s_xx, n=d.n)
 
 
-# how np.loadtxt reads the wire format: no comment character, '"' quotes
-_CSV_FORMAT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
-# the one-pass read takes no quotes (see load_csv)
-_STRICT_FORMAT = dict(_CSV_FORMAT, quotechar=None)
-# a line with no data: only commas, quotes and whitespace
-_BLANK_LINE = re.compile(r'[\s,"]*')
+# how np.loadtxt reads the wire format: no comment or quote character
+_CSV_FORMAT = dict(delimiter=",", comments=None, quotechar=None, ndmin=2)
 # a byte that is not UTF-8, as the surrogate escape that stands for it
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
-def _data_lines(lines, path, skip_header: bool):
-    """The data lines of ``lines``, each with the width of the first, as
-    ``(line_no, line)`` pairs with 1-based line numbers.
-
-    Skips the header line when asked, and lines holding only commas,
-    quotes and whitespace. Raises, naming the line, on a byte that is not
-    UTF-8 (the header's too), or on a row too narrow or of another width.
-    """
+def _first_bad_line(lines, path, skip_header: bool) -> ValueError:
+    """The error naming the first line of ``lines`` at fault: a byte that
+    is not UTF-8 (the header's too), a row too narrow or of another width
+    than the first, a value that does not parse or is not finite; else
+    that there are no data rows. Only called once NumPy's pass has refused
+    the file or its table holds a non-finite value, to say where."""
     width: int | None = None
     for line_no, line in enumerate(lines, start=1):
+        if line_no == 1:
+            line = line.removeprefix("\ufeff")
         byte = _NOT_UTF8.search(line)
         if byte:
-            raise ValueError(
+            return ValueError(
                 f"{path}: line {line_no}: byte {ord(byte[0]) - 0xDC00:#04x} is not UTF-8"
             )
-        if skip_header and line_no == 1:
+        if (skip_header and line_no == 1) or line in ("", "\n"):
             continue
-        if _BLANK_LINE.fullmatch(line):
-            continue
-        # a quoted field may hold a comma, which only the csv module skips
-        if '"' in line:
-            fields = len(next(csv.reader([line])))
-        else:
-            fields = line.count(",") + 1
-        if width is None:
-            if fields < 2:
-                raise ValueError(
-                    f"{path}: line {line_no}: need y plus at least one feature"
-                )
-            width = fields
-        elif fields != width:
-            raise ValueError(
-                f"{path}: line {line_no}: expected {width} fields, got {fields}"
-            )
-        yield line_no, line
-
-
-def _first_bad_line(lines, path, skip_header: bool) -> ValueError | None:
-    """The error naming the first data line that is not a row of finite
-    floats or, if none, the first whose quoted field stays open (NumPy
-    joins it to the next line); only called once the whole file has
-    failed to parse or held a non-finite value, to say where."""
-    open_quote = None
-    for line_no, line in _data_lines(lines, path, skip_header):
+        fields = line.count(",") + 1
+        if width is None and fields < 2:
+            return ValueError(f"{path}: line {line_no}: need y plus at least one feature")
+        width = width or fields
+        if fields != width:
+            return ValueError(f"{path}: line {line_no}: expected {width} fields, got {fields}")
         try:
             row = np.loadtxt([line], **_CSV_FORMAT)
         except ValueError as exc:
@@ -371,86 +347,48 @@ def _first_bad_line(lines, path, skip_header: bool) -> ValueError | None:
             return ValueError(f"{path}: line {line_no}: {reason}")
         if not np.all(np.isfinite(row)):
             return ValueError(f"{path}: line {line_no}: non-finite value in row")
-        if open_quote is None and line.count('"') % 2:
-            open_quote = ValueError(
-                f"{path}: line {line_no}: quoted field does not close on its line"
-            )
-    return open_quote
-
-
-def _strict_table(lines, skip_header: bool) -> np.ndarray | None:
-    """The table of ``lines`` from one pass of NumPy's reader, or None
-    where the line reader must read it. Python reads the header and the
-    first data line; NumPy reads the rest from the iterator itself, with
-    no Python per line."""
-    lines = iter(lines)
-    # NumPy never sees the header: a byte in it that is not UTF-8 is named
-    # by the line reader
-    if skip_header and _NOT_UTF8.search(next(lines, "")):
-        return None
-    first = next(lines, "")
-    # where NumPy would warn of no rows, or refuse a blank line
-    if _BLANK_LINE.fullmatch(first):
-        return None
-    try:
-        table = np.loadtxt(itertools.chain([first], lines), **_STRICT_FORMAT)
-    except ValueError:
-        return None
-    return table if table.shape[1] >= 2 else None
-
-
-def _line_table(from_start, path, skip_header: bool) -> np.ndarray:
-    """The table of the lines ``from_start()`` gives, parsed from
-    ``_data_lines`` and streamed line by line; raises, naming the line, on
-    a file that is not a table of floats."""
-    rows = (line for _, line in _data_lines(from_start(), path, skip_header))
-    first = next(rows, None)
-    if first is None:
-        raise ValueError(f"{path}: no data rows")
-    try:
-        return np.loadtxt(itertools.chain([first], rows), **_CSV_FORMAT)
-    except ValueError as exc:
-        raise (_first_bad_line(from_start(), path, skip_header) or exc) from None
+    if width is None:
+        return ValueError(f"{path}: no data rows")
+    return ValueError(f"{path}: not a table of finite floats")
 
 
 def load_csv(path, *, skip_header: bool = False) -> Dataset:
     """Read a dataset from CSV with rows ``y, x_1, ..., x_d``.
 
     The feature dimension is inferred from the first data row; every later
-    row must match it. Malformed or non-finite rows are reported with their
-    1-based line number, the first in the file where there are several.
-    The path is opened once, with any byte that is not UTF-8 kept as a
-    surrogate escape, and every pass reads that handle: a file is rewound
-    between passes, and a pipe, which cannot be read twice, is read once
-    and its lines held. NumPy parses the lines in one strict pass, with no
-    per-line Python, into one table. The line reader reads them instead
-    where that pass refuses: a first data line of only commas, quotes and
-    whitespace or none, a value that does not parse, a ragged row, a byte
-    that is not UTF-8 (in a skipped header too), a single column, or any
-    '"' (a quoted field may span lines, which the line reader never
-    joins). It skips lines of only commas, quotes and whitespace, checks
-    every row's width and streams the rest through the same parser, so
-    the table or the error is the same as without the strict pass. A
-    non-finite value is named by a further, line-by-line pass. The table
-    is grown in place by a spare row for ``make_bad_dataset``; the
-    dataset's rows and responses are read-only views of its columns, so
-    the table is held once.
+    row must match it. Empty lines are skipped; there is no quote or
+    comment character, and a byte-order mark at the start is ignored. The
+    path is opened once, with any byte that is not UTF-8 kept as a
+    surrogate escape. One NumPy pass, with no per-line Python, builds the
+    table. Where it refuses the file or the table holds a non-finite
+    value, the lines are read again, one by one, only to name the first
+    line at fault: a file is rewound, and a pipe, which cannot be read
+    twice, is read once and its lines held. The table is grown in place by
+    a spare row for ``make_bad_dataset``; its columns are the dataset's
+    read-only rows and responses, so the table is held once.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        held = None if fh.seekable() else fh.readlines()
-
-        def from_start():
-            if held is not None:
-                return held
-            fh.seek(0)
-            return fh
-
-        table = _strict_table(from_start(), skip_header)
-        if table is None:
-            table = _line_table(from_start, path, skip_header)
-        if not np.isfinite(table).all():
-            bad = _first_bad_line(from_start(), path, skip_header)
-            raise bad or ValueError(f"{path}: non-finite value in a row")
+        # a pipe cannot be rewound: its lines are read once and held
+        source = fh if fh.seekable() else fh.readlines()
+        lines = iter(source)
+        # a byte-order mark, as spreadsheets' "CSV UTF-8" exports start
+        # with, is no part of line 1
+        line_1 = next(lines, "").removeprefix("\ufeff")
+        # NumPy never sees a skipped header: _first_bad_line names a byte
+        # in it that is not UTF-8
+        header, rows = (line_1, lines) if skip_header else ("", itertools.chain([line_1], lines))
+        # NumPy warns of a file with no rows, so Python finds the first
+        first = next((line for line in rows if line not in ("", "\n")), None)
+        table = None
+        if first is not None and not _NOT_UTF8.search(header):
+            try:
+                table = np.loadtxt(itertools.chain([first], lines), **_CSV_FORMAT)
+            except ValueError:
+                pass
+        if table is None or table.shape[1] < 2 or not np.isfinite(table).all():
+            if source is fh:
+                fh.seek(0)
+            raise _first_bad_line(source, path, skip_header)
     try:
         table.resize((table.shape[0] + 1, table.shape[1]))
     except ValueError:

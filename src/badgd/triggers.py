@@ -207,11 +207,15 @@ def graddistwarp_snr(w, stats: SufficientStats, x, y: float, sigma: float) -> fl
     is scaled by the learning rate, which therefore scales the mean shift
     and the noise alike and cancels. The SNR is the mean shift over the
     noise scale: ``||gradient gap|| / sigma = (2/(n+1)) * bracket_norm /
-    sigma``, the bracket norm being ``gradwarp_objective``.
+    sigma``, the bracket norm being ``gradwarp_objective``. A quotient out
+    of floating-point range is a ValueError naming sigma.
     """
     sigma = check_positive(sigma, "sigma")
     bracket_norm = gradwarp_objective(w, stats, x, y)
-    return 2.0 * bracket_norm / ((stats.n + 1) * sigma)
+    snr = 2.0 * bracket_norm / ((stats.n + 1) * sigma)
+    if not math.isfinite(snr):
+        raise ValueError(f"sigma {sigma!r} is too small: the snr is out of floating-point range")
+    return snr
 
 
 def make_riskwarp_trigger(w, constraints: TriggerConstraints) -> Trigger:

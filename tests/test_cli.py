@@ -1184,6 +1184,8 @@ def test_out_of_range_stderr_has_no_warnings(command):
         (["--xmax", "1e200"], "error: oracle objective is out of floating-point range"),
         # the budget stage, before the Monte Carlo, meets the huge SNR first
         (["--sigma", "1e-300"], "error: epsilon exceeds 1e+06"),
+        # an SNR out of floating-point range names the sigma at fault
+        (["--sigma", "5e-324"], "error: sigma 5e-324 is too small"),
     ],
 )
 def test_extreme_audit_stderr_has_no_traceback(flags, expected):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import threading
 import warnings
@@ -33,6 +34,11 @@ PIPE_FAULTS = [
     (b"1.0,2\xff\n", "byte 0xff is not UTF-8"),
 ]
 PIPE_FAULT_IDS = ["bad-value", "nan", "ragged", "not-utf8"]
+
+
+def fault_at(path, message: str) -> str:
+    """The pattern of ``load_csv``'s error for ``path`` that says ``message``."""
+    return f"^{re.escape(str(path))}: {message}"
 
 
 def load_from_fifo(tmp_path, data: bytes):
@@ -399,12 +405,12 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("skip_header", [False, True])
     def test_clean_file_takes_one_pass(self, monkeypatch, tmp_path, skip_header):
-        """A clean file is parsed by NumPy alone: the line reader never runs."""
+        """A clean file is parsed by NumPy alone: the per-line pass never runs."""
 
         def refuse(*args):
-            raise AssertionError("the line reader ran on a clean file")
+            raise AssertionError("the per-line pass ran on a clean file")
 
-        monkeypatch.setattr(dataset, "_data_lines", refuse)
+        monkeypatch.setattr(dataset, "_first_bad_line", refuse)
         path = tmp_path / "clean.csv"
         path.write_text(("y,x_0,x_1\n" if skip_header else "") + "1.0,2.0,3.0\n\n4.0,5.0,6.0\n")
         d = load_csv(path, skip_header=skip_header)
@@ -414,14 +420,17 @@ class TestLoadCsv:
         assert len(d._spare) == 1
 
     @pytest.mark.parametrize(
-        "text", ["", "\n\n", ' \n,\n""\n'], ids=["empty", "blank", "separators"]
+        "text, message",
+        [("", "no data rows"), ("\n\n", "no data rows"), (' \n,\n""\n', "line 1: need y")],
+        ids=["empty", "blank", "separators"],
     )
-    def test_no_rows_warns_nothing(self, tmp_path, text):
+    def test_no_rows_warns_nothing(self, tmp_path, text, message):
+        # a line of only whitespace is a row, one field wide
         path = tmp_path / "no_rows.csv"
         path.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="no data rows"):
+            with pytest.raises(ValueError, match=fault_at(path, message)):
                 load_csv(path)
         assert caught == []
 
@@ -479,32 +488,48 @@ class TestLoadCsv:
         assert opened == [path]
 
     def test_quoted_field_never_spans_lines(self, tmp_path):
-        # NumPy alone would join '"' and '3"' into one field across the
-        # line end and load two rows; the line reader names line 3
+        # '"' is no quote character: no field spans a line end, and the
+        # first line holding one is named
         path = tmp_path / "spanning.csv"
         path.write_text('1.0,2.0\n"\n3.0",4.0\n')
-        with pytest.raises(ValueError, match="line 3: could not convert string '3.0\"'"):
+        with pytest.raises(ValueError, match="line 2: expected 2 fields, got 1"):
             load_csv(path)
-        # NumPy joins '2' and the next data line into one field; no line
-        # alone is bad, so the line whose quote stays open is named
         path.write_text('1,"2\n"\n3,4\n')
-        with pytest.raises(ValueError, match="line 1: quoted field does not close on its line"):
+        with pytest.raises(ValueError, match="line 1: could not convert string '\"2'"):
             load_csv(path)
 
     def test_blank_lines_skipped(self, tmp_path):
+        # only empty lines are skipped; a line of whitespace, commas or
+        # quotes is a row, named where it is not one of floats
         path = tmp_path / "blanks.csv"
-        path.write_text('\n   \n1.0,2.0\n,\n , ,\t\n\t\n"",""\n3.0,4.0\n\n')
+        path.write_text("\n\n1.0,2.0\n\n3.0,4.0\n\n")
         d = load_csv(path)
         np.testing.assert_array_equal(d.y_vector(), [1.0, 3.0])
         np.testing.assert_array_equal(d.x_matrix(), [[2.0], [4.0]])
+        for blank, reason in [
+            ("   ", "expected 2 fields, got 1"),
+            ("\t", "expected 2 fields, got 1"),
+            (",", "could not convert string ''"),
+            (" ,\t", "could not convert string ' '"),
+            ('"",""', "could not convert string '\"\"'"),
+        ]:
+            path.write_text(f"\n1.0,2.0\n\n{blank}\n3.0,4.0\n")
+            with pytest.raises(ValueError, match=fault_at(path, f"line 4: {reason}")):
+                load_csv(path)
 
     def test_leading_separator_lines_skipped(self, tmp_path):
-        # NumPy alone refuses a separator line; the line reader skips it
+        # a separator line before the first row is that row, not skipped
         path = tmp_path / "leading.csv"
         path.write_text("\n , \n1.0,2.0\n")
-        d = load_csv(path)
-        np.testing.assert_array_equal(d.y_vector(), [1.0])
-        np.testing.assert_array_equal(d.x_matrix(), [[2.0]])
+        with pytest.raises(
+            ValueError, match=fault_at(path, "line 2: could not convert string ' '")
+        ):
+            load_csv(path)
+        path.write_text("\n  \n1.0,2.0\n")
+        with pytest.raises(
+            ValueError, match=fault_at(path, "line 2: need y plus at least one feature")
+        ):
+            load_csv(path)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -518,9 +543,10 @@ class TestLoadCsv:
     def test_error_line_numbers_count_skipped_lines(
         self, tmp_path, bad, message, skip_header
     ):
+        # the header and empty lines are skipped, and counted
         header = "y,x_0\n" if skip_header else ""
         path = tmp_path / "late.csv"
-        path.write_text(f"{header}\n1.0,2.0\n,\n  \n3.0,4.0\n{bad}\n5.0,6.0\n")
+        path.write_text(f"{header}\n1.0,2.0\n\n\r\n3.0,4.0\n{bad}\n5.0,6.0\n")
         line = 7 if skip_header else 6
         with pytest.raises(ValueError, match=f"line {line}: {message}"):
             load_csv(path, skip_header=skip_header)
@@ -539,16 +565,31 @@ class TestLoadCsv:
             load_csv(path)
 
     def test_quoted_numeric_fields(self, tmp_path):
+        # no quote character: a quoted number is a value that does not parse
         path = tmp_path / "quoted.csv"
-        path.write_text('"1.5",2.0,"-3e2"\n" 4.0 ","5",6\n')
-        d = load_csv(path)
-        np.testing.assert_array_equal(d.y_vector(), [1.5, 4.0])
-        np.testing.assert_array_equal(d.x_matrix(), [[2.0, -300.0], [5.0, 6.0]])
+        path.write_text('1.5,2.0,-3e2\n" 4.0 ","5",6\n')
+        with pytest.raises(
+            ValueError, match=fault_at(path, "line 2: could not convert string '\" 4.0 \"'")
+        ):
+            load_csv(path)
+        path.write_text('"1.5",2.0,"-3e2"\n')
+        with pytest.raises(
+            ValueError, match=fault_at(path, "line 1: could not convert string '\"1.5\"'")
+        ):
+            load_csv(path)
 
     def test_quoted_comma_is_one_bad_field(self, tmp_path):
+        # the comma inside the quotes separates fields: the row is too wide
         path = tmp_path / "quoted_comma.csv"
         path.write_text('1.0,2.0\n"3,5",4.0\n')
-        with pytest.raises(ValueError, match="line 2: could not convert string '3,5'"):
+        with pytest.raises(
+            ValueError, match=fault_at(path, "line 2: expected 2 fields, got 3")
+        ):
+            load_csv(path)
+        path.write_text('1.0,2.0,3.0\n"3,5",4.0\n')
+        with pytest.raises(
+            ValueError, match=fault_at(path, "line 2: could not convert string '\"3'")
+        ):
             load_csv(path)
 
     def test_float_tokens_parse_bit_equal(self, tmp_path):
@@ -595,6 +636,82 @@ class TestLoadCsv:
         path.write_text(f"1.0,2.0\n{token},2.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2: could not convert"):
             load_csv(path)
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"1.0,0.0,1.0\n-1.0,0.0,2.0\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_csv(plain), load_csv(marked)
+        for u, v in [(a.x_matrix(), b.x_matrix()), (a.y_vector(), b.y_vector())]:
+            np.testing.assert_array_equal(u.view(np.uint64), v.view(np.uint64))
+        # a mark past the file's start is a value that does not parse
+        marked.write_bytes(plain.read_bytes() + b"\xef\xbb\xbf3.0,4.0,5.0\n")
+        message = re.escape("line 3: could not convert string '\\ufeff3.0'")
+        with pytest.raises(ValueError, match=message):
+            load_csv(marked)
+
+    def test_byte_order_mark_is_not_named_in_a_fault(self, tmp_path):
+        data = b"\xef\xbb\xbfoops,0.0,1.0\n-1.0,0.0,2.0\n"
+        path = tmp_path / "marked.csv"
+        path.write_bytes(data)
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            for source in (path, f"/dev/fd/{r}"):
+                with pytest.raises(ValueError) as caught:
+                    load_csv(source)
+                message = str(caught.value)
+                assert message.startswith(f"{source}: line 1: could not convert string 'oops'")
+                assert "\ufeff" not in message and "ufeff" not in message
+        finally:
+            os.close(r)
+
+    def test_every_refusal_names_a_line(self, tmp_path):
+        """Random small files: each loads, or its error names the first
+        line at fault, or says it has no data rows; the lines before the
+        named one load, and those up to it are refused at it."""
+        rng = np.random.default_rng(3401)
+        pieces = [b"1.5", b"-2e3", b" 0.25", b"nan", b"oops", b'"4"', b"\xff", b""]
+        blanks = [b"", b"", b"  ", b"\t", b",", b" , ", b'"']
+        path = tmp_path / "fuzz.csv"
+
+        def outcome(lines, end, skip_header):
+            path.write_bytes(b"".join(line + end for line in lines))
+            try:
+                return load_csv(path, skip_header=skip_header)
+            except ValueError as exc:
+                return str(exc)
+
+        named = 0
+        for _ in range(2000):
+            width = int(rng.integers(1, 4))
+            lines = [
+                blanks[rng.integers(len(blanks))]
+                if rng.random() < 0.25
+                else b",".join(
+                    pieces[rng.integers(len(pieces))]
+                    if rng.random() < 0.1
+                    else b"%r" % rng.random()
+                    for _ in range(width + (rng.random() < 0.1))
+                )
+                for _ in range(rng.integers(0, 6))
+            ]
+            end = b"\r\n" if rng.random() < 0.3 else b"\n"
+            for skip_header in (False, True):
+                got = outcome(lines, end, skip_header)
+                if isinstance(got, Dataset) or got == f"{path}: no data rows":
+                    continue
+                match = re.match(rf"{re.escape(str(path))}: line (\d+): ", got)
+                assert match, got
+                n = int(match[1])
+                before = outcome(lines[: n - 1], end, skip_header)
+                assert isinstance(before, Dataset) or before == f"{path}: no data rows", before
+                assert outcome(lines[:n], end, skip_header).startswith(f"{path}: line {n}: ")
+                named += 1
+        # the faults above are common enough that most files name one
+        assert named > 1000
 
 
 class TestGenerateSynthetic:
