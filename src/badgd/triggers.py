@@ -34,21 +34,18 @@ per search.
 
 The search oracle is deliberately independent of the closed forms: random
 candidates inside the feasible box plus deterministic coordinate descent.
-Every candidate starts from its own seed stream, and all of them refine in
-lockstep as rows of one array. The bound evaluator runs twice per search,
-on every candidate at once: on the starts and on the refined points,
-whose values rank them. In between, the descent carries each candidate's
-scalars, which a round re-derives in O(budget * d). Below 16 columns
-(``_BLOCK``) it then probes one column at a time, both signs for every
-candidate in one O(budget) step. From 16 columns on it probes
-speculatively, 64 columns at a time: each step scores every column a
-moving candidate has not yet passed, in O(64 * moving candidates), and
-each candidate takes its first accepted move, so a block costs one step
-more than its busiest candidate's moves. Until a candidate moves, every
-probe starts from its one unchanged state, so the speculative loop
-accepts and rejects exactly what the one-column loop does, by the same
-arithmetic: the two give the same bits. It reports, without ranking,
-what unrestricted search finds.
+The starts come from two seed streams of the oracle's own, a row per
+candidate, and all candidates refine in lockstep as rows of one array.
+The bound evaluator runs twice per search, on every candidate at once: on
+the starts and on the refined points, whose values rank them. In between,
+one descent loop carries each candidate's scalars; a round re-derives
+them and tabulates every column's moves in O(budget * d), and a probe
+scores moves from them. Below 16 columns (``_BLOCK``) the probe takes one
+column at a time, both signs for every candidate in O(budget). From 16
+on it scores 64 columns at once, speculatively, and each candidate takes
+its first accepted move: the same moves by the same arithmetic, so the
+two probes give the same bits. It reports, without ranking, what
+unrestricted search finds.
 """
 
 from __future__ import annotations
@@ -324,12 +321,14 @@ def _goal(kind: TriggerKind | str) -> _Goal:
 
 # coordinate-descent refinement schedule: halve the step this many times
 _REFINE_ROUNDS = 24
-# columns whose moves the one-column loop tabulates at once, so that its
-# table stays small at any d; from this many columns on, the speculative
-# loop runs instead
+# below this many columns, the one-column probe runs; from this many on,
+# the speculative probe
 _BLOCK = 16
-# columns the speculative loop scores at once
+# columns the speculative probe scores at once
 _WIDE_BLOCK = 64
+# the second word of the starts' seed keys (seed, _START_KEY, stream): not
+# 0, as the weights' default_rng(seed) pads, nor a Monte Carlo key's h, 0..3
+_START_KEY = 0x6F7261
 
 
 def _refine(form: _ScalarForm, x, y, val, r_max: float, b: float):
@@ -337,14 +336,60 @@ def _refine(form: _ScalarForm, x, y, val, r_max: float, b: float):
     ``(budget,)``, in place, from their values ``val``; returns the values
     at the refined rows as the scalar form carried them.
 
-    Below ``_BLOCK`` columns, ``_refine_by_column`` probes one column at a
-    time; from ``_BLOCK`` on, ``_refine_speculative`` scores a block of
-    columns at once, which is faster there and slower below. Both make
-    the same moves: their results are the same bits.
+    Each row's state is its products ``p_i = <x, u_i>`` with the form's
+    directions, ``||x||^2``, a probed column and the value. A round
+    re-derives the products and norms, then tabulates what each column's
+    ``+`` and ``-`` moves add to them and to the column, a block of
+    columns at a time, in O(budget * d) all told, and the probe moves a
+    row where a move stays in the box and is strictly better. ``y`` moves
+    last; a row that moved nowhere in a round halves its steps. The probe
+    is picked by d: ``_probe_by_column`` below ``_BLOCK`` columns,
+    ``_probe_speculative``, faster there and slower below, from ``_BLOCK``
+    on. Both make the same moves by the same arithmetic: the same bits.
     """
-    if x.shape[1] < _BLOCK:
-        return _refine_by_column(form, x, y, val, r_max, b)
-    return _refine_speculative(form, x, y, val, r_max, b)
+    k = len(form.directions)
+    budget, dim = x.shape
+    # the squared box radius, capped so that it never overflows: past
+    # sqrt(max) every finite ||x||^2 is inside and an infinite one is not
+    r2 = min(r_max * r_max, sys.float_info.max)
+    # rows p, xx, column, value
+    state = np.empty((k + 3, 1, budget))
+    p, xx, value = state[:k, 0], state[k, 0], state[k + 2, 0]
+    value[:] = val
+    # per column of a block, what its + and - moves add to each row's
+    # products, squared norm and column; laid out for the probe's reads
+    if dim < _BLOCK:
+        probe, width = _probe_by_column, dim
+        table = np.empty((width, k + 2, 2, budget))
+    else:
+        probe, width = _probe_speculative, min(dim, _WIDE_BLOCK)
+        table = np.empty((budget, k + 2, width, 2)).transpose(2, 1, 3, 0)
+    steps = np.empty((2, budget))
+    moved = np.empty((2, budget), dtype=bool)
+    x_step = np.full(budget, r_max / 4.0)
+    y_step = np.full(budget, b / 4.0)
+    for _ in range(_REFINE_ROUNDS):
+        steps[0] = x_step
+        np.negative(x_step, out=steps[1])
+        two_steps = 2.0 * steps
+        s2 = x_step * x_step
+        np.vecdot(x, form.directions[:, None, :], out=p)
+        np.vecdot(x, x, out=xx)
+        moved[:] = False
+        for start in range(0, dim, width):
+            block = table[: min(width, dim - start)]
+            cols = slice(start, start + len(block))
+            np.multiply(form.directions.T[cols, :, None, None], steps, out=block[:, :k])
+            # a column changes only when it is probed, so its moves are known
+            np.multiply(x.T[cols, None, :], two_steps, out=block[:, k])
+            block[:, k] += s2
+            block[:, k + 1] = steps
+            probe(form, state, block, x, y, start, r2, moved)
+        moved |= _move_y(form, p, xx, y, value, y_step, b)
+        still = ~(moved[0] | moved[1])
+        np.copyto(x_step, 0.5 * x_step, where=still)
+        np.copyto(y_step, 0.5 * y_step, where=still)
+    return value.copy()
 
 
 def _move_y(form: _ScalarForm, p, xx, y, value, y_step, b: float):
@@ -362,167 +407,82 @@ def _move_y(form: _ScalarForm, p, xx, y, value, y_step, b: float):
     return take
 
 
-def _refine_by_column(form: _ScalarForm, x, y, val, r_max: float, b: float):
-    """``_refine`` one column at a time.
-
-    Each row's state is its products ``p_i = <x, u_i>`` with the form's
-    directions ``u_i``, ``xx = ||x||^2``, the probed column and the value.
-    A round re-derives the products and norms from ``x``, and tabulates
-    what a move of each column adds to them, ``_BLOCK`` columns at a time,
-    in O(budget * d) all told. A probe of column ``j`` then scores
-    ``x_j + s`` and ``x_j - s`` for every row in one ``(2, budget)`` form
-    call from the same base point, in O(budget): ``p_i +- s u_i[j]`` and
-    ``xx +- 2 s x_j + s^2``. A row takes ``+`` if it stays in the box and
-    is strictly better, else ``-`` under the same test; ``y`` moves the
-    same way.
-    """
+def _probe_by_column(form: _ScalarForm, state, block, x, y, start: int, r2: float, moved):
+    """``_refine``'s probe of ``block``, columns ``start`` on, one column
+    at a time: column ``j`` enters each row's state, and the state plus
+    the column's moves scores ``x_j + s`` and ``x_j - s`` for every row in
+    one ``(2, budget)`` form call, in O(budget). A row takes ``+`` if it
+    stays in the box and is strictly better, else ``-`` under the same
+    test."""
     k = len(form.directions)
-    budget, dim = x.shape
-    # the squared box radius, capped so that it never overflows: past
-    # sqrt(max) every finite ||x||^2 is inside and an infinite one is not
-    r2 = min(r_max * r_max, sys.float_info.max)
-    # rows p, xx, column, value: the state holds each row's point, cand
-    # its + and - moves
-    state = np.empty((k + 3, 1, budget))
-    cand = np.empty((k + 3, 2, budget))
-    p, xx, column, value = state[:k, 0], state[k, 0], state[k + 1, 0], state[k + 2, 0]
-    value[:] = val
+    # each row's + and - moves
+    cand = np.empty((k + 3, 2, len(y)))
+    lin, cand_lin = state[: k + 2], cand[: k + 2]
+    column, value = state[k + 1, 0], state[k + 2, 0]
     cand_p, cand_xx, cand_value = cand[:k], cand[k], cand[k + 2]
     cand_plus, cand_minus = cand[:, :1], cand[:, 1:]
-    lin, cand_lin = state[: k + 2], cand[: k + 2]
-    # per column of a block, what its + and - moves add to each row but
-    # the value
-    moves = np.empty((min(dim, _BLOCK), k + 2, 2, budget))
-    steps = np.empty((2, budget))
     # y once per sign, so that the form's arithmetic takes rows of one shape
-    y_rows = np.empty((2, budget))
-    take = np.empty((2, budget), dtype=bool)
-    moved = np.empty((2, budget), dtype=bool)
-    x_step = np.full(budget, r_max / 4.0)
-    y_step = np.full(budget, b / 4.0)
-    for _ in range(_REFINE_ROUNDS):
-        steps[0] = x_step
-        np.negative(x_step, out=steps[1])
-        two_steps = 2.0 * steps
-        s2 = x_step * x_step
-        np.vecdot(x, form.directions[:, None, :], out=p)
-        np.vecdot(x, x, out=xx)
-        y_rows[:] = y
-        moved[:] = False
-        for start in range(0, dim, _BLOCK):
-            block = moves[: min(_BLOCK, dim - start)]
-            cols = slice(start, start + len(block))
-            np.multiply(form.directions.T[cols, :, None, None], steps, out=block[:, :k])
-            # a column changes only when it is probed, so its moves are known
-            np.multiply(x.T[cols, None, :], two_steps, out=block[:, k])
-            block[:, k] += s2
-            block[:, k + 1] = steps
-            for j, move in enumerate(block, start):
-                column[:] = x[:, j]
-                np.add(lin, move, out=cand_lin)
-                cand_value[:] = form.value(cand_p, cand_xx, y_rows)
-                np.less_equal(cand_xx, r2, out=take)
-                take &= cand_value > value
-                np.copyto(state, cand_minus, where=take[1])
-                np.copyto(state, cand_plus, where=take[0])
-                x[:, j] = column
-                moved |= take
-        moved |= _move_y(form, p, xx, y, value, y_step, b)
-        still = ~(moved[0] | moved[1])
-        np.copyto(x_step, 0.5 * x_step, where=still)
-        np.copyto(y_step, 0.5 * y_step, where=still)
-    return value.copy()
+    y_rows = np.empty((2, len(y)))
+    y_rows[:] = y
+    take = np.empty((2, len(y)), dtype=bool)
+    for j, move in enumerate(block, start):
+        column[:] = x[:, j]
+        np.add(lin, move, out=cand_lin)
+        cand_value[:] = form.value(cand_p, cand_xx, y_rows)
+        np.less_equal(cand_xx, r2, out=take)
+        take &= cand_value > value
+        np.copyto(state, cand_minus, where=take[1])
+        np.copyto(state, cand_plus, where=take[0])
+        x[:, j] = column
+        moved |= take
 
 
-def _refine_speculative(form: _ScalarForm, x, y, val, r_max: float, b: float):
-    """``_refine`` a block of columns at a time, by speculative probes.
+def _probe_speculative(form: _ScalarForm, state, block, x, y, start: int, r2: float, moved):
+    """``_refine``'s probe of ``block``, columns ``start`` on, speculatively.
 
-    Each row's products, squared norm and value, the tabulated moves and
-    the box test are those of ``_refine_by_column``, with tables of
-    ``_WIDE_BLOCK`` columns and, per move, the column it leaves. Within
-    a block the loop repeats one step: every row that moved in the last
-    step (every row, first) scores both moves of every block column it
-    has not yet passed, all from its current state, in one form call, in
-    O(width * moving rows). Each such row takes its first column with an
-    accepted move, ``+`` before ``-``, applies that move alone and passes
-    the column; a row with none is done with the block. Between two of a
-    row's moves, the one-column loop probes each of these columns from
-    that same state, by the same elementwise arithmetic on the same
-    operands, so it rejects what this loop rejects and takes the same
-    move: ``x``, ``y`` and the values come out the same bits. A block
-    costs one step more than its busiest row's moves, so the saving is
-    largest late in the descent, where few rows move.
+    It repeats one step: every row that moved in the last step (every row,
+    first) scores both moves of every block column it has not yet passed,
+    from its current state, in one form call, in O(width * moving rows),
+    and takes its first accepted move, ``+`` before ``-``, alone; a row
+    with none is done with the block. Between two of a row's moves,
+    ``_probe_by_column`` probes each of these columns from that same state
+    by the same elementwise arithmetic, so both take the same moves. A
+    block costs one step more than its busiest row's moves, the least late
+    in the descent, where few rows move. ``_refine`` lays its table out by
+    row for this probe.
     """
     k = len(form.directions)
-    budget, dim = x.shape
-    r2 = min(r_max * r_max, sys.float_info.max)
-    # per row, its products and squared norm
-    lin = np.empty((budget, k + 1))
-    p, xx = lin.T[:k], lin[:, k]
-    value = np.array(val, dtype=float)
-    width = min(dim, _WIDE_BLOCK)
-    # per row and column of a block, what the column's + and - moves add
-    # to the row's products and squared norm, and the column after each
-    moves = np.empty((budget, k + 1, width, 2))
-    x_after = np.empty((budget, width, 2))
-    steps = np.empty((budget, 2))
-    moved = np.empty(budget, dtype=bool)
-    # a block's moves in probe order: column by column, + before -
-    order = np.arange(2 * width)
-    x_step = np.full(budget, r_max / 4.0)
-    y_step = np.full(budget, b / 4.0)
-    for _ in range(_REFINE_ROUNDS):
-        steps[:, 0] = x_step
-        np.negative(x_step, out=steps[:, 1])
-        two_steps = 2.0 * steps
-        s2 = (x_step * x_step)[:, None, None]
-        np.vecdot(x, form.directions[:, None, :], out=p)
-        np.vecdot(x, x, out=xx)
-        moved[:] = False
-        for start in range(0, dim, width):
-            n_cols = min(width, dim - start)
-            cols = slice(start, start + n_cols)
-            block, block_x = moves[:, :, :n_cols], x_after[:, :n_cols]
-            np.multiply(
-                form.directions[:, cols, None], steps[:, None, None, :], out=block[:, :k]
-            )
-            # a column changes only when it is passed, so its moves are known
-            np.multiply(x[:, cols, None], two_steps[:, None, :], out=block[:, k])
-            block[:, k] += s2
-            np.add(x[:, cols, None], steps[:, None, :], out=block_x)
-            # the moving rows, and each one's first move not yet passed
-            rows = np.arange(budget)
-            at = np.zeros(budget, dtype=np.intp)
-            while True:
-                first = int(at.min()) // 2
-                if first == n_cols:
-                    break
-                cand = lin[rows, :, None, None] + block[rows, :, first:]
-                cand_lin = cand.transpose(1, 0, 2, 3)
-                cand_value = form.value(cand_lin[:k], cand_lin[k], y[rows, None, None])
-                take = cand_lin[k] <= r2
-                take &= cand_value > value[rows, None, None]
-                # each row's first accepted move in probe order, past the
-                # moves it has passed
-                take = take.reshape(len(rows), -1)
-                take &= order[2 * first : 2 * n_cols] >= at[:, None]
-                move = take.argmax(axis=1)
-                i = np.flatnonzero(take.any(axis=1))
-                if not i.size:
-                    break
-                col, sign = np.divmod(move[i], 2)
-                rows = rows[i]
-                lin[rows] = cand[i, :, col, sign]
-                value[rows] = cand_value[i, col, sign]
-                col += first
-                x[rows, start + col] = block_x[rows, col, sign]
-                moved[rows] = True
-                at = 2 * col + 2
-        take = _move_y(form, p, xx, y, value, y_step, b)
-        still = ~(moved | take[0] | take[1])
-        np.copyto(x_step, 0.5 * x_step, where=still)
-        np.copyto(y_step, 0.5 * y_step, where=still)
-    return value
+    n_cols = len(block)
+    # per row, its products and squared norm, and its block's moves
+    lin, value = state[: k + 1, 0].T, state[k + 2, 0]
+    by_row = block.transpose(3, 1, 0, 2)
+    # the moving rows, and each one's first move not yet passed
+    rows = np.arange(len(y))
+    at = np.zeros(len(y), dtype=np.intp)
+    while (first := int(at.min()) // 2) < n_cols:
+        cand = lin[rows, :, None, None] + by_row[rows, : k + 1, first:]
+        cand = cand.transpose(1, 0, 2, 3)
+        cand_value = form.value(cand[:k], cand[k], y[rows, None, None])
+        take = cand[k] <= r2
+        take &= cand_value > value[rows, None, None]
+        # each row's first accepted move in probe order (column by column,
+        # + before -), past the moves it has passed
+        take = take.reshape(len(rows), -1)
+        take &= np.arange(2 * first, 2 * n_cols) >= at[:, None]
+        move = take.argmax(axis=1)
+        i = np.flatnonzero(take.any(axis=1))
+        if not i.size:
+            break
+        col, sign = np.divmod(move[i], 2)
+        rows = rows[i]
+        lin[rows] = cand[:, i, col, sign].T
+        value[rows] = cand_value[i, col, sign]
+        # freed before the next step's probes: one step's are held at a time
+        del cand, cand_value, take
+        col += first
+        x[rows, start + col] += by_row[rows, k + 1, col, sign]
+        moved[0, rows] = True
+        at = 2 * col + 2
 
 
 def oracle_search(
@@ -542,19 +502,16 @@ def oracle_search(
     response_bound``), then refines each with axis-aligned steps that halve
     over a fixed schedule, rejecting any move that leaves the box.
 
-    Each candidate draws its start from its own seed stream derived from
-    (seed, index). The candidates refine in lockstep as the rows of one
-    ``(budget, d)`` array, each accepting a move on its own (inside the box
-    and strictly better) with its own step sizes, so each takes the path
-    it would take alone. The objective is bound to ``(w, stats)`` once per
-    search, and its row evaluator runs twice, on all candidates at once:
-    to score the starts and to re-score the refined rows, whose values
-    rank them. Between the two, ``_refine`` steers by the objective's
-    scalar form, carrying each row's products with ``w`` (and ``a``) and
-    its squared norm. A round re-derives them in O(budget * d); below 16
-    columns each probed coordinate then costs O(budget), both signs at
-    once, and from 16 on a block of 64 columns is probed speculatively,
-    with the same moves.
+    The starts are drawn at once, the directions ``(budget, d)`` and the
+    radius and response uniforms ``(budget, 2)`` from two seed streams of
+    their own, so a candidate's start is the same at every budget. The
+    candidates refine in lockstep as the rows of one array, each accepting
+    moves on its own with its own step sizes, so each takes the path it
+    would take alone. The objective is bound to ``(w, stats)`` once per
+    search; its row evaluator scores the starts and the refined rows,
+    whose values rank them. A response bound whose draw width overflows,
+    or a box radius whose square is below the smallest normal float, where
+    the box test cannot see the box, is a ValueError.
     """
     goal = _goal(objective)
     budget = check_count(budget, "budget", 1)
@@ -566,19 +523,22 @@ def oracle_search(
             f"oracle response bound {b} is out of floating-point range: "
             "its draw width 2 * bound overflows"
         )
+    if r_max * r_max < sys.float_info.min:
+        raise ValueError(
+            f"oracle box radius xmax {r_max!r} is too small: its square "
+            "underflows below the smallest normal float"
+        )
 
-    x = np.empty((budget, dim))
-    y = np.empty(budget)
-    for i in range(budget):
-        rng = np.random.default_rng([seed, i])
-        direction = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(direction))
-        if norm == 0.0:
-            direction = np.ones(dim)
-            norm = math.sqrt(dim)
-        radius = r_max * rng.uniform() ** (1.0 / dim)
-        x[i] = direction / norm * radius
-        y[i] = rng.uniform(-b, b)
+    # row i is candidate i's start at every budget
+    x = np.random.default_rng([seed, _START_KEY, 0]).standard_normal((budget, dim))
+    uniforms = np.random.default_rng([seed, _START_KEY, 1]).uniform(size=(budget, 2))
+    norms = np.linalg.norm(x, axis=1)
+    zero = norms == 0.0
+    x[zero] = 1.0
+    norms[zero] = math.sqrt(dim)
+    x /= norms[:, None]
+    x *= r_max * uniforms[:, :1] ** (1.0 / dim)
+    y = 2.0 * b * uniforms[:, 1] - b
 
     # an out-of-range box or weights make every value non-finite; that is
     # the error below

@@ -354,6 +354,22 @@ class TestTrigger:
         searched = run_json(capsys, *argv, "--oracle-budget", "2")
         assert searched["report"]["oracle_best"]["objective_value"] >= 0.0
 
+    @pytest.mark.parametrize("command", ["trigger", "audit"])
+    def test_tiny_box_rejected_only_when_searched(self, capsys, tmp_path, command):
+        # xmax^2 underflows, so the oracle's box test cannot see the box;
+        # with the oracle off the box is never tested
+        data = tmp_path / "tiny.csv"
+        data.write_text("0,1e-200,0\n0,0,1e-200\n")
+        argv = [command, "--data", str(data), "--weights", "1e200,1e200", "--kind",
+                "riskwarp", "--scale", "1e-300", "--xmax", "1e-200"]
+        if command == "audit":
+            argv += ["--trials", "1000", "--out", str(tmp_path / "out")]
+        code, _, err = run_cli(capsys, *argv, "--oracle-budget", "8")
+        assert code == 1
+        assert "error: oracle box radius xmax 1e-200 is too small" in err
+        code, _, err = run_cli(capsys, *argv, "--oracle-budget", "0")
+        assert code == 0, err
+
     def test_negative_oracle_budget_rejected(self, capsys):
         argv = ["trigger", "--data", FIXTURE, "--oracle-budget", "-1"]
         code, _, err = run_cli(capsys, *argv)
@@ -1186,11 +1202,13 @@ def test_out_of_range_stderr_has_no_warnings(command):
         (["--sigma", "1e-300"], "error: epsilon exceeds 1e+06"),
         # an SNR out of floating-point range names the sigma at fault
         (["--sigma", "5e-324"], "error: sigma 5e-324 is too small"),
+        # a box whose squared radius underflows
+        (["--xmax", "1e-200"], "error: oracle box radius xmax 1e-200 is too small"),
     ],
 )
 def test_extreme_audit_stderr_has_no_traceback(flags, expected):
-    """Overflowing the oracle or the SNR is one error line: no traceback,
-    no numpy warning."""
+    """Overflowing the oracle or the SNR, or a box too small for the
+    oracle, is one error line: no traceback, no numpy warning."""
     argv = ["audit", "--data", FIXTURE, "--weights", "1,0", "--trials", "1000"]
     proc = subprocess.run(
         [sys.executable, "-m", "badgd.cli", *argv, *flags],

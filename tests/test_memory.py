@@ -146,10 +146,10 @@ def test_monte_carlo_holds_one_block_per_hypothesis(tied):
 
 def test_oracle_tables_do_not_grow_with_d():
     # at d = 1000 the oracle holds its budget x d candidates and, past
-    # them, the speculative loop's tables and one step's probes: budget x
+    # them, the speculative probe's table and one step's probes: budget x
     # 64 columns x both signs of each row's products, squared norm, column
     # and value. gradwarp has two directions, riskwarp one, so its tables
-    # bound riskwarp's; measured 31.8 units of budget x 64 floats (23.0
+    # bound riskwarp's; measured 23.3 units of budget x 64 floats (17.0
     # for riskwarp), at d = 1000 and at d = 200 alike
     budget = 64
     unit = budget * 64 * 8

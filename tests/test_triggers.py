@@ -17,7 +17,7 @@ from badgd.dataset import (
     sufficient_stats,
 )
 from badgd.risk import check_weights, empirical_risk, point_loss
-from badgd.sim import noisy_gd_step
+from badgd.sim import _block_seed, noisy_gd_step
 from badgd.triggers import (
     _REFINE_ROUNDS,
     TriggerConstraints,
@@ -445,6 +445,74 @@ class TestOracleSearch:
         assert math.isfinite(value)
         assert np.linalg.norm(v.x_v / r_max) <= 1.0
 
+    @pytest.mark.parametrize("kind", ["riskwarp", "gradwarp"])
+    @pytest.mark.parametrize("x_norm_max", [1e-160, 1e-200])
+    def test_box_whose_square_underflows_rejected(self, kind, x_norm_max):
+        # x_norm_max^2 below the smallest normal float: the squared norms
+        # the box test reads underflow with it, and at 1e-160 a point about
+        # 1.0003 x_norm_max out would pass
+        message = f"oracle box radius xmax {x_norm_max!r} is too small"
+        with pytest.raises(ValueError, match=message):
+            oracle_search(
+                kind, np.array([1.0, 1.0]) / x_norm_max, zero_stats(),
+                TriggerConstraints(x_norm_max=x_norm_max), budget=8, seed=1,
+            )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["riskwarp", "gradwarp"])
+    def test_box_radius_near_smallest_normal_keeps_points_inside(self, monkeypatch, kind):
+        # x_norm_max^2 is just above the smallest normal float
+        r_max = 1.5e-154
+        runs = spy_refine(monkeypatch)
+        _, value = oracle_search(
+            kind, np.array([1.0, 1.0]) / r_max, zero_stats(),
+            TriggerConstraints(x_norm_max=r_max), budget=8, seed=1,
+        )
+        [(_, _, x, _, _)] = runs
+        assert math.isfinite(value)
+        eps = np.finfo(float).eps
+        assert np.all(np.linalg.norm(x / r_max, axis=1) <= 1.0 + 8.0 * eps)
+
+    @pytest.mark.parametrize("instance", ["fixture", "lockstep"])
+    def test_starts_are_the_same_at_every_budget(self, monkeypatch, two_point_stats, instance):
+        """A budget-k search starts from the first k starts of a larger
+        budget, so its best value never falls as the budget grows."""
+        if instance == "fixture":
+            w, stats = W_FIXTURE, two_point_stats
+        else:
+            w, stats = lockstep_instance(5, seed=45)
+        constraints = TriggerConstraints(x_norm_max=2.0, response_bound=1.5)
+        runs = spy_refine(monkeypatch)
+        values = []
+        for budget in range(1, 17):
+            values.append(oracle_search("gradwarp", w, stats, constraints, budget, seed=7)[1])
+        x_all, y_all = runs[-1][:2]
+        for budget, (x, y, *_) in enumerate(runs, 1):
+            np.testing.assert_array_equal(x, x_all[:budget])
+            np.testing.assert_array_equal(y, y_all[:budget])
+        assert values == sorted(values)
+
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    def test_start_stream_is_no_other_stream(self, monkeypatch, seed):
+        """The first start lies on the ray of none of the seed's other
+        draws: the weights' ``default_rng(seed)`` (``--seed`` without
+        ``--weights``), nor the first normals of any Monte Carlo block
+        stream, ``SeedSequence((seed, h, b))`` and its children, with the
+        tilted hypotheses 2 and 3 that the plan reserves."""
+        dim = 5
+        w, stats = lockstep_instance(dim, seed=46)
+        runs = spy_refine(monkeypatch)
+        oracle_search("gradwarp", w, stats, TriggerConstraints(), 4, seed=seed)
+        start = runs[0][0][0]
+        unit = lambda v: v / np.linalg.norm(v)
+        others = [np.random.default_rng(seed)]
+        for h in range(4):
+            for block in range(3):
+                others.append(np.random.default_rng([seed, h, block]))
+                others += [np.random.default_rng(_block_seed(seed, h, block, c)) for c in (0, 1)]
+        for rng in others:
+            assert not np.allclose(unit(start), unit(rng.standard_normal(dim)))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_response_bound_too_wide_to_draw_rejected(self, two_point_stats):
         # 2 * 1e308 overflows, so rng.uniform(-b, b) cannot draw from it
@@ -500,16 +568,19 @@ def sequential_oracle(kind, w, stats, constraints, budget, seed):
     r_max = constraints.x_norm_max
     best_x, best_y, best_val = None, 0.0, -math.inf
     rejected = 0
+    key = triggers._START_KEY
+    directions = np.random.default_rng([seed, key, 0]).standard_normal((budget, dim))
+    uniforms = np.random.default_rng([seed, key, 1]).uniform(size=(budget, 2))
+    norms = np.linalg.norm(directions, axis=1)
+    radii = r_max * uniforms[:, 0] ** (1.0 / dim)
+    responses = 2.0 * b * uniforms[:, 1] - b
     for i in range(budget):
-        rng = np.random.default_rng([seed, i])
-        direction = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(direction))
+        direction, norm = directions[i], float(norms[i])
         if norm == 0.0:
             direction = np.ones(dim)
             norm = math.sqrt(dim)
-        radius = r_max * rng.uniform() ** (1.0 / dim)
-        x = direction / norm * radius
-        y = float(rng.uniform(-b, b))
+        x = direction / norm * radii[i]
+        y = float(responses[i])
         val = fn(w, stats, x, y)
         x_step = r_max / 4.0
         y_step = b / 4.0
@@ -541,6 +612,23 @@ def sequential_oracle(kind, w, stats, constraints, budget, seed):
         if val > best_val:
             best_x, best_y, best_val = x, y, val
     return best_x, best_y, best_val, rejected
+
+
+def spy_refine(monkeypatch):
+    """Makes ``_refine`` record, per search, the starts ``(x, y)``, the
+    refined rows ``(x, y)`` and the values it carried for them; returns
+    the list it appends them to."""
+    runs = []
+    refine = triggers._refine
+
+    def spy(form, x, y, val, r_max, b):
+        start = (x.copy(), y.copy())
+        running = refine(form, x, y, val, r_max, b)
+        runs.append((*start, x.copy(), y.copy(), running))
+        return running
+
+    monkeypatch.setattr(triggers, "_refine", spy)
+    return runs
 
 
 def lockstep_instance(dim: int, seed: int):
@@ -611,12 +699,14 @@ class TestOracleLockstep:
             assert calls == [(budget, dim)] * 2
 
     @pytest.mark.parametrize("kind", ["riskwarp", "gradwarp"])
-    @pytest.mark.parametrize("dim", [16, 17, 63, 64, 65, 100, 129, 200])
-    def test_speculative_loop_is_the_column_loop_bit_for_bit(self, kind, dim):
-        """From copies of the same starts, ``_refine_speculative`` leaves
-        ``x`` and ``y`` and returns values that are the one-column loop's
-        bits: one direction (riskwarp) and two (gradwarp), in a loose, a
-        tight and a 1e200 box, where moves overflow the box test."""
+    @pytest.mark.parametrize("dim", [1, 2, 5, 15, 16, 17, 63, 64, 65, 100, 129, 200])
+    def test_speculative_loop_is_the_column_loop_bit_for_bit(self, monkeypatch, kind, dim):
+        """From copies of the same starts, ``_refine`` with the speculative
+        probe leaves ``x`` and ``y`` and returns values that are its bits
+        with the one-column probe, at every d: ``_BLOCK`` is set past d for
+        the one and to 1 for the other. One direction (riskwarp) and two
+        (gradwarp), in a loose, a tight and a 1e200 box, where moves
+        overflow the box test."""
         w, stats = lockstep_instance(dim, seed=44)
         _, form = triggers._GOALS[TriggerKind(kind)].bind(w, stats)
         evaluate = OBJECTIVES[TriggerKind(kind)]
@@ -630,10 +720,11 @@ class TestOracleLockstep:
                 y = min(b, 2.0) * rng.uniform(-1.0, 1.0, budget)
                 val = evaluate(w, stats, x, y)
                 out = []
-                for refine in (triggers._refine_by_column, triggers._refine_speculative):
+                for block in (dim + 1, 1):
+                    monkeypatch.setattr(triggers, "_BLOCK", block)
                     rows, ys = x.copy(), y.copy()
                     with np.errstate(over="ignore", invalid="ignore"):
-                        values = refine(form, rows, ys, val, r_max, b)
+                        values = triggers._refine(form, rows, ys, val, r_max, b)
                     out.append([a.view(np.uint64) for a in (rows, ys, values)])
                 for column, speculative in zip(*out):
                     np.testing.assert_array_equal(column, speculative)
@@ -651,15 +742,7 @@ class TestOracleLockstep:
         magnitudes. The worst case measured is below 8 u.
         """
         u = np.finfo(float).eps / 2
-        runs = []
-        refine = triggers._refine
-
-        def spy(form, x, y, val, r_max, b):
-            running = refine(form, x, y, val, r_max, b)
-            runs.append((x.copy(), y.copy(), running))
-            return running
-
-        monkeypatch.setattr(triggers, "_refine", spy)
+        runs = spy_refine(monkeypatch)
         boxes = [(2.0, 1.5), (0.05, 0.05), (10.0, 10.0)]
         for dim in (1, 2, 5, 20, 100):
             w, stats = lockstep_instance(dim, seed=41)
@@ -668,7 +751,7 @@ class TestOracleLockstep:
                 constraints = TriggerConstraints(x_norm_max, response_bound)
                 runs.clear()
                 oracle_search(kind, w, stats, constraints, budget=8, seed=dim)
-                [(x, y, running)] = runs
+                [(_, _, x, y, running)] = runs
                 wx = x @ w
                 if kind == "gradwarp":
                     a = stats.s_yx - stats.s_xx @ w
